@@ -27,7 +27,6 @@ from .geometry import (
     halfspace,
     subdivide_by_hyperplanes,
     translate,
-    triangulate,
 )
 from .integration import (
     LatticeSum,
@@ -51,21 +50,20 @@ from .invariants import (
     linear_functional_L,
     linear_functional_L_cone,
     relative_futaki,
-    theta_norm,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .plfunc import (
     AffineFunction,
     PLFunction,
     SimplePL,
     affine,
-    evaluate,
     is_affine,
-    is_rational,
     make_pl,
     normalize_at,
 )
 from .destabilizer import ScanConfig, ScanResult, scan
 from .specfile import emit_spec, parse_spec
+
+# The kernels are pure Python; the name stays for callers that record it.
+KERNEL_BACKEND = "pure"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -102,13 +102,18 @@ def _parse_pl(expr, poly):
     return make_pl(plexpr.parse_pl_expression(expr, poly.dim), poly)
 
 
-def _emit(args, payload):
+def _emit(args, payload, render=report.render_table):
+    """Write a payload to ``--out`` or stdout.
+
+    A string is written as it is; a dict as canonical JSON with
+    ``--format structured``, else through ``render``.
+    """
     if isinstance(payload, str):
         text = payload
     elif args.format == "structured":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        text = report.render_table(payload)
+        text = render(payload)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -122,18 +127,10 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _simple_payload(args, body: dict) -> None:
-    if args.format == "structured":
-        text = json.dumps(body, indent=2, sort_keys=True) + "\n"
-    else:
-        width = max(len(k) for k in body)
-        lines = [f"{k:<{width}}  {_fmt_value(v)}" for k, v in body.items()]
-        text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _render_simple(body: dict) -> str:
+    """One aligned ``key  value`` line per entry."""
+    width = max(len(k) for k in body)
+    return "".join(f"{k:<{width}}  {_fmt_value(v)}\n" for k, v in body.items())
 
 
 def main(argv=None) -> int:
@@ -183,14 +180,14 @@ def _dispatch(args) -> int:
             cone = invariants.linear_functional_L_cone(poly, u, extremal)
             body["L_cone_form"] = report.rational_entry(cone)
             body["forms_agree"] = cone == value
-        _simple_payload(args, body)
+        _emit(args, body, _render_simple)
         return 0
 
     if args.command == "relative-futaki":
         u = _parse_pl(args.pl, poly)
         extremal = invariants.extremal_field(poly)
         deg = invariants.relative_futaki(poly, u, extremal)
-        _simple_payload(args, {
+        _emit(args, {
             "function": args.pl,
             "L": report.rational_entry(deg.L_value),
             "relative_futaki": report.rational_entry(deg.rel_futaki),
@@ -198,7 +195,7 @@ def _dispatch(args) -> int:
             "pairing_with_extremal": report.rational_entry(deg.ip_ab),
             "extremal_self_pairing": report.rational_entry(deg.ip_bb),
             "trivial": deg.trivial,
-        })
+        }, _render_simple)
         return 0
 
     if args.command == "scan":
@@ -212,7 +209,7 @@ def _dispatch(args) -> int:
         u = _parse_pl(args.pl, poly)
         total = integration.pl_lattice_sum(poly, u, args.k)
         residual = integration.ehrhart_residual(poly, u, args.k)
-        _simple_payload(args, {
+        _emit(args, {
             "function": args.pl,
             "k": args.k,
             "lattice_points": total.count,
@@ -222,7 +219,7 @@ def _dispatch(args) -> int:
                 integration.boundary_integral(poly, u)
             ),
             "residual": report.rational_entry(residual),
-        })
+        }, _render_simple)
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

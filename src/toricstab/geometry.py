@@ -525,11 +525,6 @@ def delzant_check(poly: Polytope):
     return True, None
 
 
-def triangulate(poly: Polytope) -> tuple:
-    """Simplices tiling the polytope; volumes sum to the exact volume."""
-    return poly.triangulation
-
-
 def cone_decomposition(poly: Polytope) -> ConeDecomposition:
     """Cones with apex at the origin over the facet simplices."""
     if not poly.origin_interior:

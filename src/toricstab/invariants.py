@@ -30,10 +30,6 @@ from .plfunc import AffineFunction, PLFunction
 
 CONDITION_CODES = ("c02", "c02prime", "c02doubleprime", "c43", "c04", "c61")
 
-# Hexagon family facet normals carrying the first and second parameter.
-_HEX_FIRST = ((1, 0), (-1, -1), (0, 1))
-_HEX_SECOND = ((0, -1), (-1, 0), (1, 1))
-
 
 @dataclass(frozen=True)
 class ExtremalData:
@@ -166,12 +162,6 @@ def extremal_field(poly: Polytope) -> ExtremalData:
         c=c, a=a, theta=theta, theta_min=tmin, theta_max=tmax,
         norm=max(abs(tmin), abs(tmax)),
     )
-
-
-def theta_norm(extremal: ExtremalData, poly: Polytope) -> Fraction:
-    """Sup norm of the extremal potential; affine, so a vertex maximum."""
-    values = [abs(extremal.theta.evaluate(v)) for v in poly.vertices]
-    return max(values)
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +353,33 @@ def check_condition(poly: Polytope, extremal: ExtremalData, which: str) -> Condi
 
 
 def hexagon_parameters(poly: Polytope):
-    """Extract (first, second) bounds when P is the symmetric hexagon family."""
+    """Extract (first, second) when P is the symmetric hexagon family.
+
+    The family is recognised up to lattice isomorphism.  Its six normals
+    ``n[0..5]``, in counterclockwise order from the positive first axis,
+    satisfy ``n[i-1] + n[i+1] = n[i]`` and ``det(n[0], n[1]) = 1``, like
+    ``(1,0), (1,1), (0,1), (-1,0), (-1,-1), (0,-1)``; and some translation
+    makes the bounds equal on each alternate triple.  The normals of a
+    triple sum to zero, so its bound average does not move under
+    translation; these averages are the parameters, the first from the
+    triple holding ``n[0]``.  Since ``n[i+3] = -n[i]``, such a translation
+    exists exactly when the sums ``b[i] + b[i+3]`` of opposite bounds agree.
+    """
     if poly.dim != 2 or len(poly.facets) != 6:
         return None
-    by_normal = {}
-    for f in poly.facets:
-        h = poly.halfspaces[f.halfspace_index]
-        by_normal[h.normal] = h.bound
-    if set(by_normal) != set(_HEX_FIRST) | set(_HEX_SECOND):
+    hs = [poly.halfspaces[f.halfspace_index] for f in poly.facets]
+    order = geometry._angular_order([h.normal for h in hs])
+    normals = [hs[i].normal for i in order]
+    bounds = [hs[i].bound for i in order]
+    if _linalg.det_int(normals[:2]) != 1:
         return None
-    first = {by_normal[m] for m in _HEX_FIRST}
-    second = {by_normal[m] for m in _HEX_SECOND}
-    if len(first) != 1 or len(second) != 1:
+    for i in range(6):
+        before, after = normals[i - 1], normals[(i + 1) % 6]
+        if _linalg.vadd(before, after) != normals[i]:
+            return None
+    if not bounds[0] + bounds[3] == bounds[1] + bounds[4] == bounds[2] + bounds[5]:
         return None
-    return first.pop(), second.pop()
+    return sum(bounds[0::2]) / 3, sum(bounds[1::2]) / 3
 
 
 def _check_hexagon_window(poly: Polytope) -> ConditionVerdict:

@@ -1,16 +1,13 @@
-"""Pure-Python kernels for the two hot loops.
+"""Integer kernels for the two hot loops.
 
 ``simple_pl_values`` evaluates the stability functional and the boundary
 integral for batches of single-crease candidates on a polygon, entirely
 in integer arithmetic on pre-scaled data.  ``lattice_weighted_sum`` is
-the bounding-box lattice scan.  The compiled extension implements the
-same contracts; results are bit-identical exact rationals either way.
+the bounding-box lattice scan.  Results are exact integers.
 """
 
 import itertools
 from math import gcd
-
-BACKEND = "pure"
 
 
 def _norm(n, d):

@@ -143,10 +143,6 @@ class SimplePL:
         return make_pl([zero_function(domain.dim), self.crease], domain)
 
 
-def evaluate(u: PLFunction, x) -> Fraction:
-    return u.evaluate(x)
-
-
 def normalize_at(u: PLFunction, p) -> PLFunction:
     """Subtract a supporting affine function so the result is >= 0 and 0 at p.
 
@@ -178,12 +174,3 @@ def normalize_at(u: PLFunction, p) -> PLFunction:
 def is_affine(u: PLFunction) -> bool:
     """True when a single piece covers the whole domain."""
     return len(u.cells) == 1
-
-
-def is_rational(u: PLFunction) -> bool:
-    """All piece data rational; true by construction, kept for the interface."""
-    return all(
-        isinstance(c, Fraction)
-        for piece in u.pieces
-        for c in (*piece.gradient, piece.constant)
-    )

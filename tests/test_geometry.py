@@ -12,7 +12,6 @@ from toricstab import (
     halfspace,
     subdivide_by_hyperplanes,
     translate,
-    triangulate,
 )
 from toricstab.errors import (
     Degenerate,
@@ -157,23 +156,23 @@ class TestDelzant:
 
 class TestTriangulate:
     def test_square_two_triangles(self, square):
-        tris = triangulate(square)
+        tris = square.triangulation
         assert len(tris) == 2
         assert [t.volume() for t in tris] == [2, 2]
 
     def test_cp2_single_simplex(self, cp2):
-        tris = triangulate(cp2)
+        tris = cp2.triangulation
         assert len(tris) == 1
         assert tris[0].volume() == Fraction(9, 2)
 
     def test_pentagon_area_sum(self, pentagon):
-        tris = triangulate(pentagon)
+        tris = pentagon.triangulation
         assert len(tris) == 3
         assert sum(t.volume() for t in tris) == Fraction(7, 2)
 
     def test_volume_sum_matches_for_all_catalog(self, cp2, square, pentagon, hexagon23):
         for poly in (cp2, square, pentagon, hexagon23):
-            assert sum(t.volume() for t in triangulate(poly)) == poly.volume
+            assert sum(t.volume() for t in poly.triangulation) == poly.volume
 
 
 class TestConeDecomposition:

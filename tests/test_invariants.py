@@ -18,7 +18,6 @@ from toricstab import (
     make_pl,
     normalize_at,
     relative_futaki,
-    theta_norm,
     translate,
 )
 from hypothesis import given, settings, strategies as st
@@ -153,11 +152,11 @@ class TestExtremalField:
 class TestThetaNorm:
     def test_hexagon_zero(self, hexagon23):
         ext = invariants.extremal_field(hexagon23)
-        assert theta_norm(ext, hexagon23) == 0
+        assert ext.norm == 0
 
     def test_pentagon_norm_and_range(self, pentagon):
         ext = invariants.extremal_field(pentagon)
-        assert theta_norm(ext, pentagon) == F(304, 409)
+        assert ext.norm == F(304, 409)
         assert ext.theta_min == F(-200, 409)
         assert -2 < ext.theta_min and ext.theta_max < 1
 
@@ -459,9 +458,23 @@ class TestOriginIndependence:
         expected = dict(_catalog_conditions(name))
         if not moved.origin_interior:
             expected.pop("c04")
-        if invariants.hexagon_parameters(moved) is None:
-            expected.pop("c61", None)
         assert got == expected
+
+    def test_moved_hexagon_keeps_its_parameters(self):
+        for word, shift in (((), (1, -2)), ((0, 1, 2), (F(1, 3), F(-2, 5)))):
+            moved = _lattice_image(catalog("hexagon(2,3)"), word, shift)
+            assert invariants.hexagon_parameters(moved) in ((2, 3), (3, 2))
+            verdict = check_condition(moved, invariants.extremal_field(moved), "c61")
+            assert verdict.holds
+            assert verdict.margin == 3
+
+    def test_unequal_opposite_sums_leave_the_family(self):
+        # The hexagon normals, but b_0 + b_3 = 5 while b_1 + b_4 = 6.
+        bounds = (2, 3, 2, 3, 3, 3)
+        normals = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+        poly = build_polytope([halfspace(m, b) for m, b in zip(normals, bounds)])
+        assert len(poly.facets) == 6
+        assert invariants.hexagon_parameters(poly) is None
 
 
 class TestLatticePairingBridge:

@@ -1,82 +1,119 @@
-"""Differential tests: every available kernel backend agrees bit for bit."""
+"""The integer kernels against the general-purpose path and a brute-force scan."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from toricstab import catalog, integration
+from toricstab import catalog, integration, kernels
 from toricstab import invariants
 from toricstab.destabilizer import _kernel_data, _pack
-from toricstab.kernels import available_backends
+from toricstab.errors import ScaleOverflow
 from toricstab.plfunc import AffineFunction
 
-BACKENDS = available_backends()
 
-
-def random_candidates(rng, count):
-    out = []
-    for _ in range(count):
-        crease = AffineFunction(
-            (
-                Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
-                Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
-            ),
-            Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
-        )
-        if all(g == 0 for g in crease.gradient):
+def brute_weighted_sum(dim, lows, highs, rows, table, k):
+    """Oracle: visit every cell of the box, test every row, take every max."""
+    count = 0
+    total = 0
+    ranges = [range(lo, hi + 1) for lo, hi in zip(lows, highs)]
+    for point in itertools.product(*ranges):
+        if any(sum(m * p for m, p in zip(normal, point)) > rhs for normal, rhs in rows):
             continue
-        out.append(_pack(crease))
-    return out
+        count += 1
+        if table:
+            total += max(sum(a * p for a, p in zip(a_row, point)) + c * k
+                         for a_row, c in table)
+    return count, total
 
 
-def test_compiled_backend_present():
-    # The build is expected to produce the extension here; the pure twin
-    # must exist regardless.
-    assert "pure" in BACKENDS
+def brute_lattice_sum(poly, phi, k):
+    """Oracle: ``phi(I / k)`` summed in Fraction arithmetic over the box."""
+    lows, highs = integration._integer_box(poly, k, 10**8)
+    total = Fraction(0)
+    count = 0
+    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        if all(h.value(point) <= k * h.bound for h in poly.halfspaces):
+            count += 1
+            total += phi.evaluate(tuple(Fraction(c, k) for c in point))
+    return count, total
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
-class TestBackendAgreement:
-    def test_simple_pl_values_agree(self):
-        rng = random.Random(99)
-        for name in ("cp2", "cp1xcp1", "cp2_2blowup", "hexagon(2,3)"):
-            poly = catalog(name)
-            ext = invariants.extremal_field(poly)
-            vxs, vys, vden, edges, wlin, wden = _kernel_data(poly, ext)
-            cands = random_candidates(rng, 200)
-            results = {
-                label: mod.simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands)
-                for label, mod in BACKENDS.items()
-            }
-            assert results["pure"] == results["compiled"]
+def random_case(rng):
+    dim = rng.randint(1, 3)
+    lows = [rng.randint(-4, 2) for _ in range(dim)]
+    highs = [lo + rng.randint(-1, 5) for lo in lows]
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        normal = [rng.randint(-3, 3) for _ in range(dim)]
+        if rng.random() < 0.3:
+            normal[-1] = 0
+        rows.append((tuple(normal), rng.randint(-6, 8)))
+    table = []
+    for _ in range(rng.randint(0, 5)):
+        if table and rng.random() < 0.3:
+            a_row, c = rng.choice(table)
+            # A duplicate piece, or a parallel one along the last coordinate.
+            table.append((a_row, c if rng.random() < 0.5 else c + rng.randint(-2, 2)))
+        else:
+            table.append((tuple(rng.randint(-5, 5) for _ in range(dim)),
+                          rng.randint(-5, 5)))
+    return dim, lows, highs, rows, table, rng.randint(1, 4)
 
-    def test_lattice_sums_agree(self):
-        for name in ("cp2", "cp2_2blowup"):
-            poly = catalog(name)
-            lows, highs = integration._integer_box(poly, 17, 10**8)
-            rows = integration._scaled_constraints(poly, 17)
-            table = [((3, -2), 5), ((-1, 4), 0), ((0, 0), -7)]
-            results = {
-                label: mod.lattice_weighted_sum(2, lows, highs, rows, table, 17)
-                for label, mod in BACKENDS.items()
-            }
-            assert results["pure"] == results["compiled"]
 
-    def test_lattice_sum_overflow_fallback(self):
-        # Huge piece data must push the compiled path off int64 and into
-        # the object fallback without changing the result.
+class TestLatticeWeightedSum:
+    def test_random_cases_match_brute_force(self):
+        rng = random.Random(2024)
+        for _ in range(1500):
+            case = random_case(rng)
+            assert kernels.lattice_weighted_sum(*case) == brute_weighted_sum(*case), case
+
+    def test_degenerate_tables_and_lines(self):
+        lows, highs = [-3, -3], [4, 4]
+        # x <= 1, x + y <= 2 and x >= -2; the rows with a zero last
+        # coefficient empty the lines x = -3 and x = 2..4.
+        rows = [((1, 0), 1), ((1, 1), 2), ((-1, 0), 2)]
+        tables = [
+            [],
+            [((1, 2), 3), ((1, 2), 3)],             # duplicates
+            [((1, 2), 3), ((1, 2), -1), ((4, 2), 0)],  # parallel in y
+            [((0, 5), 0), ((0, -5), 0), ((0, 0), 1)],  # a tie point of slopes +-5
+            [((2, -1), 1), ((0, 0), 0), ((-1, 3), 2), ((1, 1), -4)],
+        ]
+        for table in tables:
+            got = kernels.lattice_weighted_sum(2, lows, highs, rows, table, 3)
+            assert got == brute_weighted_sum(2, lows, highs, rows, table, 3)
+        # A zero-last row that no line satisfies empties the box.
+        empty = rows + [((1, 0), -4)]
+        assert kernels.lattice_weighted_sum(2, lows, highs, empty, tables[1], 3) == (0, 0)
+
+    def test_huge_coefficients_stay_exact(self):
         big = 10**30
         lows, highs = [-3, -3], [3, 3]
         rows = [((1, 0), 3), ((-1, 0), 3), ((0, 1), 3), ((0, -1), 3)]
         table = [((big, -big), big), ((0, 0), 0)]
-        results = {
-            label: mod.lattice_weighted_sum(2, lows, highs, rows, table, 2)
-            for label, mod in BACKENDS.items()
-        }
-        assert results["pure"] == results["compiled"]
-        count, total = results["pure"]
-        assert count == 49
+        got = kernels.lattice_weighted_sum(2, lows, highs, rows, table, 2)
+        assert got == brute_weighted_sum(2, lows, highs, rows, table, 2)
+        assert got[0] == 49
+
+    @pytest.mark.parametrize("name", ["cp2", "cp2_2blowup"])
+    def test_catalog_boxes(self, name):
+        poly = catalog(name)
+        lows, highs = integration._integer_box(poly, 17, 10**8)
+        rows = integration._scaled_constraints(poly, 17)
+        table = [((3, -2), 5), ((-1, 4), 0), ((0, 0), -7)]
+        got = kernels.lattice_weighted_sum(2, lows, highs, rows, table, 17)
+        assert got == brute_weighted_sum(2, lows, highs, rows, table, 17)
+
+    def test_over_budget_box_raises(self):
+        from toricstab import make_pl
+        from toricstab.plfunc import affine
+
+        poly = catalog("cp2")
+        phi = make_pl([affine((0, 0), 1)], poly)
+        with pytest.raises(ScaleOverflow):
+            integration.pl_lattice_sum(poly, phi, 10**6, budget=10**4)
 
 
 class TestPureKernel:
@@ -100,7 +137,7 @@ class TestPureKernel:
             )
             if all(g == 0 for g in crease.gradient):
                 continue
-            (ln, ld, bn, bd), = BACKENDS["pure"].simple_pl_values(
+            (ln, ld, bn, bd), = kernels.simple_pl_values(
                 vxs, vys, vden, edges, wlin, wden, [_pack(crease)]
             )
             u = SimplePL(crease).as_pl(poly)
@@ -118,11 +155,4 @@ class TestPureKernel:
         )
         for k in (1, 4, 9):
             out = pl_lattice_sum(poly, phi, k)
-            brute = sum(
-                (
-                    phi.evaluate((Fraction(i, k), Fraction(j, k)))
-                    for i, j in integration.lattice_points(poly, k)
-                ),
-                Fraction(0),
-            )
-            assert out.weighted_sum == brute
+            assert (out.count, out.weighted_sum) == brute_lattice_sum(poly, phi, k)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricstab import is_affine, is_rational, make_pl, normalize_at
+from toricstab import is_affine, make_pl, normalize_at
 from toricstab.errors import EmptyPieceList, OutsideDomain, PointNotInterior
 from toricstab.plfunc import AffineFunction, SimplePL, affine, zero_function
 
@@ -165,7 +165,9 @@ class TestQueries:
             [SimplePL(affine((2, -3), F(1, 2))).crease, zero_function(2)],
             [affine((1, 1), -1), zero_function(2), affine((-1, -1), -1)],
         ):
-            assert is_rational(make_pl(pieces, square))
+            u = make_pl(pieces, square)
+            assert all(isinstance(c, Fraction)
+                       for piece in u.pieces for c in (*piece.gradient, piece.constant))
 
 
 class TestConvexity:
