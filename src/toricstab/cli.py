@@ -121,18 +121,6 @@ def _emit(args, payload, render=report.render_table):
         sys.stdout.write(text)
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, dict) and "exact" in value:
-        return f"{value['exact']} (~{value['approx']:.6g})"
-    return str(value)
-
-
-def _render_simple(body: dict) -> str:
-    """One aligned ``key  value`` line per entry."""
-    width = max(len(k) for k in body)
-    return "".join(f"{k:<{width}}  {_fmt_value(v)}\n" for k, v in body.items())
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -180,22 +168,14 @@ def _dispatch(args) -> int:
             cone = invariants.linear_functional_L_cone(poly, u, extremal)
             body["L_cone_form"] = report.rational_entry(cone)
             body["forms_agree"] = cone == value
-        _emit(args, body, _render_simple)
+        _emit(args, body, report.render_simple)
         return 0
 
     if args.command == "relative-futaki":
         u = _parse_pl(args.pl, poly)
         extremal = invariants.extremal_field(poly)
         deg = invariants.relative_futaki(poly, u, extremal)
-        _emit(args, {
-            "function": args.pl,
-            "L": report.rational_entry(deg.L_value),
-            "relative_futaki": report.rational_entry(deg.rel_futaki),
-            "generalized_futaki": report.rational_entry(deg.gen_futaki_alpha),
-            "pairing_with_extremal": report.rational_entry(deg.ip_ab),
-            "extremal_self_pairing": report.rational_entry(deg.ip_bb),
-            "trivial": deg.trivial,
-        }, _render_simple)
+        _emit(args, report.degeneration_entry(args.pl, deg), report.render_simple)
         return 0
 
     if args.command == "scan":
@@ -219,7 +199,7 @@ def _dispatch(args) -> int:
                 integration.boundary_integral(poly, u)
             ),
             "residual": report.rational_entry(residual),
-        }, _render_simple)
+        }, report.render_simple)
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -69,21 +69,33 @@ def _direction(w: Fraction):
     return (s * s - 1, -2 * s)
 
 
-def _candidate(poly: Polytope, base, w: Fraction, v: Fraction):
-    """Crease for direction parameter w and offset parameter v in [0, 1).
+def _crease_family(poly: Polytope, base):
+    """Creases for direction parameter w and offset parameter v in [0, 1).
 
-    Offsets sweep from the crease through the normalization point (v = 0)
-    out to the maximal vertex, so every candidate is normalized: it
-    vanishes at the base point and is nonnegative.  The antipodal
-    direction covers the other orientation of each crease line, hence no
-    line is lost to this restriction, and the resulting ratios genuinely
-    upper-bound the coercivity constant.
+    Returns a function ``(w, v) -> AffineFunction`` that caches, per
+    direction, the direction's values at the base point and its maximum
+    over the vertices.  Offsets sweep from the crease through the
+    normalization point (v = 0) out to the maximal vertex, so every
+    candidate is normalized: it vanishes at the base point and is
+    nonnegative.  The antipodal direction covers the other orientation of
+    each crease line, hence no line is lost to this restriction, and the
+    resulting ratios genuinely upper-bound the coercivity constant.
     """
-    a1, a2 = _direction(w)
-    gmax = max(a1 * p[0] + a2 * p[1] for p in poly.vertices)
-    gbase = a1 * base[0] + a2 * base[1]
-    const = -(gbase + v * (gmax - gbase))
-    return AffineFunction((a1, a2), const)
+    direction_cache = {}
+
+    def crease(w, v):
+        key = w % 1
+        data = direction_cache.get(key)
+        if data is None:
+            a1, a2 = _direction(key)
+            gmax = max(a1 * p[0] + a2 * p[1] for p in poly.vertices)
+            gbase = a1 * base[0] + a2 * base[1]
+            data = (a1, a2, gmax, gbase)
+            direction_cache[key] = data
+        a1, a2, gmax, gbase = data
+        return AffineFunction((a1, a2), -(gbase + v * (gmax - gbase)))
+
+    return crease
 
 
 def _kernel_data(poly: Polytope, extremal: ExtremalData):
@@ -144,19 +156,7 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
 
     vxs, vys, vden, edges, wlin, wden = _kernel_data(poly, extremal)
 
-    direction_cache = {}
-
-    def crease_for(w, v):
-        key = w % 1
-        data = direction_cache.get(key)
-        if data is None:
-            a1, a2 = _direction(key)
-            gmax = max(a1 * p[0] + a2 * p[1] for p in poly.vertices)
-            gbase = a1 * base[0] + a2 * base[1]
-            data = (a1, a2, gmax, gbase)
-            direction_cache[key] = data
-        a1, a2, gmax, gbase = data
-        return AffineFunction((a1, a2), -(gbase + v * (gmax - gbase)))
+    crease_for = _crease_family(poly, base)
 
     def evaluate_batch(params):
         cands = []

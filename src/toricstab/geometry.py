@@ -6,6 +6,13 @@ derived from it (vertices, facets, boundary measures, triangulations,
 cone decompositions, subdivisions) is computed in exact rational
 arithmetic; this module never touches floating point.
 
+Vertices come from one of two places.  :func:`build_polytope` validates
+user input, so it solves every n-subset of the hyperplanes and keeps the
+feasible solutions.  Internal cells (:func:`intersect`,
+:func:`subdivide_by_hyperplanes`) are a known polytope cut by a few more
+half-spaces, so their vertices come from clipping the parent's vertices
+against each new half-space in turn.  Both feed the same :func:`_build`.
+
 Boundary pieces carry the lattice measure: on the facet with normal ``l``
 it is the Euclidean surface measure divided by ``|l|_2``.  Because the
 Euclidean measure of a rational facet piece is a rational multiple of
@@ -236,8 +243,9 @@ class Polytope:
 def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     """Construct a polytope from half-space data, verifying its invariants.
 
-    Exhaustively solves all n-subsets of the hyperplane equations, keeps
-    the feasible solutions as vertices, then derives facets.  Redundant
+    Exhaustively solves all n-subsets of the hyperplane equations and
+    keeps the feasible solutions as vertices; this is the one place that
+    enumerates, because it also validates user input.  Redundant
     half-spaces (touching the body in dimension below n-1 or not at all)
     are dropped with a warning record; duplicates likewise.
     """
@@ -268,28 +276,27 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
         seen.add(h.key)
         deduped.append(h)
 
-    poly = _build(deduped, n, require_simple=require_simple, check_bounded=True,
-                  warnings=warnings)
-    if poly is None:
-        raise Degenerate("half-space intersection is empty")
-    return poly
-
-
-def _build(hs, n, *, require_simple, check_bounded, warnings=None) -> Polytope | None:
-    """Shared constructor; returns None for empty or lower-dimensional bodies."""
-    warnings = list(warnings or [])
-    if check_bounded:
-        _check_bounded(hs, n)
-
-    vertices = _enumerate_vertices(hs, n)
+    _check_bounded(deduped, n)
+    vertices = _enumerate_vertices(deduped, n)
     if not vertices:
-        return None
+        raise Degenerate("half-space intersection is empty")
     if _linalg.affine_rank(vertices) < n:
-        if check_bounded:
-            raise Degenerate("vertex hull is not full-dimensional")
-        return None
+        raise Degenerate("vertex hull is not full-dimensional")
+    return _build(deduped, n, vertices, require_simple=require_simple,
+                  warnings=warnings)
 
-    vertices.sort()
+
+def _build(hs, n, vertices, *, require_simple, warnings=()) -> Polytope:
+    """Shared constructor from the half-spaces and the full vertex set.
+
+    ``vertices`` must be exactly the vertices of the body the half-spaces
+    bound, which must be full-dimensional; the caller found them by
+    exhaustive enumeration or by clipping.  Everything else (active sets,
+    retained facets, facet simplices, measures, warnings) is derived here
+    from ``hs`` alone.
+    """
+    warnings = list(warnings)
+    vertices = sorted(vertices)
     active = [
         [i for i, h in enumerate(hs) if h.value(v) == h.bound]
         for v in vertices
@@ -543,9 +550,10 @@ def subdivide_by_hyperplanes(poly: Polytope, cuts) -> list:
     Each cut contributes its two closed sides; cells are the nonempty
     full-dimensional intersections over all sign patterns.  Cut objects
     need ``gradient`` and ``constant`` attributes (or may be given as
-    ``(gradient, constant)`` pairs).
+    ``(gradient, constant)`` pairs).  Each sign pattern is one call to
+    :func:`intersect`.
     """
-    cells = [list(poly.halfspaces)]
+    cells = [[]]
     for cut in cuts:
         grad, const = _cut_data(cut)
         if all(g == 0 for g in grad):
@@ -560,23 +568,89 @@ def subdivide_by_hyperplanes(poly: Polytope, cuts) -> list:
         cells = new_cells
     out = []
     for cell_hs in cells:
-        cell = _build(_dedup_halfspaces(cell_hs), poly.dim,
-                      require_simple=False, check_bounded=False)
+        cell = intersect(poly, cell_hs)
         if cell is not None:
             out.append(cell)
     return out
 
 
 def intersect(poly: Polytope, halfspaces) -> Polytope | None:
-    """Intersection with extra half-spaces; None if empty or lower-dimensional."""
+    """Intersection with extra half-spaces; None if empty or lower-dimensional.
+
+    The cell's vertices come from clipping ``poly.vertices`` (see
+    :func:`_clip`), not from a fresh enumeration; the result equals, field
+    for field, what exhaustive enumeration of the combined list gives.
+    """
     combined = _dedup_halfspaces(list(poly.halfspaces) + list(halfspaces))
-    return _build(combined, poly.dim, require_simple=False, check_bounded=False)
+    vertices = _clip(poly, combined)
+    if vertices is None:
+        return None
+    return _build(combined, poly.dim, vertices, require_simple=False)
 
 
-def polytope_from_halfspaces(halfspaces, dim) -> Polytope | None:
-    """Relaxed constructor for internal cells (no simplicity requirement)."""
-    return _build(_dedup_halfspaces(list(halfspaces)), dim,
-                  require_simple=False, check_bounded=False)
+def _clip(poly: Polytope, hs):
+    """Vertices of ``poly`` cut by ``hs[len(poly.halfspaces):]``.
+
+    ``hs`` starts with ``poly.halfspaces``.  Each further half-space is
+    applied in turn: a vertex with slack >= 0 stays, and a pair of vertices
+    with one strictly inside and one strictly outside adds its crossing
+    point when the pair spans an edge, that is when the half-spaces tight
+    at both have rank n - 1.  Each vertex carries the indices into ``hs``
+    tight at it; the parent's come from its facets.  Returns None when the
+    body left over is empty or lower-dimensional.
+    """
+    n = poly.dim
+    tight = [set() for _ in poly.vertices]
+    for facet in poly.facets:
+        for j in facet.vertex_indices:
+            tight[j].add(facet.halfspace_index)
+    current = list(zip(poly.vertices, map(frozenset, tight)))
+    for i in range(len(poly.halfspaces), len(hs)):
+        h = hs[i]
+        kept, inside, outside = [], [], []
+        for v, at_v in current:
+            s = h.slack(v)
+            if s > 0:
+                kept.append((v, at_v))
+                inside.append((v, at_v, s))
+            elif s == 0:
+                kept.append((v, at_v | {i}))
+            else:
+                outside.append((v, at_v, s))
+        for u, at_u, su in inside:
+            for w, at_w, sw in outside:
+                common = at_u & at_w
+                if _spans_edge([hs[k].normal for k in common], n):
+                    t = su / (su - sw)
+                    x = tuple(a + t * (b - a) for a, b in zip(u, w))
+                    kept.append((x, common | {i}))
+        if len(kept) <= n:
+            return None
+        current = kept
+    vertices = [v for v, _ in current]
+    if _linalg.affine_rank(vertices) < n:
+        return None
+    return vertices
+
+
+def _spans_edge(normals, n) -> bool:
+    """Whether the normals tight at two distinct vertices have rank n - 1.
+
+    Both vertices satisfy every one of these normals with equality, so
+    the rank is at most n - 1; in 1-D and 2-D the test is a count, in 3-D
+    it asks for one normal not parallel to the first.
+    """
+    if n <= 2:
+        return len(normals) >= n - 1
+    if n == 3:
+        if not normals:
+            return False
+        a1, a2, a3 = normals[0]
+        return any(
+            a2 * b3 != a3 * b2 or a3 * b1 != a1 * b3 or a1 * b2 != a2 * b1
+            for b1, b2, b3 in normals[1:]
+        )
+    return _linalg.rank(normals) == n - 1
 
 
 def _dedup_halfspaces(hs):

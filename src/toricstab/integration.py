@@ -1,10 +1,13 @@
 """Exact integration over polytopes and their boundaries, plus lattice sums.
 
-Volume integrals of polynomials reduce to barycentric monomial integrals
-over the cached triangulation; boundary integrals use the same engine on
-the facet simplices with their lattice measures.  Lattice-point work is a
-bounding-box scan with exact half-space filtering, guarded by a cell
-budget so a careless scale cannot wedge the process.
+Volume integrals of polynomials are summed over the cached triangulation;
+boundary integrals use the same engine on the facet simplices with their
+lattice measures.  On a k-simplex, affine integrands take the centroid
+value, quadratics an exact rule on the vertices and edge midpoints, and
+only degrees 3 and 4 expand into barycentric monomial integrals.
+Lattice-point work is a bounding-box scan with exact half-space
+filtering, guarded by a cell budget so a careless scale cannot wedge the
+process.
 """
 
 from __future__ import annotations
@@ -177,13 +180,27 @@ def _mul_linear(expansion, coeffs):
 def _poly_over_simplex(verts, poly: Polynomial, k, measure) -> Fraction:
     if measure == 0:
         return Fraction(0)
-    if poly.degree() <= 1:
+    degree = poly.degree()
+    if degree <= 1:
         # Affine integrands integrate to the centroid value times the measure.
         centroid = tuple(
             sum((v[j] for v in verts), Fraction(0)) / len(verts)
             for j in range(len(verts[0]))
         )
         return poly.evaluate(centroid) * measure
+    if degree == 2:
+        # Exact for quadratics on a k-simplex: vertex values weighted 2 - k,
+        # edge-midpoint values weighted 4, over (k + 1)(k + 2).
+        at_vertices = sum((poly.evaluate(v) for v in verts), Fraction(0))
+        at_midpoints = sum(
+            (poly.evaluate(tuple((a + b) / 2 for a, b in zip(u, w)))
+             for u, w in itertools.combinations(verts, 2)),
+            Fraction(0),
+        )
+        return (
+            ((2 - k) * at_vertices + 4 * at_midpoints)
+            * measure / ((k + 1) * (k + 2))
+        )
     total = Fraction(0)
     for alpha, coeff in poly.terms.items():
         total += coeff * _monomial_over_simplex(verts, alpha, k, measure)

@@ -14,7 +14,7 @@ from . import __version__
 from . import geometry, invariants, specfile
 from .errors import OriginNotInterior
 from .geometry import Polytope
-from .invariants import ConditionVerdict
+from .invariants import ConditionVerdict, DegenerationReport
 
 
 def rational_entry(value) -> dict:
@@ -108,21 +108,10 @@ def build_report(poly: Polytope, name=None, pl_functions=(), scan_result=None) -
     }
 
     if pl_functions:
-        degenerations = []
-        for label, u in pl_functions:
-            deg = invariants.relative_futaki(poly, u, extremal)
-            degenerations.append(
-                {
-                    "function": label,
-                    "L": rational_entry(deg.L_value),
-                    "relative_futaki": rational_entry(deg.rel_futaki),
-                    "generalized_futaki": rational_entry(deg.gen_futaki_alpha),
-                    "pairing_with_extremal": rational_entry(deg.ip_ab),
-                    "extremal_self_pairing": rational_entry(deg.ip_bb),
-                    "trivial": deg.trivial,
-                }
-            )
-        report["degenerations"] = degenerations
+        report["degenerations"] = [
+            degeneration_entry(label, invariants.relative_futaki(poly, u, extremal))
+            for label, u in pl_functions
+        ]
 
     if scan_result is not None:
         crease = scan_result.worst_u.crease
@@ -137,6 +126,19 @@ def build_report(poly: Polytope, name=None, pl_functions=(), scan_result=None) -
             "round_minima": [str(r) for r in scan_result.round_minima],
         }
     return report
+
+
+def degeneration_entry(label, deg: DegenerationReport) -> dict:
+    """The invariants of one degeneration, keyed as every output prints them."""
+    return {
+        "function": label,
+        "L": rational_entry(deg.L_value),
+        "relative_futaki": rational_entry(deg.rel_futaki),
+        "generalized_futaki": rational_entry(deg.gen_futaki_alpha),
+        "pairing_with_extremal": rational_entry(deg.ip_ab),
+        "extremal_self_pairing": rational_entry(deg.ip_bb),
+        "trivial": deg.trivial,
+    }
 
 
 def report_exit_code(report: dict) -> int:
@@ -155,8 +157,17 @@ def report_exit_code(report: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(entry) -> str:
-    return f"{entry['exact']} (~{entry['approx']:.6g})"
+def _fmt(value) -> str:
+    """A rational entry as ``exact (~approx)``; any other value as ``str``."""
+    if isinstance(value, dict) and "exact" in value:
+        return f"{value['exact']} (~{value['approx']:.6g})"
+    return str(value)
+
+
+def render_simple(body: dict) -> str:
+    """One aligned ``key  value`` line per entry."""
+    width = max(len(k) for k in body)
+    return "".join(f"{k:<{width}}  {_fmt(v)}\n" for k, v in body.items())
 
 
 def render_table(report: dict) -> str:

@@ -12,7 +12,7 @@ from toricstab import (
     scan,
 )
 from toricstab import invariants
-from toricstab.destabilizer import ScanConfig, _candidate, _direction
+from toricstab.destabilizer import ScanConfig, _crease_family, _direction
 from toricstab.plfunc import SimplePL, affine, zero_function
 
 
@@ -47,9 +47,10 @@ class TestDirections:
 
     def test_candidates_are_normalized(self, square):
         base = (F(0), F(0))
+        crease_for = _crease_family(square, base)
         for j in range(12):
             for t in range(5):
-                crease = _candidate(square, base, F(j, 12), F(t, 5))
+                crease = crease_for(F(j, 12), F(t, 5))
                 assert crease.evaluate(base) <= 0
                 # crease meets the interior: positive somewhere on vertices
                 assert max(crease.evaluate(v) for v in square.vertices) > 0

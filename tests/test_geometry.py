@@ -1,14 +1,17 @@
 """Polytope construction, verification, and decomposition."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from toricstab import (
+    Simplex,
     build_polytope,
     cone_decomposition,
     delzant_check,
+    geometry,
     halfspace,
     subdivide_by_hyperplanes,
     translate,
@@ -228,6 +231,146 @@ class TestSubdivide:
         cells = subdivide_by_hyperplanes(square, [affine((1, 0), 10)])
         assert len(cells) == 1
         assert cells[0].volume == 4
+
+
+def _enumerated(poly, cuts):
+    """Oracle for ``intersect``: exhaustive enumeration of the combined list."""
+    combined = geometry._dedup_halfspaces(list(poly.halfspaces) + list(cuts))
+    vertices = geometry._enumerate_vertices(combined, poly.dim)
+    if not vertices or _linalg.affine_rank(vertices) < poly.dim:
+        return None
+    return geometry._build(combined, poly.dim, vertices, require_simple=False)
+
+
+def _fields(poly):
+    # Polytope.__eq__ compares only dim and halfspaces.
+    if poly is None:
+        return None
+    return (poly.dim, poly.halfspaces, poly.vertices, poly.facets,
+            poly.origin_interior, poly.warnings)
+
+
+def _hull_polygon(points):
+    """Lattice polygon of the convex hull of integer points (monotone chain)."""
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    cycle = chain(pts) + chain(pts[::-1])
+    rows = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        normal, _ = _linalg.primitivize((b[1] - a[1], a[0] - b[0]))
+        rows.append(halfspace(normal, _linalg.dot(normal, a)))
+    return build_polytope(rows, require_simple=False)
+
+
+def _random_body(rng, kind):
+    if kind == "polygon":
+        while True:
+            pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 8))]
+            if _linalg.affine_rank(pts) == 2:
+                return _hull_polygon(pts)
+    if kind == "box":
+        rows = []
+        for j in range(3):
+            lo = F(rng.randint(-6, 2)) / rng.randint(1, 3)
+            e = tuple(int(i == j) for i in range(3))
+            rows.append(halfspace(e, lo + rng.randint(1, 5)))
+            rows.append(halfspace(tuple(-c for c in e), -lo))
+        return build_polytope(rows)
+    while True:
+        verts = tuple(pt(*(rng.randint(-3, 3) for _ in range(3))) for _ in range(4))
+        if _linalg.affine_rank(list(verts)) == 3:
+            return build_polytope(geometry.simplex_halfspaces(Simplex(verts, 3)))
+
+
+def _random_cut(rng, poly):
+    """A half-space whose bound is a vertex value, between values, or outside."""
+    while True:
+        normal = tuple(rng.randint(-3, 3) for _ in range(poly.dim))
+        if any(normal):
+            break
+    normal, _ = _linalg.primitivize(normal)
+    values = sorted(_linalg.dot(normal, v) for v in poly.vertices)
+    roll = rng.random()
+    if roll < 0.3:
+        bound = rng.choice(values)
+    elif roll < 0.9:
+        bound = values[0] + (values[-1] - values[0]) * Fraction(rng.randint(1, 11), 12)
+    else:
+        bound = rng.choice((values[0] - 1, values[-1] + 1))
+    return halfspace(normal, bound)
+
+
+class TestClipping:
+    """``intersect`` clips the parent's vertices; enumeration is the oracle."""
+
+    def check(self, poly, cuts):
+        clipped = geometry.intersect(poly, cuts)
+        assert _fields(clipped) == _fields(_enumerated(poly, cuts))
+        return clipped
+
+    @pytest.mark.parametrize("kind,count", [("polygon", 150), ("box", 40), ("simplex", 40)])
+    def test_random_cuts(self, kind, count):
+        rng = random.Random(f"clip-{kind}")
+        kept = 0
+        for _ in range(count):
+            poly = _random_body(rng, kind)
+            cuts = [_random_cut(rng, poly) for _ in range(rng.randint(1, 3))]
+            kept += self.check(poly, cuts) is not None
+        assert 0 < kept < count
+
+    def test_handmade_cuts_on_the_square(self, square):
+        cases = [
+            ([halfspace((1, 1), 0)], 2),                      # through two vertices
+            ([halfspace((1, 2), 1)], 3),                      # through one vertex
+            ([halfspace((1, 0), 1)], 4),                      # along an edge, inward
+            ([halfspace((-1, 0), -1)], None),                 # along an edge, outward
+            ([halfspace((1, 1), 2)], 4),                      # touches one vertex
+            ([halfspace((1, 0), 5)], 4),                      # misses the body
+            ([halfspace((1, 0), -5)], None),                  # removes everything
+            ([halfspace((-1, 2), 1), halfspace((2, -1), 1)], 2),  # meet at (1, 1)
+            ([halfspace((1, 0), 0), halfspace((-1, 0), 0)], None),       # a line
+        ]
+        for cuts, volume in cases:
+            cell = self.check(square, cuts)
+            assert (None if cell is None else cell.volume) == volume
+
+    def test_handmade_cuts_on_the_cube(self):
+        cube = build_polytope([halfspace(n, 1) for n in (
+            (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))])
+        cases = [
+            ([halfspace((1, 1, 1), 1)], Fraction(20, 3)),     # through three vertices
+            ([halfspace((1, 1, 0), 0)], 4),                   # through two edges
+            ([halfspace((1, 1, 1), 3)], 8),                   # touches one vertex
+            ([halfspace((1, 1, 0), 2)], 8),                   # touches one edge
+            ([halfspace((0, 0, -1), -1)], None),              # along a facet, outward
+            ([halfspace((0, 0, 1), -2)], None),               # removes everything
+            # Two planes meeting at the vertices (1, -1, -1) and (-1, 1, 1).
+            ([halfspace((1, 1, 0), 0), halfspace((1, 0, 1), 0)], Fraction(8, 3)),
+            # Two planes meeting along the diagonal from (1, 1, -1) to (1, -1, 1).
+            ([halfspace((1, 1, 1), 1), halfspace((1, -1, -1), 1)], Fraction(16, 3)),
+        ]
+        for cuts, volume in cases:
+            cell = self.check(cube, cuts)
+            assert (None if cell is None else cell.volume) == volume
+
+    def test_subdivision_calls_intersect_per_sign_pattern(self, pentagon):
+        cells = subdivide_by_hyperplanes(pentagon, [affine((1, 0), 0), affine((1, -2), 0)])
+        expected = [
+            _enumerated(pentagon, [halfspace((s1, 0), 0), halfspace((s2, -2 * s2), 0)])
+            for s1 in (1, -1) for s2 in (1, -1)
+        ]
+        assert [_fields(c) for c in cells] == [_fields(c) for c in expected if c is not None]
 
 
 class TestTranslate:

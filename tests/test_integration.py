@@ -1,7 +1,9 @@
 """Exact integration and lattice sums, checked against independent oracles."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -17,8 +19,9 @@ from toricstab import (
     pl_lattice_sum,
     subdivide_by_hyperplanes,
 )
+from toricstab import _linalg
 from toricstab.errors import DegenerateSimplex, ScaleOverflow
-from toricstab.integration import integrate_pl
+from toricstab.integration import _monomial_over_simplex, _poly_over_simplex, integrate_pl
 from toricstab.invariants import average_scalar_curvature
 from toricstab.plfunc import affine, zero_function
 
@@ -36,7 +39,6 @@ def brute_lattice(poly, k):
         lows.append(min(values))
         highs.append(max(values))
     out = []
-    import itertools
     import math
 
     ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in zip(lows, highs)]
@@ -67,6 +69,88 @@ class TestMonomialSimplex:
         s = Simplex(((F(0), F(0)), (F(1), F(1)), (F(2), F(2))), 2)
         with pytest.raises(DegenerateSimplex):
             integrate_monomial_simplex(s, (0, 0))
+
+
+def _random_simplex(rng, k, n):
+    """k + 1 affinely independent rational points in R^n."""
+    while True:
+        verts = tuple(
+            tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+            for _ in range(k + 1)
+        )
+        if _linalg.affine_rank(verts) == k:
+            return verts
+
+
+def _random_polynomial(rng, n, degree):
+    """Random coefficients on every monomial of ``degree`` and most lower ones."""
+    terms = {}
+    for alpha in itertools.product(range(degree + 1), repeat=n):
+        if sum(alpha) <= degree and (sum(alpha) == degree or rng.random() < 0.7):
+            terms[alpha] = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    return Polynomial(n, terms)
+
+
+def _substitution_integral(verts, f, k, measure):
+    """Oracle: pull f back to the standard k-simplex, integrate by Dirichlet.
+
+    With ``x = v_0 + sum_i lambda_i (v_i - v_0)`` the integral is
+    ``k! * measure * sum_beta c_beta * beta! / (k + |beta|)!``.
+    """
+    base = verts[0]
+    coords = [
+        Polynomial.affine(k, [v[j] - base[j] for v in verts[1:]], base[j])
+        for j in range(len(base))
+    ]
+    pulled = Polynomial.constant(k, 0)
+    for alpha, coeff in f.terms.items():
+        term = Polynomial.constant(k, coeff)
+        for x, power in zip(coords, alpha):
+            for _ in range(power):
+                term = term * x
+        pulled = pulled + term
+    total = F(0)
+    for beta, coeff in pulled.terms.items():
+        weight = F(factorial(k), factorial(k + sum(beta)))
+        for b in beta:
+            weight *= factorial(b)
+        total += coeff * weight
+    return total * measure
+
+
+# (k, n): full-dimensional simplices and facet simplices (k = n - 1).
+SIMPLEX_SHAPES = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)]
+
+
+class TestQuadraticRule:
+    """The vertex and edge-midpoint rule that integrates degree 2 exactly."""
+
+    @pytest.mark.parametrize("k,n", SIMPLEX_SHAPES)
+    def test_matches_monomial_expansion(self, k, n):
+        rng = random.Random(f"quadratic-{k}-{n}")
+        for _ in range(20):
+            verts = _random_simplex(rng, k, n)
+            measure = F(rng.randint(1, 30), rng.randint(1, 7))
+            f = _random_polynomial(rng, n, 2)
+            assert f.degree() == 2
+            expected = sum(
+                (c * _monomial_over_simplex(verts, a, k, measure) for a, c in f.terms.items()),
+                F(0),
+            )
+            assert _poly_over_simplex(verts, f, k, measure) == expected
+
+    @pytest.mark.parametrize("k,n", SIMPLEX_SHAPES)
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_against_pullback_oracle(self, k, n, degree):
+        # Degrees 3 and 4 keep the barycentric expansion covered.
+        rng = random.Random(f"pullback-{k}-{n}-{degree}")
+        for _ in range(5):
+            verts = _random_simplex(rng, k, n)
+            measure = F(rng.randint(1, 30), rng.randint(1, 7))
+            f = _random_polynomial(rng, n, degree)
+            assert _poly_over_simplex(verts, f, k, measure) == _substitution_integral(
+                verts, f, k, measure
+            )
 
 
 class TestPolynomialIntegral:
