@@ -29,11 +29,22 @@ def scale(u, s):
 
 def clear_row_denominators(row):
     """Scale a rational row to integers; returns the integer row."""
-    mult = 1
-    for entry in row:
-        if isinstance(entry, Fraction):
-            mult = lcm(mult, entry.denominator)
-    return [int(entry * mult) for entry in row]
+    mult = lcm(*[entry.denominator for entry in row])
+    return [entry.numerator * (mult // entry.denominator) for entry in row]
+
+
+def over_common_denominator(points):
+    """``(q, integer_points)`` with each rational point equal to its integer point / q.
+
+    ``q`` is the least common denominator of every coordinate of every
+    point, so exact work on the points can run on integers and build one
+    ``Fraction`` at the end.
+    """
+    # lcm gets a list, not a generator, here and below: CPython builds the
+    # argument tuple of a generator oversized and shrinks it, and the shrunk
+    # tuples pile up in its tuple free lists (about 1 MB over a long run).
+    q = lcm(*[c.denominator for p in points for c in p])
+    return q, [[c.numerator * (q // c.denominator) for c in p] for p in points]
 
 
 def det_int(rows):
@@ -70,15 +81,11 @@ def det_int(rows):
 
 def det_fraction(rows):
     """Determinant of a rational matrix, exact."""
-    n = len(rows)
     scaled = []
     denom = 1
     for row in rows:
-        mult = 1
-        for entry in row:
-            if isinstance(entry, Fraction):
-                mult = lcm(mult, entry.denominator)
-        scaled.append([int(entry * mult) for entry in row])
+        mult = lcm(*[entry.denominator for entry in row])
+        scaled.append([entry.numerator * (mult // entry.denominator) for entry in row])
         denom *= mult
     return Fraction(det_int(scaled), denom)
 
@@ -111,8 +118,12 @@ def solve(rows, rhs):
 
 
 def rank(rows):
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Rank of a rational matrix by fraction-free Gaussian elimination.
+
+    Each row is scaled to integers, which keeps the rank, and a pivot row
+    eliminates below it by integer cross-multiplication.
+    """
+    m = [clear_row_denominators(row) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     r = 0
@@ -121,12 +132,11 @@ def rank(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
+        top = m[r]
         for i in range(r + 1, nrows):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                for k in range(c, ncols):
-                    m[i][k] -= f * m[r][k]
+            f = m[i][c]
+            if f != 0:
+                m[i] = [top[c] * a - f * b for a, b in zip(m[i], top)]
         r += 1
         if r == nrows:
             break
@@ -180,8 +190,9 @@ def affine_rank(points):
     """Dimension of the affine hull of a point collection."""
     if len(points) <= 1:
         return 0
-    base = points[0]
-    return rank([vsub(p, base) for p in points[1:]])
+    _, ints = over_common_denominator(points)
+    base = ints[0]
+    return rank([vsub(p, base) for p in ints[1:]])
 
 
 def adjugate(rows):

@@ -11,7 +11,11 @@ user input, so it solves every n-subset of the hyperplanes and keeps the
 feasible solutions.  Internal cells (:func:`intersect`,
 :func:`subdivide_by_hyperplanes`) are a known polytope cut by a few more
 half-spaces, so their vertices come from clipping the parent's vertices
-against each new half-space in turn.  Both feed the same :func:`_build`.
+against each new half-space in turn.  Either way the builder also knows
+which half-spaces are tight at each vertex (its active set): enumeration
+reads it off the feasibility test, clipping carries it along from the
+parent's facets.  Both hand vertices and active sets to the same
+:func:`_build`, which derives everything else from them.
 
 Boundary pieces carry the lattice measure: on the facet with normal ``l``
 it is the Euclidean surface measure divided by ``|l|_2``.  Because the
@@ -84,16 +88,27 @@ class Simplex:
     def k(self) -> int:
         return len(self.vertices) - 1
 
-    def edge_vectors(self):
-        base = self.vertices[0]
-        return [_linalg.vsub(v, base) for v in self.vertices[1:]]
+    def _integer_edges(self):
+        """``(q, edges)``: the edge vectors from vertex 0, as integer vectors over q."""
+        q, ints = _linalg.over_common_denominator(self.vertices)
+        return q, [_linalg.vsub(p, ints[0]) for p in ints[1:]]
 
     def volume(self) -> Fraction:
-        """k-dimensional volume; only defined for full-dimensional simplices."""
-        if self.k != self.ambient_dim:
+        """k-dimensional volume; only defined for full-dimensional simplices.
+
+        The determinant is computed once per simplex and kept, so the
+        cached triangulation of a cell pays for it once over every
+        integral taken on that cell.
+        """
+        return self._volume
+
+    @functools.cached_property
+    def _volume(self) -> Fraction:
+        n = self.ambient_dim
+        if self.k != n:
             raise DegenerateSimplex("volume needs a full-dimensional simplex")
-        d = _linalg.det_fraction(self.edge_vectors())
-        return abs(d) / factorial(self.ambient_dim)
+        q, edges = self._integer_edges()
+        return Fraction(abs(_linalg.det_int(edges)), q**n * factorial(n))
 
 
 @dataclass(frozen=True)
@@ -218,6 +233,25 @@ class Polytope:
         return _fan_triangulation(self)
 
     @functools.cached_property
+    def _clip_start(self) -> tuple:
+        """Each vertex as ``(point, numerators, denominator, tight set)``.
+
+        This is where :func:`_clip` starts from: ``point`` equals
+        ``numerators / denominator``, and the tight set holds the indices
+        of the facet half-spaces through the vertex.  Kept because a cell
+        is clipped once per cone of the cone form.
+        """
+        tight = [set() for _ in self.vertices]
+        for facet in self.facets:
+            for j in facet.vertex_indices:
+                tight[j].add(facet.halfspace_index)
+        start = []
+        for v, at_v in zip(self.vertices, tight):
+            q, (p,) = _linalg.over_common_denominator((v,))
+            start.append((v, p, q, frozenset(at_v)))
+        return tuple(start)
+
+    @functools.cached_property
     def facet_keys(self) -> frozenset:
         return frozenset(self.halfspaces[f.halfspace_index].key for f in self.facets)
 
@@ -277,36 +311,38 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
         deduped.append(h)
 
     _check_bounded(deduped, n)
-    vertices = _enumerate_vertices(deduped, n)
+    vertices, active = _enumerate_vertices(deduped, n)
     if not vertices:
         raise Degenerate("half-space intersection is empty")
     if _linalg.affine_rank(vertices) < n:
         raise Degenerate("vertex hull is not full-dimensional")
-    return _build(deduped, n, vertices, require_simple=require_simple,
+    return _build(deduped, n, vertices, active, require_simple=require_simple,
                   warnings=warnings)
 
 
-def _build(hs, n, vertices, *, require_simple, warnings=()) -> Polytope:
-    """Shared constructor from the half-spaces and the full vertex set.
+def _build(hs, n, vertices, active, *, require_simple, warnings=()) -> Polytope:
+    """Shared constructor from the half-spaces, the vertices and their active sets.
 
     ``vertices`` must be exactly the vertices of the body the half-spaces
-    bound, which must be full-dimensional; the caller found them by
-    exhaustive enumeration or by clipping.  Everything else (active sets,
-    retained facets, facet simplices, measures, warnings) is derived here
-    from ``hs`` alone.
+    bound, which must be full-dimensional, and ``active[j]`` exactly the
+    indices into ``hs`` of the half-spaces tight at ``vertices[j]``.  Both
+    come from the caller, which knows them from exhaustive enumeration or
+    from clipping; nothing is re-evaluated here.  Retained facets, facet
+    simplices, measures and warnings are derived from them.
     """
     warnings = list(warnings)
-    vertices = sorted(vertices)
-    active = [
-        [i for i, h in enumerate(hs) if h.value(v) == h.bound]
-        for v in vertices
-    ]
+    order = sorted(range(len(vertices)), key=vertices.__getitem__)
+    vertices = [vertices[j] for j in order]
+    on = [[] for _ in hs]
+    for j, old in enumerate(order):
+        for i in active[old]:
+            on[i].append(j)
 
     # Facet retention: a half-space supports a facet exactly when its active
     # vertex set spans affine dimension n-1.
     retained = []
     for i, h in enumerate(hs):
-        pts = [vertices[j] for j, act in enumerate(active) if i in act]
+        pts = [vertices[j] for j in on[i]]
         if len(pts) >= n and _linalg.affine_rank(pts) == n - 1:
             retained.append(i)
         else:
@@ -317,7 +353,7 @@ def _build(hs, n, vertices, *, require_simple, warnings=()) -> Polytope:
     facets = []
     for old_index in retained:
         h = hs[old_index]
-        vidx = tuple(j for j, act in enumerate(active) if old_index in act)
+        vidx = tuple(on[old_index])
         simplices, measures = _facet_decomposition(
             [vertices[j] for j in vidx], h.normal, n
         )
@@ -337,10 +373,8 @@ def _build(hs, n, vertices, *, require_simple, warnings=()) -> Polytope:
             if count != n:
                 raise NotSimple(f"vertex {v} lies on {count} facets")
 
-    origin = tuple(Fraction(0) for _ in range(n))
-    origin_interior = all(h.bound > 0 for h in kept) and all(
-        h.value(origin) < h.bound for h in kept
-    )
+    # At the origin every <l, x> is 0, so it is interior when every bound is positive.
+    origin_interior = all(h.bound > 0 for h in kept)
     return Polytope(n, kept, vertices, facets, origin_interior, warnings)
 
 
@@ -380,16 +414,29 @@ def _best_origin(poly: Polytope) -> BestOrigin:
 
 
 def _enumerate_vertices(hs, n):
+    """Vertices of the body ``hs`` bounds and the indices tight at each.
+
+    Returns two parallel lists.  Every n-subset of the hyperplanes is
+    solved; a solution is kept when it satisfies every half-space, and the
+    same pass over ``hs`` records where it does so with equality.
+    """
     found = {}
     for subset in itertools.combinations(range(len(hs)), n):
         rows = [hs[i].normal for i in subset]
         rhs = [hs[i].bound for i in subset]
         sol = _solve_vertex(rows, rhs, n)
-        if sol is None:
+        if sol is None or sol in found:
             continue
-        if sol not in found and all(h.value(sol) <= h.bound for h in hs):
-            found[sol] = True
-    return list(found)
+        tight = []
+        for i, h in enumerate(hs):
+            s = h.slack(sol)
+            if s < 0:
+                break
+            if s == 0:
+                tight.append(i)
+        else:
+            found[sol] = frozenset(tight)
+    return list(found), list(found.values())
 
 
 def _solve_vertex(rows, rhs, n):
@@ -456,9 +503,14 @@ def _dsigma_measure(simplex, normal) -> Fraction:
     exactly the Euclidean measure divided by ``|l|_2``.
     """
     n = simplex.ambient_dim
-    cross = _linalg.cross_generalized(simplex.edge_vectors(), n)
-    component = Fraction(_linalg.dot(cross, normal), sum(c * c for c in normal))
-    return abs(component) / factorial(n - 1)
+    # With the edges as integer vectors over q, the cross product of the
+    # n - 1 of them is q**(n-1) times the rational one.
+    q, edges = simplex._integer_edges()
+    cross = _linalg.cross_generalized(edges, n)
+    return Fraction(
+        abs(_linalg.dot(cross, normal)),
+        q ** (n - 1) * sum(c * c for c in normal) * factorial(n - 1),
+    )
 
 
 def _facet_cycle(points, normal):
@@ -577,60 +629,77 @@ def subdivide_by_hyperplanes(poly: Polytope, cuts) -> list:
 def intersect(poly: Polytope, halfspaces) -> Polytope | None:
     """Intersection with extra half-spaces; None if empty or lower-dimensional.
 
-    The cell's vertices come from clipping ``poly.vertices`` (see
-    :func:`_clip`), not from a fresh enumeration; the result equals, field
-    for field, what exhaustive enumeration of the combined list gives.
+    The cell's vertices and their active sets come from clipping
+    ``poly.vertices`` (see :func:`_clip`), not from a fresh enumeration or
+    a fresh evaluation of every half-space at every vertex; the result
+    equals, field for field, what exhaustive enumeration of the combined
+    list gives.
     """
     combined = _dedup_halfspaces(list(poly.halfspaces) + list(halfspaces))
-    vertices = _clip(poly, combined)
-    if vertices is None:
+    clipped = _clip(poly, combined)
+    if clipped is None:
         return None
-    return _build(combined, poly.dim, vertices, require_simple=False)
+    vertices, active = zip(*clipped)
+    return _build(combined, poly.dim, vertices, active, require_simple=False)
 
 
 def _clip(poly: Polytope, hs):
-    """Vertices of ``poly`` cut by ``hs[len(poly.halfspaces):]``.
+    """``(vertex, tight_set)`` pairs of ``poly`` cut by ``hs[len(poly.halfspaces):]``.
 
     ``hs`` starts with ``poly.halfspaces``.  Each further half-space is
     applied in turn: a vertex with slack >= 0 stays, and a pair of vertices
     with one strictly inside and one strictly outside adds its crossing
     point when the pair spans an edge, that is when the half-spaces tight
-    at both have rank n - 1.  Each vertex carries the indices into ``hs``
-    tight at it; the parent's come from its facets.  Returns None when the
-    body left over is empty or lower-dimensional.
+    at both have rank n - 1.  Each vertex carries the frozenset of indices
+    into ``hs`` tight at it: the parent's come from its facets, a kept
+    vertex gains the new index when its slack is 0, and a crossing point
+    gets its edge's common set plus the new index.  A point inside an edge
+    is tight exactly where the whole edge is, so these sets are exact and
+    :func:`_build` takes them as given.  Returns None when the body left
+    over is empty or lower-dimensional.
+
+    The clipping runs on integers: a vertex is ``p / q`` with an integer
+    vector ``p`` and a positive integer ``q``, and the slack against
+    ``<l, x> <= b`` is replaced by ``S = num(b) q - den(b) <l, p>``, which
+    is ``den(b) q`` times the slack and so has its sign.  The crossing
+    point of ``u`` (``S_u > 0``) and ``w`` (``S_w < 0``) is
+    ``(S_u p_w - S_w p_u) / (S_u q_w - S_w q_u)``.  Only new vertices are
+    turned back into ``Fraction`` points, once, at the end.
     """
     n = poly.dim
-    tight = [set() for _ in poly.vertices]
-    for facet in poly.facets:
-        for j in facet.vertex_indices:
-            tight[j].add(facet.halfspace_index)
-    current = list(zip(poly.vertices, map(frozenset, tight)))
+    current = poly._clip_start
     for i in range(len(poly.halfspaces), len(hs)):
         h = hs[i]
+        num, den = h.bound.numerator, h.bound.denominator
         kept, inside, outside = [], [], []
-        for v, at_v in current:
-            s = h.slack(v)
+        for vertex in current:
+            v, p, q, at_v = vertex
+            s = num * q - den * _linalg.dot(h.normal, p)
             if s > 0:
-                kept.append((v, at_v))
-                inside.append((v, at_v, s))
+                kept.append(vertex)
+                inside.append((vertex, s))
             elif s == 0:
-                kept.append((v, at_v | {i}))
+                kept.append((v, p, q, at_v | {i}))
             else:
-                outside.append((v, at_v, s))
-        for u, at_u, su in inside:
-            for w, at_w, sw in outside:
+                outside.append((vertex, s))
+        for (_, pu, qu, at_u), su in inside:
+            for (_, pw, qw, at_w), sw in outside:
                 common = at_u & at_w
                 if _spans_edge([hs[k].normal for k in common], n):
-                    t = su / (su - sw)
-                    x = tuple(a + t * (b - a) for a, b in zip(u, w))
-                    kept.append((x, common | {i}))
+                    p = [su * b - sw * a for a, b in zip(pu, pw)]
+                    q = su * qw - sw * qu
+                    g = gcd(q, *p)
+                    kept.append((None, [c // g for c in p], q // g, common | {i}))
         if len(kept) <= n:
             return None
         current = kept
-    vertices = [v for v, _ in current]
-    if _linalg.affine_rank(vertices) < n:
+    out = [
+        (tuple(Fraction(c, q) for c in p) if v is None else v, at_v)
+        for v, p, q, at_v in current
+    ]
+    if _linalg.affine_rank([v for v, _ in out]) < n:
         return None
-    return vertices
+    return out
 
 
 def _spans_edge(normals, n) -> bool:

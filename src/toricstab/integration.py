@@ -4,7 +4,12 @@ Volume integrals of polynomials are summed over the cached triangulation;
 boundary integrals use the same engine on the facet simplices with their
 lattice measures.  On a k-simplex, affine integrands take the centroid
 value, quadratics an exact rule on the vertices and edge midpoints, and
-only degrees 3 and 4 expand into barycentric monomial integrals.
+only degrees 3 and 4 expand into barycentric monomial integrals.  The
+centroid and vertex-and-midpoint rules run on integers: the simplex's
+vertices are written over one common denominator, the polynomial's
+coefficients over another (cached on the polynomial), and each rule sums
+integer numerators, so the only ``Fraction`` arithmetic left per simplex
+is the final quotient and its product with the measure.
 Lattice-point work is a bounding-box scan with exact half-space
 filtering, guarded by a cell budget so a careless scale cannot wedge the
 process.
@@ -12,6 +17,7 @@ process.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +34,16 @@ DEFAULT_CELL_BUDGET = 10**8
 
 
 class Polynomial:
-    """Sparse polynomial with rational coefficients, keyed by exponent tuples."""
+    """Sparse polynomial with rational coefficients, keyed by exponent tuples.
+
+    ``terms`` maps exponent tuples of length ``dim`` to nonzero ``Fraction``
+    coefficients.  It is treated as immutable: the integer form that
+    :meth:`evaluate` and the quadrature rules use (one common denominator
+    and an integer numerator per term) is cached on first use.  The public
+    constructor and classmethods coerce and validate their input; ``+``,
+    ``-`` and ``*`` build their results through :meth:`_trusted`, because
+    terms combined from valid polynomials are already in that form.
+    """
 
     def __init__(self, dim, terms=None, max_degree=DEFAULT_MAX_DEGREE):
         self.dim = dim
@@ -44,6 +59,15 @@ class Polynomial:
             if coeff:
                 clean[alpha] = clean.get(alpha, Fraction(0)) + coeff
         self.terms = {a: c for a, c in clean.items() if c}
+
+    @classmethod
+    def _trusted(cls, dim, terms, max_degree):
+        """Wrap ``terms`` already in canonical form, without re-checking it."""
+        poly = cls.__new__(cls)
+        poly.dim = dim
+        poly.max_degree = max_degree
+        poly.terms = terms
+        return poly
 
     @classmethod
     def constant(cls, dim, value):
@@ -71,29 +95,30 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for a, c in other.terms.items():
-            terms[a] = terms.get(a, Fraction(0)) + c
-        return Polynomial(self.dim, terms, max(self.max_degree, other.max_degree))
+            terms[a] = terms.get(a, 0) + c
+        return Polynomial._trusted(
+            self.dim, {a: c for a, c in terms.items() if c},
+            max(self.max_degree, other.max_degree),
+        )
 
     def __sub__(self, other):
         return self + (self._coerce(other) * Fraction(-1))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial(
-                self.dim,
-                {a: c * other for a, c in self.terms.items()},
-                self.max_degree,
-            )
+            terms = {a: c * other for a, c in self.terms.items()} if other else {}
+            return Polynomial._trusted(self.dim, terms, self.max_degree)
         other = self._coerce(other)
         terms = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(a, b))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return Polynomial(self.dim, terms, max_degree=max(
-            self.max_degree, other.max_degree,
-            max((sum(k) for k in terms), default=0),
-        ))
+                terms[key] = terms.get(key, 0) + ca * cb
+        max_degree = max(self.max_degree, other.max_degree,
+                         max((sum(k) for k in terms), default=0))
+        return Polynomial._trusted(
+            self.dim, {a: c for a, c in terms.items() if c}, max_degree
+        )
 
     __rmul__ = __mul__
 
@@ -104,15 +129,49 @@ class Polynomial:
             return other
         return Polynomial.constant(self.dim, other)
 
-    def evaluate(self, x) -> Fraction:
-        total = Fraction(0)
-        for alpha, coeff in self.terms.items():
-            value = coeff
-            for xj, aj in zip(x, alpha):
-                for _ in range(aj):
-                    value *= xj
-            total += value
+    @functools.cached_property
+    def _integer_form(self):
+        """``(denominator, degree, rows)``: the coefficients over one denominator.
+
+        Each term gives a row ``(numerator, pad, indices)``: its coefficient
+        is ``numerator / denominator``, ``indices`` repeats coordinate ``j``
+        ``alpha_j`` times, and ``pad`` is ``degree - |alpha|``.
+        """
+        denominator = math.lcm(*[c.denominator for c in self.terms.values()])
+        degree = self.degree()
+        rows = []
+        for alpha, c in self.terms.items():
+            indices = [j for j, a in enumerate(alpha) for _ in range(a)]
+            numerator = c.numerator * (denominator // c.denominator)
+            rows.append((numerator, degree - len(indices), indices))
+        return denominator, degree, tuple(rows)
+
+    def _numerator(self, point, q) -> int:
+        """Integer ``N`` with ``f(point / q) = N / (denominator * q**degree)``.
+
+        ``point`` holds integers, ``q`` is a positive integer, and
+        ``denominator`` and ``degree`` are those of :attr:`_integer_form`.
+        """
+        _, degree, rows = self._integer_form
+        powers = [1]
+        for _ in range(degree):
+            powers.append(powers[-1] * q)
+        total = 0
+        for numerator, pad, indices in rows:
+            for j in indices:
+                numerator *= point[j]
+            total += numerator * powers[pad]
         return total
+
+    def evaluate(self, x) -> Fraction:
+        """Exact value at a point of ints and ``Fraction``s.
+
+        The point goes over one common denominator and the sum runs on
+        integer numerators; the result is the only ``Fraction`` built.
+        """
+        q, point = _linalg.over_common_denominator((x,))
+        denominator, degree, _ = self._integer_form
+        return Fraction(self._numerator(point[0], q), denominator * q**degree)
 
     def __repr__(self):
         return f"Polynomial({self.terms!r})"
@@ -181,26 +240,33 @@ def _poly_over_simplex(verts, poly: Polynomial, k, measure) -> Fraction:
     if measure == 0:
         return Fraction(0)
     degree = poly.degree()
+    if degree <= 2:
+        # Both rules below sum integer numerators: vertex v is P_v / q, and
+        # f(P / q) = N(P, q) / (denominator * q**degree).
+        denominator = poly._integer_form[0]
+        q, points = _linalg.over_common_denominator(verts)
     if degree <= 1:
-        # Affine integrands integrate to the centroid value times the measure.
-        centroid = tuple(
-            sum((v[j] for v in verts), Fraction(0)) / len(verts)
-            for j in range(len(verts[0]))
-        )
-        return poly.evaluate(centroid) * measure
+        # Affine integrands integrate to the centroid value times the measure;
+        # the centroid is (sum of P_v) / ((k + 1) q).
+        q *= len(verts)
+        centroid = [sum(c) for c in zip(*points)]
+        return Fraction(
+            poly._numerator(centroid, q), denominator * q**degree
+        ) * measure
     if degree == 2:
         # Exact for quadratics on a k-simplex: vertex values weighted 2 - k,
-        # edge-midpoint values weighted 4, over (k + 1)(k + 2).
-        at_vertices = sum((poly.evaluate(v) for v in verts), Fraction(0))
+        # edge-midpoint values weighted 4, over (k + 1)(k + 2).  The
+        # midpoint of P_u / q and P_w / q is (P_u + P_w) / (2q), so four
+        # times its value has the vertices' denominator * q**2.
+        at_vertices = sum(poly._numerator(p, q) for p in points)
         at_midpoints = sum(
-            (poly.evaluate(tuple((a + b) / 2 for a, b in zip(u, w)))
-             for u, w in itertools.combinations(verts, 2)),
-            Fraction(0),
+            poly._numerator([a + b for a, b in zip(u, w)], 2 * q)
+            for u, w in itertools.combinations(points, 2)
         )
-        return (
-            ((2 - k) * at_vertices + 4 * at_midpoints)
-            * measure / ((k + 1) * (k + 2))
-        )
+        return Fraction(
+            (2 - k) * at_vertices + at_midpoints,
+            denominator * q * q * (k + 1) * (k + 2),
+        ) * measure
     total = Fraction(0)
     for alpha, coeff in poly.terms.items():
         total += coeff * _monomial_over_simplex(verts, alpha, k, measure)

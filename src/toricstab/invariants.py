@@ -99,14 +99,16 @@ def centering_constants(poly: Polytope) -> tuple:
     return tuple(out)
 
 
-def futaki_vector(poly: Polytope) -> tuple:
+def futaki_vector(poly: Polytope, c=None) -> tuple:
     """Boundary pairing with the centered coordinates.
 
     The volume part of the pairing vanishes by centering, so the vector is
     the boundary integral of ``x_j + c_j``; it is zero exactly when the
     obstruction to constant scalar curvature vanishes on the class.
+    ``c`` defaults to :func:`centering_constants`.
     """
-    c = centering_constants(poly)
+    if c is None:
+        c = centering_constants(poly)
     out = []
     for j in range(poly.dim):
         f = Polynomial.affine(
@@ -149,7 +151,7 @@ def extremal_field(poly: Polytope) -> ExtremalData:
     """
     c = centering_constants(poly)
     mat = second_moment_matrix(poly, c)
-    b = futaki_vector(poly)
+    b = futaki_vector(poly, c)
     sol = _linalg.solve(mat, b)
     if sol is None:
         raise SingularMoment("second-moment matrix is singular")
@@ -190,15 +192,19 @@ def _as_pl(u, poly: Polytope) -> PLFunction:
 def linear_functional_L(poly: Polytope, u, extremal: ExtremalData) -> Fraction:
     """Boundary integral of u minus the weighted volume integral, exact."""
     u = _as_pl(u, poly)
+    return integration.boundary_integral(poly, u) - _weighted_volume(poly, u, extremal)
+
+
+def _weighted_volume(poly: Polytope, u: PLFunction, extremal: ExtremalData) -> Fraction:
+    """The volume term of ``L``: the integral of the weight times ``u``."""
     weight = _weight(poly, extremal)
-    boundary = integration.boundary_integral(poly, u)
-    volume_term = Fraction(0)
+    total = Fraction(0)
     for cell in u.cells:
         piece = Polynomial.affine(
             poly.dim, cell.piece.gradient, cell.piece.constant
         )
-        volume_term += integration.integrate_polynomial(cell.region, weight * piece)
-    return boundary - volume_term
+        total += integration.integrate_polynomial(cell.region, weight * piece)
+    return total
 
 
 def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fraction:
@@ -215,21 +221,26 @@ def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fract
     u = _as_pl(u, poly)
     n = poly.dim
     weight = _weight(poly, extremal)
+    # Per cell, the integrand is lift / b_i - weighted; only b_i depends
+    # on the cone.
+    parts = []
+    for cell in u.cells:
+        grad = cell.piece.gradient
+        piece = Polynomial.affine(n, grad, cell.piece.constant)
+        radial = Polynomial(n)
+        for j in range(n):
+            radial = radial + Polynomial.coordinate(n, j) * grad[j]
+        parts.append((cell.region, radial + piece * n, weight * piece))
     cones = geometry.cone_decomposition(poly)
     total = Fraction(0)
     for facet_index, cone_simplex in cones.cells:
         support = poly.halfspaces[poly.facets[facet_index].halfspace_index].bound
         cone_hs = geometry.simplex_halfspaces(cone_simplex)
-        for cell in u.cells:
-            region = geometry.intersect(cell.region, cone_hs)
+        for cell_region, lift, weighted in parts:
+            region = geometry.intersect(cell_region, cone_hs)
             if region is None:
                 continue
-            grad = cell.piece.gradient
-            piece = Polynomial.affine(n, grad, cell.piece.constant)
-            radial = Polynomial(n)
-            for j in range(n):
-                radial = radial + Polynomial.coordinate(n, j) * grad[j]
-            integrand = (radial + piece * n) * (Fraction(1) / support) - weight * piece
+            integrand = lift * (Fraction(1) / support) - weighted
             total += integration.integrate_polynomial(region, integrand)
     return total
 
@@ -239,8 +250,8 @@ def relative_futaki(poly: Polytope, u, extremal: ExtremalData) -> DegenerationRe
     u = _as_pl(u, poly)
     vol = poly.volume
     rbar = average_scalar_curvature(poly)
-    L = linear_functional_L(poly, u, extremal)
     boundary = integration.boundary_integral(poly, u)
+    L = boundary - _weighted_volume(poly, u, extremal)
     u_volume = integration.integrate_pl(u)
     theta_poly = Polynomial.affine(
         poly.dim, extremal.theta.gradient, extremal.theta.constant
@@ -395,41 +406,3 @@ def _check_hexagon_window(poly: Polytope) -> ConditionVerdict:
     margin = min(lower, upper)
     return ConditionVerdict("c61", margin >= 0, margin, (lam, mu),
                             margin_at_given_origin=margin)
-
-
-# ---------------------------------------------------------------------------
-# lattice bridge for the degeneration pairing
-# ---------------------------------------------------------------------------
-
-
-def lattice_pairing_estimate(poly: Polytope, u, extremal: ExtremalData, k,
-                             roof=None) -> Fraction:
-    """Finite-scale pairing of a degeneration with the extremal action.
-
-    Diagonal weight sums over the lattice points of ``k P``: with
-    ``A = diag(k (roof - u)(I / k))`` and ``B = diag(k theta(I / k))`` the
-    combination ``(Tr(AB) - Tr(A) Tr(B) / N) / k^(n+2)`` converges to the
-    exact pairing ``-integral(theta * u)`` with error O(1/k).  The roof
-    constant cancels algebraically, so any value may be supplied.
-    """
-    u = _as_pl(u, poly)
-    if roof is None:
-        roof = max(u.evaluate(v) for v in poly.vertices) + 1
-    roof = Fraction(roof)
-    points = integration.lattice_points(poly, k)
-    n = poly.dim
-    count = len(points)
-    theta = extremal.theta
-    tr_a = Fraction(0)
-    tr_b = Fraction(0)
-    tr_ab = Fraction(0)
-    for point in points:
-        x = tuple(Fraction(c, k) for c in point)
-        ui = max(p.evaluate(x) for p in u.pieces)
-        ti = theta.evaluate(x)
-        a_entry = k * (roof - ui)
-        b_entry = k * ti
-        tr_a += a_entry
-        tr_b += b_entry
-        tr_ab += a_entry * b_entry
-    return (tr_ab - tr_a * tr_b / count) / Fraction(k ** (n + 2))

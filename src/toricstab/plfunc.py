@@ -36,9 +36,6 @@ class AffineFunction:
     def __neg__(self) -> "AffineFunction":
         return AffineFunction(tuple(-a for a in self.gradient), -self.constant)
 
-    def is_zero(self) -> bool:
-        return self.constant == 0 and all(g == 0 for g in self.gradient)
-
 
 def affine(gradient, constant=0) -> AffineFunction:
     """Constructor coercing plain numbers and rational strings."""

@@ -234,12 +234,20 @@ class TestSubdivide:
 
 
 def _enumerated(poly, cuts):
-    """Oracle for ``intersect``: exhaustive enumeration of the combined list."""
+    """Oracle for ``intersect``: exhaustive enumeration of the combined list.
+
+    Active sets are found here by brute force, every half-space at every
+    vertex, so the oracle shares none of the clipper's bookkeeping.
+    """
     combined = geometry._dedup_halfspaces(list(poly.halfspaces) + list(cuts))
-    vertices = geometry._enumerate_vertices(combined, poly.dim)
+    vertices, _ = geometry._enumerate_vertices(combined, poly.dim)
     if not vertices or _linalg.affine_rank(vertices) < poly.dim:
         return None
-    return geometry._build(combined, poly.dim, vertices, require_simple=False)
+    active = [
+        {i for i, h in enumerate(combined) if h.value(v) == h.bound}
+        for v in vertices
+    ]
+    return geometry._build(combined, poly.dim, vertices, active, require_simple=False)
 
 
 def _fields(poly):

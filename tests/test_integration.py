@@ -140,9 +140,10 @@ class TestQuadraticRule:
             assert _poly_over_simplex(verts, f, k, measure) == expected
 
     @pytest.mark.parametrize("k,n", SIMPLEX_SHAPES)
-    @pytest.mark.parametrize("degree", [2, 3, 4])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     def test_against_pullback_oracle(self, k, n, degree):
-        # Degrees 3 and 4 keep the barycentric expansion covered.
+        # Degrees 0 and 1 cover the centroid rule, 3 and 4 the barycentric
+        # expansion.
         rng = random.Random(f"pullback-{k}-{n}-{degree}")
         for _ in range(5):
             verts = _random_simplex(rng, k, n)
@@ -151,6 +152,66 @@ class TestQuadraticRule:
             assert _poly_over_simplex(verts, f, k, measure) == _substitution_integral(
                 verts, f, k, measure
             )
+
+
+def _naive_value(f, x):
+    """Oracle: the term-by-term ``Fraction`` evaluation."""
+    total = F(0)
+    for alpha, coeff in f.terms.items():
+        value = F(coeff)
+        for xj, aj in zip(x, alpha):
+            value *= F(xj) ** aj
+        total += value
+    return total
+
+
+def _random_point(rng, n):
+    kind = rng.choice(["int", "fraction", "integer-valued fraction"])
+    if kind == "int":
+        return tuple(rng.randint(-9, 9) for _ in range(n))
+    if kind == "fraction":
+        return tuple(F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n))
+    return tuple(F(rng.randint(-9, 9)) for _ in range(n))
+
+
+class TestPolynomialArithmetic:
+    """Integer-numerator evaluation and the unvalidated arithmetic results."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_evaluate_matches_naive(self, n):
+        rng = random.Random(f"evaluate-{n}")
+        for degree in range(5):
+            for _ in range(15):
+                f = _random_polynomial(rng, n, degree)
+                for _ in range(4):
+                    x = _random_point(rng, n)
+                    value = f.evaluate(x)
+                    assert isinstance(value, Fraction)
+                    assert value == _naive_value(f, x)
+        zero = Polynomial(n)
+        assert zero.evaluate(_random_point(rng, n)) == 0
+        assert isinstance(zero.evaluate((1,) * n), Fraction)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_results_equal_the_validated_path(self, n):
+        rng = random.Random(f"arithmetic-{n}")
+        for _ in range(40):
+            f = _random_polynomial(rng, n, rng.randint(0, 2))
+            g = _random_polynomial(rng, n, rng.randint(0, 2))
+            scalar = rng.choice([0, 3, -2, F(-5, 7), F(0)])
+            results = [f + g, f - g, f * g, f * scalar, scalar * f,
+                       f - f, f + f * -1, f + 2, f - F(1, 3)]
+            for result in results:
+                validated = Polynomial(n, result.terms)
+                assert result.terms == validated.terms
+                assert all(type(c) is Fraction for c in result.terms.values())
+            x = _random_point(rng, n)
+            fx, gx = _naive_value(f, x), _naive_value(g, x)
+            assert (f + g).evaluate(x) == fx + gx
+            assert (f - g).evaluate(x) == fx - gx
+            assert (f * g).evaluate(x) == fx * gx
+            assert (f * scalar).evaluate(x) == fx * scalar
+            assert (f - f).terms == {}
 
 
 class TestPolynomialIntegral:

@@ -108,7 +108,8 @@ class TestExtremalField:
     def test_hexagon_trivial(self, hexagon23):
         ext = invariants.extremal_field(hexagon23)
         assert ext.a == (0, 0)
-        assert ext.theta.is_zero()
+        assert ext.theta.gradient == (0, 0)
+        assert ext.theta.constant == 0
         assert ext.norm == 0
 
     def test_blowup1_against_frozen_oracle(self, blowup1):
@@ -247,6 +248,12 @@ class TestRelativeFutaki:
         assert deg.L_value == F(4, 3)
         assert deg.rel_futaki == F(-4, 27)
         assert not deg.trivial
+
+    def test_pentagon_pairing_value(self, pentagon):
+        # The exact pairing -integral(theta * u) of the crease with the potential.
+        ext = invariants.extremal_field(pentagon)
+        deg = relative_futaki(pentagon, crease_x1(pentagon), ext)
+        assert deg.ip_ab == F(169, 1227)
 
     def test_affine_is_trivial(self, pentagon):
         ext = invariants.extremal_field(pentagon)
@@ -475,27 +482,3 @@ class TestOriginIndependence:
         poly = build_polytope([halfspace(m, b) for m, b in zip(normals, bounds)])
         assert len(poly.facets) == 6
         assert invariants.hexagon_parameters(poly) is None
-
-
-class TestLatticePairingBridge:
-    def test_converges_like_one_over_k(self, pentagon):
-        ext = invariants.extremal_field(pentagon)
-        u = crease_x1(pentagon)
-        deg = relative_futaki(pentagon, u, ext)
-        assert deg.ip_ab == F(169, 1227)
-        previous_scaled = None
-        for k in (5, 10, 20, 40):
-            estimate = invariants.lattice_pairing_estimate(pentagon, u, ext, k)
-            err = abs(estimate - deg.ip_ab)
-            assert err <= F(1, 2) / k
-            scaled = err * k
-            if previous_scaled is not None:
-                assert scaled <= previous_scaled
-            previous_scaled = scaled
-
-    def test_roof_constant_cancels(self, pentagon):
-        ext = invariants.extremal_field(pentagon)
-        u = crease_x1(pentagon)
-        a = invariants.lattice_pairing_estimate(pentagon, u, ext, 8, roof=F(3))
-        b = invariants.lattice_pairing_estimate(pentagon, u, ext, 8, roof=F(50))
-        assert a == b

@@ -85,7 +85,8 @@ class TestNormalizeAt:
         u = make_pl([affine((1, 0), 3)], square)
         v = normalize_at(u, (0, 0))
         assert is_affine(v)
-        assert v.pieces[0].is_zero()
+        assert v.pieces[0].gradient == (0, 0)
+        assert v.pieces[0].constant == 0
 
     def test_smooth_point_keeps_function(self, square):
         u = make_pl([zero_function(2), affine((1, 0), 0)], square)
