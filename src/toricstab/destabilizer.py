@@ -8,6 +8,12 @@ extreme values of the direction over the vertices.  Every candidate's
 functional value and boundary integral are exact rationals; the grid is
 refined locally around the incumbent a configurable number of rounds and
 the final incumbent is re-verified through the independent slow path.
+
+Candidates stay integers until the winner: each direction is put over one
+denominator once, a candidate is an integer tuple for the kernel, and
+candidates are ranked by cross-multiplying the kernel's integer results.
+Only the incumbent of each round becomes a ``Fraction`` ratio, and only
+the final winner an ``AffineFunction``.
 """
 
 from __future__ import annotations
@@ -70,32 +76,55 @@ def _direction(w: Fraction):
 
 
 def _crease_family(poly: Polytope, base):
-    """Creases for direction parameter w and offset parameter v in [0, 1).
+    """Creases for direction parameters w and offset parameters v in [0, 1).
 
-    Returns a function ``(w, v) -> AffineFunction`` that caches, per
-    direction, the direction's values at the base point and its maximum
-    over the vertices.  Offsets sweep from the crease through the
-    normalization point (v = 0) out to the maximal vertex, so every
-    candidate is normalized: it vanishes at the base point and is
-    nonnegative.  The antipodal direction covers the other orientation of
-    each crease line, hence no line is lost to this restriction, and the
-    resulting ratios genuinely upper-bound the coercivity constant.
+    Returns a function ``(ws, vs) -> list`` giving the creases of every
+    pair in ``ws x vs``, w-major.  A crease ``g = (g0 + g1 x + g2 y) / gden``
+    is the integer tuple ``(g0, g1, g2, gden)`` that
+    :func:`simple_pl_values` reads; the tuples are not reduced.  Each
+    direction ``(a1, a2)``, its value at the base point and its rise from
+    there to the maximal vertex are put over one denominator once, with
+    the vertices and the base point as integer numerators over a common
+    denominator.  Offsets sweep from the crease through the normalization
+    point (v = 0) out to the maximal vertex, so every candidate is
+    normalized: it vanishes at the base point and is nonnegative.  The
+    antipodal direction covers the other orientation of each crease line,
+    hence no line is lost to this restriction, and the resulting ratios
+    genuinely upper-bound the coercivity constant.
     """
-    direction_cache = {}
+    pden = math.lcm(*[c.denominator for p in (*poly.vertices, base) for c in p])
+    pts = [(int(x * pden), int(y * pden)) for x, y in poly.vertices]
+    bx, by = int(base[0] * pden), int(base[1] * pden)
 
-    def crease(w, v):
-        key = w % 1
-        data = direction_cache.get(key)
-        if data is None:
-            a1, a2 = _direction(key)
-            gmax = max(a1 * p[0] + a2 * p[1] for p in poly.vertices)
-            gbase = a1 * base[0] + a2 * base[1]
-            data = (a1, a2, gmax, gbase)
-            direction_cache[key] = data
-        a1, a2, gmax, gbase = data
-        return AffineFunction((a1, a2), -(gbase + v * (gmax - gbase)))
+    def creases(ws, vs):
+        offsets = [(v.numerator, v.denominator) for v in vs]
+        out = []
+        for w in ws:
+            a1, a2 = _direction(w)
+            aden = math.lcm(a1.denominator, a2.denominator)
+            n1 = a1.numerator * (aden // a1.denominator)
+            n2 = a2.numerator * (aden // a2.denominator)
+            # Over aden * pden: the direction, its value at the base point
+            # and its rise to the maximal vertex; with v = vn / vd,
+            # g = a1 x + a2 y - (gbase + v * rise).
+            gbase = n1 * bx + n2 * by
+            rise = max(n1 * x + n2 * y for x, y in pts) - gbase
+            n1 *= pden
+            n2 *= pden
+            den = aden * pden
+            out.extend(
+                (-(gbase * vd + vn * rise), n1 * vd, n2 * vd, den * vd)
+                for vn, vd in offsets
+            )
+        return out
 
-    return crease
+    return creases
+
+
+def _affine(cand) -> AffineFunction:
+    """The crease of an integer candidate tuple as exact rationals."""
+    g0, g1, g2, gden = cand
+    return AffineFunction((Fraction(g1, gden), Fraction(g2, gden)), Fraction(g0, gden))
 
 
 def _kernel_data(poly: Polytope, extremal: ExtremalData):
@@ -127,20 +156,15 @@ def _kernel_data(poly: Polytope, extremal: ExtremalData):
     return vxs, vys, vden, edges, wlin, wden
 
 
-def _pack(crease: AffineFunction):
-    g1, g2 = crease.gradient
-    g0 = crease.constant
-    den = math.lcm(g0.denominator, g1.denominator, g2.denominator)
-    return (int(g0 * den), int(g1 * den), int(g2 * den), den)
-
-
 def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig()) -> ScanResult:
     """Sweep single-crease candidates, keep the exact minimum ratio.
 
     The curvature hypothesis (weight nonnegative on P) is checked first
-    and recorded; evaluation is exact either way.  The incumbent after all
-    refinement rounds is recomputed through the general functional as an
-    independent exactness check before reporting.
+    and recorded; evaluation is exact either way.  Candidates are integer
+    tuples from the grid point to the ranking; the incumbent becomes a
+    ``Fraction`` ratio once per round, and only the final winner an
+    ``AffineFunction``.  That winner is recomputed through the general
+    functional as an independent exactness check before reporting.
     """
     if poly.dim != 2:
         raise ValueError("the crease scan is defined for dimension 2 only")
@@ -155,52 +179,46 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
         base = poly.barycenter
 
     vxs, vys, vden, edges, wlin, wden = _kernel_data(poly, extremal)
+    creases = _crease_family(poly, base)
 
-    crease_for = _crease_family(poly, base)
+    evaluated = 0
+    best = None  # (ratio numerator, ratio denominator, w, v, candidate, row)
+    round_minima = []
 
-    def evaluate_batch(params):
-        cands = []
-        keep = []
-        for w, v in params:
-            crease = crease_for(w, v)
-            cands.append(_pack(crease))
-            keep.append((w, v, crease))
-        results = simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands)
-        out = []
-        for (w, v, crease), (ln, ld, bn, bd) in zip(keep, results):
+    def consider(ws, vs):
+        """Evaluate every (w, v) in ws x vs, w-major; keep the first minimum.
+
+        A row's ratio is ``L / B = (ln * bd) / (ld * bn)`` with ``bn > 0``
+        and positive denominators, so ratios compare exactly by
+        cross-multiplying; the strict ``<`` keeps the first minimum found.
+        """
+        nonlocal best, evaluated
+        cands = creases(ws, vs)
+        rows = simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands)
+        pick = None
+        top_n, top_d = best[:2] if best else (None, None)
+        for k, (ln, ld, bn, bd) in enumerate(rows):
             if bn == 0:
                 continue  # crease missed the body; u vanishes on the boundary
-            out.append((w, v, crease, Fraction(ln, ld), Fraction(bn, bd)))
-        return out
+            evaluated += 1
+            if top_d is None or ln * bd * top_d < top_n * ld * bn:
+                top_n, top_d = ln * bd, ld * bn
+                pick = k
+        if pick is not None:
+            nv = len(vs)
+            best = (top_n, top_d, ws[pick // nv], vs[pick % nv], cands[pick], rows[pick])
 
     m = config.direction_count
     offs = config.offset_count
-    grid = [
-        (Fraction(j, m), Fraction(t, offs))
-        for j in range(m)
-        for t in range(offs)
-    ]
-    evaluated = 0
-    best = None
-    round_minima = []
-
-    def consider(batch):
-        nonlocal best, evaluated
-        for w, v, crease, lval, bval in batch:
-            evaluated += 1
-            ratio = lval / bval
-            if best is None or ratio < best[0]:
-                best = (ratio, w, v, crease, lval, bval)
-
-    consider(evaluate_batch(grid))
+    consider([Fraction(j, m) for j in range(m)], [Fraction(t, offs) for t in range(offs)])
     if best is None:
         raise NoInteriorCrease("no scan candidate produced a valid crease")
-    round_minima.append(best[0])
+    round_minima.append(Fraction(best[0], best[1]))
 
     dw = Fraction(1, m)
     dv = Fraction(1, offs)
     for _ in range(config.refine_rounds):
-        _, w_star, v_star, _, _, _ = best
+        w_star, v_star = best[2], best[3]
         ws = [
             w_star - dw + Fraction(2 * i, REFINE_POINTS - 1) * dw
             for i in range(REFINE_POINTS)
@@ -210,12 +228,15 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
             for i in range(REFINE_POINTS)
         ]
         vs = [v for v in vs if 0 <= v < 1]
-        consider(evaluate_batch([(w, v) for w in ws for v in vs]))
-        round_minima.append(best[0])
+        consider(ws, vs)
+        round_minima.append(Fraction(best[0], best[1]))
         dw = 2 * dw / (REFINE_POINTS - 1)
         dv = 2 * dv / (REFINE_POINTS - 1)
 
-    ratio, _, _, crease, lval, bval = best
+    ratio = round_minima[-1]
+    crease = _affine(best[4])
+    ln, ld, bn, bd = best[5]
+    lval, bval = Fraction(ln, ld), Fraction(bn, bd)
     worst = SimplePL(crease)
 
     # Independent re-verification through the general machinery.

@@ -252,6 +252,21 @@ class Polytope:
         return tuple(start)
 
     @functools.cached_property
+    def _cone_halfspaces(self) -> tuple:
+        """Each cone of :func:`cone_decomposition` as ``(support, half-spaces)``.
+
+        ``support`` is the bound ``b_i`` of the cone's facet and the
+        half-spaces are :func:`simplex_halfspaces` of its simplex, in the
+        decomposition's order.  Both depend on the polytope alone; kept
+        because the cone form clips every PL cell by every cone.
+        """
+        return tuple(
+            (self.halfspaces[self.facets[fi].halfspace_index].bound,
+             tuple(simplex_halfspaces(simplex)))
+            for fi, simplex in cone_decomposition(self).cells
+        )
+
+    @functools.cached_property
     def facet_keys(self) -> frozenset:
         return frozenset(self.halfspaces[f.halfspace_index].key for f in self.facets)
 

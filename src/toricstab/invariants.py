@@ -231,11 +231,8 @@ def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fract
         for j in range(n):
             radial = radial + Polynomial.coordinate(n, j) * grad[j]
         parts.append((cell.region, radial + piece * n, weight * piece))
-    cones = geometry.cone_decomposition(poly)
     total = Fraction(0)
-    for facet_index, cone_simplex in cones.cells:
-        support = poly.halfspaces[poly.facets[facet_index].halfspace_index].bound
-        cone_hs = geometry.simplex_halfspaces(cone_simplex)
+    for support, cone_hs in poly._cone_halfspaces:
         for cell_region, lift, weighted in parts:
             region = geometry.intersect(cell_region, cone_hs)
             if region is None:

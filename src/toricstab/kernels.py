@@ -2,24 +2,22 @@
 
 ``simple_pl_values`` evaluates the stability functional and the boundary
 integral for batches of single-crease candidates on a polygon, entirely
-in integer arithmetic on pre-scaled data.  ``lattice_weighted_sum`` is
-the bounding-box lattice scan.  Results are exact integers.
+in integer arithmetic on pre-scaled data.  Each candidate's two sums run
+over one denominator fixed before the sum starts (the edge lengths over
+the ``lcm`` of their denominators, the clipped polygon over the product
+of its crossing weights), so a candidate costs two ``gcd`` calls, the
+two that reduce its results.  ``lattice_weighted_sum`` is the
+bounding-box lattice scan.  Results are exact integers.
 """
 
 import itertools
-from math import gcd
+from math import gcd, lcm
 
 
-def _norm(n, d):
-    """Normalize an integer fraction with positive denominator."""
-    if n == 0:
-        return 0, 1
-    g = gcd(abs(n), d)
+def _reduced(n, d):
+    """Lowest terms of ``n / d`` for ``d > 0``; zero is ``(0, 1)``."""
+    g = gcd(n, d)
     return n // g, d // g
-
-
-def _add(an, ad, bn, bd):
-    return _norm(an * bd + bn * ad, ad * bd)
 
 
 def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
@@ -29,97 +27,98 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
     order.  ``edges`` rows are ``(i, j, lnum, lden)`` giving the boundary
     measure of each edge; ``wlin = (w0, w1, w2)`` with ``wden`` encodes the
     weight ``(w0 + w1 x + w2 y) / wden``.  Each candidate
-    ``(g0, g1, g2, gden)`` is the crease function
+    ``(g0, g1, g2, gden)`` with ``gden > 0`` is the crease function
     ``g = (g0 + g1 x + g2 y) / gden`` and the evaluated function is
-    ``u = max(0, g)``.
+    ``u = max(0, g)``.  A candidate need not be in lowest terms: every
+    positive multiple of it gives the same row.
 
-    Returns ``(L_num, L_den, B_num, B_den)`` per candidate where ``B`` is
-    the boundary integral of ``u`` and ``L = B - integral(w * u)``.
+    Returns ``(L_num, L_den, B_num, B_den)`` per candidate, each pair in
+    lowest terms with a positive denominator, where ``B`` is the boundary
+    integral of ``u`` and ``L = B - integral(w * u)``.
+
+    The boundary sum holds the edge lengths over the ``lcm`` of their
+    denominators; only the at most two edges the crease crosses add a
+    denominator of their own.  The volume sum scales the clipped polygon
+    to one denominator, the product of its crossing points' weights, and
+    adds the fan triangles' midpoint rules as plain integers.
     """
-    nv = len(vxs)
     w0, w1, w2 = wlin
     w0v = w0 * vden
-    base_pts = [(vxs[i], vys[i], 1) for i in range(nv)]
+    nv = len(vxs)
+    nxt = list(range(1, nv)) + [0]
+    # The weight at each vertex, scaled by wden * vden.
+    what = [w1 * x + w2 * y + w0v for x, y in zip(vxs, vys)]
+    eden = lcm(*[row[3] for row in edges])
+    elens = [(i, j, lnum * (eden // lden)) for i, j, lnum, lden in edges]
     out = []
     for g0, g1, g2, gden in cands:
         g0v = g0 * vden
-        ghat = [g1 * vxs[i] + g2 * vys[i] + g0v for i in range(nv)]
-        gd = gden * vden
+        # The crease at each vertex, scaled by gden * vden.
+        ghat = [g1 * x + g2 * y + g0v for x, y in zip(vxs, vys)]
 
-        # Boundary term: exact average of max(0, affine) along each edge.
-        bn, bd = 0, 1
-        for i, j, lnum, lden in edges:
+        # Boundary term: exact average of max(0, affine) along each edge,
+        # (a + b) / 2 on an edge where g >= 0 and a^2 / (2 (a - b)) on an
+        # edge that g crosses from a > 0 to b < 0.
+        full = 0
+        cn, cd = 0, 1
+        for i, j, length in elens:
             a = ghat[i]
             b = ghat[j]
             if a <= 0 and b <= 0:
                 continue
             if a >= 0 and b >= 0:
-                en, ed = a + b, 2
-            elif a > 0:
-                en, ed = a * a, 2 * (a - b)
+                full += length * (a + b)
             else:
-                en, ed = b * b, 2 * (b - a)
-            bn, bd = _add(bn, bd, lnum * en, lden * ed)
-        bn, bd = _norm(bn, bd * gd)
+                if a < 0:
+                    a, b = b, a
+                cn = cn * (a - b) + length * a * a * cd
+                cd *= a - b
+        bn, bd = _reduced(full * cd + cn, 2 * eden * gden * vden * cd)
 
-        # Volume term: integral of w * g over the clipped region {g >= 0},
-        # one fan triangle at a time with the exact midpoint rule.
-        an, ad = 0, 1
-        clipped = _clip(base_pts, ghat, g1, g2, g0v)
+        # Volume term: integral of w * g over the clipped region {g >= 0}.
+        # Vertices of the region are ``(x, y, q)``: polygon vertices with
+        # q = 1, crossing points with their weight q = |a - b|.
+        clipped = []
+        scale = 1
+        for idx in range(nv):
+            a = ghat[idx]
+            if a >= 0:
+                clipped.append((vxs[idx], vys[idx], 1, what[idx], a))
+            k = nxt[idx]
+            b = ghat[k]
+            if (a > 0 > b) or (a < 0 < b):
+                q = a - b
+                rx = a * vxs[k] - b * vxs[idx]
+                ry = a * vys[k] - b * vys[idx]
+                if q < 0:
+                    rx, ry, q = -rx, -ry, -q
+                clipped.append((rx, ry, q, w1 * rx + w2 * ry + w0v * q, 0))
+                scale *= q
+        total = 0
         if len(clipped) >= 3:
-            x0, y0, q0 = clipped[0]
-            for t in range(1, len(clipped) - 1):
-                x1, y1, q1 = clipped[t]
-                x2, y2, q2 = clipped[t + 1]
-                det3 = (
-                    x0 * (y1 * q2 - y2 * q1)
-                    - y0 * (x1 * q2 - x2 * q1)
-                    + q0 * (x1 * y2 - x2 * y1)
+            # Over the common denominator ``scale``: coordinates, and the
+            # weight and crease values (the crease is 0 where it crosses).
+            pts = []
+            for x, y, q, wv, gv in clipped:
+                f = scale // q
+                pts.append((x * f, y * f, wv * f, gv * f))
+            x0, y0, wa, ga = pts[0]
+            for t in range(1, len(pts) - 1):
+                x1, y1, wb, gb = pts[t]
+                x2, y2, wc, gc = pts[t + 1]
+                det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+                # Midpoint rule: area / 3 times the sum of w * g at the
+                # edge midpoints, which are sums of the endpoint values.
+                total += det * (
+                    (wa + wb) * (ga + gb)
+                    + (wa + wc) * (ga + gc)
+                    + (wb + wc) * (gb + gc)
                 )
-                if det3 == 0:
-                    continue
-                sn, sd = 0, 1
-                for (ax, ay, aw), (bx, by, bw) in (
-                    ((x0, y0, q0), (x1, y1, q1)),
-                    ((x0, y0, q0), (x2, y2, q2)),
-                    ((x1, y1, q1), (x2, y2, q2)),
-                ):
-                    mx = ax * bw + bx * aw
-                    my = ay * bw + by * aw
-                    mw = 2 * aw * bw
-                    whom = w1 * mx + w2 * my + w0v * mw
-                    ghom = g1 * mx + g2 * my + g0v * mw
-                    sn, sd = _add(sn, sd, whom * ghom, mw * mw)
-                an, ad = _add(an, ad, det3 * sn, 6 * q0 * q1 * q2 * sd)
-        an, ad = _norm(an, ad * wden * gden * vden**4)
+        ad = 24 * scale**4 * wden * gden * vden**4
 
-        ln_, ld_ = _add(bn, bd, -an, ad)
+        # L = B - A over the product of the two denominators.
+        ln_, ld_ = _reduced(bn * ad - total * bd, bd * ad)
         out.append((ln_, ld_, bn, bd))
-    return out
-
-
-def _clip(pts, vals, g1, g2, g0v):
-    """Clip a convex CCW polygon to {g >= 0}; homogeneous integer output."""
-    m = len(pts)
-    out = []
-    for idx in range(m):
-        nxt = idx + 1 if idx + 1 < m else 0
-        p, a = pts[idx], vals[idx]
-        q, b = pts[nxt], vals[nxt]
-        if a >= 0:
-            out.append(p)
-        if (a > 0 > b) or (a < 0 < b):
-            rx = a * q[0] - b * p[0]
-            ry = a * q[1] - b * p[1]
-            rw = a * q[2] - b * p[2]
-            if rw < 0:
-                rx, ry, rw = -rx, -ry, -rw
-            g = gcd(gcd(abs(rx), abs(ry)), rw)
-            if g > 1:
-                rx //= g
-                ry //= g
-                rw //= g
-            out.append((rx, ry, rw))
     return out
 
 

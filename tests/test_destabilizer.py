@@ -1,5 +1,6 @@
 """Crease scan: exactness, monotone refinement, and sanity on stable bodies."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,24 @@ import pytest
 from toricstab import (
     boundary_integral,
     catalog,
+    kernels,
     linear_functional_L,
     make_pl,
     scan,
 )
 from toricstab import invariants
-from toricstab.destabilizer import ScanConfig, _crease_family, _direction
-from toricstab.plfunc import SimplePL, affine, zero_function
+from toricstab.destabilizer import (
+    REFINE_POINTS,
+    ScanConfig,
+    ScanResult,
+    _affine,
+    _crease_family,
+    _direction,
+    _kernel_data,
+)
+from toricstab.plfunc import AffineFunction, SimplePL, affine, zero_function
+
+from conftest import hull_polygon, pack, random_polygon
 
 
 SMALL = ScanConfig(direction_count=24, offset_count=8, refine_rounds=1)
@@ -21,6 +33,64 @@ SMALL = ScanConfig(direction_count=24, offset_count=8, refine_rounds=1)
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def scan_base(poly):
+    return (F(0), F(0)) if poly.origin_interior else poly.barycenter
+
+
+def reference_crease(poly, w, v):
+    """The crease for (w, v) as one ``AffineFunction`` in Fractions."""
+    base = scan_base(poly)
+    a1, a2 = _direction(w)
+    gmax = max(a1 * p[0] + a2 * p[1] for p in poly.vertices)
+    gbase = a1 * base[0] + a2 * base[1]
+    return AffineFunction((a1, a2), -(gbase + v * (gmax - gbase)))
+
+
+def reference_ratios(poly, ext, params):
+    """``(w, v, crease, L, B)`` for the pairs whose crease meets the body."""
+    creases = [reference_crease(poly, w, v) for w, v in params]
+    rows = kernels.simple_pl_values(*_kernel_data(poly, ext), [pack(c) for c in creases])
+    return [
+        (w, v, c, F(ln, ld), F(bn, bd))
+        for (w, v), c, (ln, ld, bn, bd) in zip(params, creases, rows)
+        if bn != 0
+    ]
+
+
+def reference_scan(poly, ext, config):
+    """The scan loop in Fractions: an ``AffineFunction`` per candidate,
+    ``Fraction`` ratios, and a strict ``<`` so the first minimum wins."""
+    rbar = invariants.average_scalar_curvature(poly)
+    hypothesis_ok = min(rbar + ext.theta.evaluate(v) for v in poly.vertices) >= 0
+    best, evaluated, minima = None, 0, []
+
+    def consider(params):
+        nonlocal best, evaluated
+        for w, v, crease, lval, bval in reference_ratios(poly, ext, params):
+            evaluated += 1
+            if best is None or lval / bval < best[0]:
+                best = (lval / bval, w, v, crease, lval)
+        minima.append(best[0])
+
+    m, offs = config.direction_count, config.offset_count
+    consider([(F(j, m), F(t, offs)) for j in range(m) for t in range(offs)])
+    dw, dv = F(1, m), F(1, offs)
+    steps = [F(2 * i, REFINE_POINTS - 1) - 1 for i in range(REFINE_POINTS)]
+    for _ in range(config.refine_rounds):
+        ws = [best[1] + s * dw for s in steps]
+        vs = [v for v in (best[2] + s * dv for s in steps) if 0 <= v < 1]
+        consider([(w, v) for w in ws for v in vs])
+        dw, dv = 2 * dw / (REFINE_POINTS - 1), 2 * dv / (REFINE_POINTS - 1)
+    return ScanResult(
+        lambda_star_estimate=best[0],
+        worst_u=SimplePL(best[3]),
+        destabilizer_found=best[4] < 0,
+        curvature_hypothesis_ok=hypothesis_ok,
+        candidates_evaluated=evaluated,
+        round_minima=tuple(minima),
+    )
 
 
 class TestConfig:
@@ -45,15 +115,24 @@ class TestDirections:
             seen.add(a)
         assert len(seen) == 16
 
-    def test_candidates_are_normalized(self, square):
-        base = (F(0), F(0))
-        crease_for = _crease_family(square, base)
-        for j in range(12):
-            for t in range(5):
-                crease = crease_for(F(j, 12), F(t, 5))
+    def test_candidates_are_normalized(self):
+        ws = [F(j, 12) for j in range(12)] + [F(-1, 7), F(5, 4)]
+        vs = [F(t, 5) for t in range(5)] + [F(2, 3)]
+        # The square, rational vertices, and the origin on the boundary,
+        # where the base point is the barycenter.
+        corner = hull_polygon([(0, 0), (3, 0), (2, 2), (0, 1)])
+        assert not corner.origin_interior
+        for poly in [catalog("cp1xcp1"), catalog("hexagon(7/2,2)"), corner]:
+            base = scan_base(poly)
+            cands = _crease_family(poly, base)(ws, vs)
+            assert len(cands) == len(ws) * len(vs)
+            for cand, (w, v) in zip(cands, [(w, v) for w in ws for v in vs]):
+                assert cand[3] > 0
+                crease = _affine(cand)
+                assert crease == reference_crease(poly, w, v)
                 assert crease.evaluate(base) <= 0
                 # crease meets the interior: positive somewhere on vertices
-                assert max(crease.evaluate(v) for v in square.vertices) > 0
+                assert max(crease.evaluate(v) for v in poly.vertices) > 0
 
 
 class TestScan:
@@ -130,3 +209,46 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(segment, ext, SMALL)
         assert interval.dim == 2
+
+
+def assert_same_scan(poly, config):
+    ext = invariants.extremal_field(poly)
+    got, want = scan(poly, ext, config), reference_scan(poly, ext, config)
+    for field in ScanResult.__dataclass_fields__:
+        assert getattr(got, field) == getattr(want, field), field
+    return got
+
+
+class TestScanAgainstReference:
+    """``scan`` on integer candidates equals the Fraction reference loop."""
+
+    CONFIGS = [ScanConfig(24, 8, 2), ScanConfig(7, 5, 3)]
+
+    @pytest.mark.parametrize("name", ["cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup",
+                                      "cp2_3blowup", "hexagon(2,3)", "hexagon(7/2,2)"])
+    def test_catalog(self, name):
+        for config in self.CONFIGS:
+            assert_same_scan(catalog(name), config)
+
+    def test_seeded_lattice_polygons(self):
+        rng = random.Random(1234)
+        polys = [random_polygon(rng, radius=3) for _ in range(10)]
+        # Both base points: the origin and the barycenter.
+        assert {p.origin_interior for p in polys} == {True, False}
+        for poly in polys:
+            assert_same_scan(poly, self.CONFIGS[0])
+
+    def test_exact_tie_keeps_first_minimum(self):
+        # The square is symmetric under y -> -y and x <-> y, and so is the
+        # grid of 8 directions, so its minimum ratio is attained by at
+        # least two candidates; the first one found must win.
+        square = catalog("cp1xcp1")
+        ext = invariants.extremal_field(square)
+        config = ScanConfig(8, 4, 0)
+        grid = [(F(j, 8), F(t, 4)) for j in range(8) for t in range(4)]
+        ratios = [(lval / bval, c) for _, _, c, lval, bval in reference_ratios(square, ext, grid)]
+        low = min(r for r, _ in ratios)
+        tied = [c for r, c in ratios if r == low]
+        assert len(tied) >= 2
+        result = assert_same_scan(square, config)
+        assert result.worst_u.crease == tied[0]

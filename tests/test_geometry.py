@@ -26,7 +26,7 @@ from toricstab.errors import (
 from toricstab import _linalg
 from toricstab.plfunc import affine
 
-from conftest import shoelace
+from conftest import hull_polygon, shoelace
 
 
 def F(x):
@@ -258,35 +258,12 @@ def _fields(poly):
             poly.origin_interior, poly.warnings)
 
 
-def _hull_polygon(points):
-    """Lattice polygon of the convex hull of integer points (monotone chain)."""
-    pts = sorted(set(points))
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and (
-                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
-            ) <= 0:
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    cycle = chain(pts) + chain(pts[::-1])
-    rows = []
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        normal, _ = _linalg.primitivize((b[1] - a[1], a[0] - b[0]))
-        rows.append(halfspace(normal, _linalg.dot(normal, a)))
-    return build_polytope(rows, require_simple=False)
-
-
 def _random_body(rng, kind):
     if kind == "polygon":
         while True:
             pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 8))]
             if _linalg.affine_rank(pts) == 2:
-                return _hull_polygon(pts)
+                return hull_polygon(pts)
     if kind == "box":
         rows = []
         for j in range(3):

@@ -1,16 +1,22 @@
 """The integer kernels against the general-purpose path and a brute-force scan."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from toricstab import catalog, integration, kernels
+from toricstab import (
+    boundary_integral, build_polytope, catalog, halfspace, integration, kernels,
+    linear_functional_L,
+)
 from toricstab import invariants
-from toricstab.destabilizer import _kernel_data, _pack
+from toricstab.destabilizer import _kernel_data
 from toricstab.errors import ScaleOverflow
-from toricstab.plfunc import AffineFunction
+from toricstab.plfunc import AffineFunction, SimplePL
+
+from conftest import pack, random_polygon
 
 
 def brute_weighted_sum(dim, lows, highs, rows, table, k):
@@ -120,9 +126,6 @@ class TestPureKernel:
     def test_boundary_and_functional_match_reference(self):
         # The kernel value of L and the boundary integral must equal the
         # slow general-purpose path for assorted creases.
-        from toricstab import boundary_integral, linear_functional_L
-        from toricstab.plfunc import SimplePL
-
         rng = random.Random(7)
         poly = catalog("cp2_2blowup")
         ext = invariants.extremal_field(poly)
@@ -138,7 +141,7 @@ class TestPureKernel:
             if all(g == 0 for g in crease.gradient):
                 continue
             (ln, ld, bn, bd), = kernels.simple_pl_values(
-                vxs, vys, vden, edges, wlin, wden, [_pack(crease)]
+                vxs, vys, vden, edges, wlin, wden, [pack(crease)]
             )
             u = SimplePL(crease).as_pl(poly)
             assert Fraction(ln, ld) == linear_functional_L(poly, u, ext)
@@ -156,3 +159,100 @@ class TestPureKernel:
         for k in (1, 4, 9):
             out = pl_lattice_sum(poly, phi, k)
             assert (out.count, out.weighted_sum) == brute_lattice_sum(poly, phi, k)
+
+
+def line_through(p, q):
+    """``g`` with ``g(p) = g(q) = 0``, positive on the left of ``p -> q``."""
+    n = (p[1] - q[1], q[0] - p[0])
+    return AffineFunction(n, -(n[0] * p[0] + n[1] * p[1]))
+
+
+def special_creases(poly):
+    """Creases through the vertices, along edges, touching and missing.
+
+    Yields ``(label, crease, misses)`` where ``misses`` says that
+    ``u = max(0, crease)`` vanishes on the whole polygon.
+    """
+    cycle = [poly.vertices[i] for i in poly.ccw_cycle]
+    m = len(cycle)
+    centroid = tuple(sum(p[j] for p in cycle) / m for j in range(2))
+    for k in range(m):
+        v, prev, nxt = cycle[k], cycle[k - 1], cycle[(k + 1) % m]
+        # Through the vertex and the interior point, both orientations.
+        through = line_through(v, centroid)
+        yield f"vertex {k}", through, False
+        yield f"vertex {k} reversed", -through, False
+        # Along the edge k -> k+1: left is the inside, so the crease is
+        # >= 0 on P; reversed it is <= 0 and u vanishes.
+        edge = line_through(v, nxt)
+        yield f"edge {k}", edge, False
+        yield f"edge {k} reversed", -edge, True
+        # The sum of the two edge normals at v is strictly inside the
+        # normal cone: <n, x - v> is 0 at v alone and negative elsewhere.
+        n = tuple((-line_through(prev, v).gradient[j]) - line_through(v, nxt).gradient[j]
+                  for j in range(2))
+        outside = AffineFunction(n, -(n[0] * v[0] + n[1] * v[1]))
+        yield f"touch {k}", outside, True
+        yield f"touch {k} reversed", -outside, False
+        yield f"miss {k}", AffineFunction(n, outside.constant - 1), True
+        yield f"cover {k}", -AffineFunction(n, outside.constant - 1), False
+    if m >= 4:
+        diagonal = line_through(cycle[0], cycle[2])
+        yield "diagonal", diagonal, False
+        yield "diagonal reversed", -diagonal, False
+
+
+class TestCreaseEdgeCases:
+    """``simple_pl_values`` against ``linear_functional_L`` and
+    ``boundary_integral`` where the crease meets the polygon's corners."""
+
+    @staticmethod
+    def check(poly, ext, crease, misses=None, label=""):
+        rows = kernels.simple_pl_values(
+            *_kernel_data(poly, ext),
+            [tuple(k * c for c in pack(crease)) for k in (1, 2, 3, 7)],
+        )
+        # Multiples of a candidate give identical rows.
+        assert rows == [rows[0]] * 4, label
+        ln, ld, bn, bd = rows[0]
+        assert ld > 0 and bd > 0, label
+        assert math.gcd(ln, ld) == 1 and math.gcd(bn, bd) == 1, label
+        u = SimplePL(crease).as_pl(poly)
+        assert Fraction(ln, ld) == linear_functional_L(poly, u, ext), label
+        assert Fraction(bn, bd) == boundary_integral(poly, u), label
+        if misses is not None:
+            assert (bn == 0) == misses, label
+            if misses:
+                assert rows[0] == (0, 1, 0, 1), label
+
+    @pytest.mark.parametrize("den", [1, 3])
+    def test_random_polygons(self, den):
+        rng = random.Random(41 + den)
+        for _ in range(4):
+            poly = random_polygon(rng, den)
+            ext = invariants.extremal_field(poly)
+            assert den == 1 or _kernel_data(poly, ext)[2] > 1
+            for _ in range(4):
+                crease = AffineFunction(
+                    (Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                     Fraction(rng.randint(-6, 6), rng.randint(1, 4))),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                )
+                if crease.gradient != (0, 0):
+                    self.check(poly, ext, crease)
+
+    @pytest.mark.parametrize("den", [1, 2])
+    def test_vertices_edges_touching_and_missing(self, den):
+        rng = random.Random(7 * den)
+        # Edge lengths 3/4 and 5/6: their lcm 12 is not their maximum.
+        rectangle = build_polytope([
+            halfspace((-1, 0), Fraction(1, 4)), halfspace((1, 0), Fraction(1, 2)),
+            halfspace((0, -1), Fraction(1, 3)), halfspace((0, 1), Fraction(1, 2)),
+        ])
+        assert {f.measure for f in rectangle.facets} == {Fraction(3, 4), Fraction(5, 6)}
+        polys = [catalog("cp2_2blowup"), catalog("hexagon(2,3)"), rectangle]
+        polys += [random_polygon(rng, den) for _ in range(2)]
+        for poly in polys:
+            ext = invariants.extremal_field(poly)
+            for label, crease, misses in special_creases(poly):
+                self.check(poly, ext, crease, misses, label)
