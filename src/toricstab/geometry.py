@@ -6,16 +6,14 @@ derived from it (vertices, facets, boundary measures, triangulations,
 cone decompositions, subdivisions) is computed in exact rational
 arithmetic; this module never touches floating point.
 
-Vertices come from one of two places.  :func:`build_polytope` validates
-user input, so it solves every n-subset of the hyperplanes and keeps the
-feasible solutions.  Internal cells (:func:`intersect`,
-:func:`subdivide_by_hyperplanes`) are a known polytope cut by a few more
-half-spaces, so their vertices come from clipping the parent's vertices
-against each new half-space in turn.  Either way the builder also knows
-which half-spaces are tight at each vertex (its active set): enumeration
-reads it off the feasibility test, clipping carries it along from the
-parent's facets.  Both hand vertices and active sets to the same
-:func:`_build`, which derives everything else from them.
+Vertices come from one place, :func:`_clip`, which cuts a known body by
+half-spaces one at a time and carries along which half-spaces are tight
+at each vertex (its active set).  :func:`build_polytope` validates user
+input and then clips a bounding box by every input half-space; internal
+cells (:func:`intersect`, :func:`subdivide_by_hyperplanes`) clip their
+parent's vertices by a few more.  Either way the vertices and their
+active sets go to :func:`_build`, which derives everything else from
+them, the order of each 3-D facet's vertices included.
 
 Boundary pieces carry the lattice measure: on the facet with normal ``l``
 it is the Euclidean surface measure divided by ``|l|_2``.  Because the
@@ -30,7 +28,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import ceil, factorial, gcd
 
 from . import _linalg
 from .errors import (
@@ -236,7 +234,7 @@ class Polytope:
     def _clip_start(self) -> tuple:
         """Each vertex as ``(point, numerators, denominator, tight set)``.
 
-        This is where :func:`_clip` starts from: ``point`` equals
+        :func:`intersect` starts :func:`_clip` from here: ``point`` equals
         ``numerators / denominator``, and the tight set holds the indices
         of the facet half-spaces through the vertex.  Kept because a cell
         is clipped once per cone of the cone form.
@@ -272,16 +270,15 @@ class Polytope:
 
     @functools.cached_property
     def ccw_cycle(self) -> tuple:
-        """Vertex indices in counterclockwise order (surfaces only)."""
+        """Vertex indices in counterclockwise order from the smallest (surfaces only)."""
         if self.dim != 2:
             raise ValueError("ccw_cycle is defined for dim 2 only")
-        center = (
-            sum((v[0] for v in self.vertices), Fraction(0)) / len(self.vertices),
-            sum((v[1] for v in self.vertices), Fraction(0)) / len(self.vertices),
-        )
-        order = _angular_order([_linalg.vsub(v, center) for v in self.vertices])
-        start = order.index(min(order, key=lambda i: self.vertices[i]))
-        return tuple(order[start:] + order[:start])
+        neighbours = [[] for _ in self.vertices]
+        for facet in self.facets:
+            a, b = facet.vertex_indices
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        return tuple(_ccw_walk(self.vertices, neighbours))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +289,17 @@ class Polytope:
 def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     """Construct a polytope from half-space data, verifying its invariants.
 
-    Exhaustively solves all n-subsets of the hyperplane equations and
-    keeps the feasible solutions as vertices; this is the one place that
-    enumerates, because it also validates user input.  Redundant
+    After validation, duplicates are dropped with a warning record and the
+    body is checked to be bounded.  Its vertices then come from clipping
+    the box ``|x_j| <= M`` by every input half-space (see :func:`_clip`).
+    ``M = n! H**n + 1``, with ``H`` the largest ``|normal entry|`` and
+    ``ceil(|bound|)``, puts the body strictly inside the box: by Cramer's
+    rule a vertex coordinate is a determinant with entries of size at most
+    ``H``, so at most ``n! H**n``, over a nonzero integer determinant.  So
+    no box half-space is tight at a vertex of the body, and the active
+    sets lose nothing when the box indices are shifted off.  Redundant
     half-spaces (touching the body in dimension below n-1 or not at all)
-    are dropped with a warning record; duplicates likewise.
+    are dropped with a warning record.
     """
     hs = [HalfSpace(tuple(int(c) for c in h.normal), Fraction(h.bound)) for h in halfspaces]
     if not hs:
@@ -326,11 +329,21 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
         deduped.append(h)
 
     _check_bounded(deduped, n)
-    vertices, active = _enumerate_vertices(deduped, n)
-    if not vertices:
+    big = max(max(*map(abs, h.normal), ceil(abs(h.bound))) for h in deduped)
+    m = factorial(n) * big**n + 1
+    # Box half-space 2j is x_j <= m and 2j + 1 is -x_j <= m.
+    box = [HalfSpace(tuple(s * (k == j) for k in range(n)), Fraction(m))
+           for j in range(n) for s in (1, -1)]
+    start = [(None, [-m if s else m for s in signs], 1,
+              frozenset(2 * j + s for j, s in enumerate(signs)))
+             for signs in itertools.product((0, 1), repeat=n)]
+    clipped = _clip(start, box + deduped, n, len(box))
+    if not clipped:
         raise Degenerate("half-space intersection is empty")
+    vertices = [v for v, _ in clipped]
     if _linalg.affine_rank(vertices) < n:
         raise Degenerate("vertex hull is not full-dimensional")
+    active = [frozenset(i - len(box) for i in at_v) for _, at_v in clipped]
     return _build(deduped, n, vertices, active, require_simple=require_simple,
                   warnings=warnings)
 
@@ -341,16 +354,23 @@ def _build(hs, n, vertices, active, *, require_simple, warnings=()) -> Polytope:
     ``vertices`` must be exactly the vertices of the body the half-spaces
     bound, which must be full-dimensional, and ``active[j]`` exactly the
     indices into ``hs`` of the half-spaces tight at ``vertices[j]``.  Both
-    come from the caller, which knows them from exhaustive enumeration or
-    from clipping; nothing is re-evaluated here.  Retained facets, facet
-    simplices, measures and warnings are derived from them.
+    come from :func:`_clip`; nothing is re-evaluated here.  Retained
+    facets, facet simplices, measures and warnings are derived from them.
+
+    A 3-D facet's vertices are put in order by its edge graph: two of
+    them share an edge exactly when their active sets meet in an index
+    besides the facet's own, for then both lie on a second supporting
+    plane.  :func:`_ccw_walk` turns the graph into the counterclockwise
+    cycle, as seen with the normal's first nonzero coordinate dropped,
+    from the smallest vertex.
     """
     warnings = list(warnings)
     order = sorted(range(len(vertices)), key=vertices.__getitem__)
     vertices = [vertices[j] for j in order]
+    active = [active[j] for j in order]
     on = [[] for _ in hs]
-    for j, old in enumerate(order):
-        for i in active[old]:
+    for j, at_v in enumerate(active):
+        for i in at_v:
             on[i].append(j)
 
     # Facet retention: a half-space supports a facet exactly when its active
@@ -364,18 +384,24 @@ def _build(hs, n, vertices, active, *, require_simple, warnings=()) -> Polytope:
             warnings.append(f"redundant half-space {h.normal} <= {h.bound} dropped")
 
     kept = [hs[i] for i in retained]
-    remap = {old: new for new, old in enumerate(retained)}
     facets = []
-    for old_index in retained:
+    for new_index, old_index in enumerate(retained):
         h = hs[old_index]
-        vidx = tuple(on[old_index])
-        simplices, measures = _facet_decomposition(
-            [vertices[j] for j in vidx], h.normal, n
-        )
+        vidx = on[old_index]
+        points = [vertices[j] for j in vidx]
+        if n == 3:
+            neighbours = [
+                [q for q, k in enumerate(vidx) if k != j and len(active[j] & active[k]) > 1]
+                for j in vidx
+            ]
+            drop = next(j for j, c in enumerate(h.normal) if c != 0)
+            flat = [p[:drop] + p[drop + 1:] for p in points]
+            points = [points[q] for q in _ccw_walk(flat, neighbours)]
+        simplices, measures = _facet_decomposition(points, h.normal, n)
         facets.append(
             Facet(
-                halfspace_index=remap[old_index],
-                vertex_indices=vidx,
+                halfspace_index=new_index,
+                vertex_indices=tuple(vidx),
                 simplices=simplices,
                 simplex_measures=measures,
                 measure_scale_sq=h.norm_sq,
@@ -391,6 +417,25 @@ def _build(hs, n, vertices, active, *, require_simple, warnings=()) -> Polytope:
     # At the origin every <l, x> is 0, so it is interior when every bound is positive.
     origin_interior = all(h.bound > 0 for h in kept)
     return Polytope(n, kept, vertices, facets, origin_interior, warnings)
+
+
+def _ccw_walk(flat, neighbours) -> list:
+    """Positions of a convex polygon's vertices in counterclockwise order from 0.
+
+    ``flat`` holds the planar vertices and ``neighbours[q]`` the two
+    positions sharing an edge with ``q``.  The walk leaves 0 towards the
+    neighbour from which the other one lies counterclockwise about 0 (one
+    2x2 integer determinant), then follows the edges.
+    """
+    a, b = neighbours[0]
+    _, (o, pa, pb) = _linalg.over_common_denominator((flat[0], flat[a], flat[b]))
+    if (pa[0] - o[0]) * (pb[1] - o[1]) < (pa[1] - o[1]) * (pb[0] - o[0]):
+        a = b
+    cycle = [0, a]
+    while len(cycle) < len(flat):
+        x, y = neighbours[cycle[-1]]
+        cycle.append(y if x == cycle[-2] else x)
+    return cycle
 
 
 def _best_origin(poly: Polytope) -> BestOrigin:
@@ -428,48 +473,6 @@ def _best_origin(poly: Polytope) -> BestOrigin:
     return BestOrigin(point=z[:n], max_support=z[n], depth=z[n + 1])
 
 
-def _enumerate_vertices(hs, n):
-    """Vertices of the body ``hs`` bounds and the indices tight at each.
-
-    Returns two parallel lists.  Every n-subset of the hyperplanes is
-    solved; a solution is kept when it satisfies every half-space, and the
-    same pass over ``hs`` records where it does so with equality.
-    """
-    found = {}
-    for subset in itertools.combinations(range(len(hs)), n):
-        rows = [hs[i].normal for i in subset]
-        rhs = [hs[i].bound for i in subset]
-        sol = _solve_vertex(rows, rhs, n)
-        if sol is None or sol in found:
-            continue
-        tight = []
-        for i, h in enumerate(hs):
-            s = h.slack(sol)
-            if s < 0:
-                break
-            if s == 0:
-                tight.append(i)
-        else:
-            found[sol] = frozenset(tight)
-    return list(found), list(found.values())
-
-
-def _solve_vertex(rows, rhs, n):
-    if n == 1:
-        a = rows[0][0]
-        if a == 0:
-            return None
-        return (Fraction(rhs[0], a),)
-    if n == 2:
-        (a, b), (c, d) = rows
-        det = a * d - b * c
-        if det == 0:
-            return None
-        e, f = rhs
-        return (Fraction(e * d - b * f, det), Fraction(a * f - e * c, det))
-    return _linalg.solve(rows, rhs)
-
-
 def _check_bounded(hs, n):
     normals = [h.normal for h in hs]
     if _linalg.rank(normals) < n:
@@ -492,19 +495,20 @@ def _check_bounded(hs, n):
 
 
 def _facet_decomposition(points, normal, n):
-    """Simplices tiling a facet plus their exact lattice measures."""
+    """Simplices tiling a facet plus their exact lattice measures.
+
+    In 3-D the points come in cycle order and are fanned from the first.
+    """
     if n == 1:
         s = Simplex(tuple(points), 1)
         return (s,), (Fraction(1),)
     if n == 2:
-        a, b = sorted(points)
-        s = Simplex((a, b), 2)
+        s = Simplex(tuple(points), 2)
         return (s,), (_dsigma_measure(s, normal),)
-    cycle = _facet_cycle(points, normal)
     simplices = []
     measures = []
-    for i in range(1, len(cycle) - 1):
-        s = Simplex((cycle[0], cycle[i], cycle[i + 1]), n)
+    for i in range(1, len(points) - 1):
+        s = Simplex((points[0], points[i], points[i + 1]), n)
         simplices.append(s)
         measures.append(_dsigma_measure(s, normal))
     return tuple(simplices), tuple(measures)
@@ -528,20 +532,6 @@ def _dsigma_measure(simplex, normal) -> Fraction:
     )
 
 
-def _facet_cycle(points, normal):
-    """Order the vertices of a planar facet polygon into a cycle (n = 3)."""
-    drop = next(j for j, c in enumerate(normal) if c != 0)
-    flat = [tuple(c for j, c in enumerate(p) if j != drop) for p in points]
-    center = (
-        sum((p[0] for p in flat), Fraction(0)) / len(flat),
-        sum((p[1] for p in flat), Fraction(0)) / len(flat),
-    )
-    order = _angular_order([_linalg.vsub(p, center) for p in flat])
-    start = order.index(min(order, key=lambda i: points[i]))
-    order = order[start:] + order[:start]
-    return [points[i] for i in order]
-
-
 def _angular_order(vectors):
     """Indices sorted by exact angle of nonzero planar vectors."""
 
@@ -563,16 +553,18 @@ def _angular_order(vectors):
     return sorted(range(len(vectors)), key=functools.cmp_to_key(compare))
 
 
+def _cones(poly: Polytope, apex, facets) -> list:
+    """``(facet_index, Simplex)``: the cone from ``apex`` over each simplex
+    of the ``(facet_index, Facet)`` pairs, which must leave out the facets
+    through ``apex``."""
+    return [(fi, Simplex((apex,) + s.vertices, poly.dim))
+            for fi, facet in facets for s in facet.simplices]
+
+
 def _fan_triangulation(poly: Polytope) -> tuple:
-    """n-simplices tiling P: cone from vertex 0 over non-adjacent facets."""
-    apex = poly.vertices[0]
-    out = []
-    for facet in poly.facets:
-        if 0 in facet.vertex_indices:
-            continue
-        for s in facet.simplices:
-            out.append(Simplex((apex,) + s.vertices, poly.dim))
-    return tuple(out)
+    """n-simplices tiling P: cone from vertex 0 over the facets not through it."""
+    away = [(fi, f) for fi, f in enumerate(poly.facets) if 0 not in f.vertex_indices]
+    return tuple(s for _, s in _cones(poly, poly.vertices[0], away))
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +596,7 @@ def cone_decomposition(poly: Polytope) -> ConeDecomposition:
     if not poly.origin_interior:
         raise OriginNotInterior("cone decomposition needs 0 strictly inside")
     origin = tuple(Fraction(0) for _ in range(poly.dim))
-    cells = []
-    for fi, facet in enumerate(poly.facets):
-        for s in facet.simplices:
-            cells.append((fi, Simplex((origin,) + s.vertices, poly.dim)))
-    return ConeDecomposition(tuple(cells))
+    return ConeDecomposition(tuple(_cones(poly, origin, enumerate(poly.facets))))
 
 
 def subdivide_by_hyperplanes(poly: Polytope, cuts) -> list:
@@ -645,45 +633,50 @@ def intersect(poly: Polytope, halfspaces) -> Polytope | None:
     """Intersection with extra half-spaces; None if empty or lower-dimensional.
 
     The cell's vertices and their active sets come from clipping
-    ``poly.vertices`` (see :func:`_clip`), not from a fresh enumeration or
-    a fresh evaluation of every half-space at every vertex; the result
-    equals, field for field, what exhaustive enumeration of the combined
-    list gives.
+    ``poly.vertices`` (see :func:`_clip`), not from a fresh evaluation of
+    every half-space at every vertex.  ``tests/test_geometry.py`` keeps an
+    exhaustive n-subset enumeration of the combined list as the oracle the
+    result must equal field for field.
     """
+    n = poly.dim
     combined = _dedup_halfspaces(list(poly.halfspaces) + list(halfspaces))
-    clipped = _clip(poly, combined)
-    if clipped is None:
+    clipped = _clip(poly._clip_start, combined, n, len(poly.halfspaces))
+    if len(clipped) <= n:
         return None
     vertices, active = zip(*clipped)
-    return _build(combined, poly.dim, vertices, active, require_simple=False)
+    if _linalg.affine_rank(vertices) < n:
+        return None
+    return _build(combined, n, vertices, active, require_simple=False)
 
 
-def _clip(poly: Polytope, hs):
-    """``(vertex, tight_set)`` pairs of ``poly`` cut by ``hs[len(poly.halfspaces):]``.
+def _clip(start, hs, n, first):
+    """``(vertex, tight_set)`` pairs of a body cut by ``hs[first:]``.
 
-    ``hs`` starts with ``poly.halfspaces``.  Each further half-space is
-    applied in turn: a vertex with slack >= 0 stays, and a pair of vertices
-    with one strictly inside and one strictly outside adds its crossing
-    point when the pair spans an edge, that is when the half-spaces tight
-    at both have rank n - 1.  Each vertex carries the frozenset of indices
-    into ``hs`` tight at it: the parent's come from its facets, a kept
-    vertex gains the new index when its slack is 0, and a crossing point
-    gets its edge's common set plus the new index.  A point inside an edge
-    is tight exactly where the whole edge is, so these sets are exact and
-    :func:`_build` takes them as given.  Returns None when the body left
-    over is empty or lower-dimensional.
+    ``start`` lists the body's vertices as ``(point, numerators,
+    denominator, tight set)``: ``point`` is ``numerators / denominator``
+    or None, and the tight set holds the indices into ``hs[:first]`` of
+    the half-spaces through the vertex.  Each further half-space is
+    applied in turn: a vertex with slack >= 0 stays, and a pair of
+    vertices with one strictly inside and one strictly outside adds its
+    crossing point when the pair spans an edge, that is when the
+    half-spaces tight at both have rank n - 1.  A kept vertex gains the
+    new index when its slack is 0, and a crossing point gets its edge's
+    common set plus the new index.  A point inside an edge is tight
+    exactly where the whole edge is, so these sets are exact and
+    :func:`_build` takes them as given.  This holds for any body, so the
+    result is exact even when it is empty or lower-dimensional, which
+    the caller checks.
 
     The clipping runs on integers: a vertex is ``p / q`` with an integer
     vector ``p`` and a positive integer ``q``, and the slack against
     ``<l, x> <= b`` is replaced by ``S = num(b) q - den(b) <l, p>``, which
     is ``den(b) q`` times the slack and so has its sign.  The crossing
     point of ``u`` (``S_u > 0``) and ``w`` (``S_w < 0``) is
-    ``(S_u p_w - S_w p_u) / (S_u q_w - S_w q_u)``.  Only new vertices are
-    turned back into ``Fraction`` points, once, at the end.
+    ``(S_u p_w - S_w p_u) / (S_u q_w - S_w q_u)``.  Only vertices without
+    a point are turned into ``Fraction`` points, once, at the end.
     """
-    n = poly.dim
-    current = poly._clip_start
-    for i in range(len(poly.halfspaces), len(hs)):
+    current = start
+    for i in range(first, len(hs)):
         h = hs[i]
         num, den = h.bound.numerator, h.bound.denominator
         kept, inside, outside = [], [], []
@@ -705,16 +698,13 @@ def _clip(poly: Polytope, hs):
                     q = su * qw - sw * qu
                     g = gcd(q, *p)
                     kept.append((None, [c // g for c in p], q // g, common | {i}))
-        if len(kept) <= n:
-            return None
+        if not kept:
+            return []
         current = kept
-    out = [
+    return [
         (tuple(Fraction(c, q) for c in p) if v is None else v, at_v)
         for v, p, q, at_v in current
     ]
-    if _linalg.affine_rank([v for v, _ in out]) < n:
-        return None
-    return out
 
 
 def _spans_edge(normals, n) -> bool:

@@ -248,7 +248,6 @@ def relative_futaki(poly: Polytope, u, extremal: ExtremalData) -> DegenerationRe
     vol = poly.volume
     rbar = average_scalar_curvature(poly)
     boundary = integration.boundary_integral(poly, u)
-    L = boundary - _weighted_volume(poly, u, extremal)
     u_volume = integration.integrate_pl(u)
     theta_poly = Polynomial.affine(
         poly.dim, extremal.theta.gradient, extremal.theta.constant
@@ -258,6 +257,8 @@ def relative_futaki(poly: Polytope, u, extremal: ExtremalData) -> DegenerationRe
         piece = Polynomial.affine(poly.dim, cell.piece.gradient, cell.piece.constant)
         theta_u += integration.integrate_polynomial(cell.region, theta_poly * piece)
     theta_sq = integration.integrate_polynomial(poly, theta_poly * theta_poly)
+    # The weight is theta + rbar, so its pairing with u splits exactly.
+    L = boundary - theta_u - rbar * u_volume
     return DegenerationReport(
         L_value=L,
         rel_futaki=-L / (2 * vol),

@@ -1,5 +1,6 @@
 """Polytope construction, verification, and decomposition."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -26,7 +27,7 @@ from toricstab.errors import (
 from toricstab import _linalg
 from toricstab.plfunc import affine
 
-from conftest import hull_polygon, shoelace
+from conftest import hull_polygon, random_polygon, shoelace
 
 
 def F(x):
@@ -205,6 +206,25 @@ class TestConeDecomposition:
                 bound = poly.halfspaces[facet.halfspace_index].bound
                 assert bound * facet.measure == poly.dim * per_facet[fi]
 
+    def test_cone_and_fan_order(self, cp2, pentagon, hexagon23):
+        # Both cone from an apex over the facet simplices in facet order,
+        # the apex first; the fan skips the facets through vertex 0.
+        box = _random_body(random.Random("fan"), "box")
+        centred = translate(box, tuple(-c for c in box.barycenter))
+        for poly in (cp2, pentagon, hexagon23, box, centred):
+            v0 = poly.vertices[0]
+            assert list(poly.triangulation) == [
+                Simplex((v0,) + s.vertices, poly.dim)
+                for facet in poly.facets if 0 not in facet.vertex_indices
+                for s in facet.simplices
+            ]
+            if poly.origin_interior:
+                origin = (F(0),) * poly.dim
+                assert list(cone_decomposition(poly).cells) == [
+                    (fi, Simplex((origin,) + s.vertices, poly.dim))
+                    for fi, facet in enumerate(poly.facets) for s in facet.simplices
+                ]
+
     def test_requires_interior_origin(self, cp2):
         with pytest.raises(OriginNotInterior):
             cone_decomposition(translate(cp2, (10, 0)))
@@ -233,21 +253,49 @@ class TestSubdivide:
         assert cells[0].volume == 4
 
 
-def _enumerated(poly, cuts):
-    """Oracle for ``intersect``: exhaustive enumeration of the combined list.
+def _enumerate_vertices(hs, n):
+    """Vertices of the body ``hs`` bounds: every n-subset of the hyperplanes
+    is solved and a solution is kept when it satisfies every half-space."""
+    found = []
+    for subset in itertools.combinations(hs, n):
+        sol = _linalg.solve([h.normal for h in subset], [h.bound for h in subset])
+        if sol is not None and sol not in found and all(h.slack(sol) >= 0 for h in hs):
+            found.append(sol)
+    return found
 
-    Active sets are found here by brute force, every half-space at every
-    vertex, so the oracle shares none of the clipper's bookkeeping.
-    """
+
+def _from_enumeration(hs, n, warnings=(), require_simple=False):
+    """Polytope of ``hs`` from exhaustive enumeration, with active sets
+    found by brute force, every half-space at every vertex, so the oracle
+    shares none of the clipper's bookkeeping."""
+    vertices = _enumerate_vertices(hs, n)
+    if not vertices:
+        raise Degenerate("half-space intersection is empty")
+    if _linalg.affine_rank(vertices) < n:
+        raise Degenerate("vertex hull is not full-dimensional")
+    active = [{i for i, h in enumerate(hs) if h.value(v) == h.bound} for v in vertices]
+    return geometry._build(hs, n, vertices, active, require_simple=require_simple,
+                           warnings=warnings)
+
+
+def _enumerated(poly, cuts):
+    """Oracle for ``intersect``: exhaustive enumeration of the combined list."""
     combined = geometry._dedup_halfspaces(list(poly.halfspaces) + list(cuts))
-    vertices, _ = geometry._enumerate_vertices(combined, poly.dim)
-    if not vertices or _linalg.affine_rank(vertices) < poly.dim:
+    try:
+        return _from_enumeration(combined, poly.dim)
+    except Degenerate:
         return None
-    active = [
-        {i for i, h in enumerate(combined) if h.value(v) == h.bound}
-        for v in vertices
-    ]
-    return geometry._build(combined, poly.dim, vertices, active, require_simple=False)
+
+
+def _enumerated_build(rows, require_simple):
+    """Oracle for ``build_polytope`` on bounded input with valid normals."""
+    deduped, warnings = [], []
+    for h in rows:
+        if h in deduped:
+            warnings.append(f"duplicate half-space {h.normal} <= {h.bound} dropped")
+        else:
+            deduped.append(h)
+    return _from_enumeration(deduped, len(rows[0].normal), warnings, require_simple)
 
 
 def _fields(poly):
@@ -278,13 +326,16 @@ def _random_body(rng, kind):
             return build_polytope(geometry.simplex_halfspaces(Simplex(verts, 3)))
 
 
+def _primitive(rng, n):
+    while True:
+        normal = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(normal):
+            return _linalg.primitivize(normal)[0]
+
+
 def _random_cut(rng, poly):
     """A half-space whose bound is a vertex value, between values, or outside."""
-    while True:
-        normal = tuple(rng.randint(-3, 3) for _ in range(poly.dim))
-        if any(normal):
-            break
-    normal, _ = _linalg.primitivize(normal)
+    normal = _primitive(rng, poly.dim)
     values = sorted(_linalg.dot(normal, v) for v in poly.vertices)
     roll = rng.random()
     if roll < 0.3:
@@ -294,6 +345,190 @@ def _random_cut(rng, poly):
     else:
         bound = rng.choice((values[0] - 1, values[-1] + 1))
     return halfspace(normal, bound)
+
+
+PYRAMID = [halfspace((0, 0, -1), 0), halfspace((1, 0, 1), 1), halfspace((-1, 0, 1), 1),
+           halfspace((0, 1, 1), 1), halfspace((0, -1, 1), 1)]
+OCTAHEDRON = [halfspace(s, 1) for s in itertools.product((1, -1), repeat=3)]
+
+
+def _with_extras(rng, poly, scale=1):
+    """The half-spaces of ``poly`` with bounds times ``scale``, shuffled,
+    plus redundant ones (some touching the body) and duplicates."""
+    rows = [halfspace(h.normal, h.bound * scale) for h in poly.halfspaces]
+    for _ in range(rng.randint(0, 3)):
+        normal = _primitive(rng, poly.dim)
+        top = max(_linalg.dot(normal, v) for v in poly.vertices) * scale
+        rows.append(halfspace(normal, top + rng.choice((0, 0, F(1) / 3, 2))))
+    for _ in range(rng.randint(0, 2)):
+        rows.append(rng.choice(rows))
+    rng.shuffle(rows)
+    return rows
+
+
+class TestBuildAgainstEnumeration:
+    """``build_polytope`` clips a bounding box; enumeration is the oracle."""
+
+    def check(self, rows, require_simple=True):
+        def outcome(build):
+            try:
+                return _fields(build(rows, require_simple))
+            except (Degenerate, NotSimple) as exc:
+                return type(exc), str(exc)
+
+        built = outcome(lambda r, s: build_polytope(r, require_simple=s))
+        assert built == outcome(_enumerated_build)
+        return built
+
+    @pytest.mark.parametrize("kind,count", [("polygon", 60), ("box", 20), ("simplex", 20)])
+    def test_random_bodies(self, kind, count):
+        rng = random.Random(f"build-{kind}")
+        for _ in range(count):
+            if kind == "polygon":
+                poly = random_polygon(rng, den=rng.choice((1, 2, 3, 7)))
+            else:
+                poly = _random_body(rng, kind)
+            scale = F(1) / rng.randint(1, 5)
+            rows = _with_extras(rng, poly, scale)
+            assert self.check(rows, require_simple=False)[0] == poly.dim
+            self.check(rows)
+
+    def test_intervals(self):
+        rng = random.Random("build-interval")
+        for _ in range(30):
+            lo, hi = sorted(Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(2))
+            rows = [halfspace((1,), hi), halfspace((-1,), -lo)]
+            rows += [halfspace((rng.choice((1, -1)),), rng.randint(20, 30))
+                     for _ in range(rng.randint(0, 2))]
+            rows += rng.sample(rows, rng.randint(0, 2))
+            rng.shuffle(rows)
+            self.check(rows)
+
+    def test_non_simple_bodies(self):
+        for rows in (PYRAMID, OCTAHEDRON):
+            assert self.check(rows)[0] is NotSimple
+            assert self.check(rows, require_simple=False)[0] == 3
+
+    def test_huge_and_tiny_bounds(self):
+        rng = random.Random("build-scale")
+        for scale in (10**12, Fraction(1, 10**9), Fraction(10**12 + 1, 7)):
+            for kind in ("polygon", "box", "simplex"):
+                poly = random_polygon(rng) if kind == "polygon" else _random_body(rng, kind)
+                self.check(_with_extras(rng, poly, scale), require_simple=False)
+            self.check([halfspace((1,), scale), halfspace((-1,), scale)])
+            self.check([halfspace(h.normal, h.bound * scale) for h in OCTAHEDRON],
+                       require_simple=False)
+
+    def test_vertices_near_the_box(self):
+        # The box is |x_j| <= n! H**n + 1.  With nearly parallel normals the
+        # vertex (-2002, -2003001) sits 1002 inside the box of 2004003.
+        wedge = self.check([halfspace((1000, -1), 1001), halfspace((-1001, 1), 1001),
+                            halfspace((1, 0), 0)])
+        assert pt(-2002, -2003001) in wedge[2]
+        # Here a coordinate reaches n! H**n = 2 itself.
+        corner = self.check([halfspace((1, -1), 1), halfspace((0, 1), 1),
+                             halfspace((-1, 0), 1), halfspace((0, -1), 1)])
+        assert pt(2, 1) in corner[2]
+        # H rounds the bound 3/2 up to 2; rounding down would put (3, 3/2)
+        # on the box.
+        corner = self.check([halfspace((1, -1), "3/2"), halfspace((0, 1), "3/2"),
+                             halfspace((-1, 0), 1), halfspace((0, -1), 1)])
+        assert pt(3, "3/2") in corner[2]
+        self.check([halfspace((1, -1, 0), 1), halfspace((0, 1, -1), 1),
+                    halfspace((0, 0, 1), 1), halfspace((-1, 0, 0), 1),
+                    halfspace((0, -1, 0), 1), halfspace((0, 0, -1), 1)])
+        rng = random.Random("build-parallel")
+        for _ in range(10):
+            a = rng.randint(100, 5000)
+            rows = [halfspace((a, -1), rng.randint(-50, 50)),
+                    halfspace((-a - 1, 1), rng.randint(60, 200)),
+                    halfspace((1, 0), rng.randint(0, 3)), halfspace((0, 1), 10**6)]
+            self.check(rows, require_simple=False)
+
+    def test_empty_and_flat_bodies(self):
+        square = [halfspace((0, 1), 1), halfspace((0, -1), 1)]
+        cases = [
+            ([halfspace((1, 0), -2), halfspace((-1, 0), 0)] + square,
+             "half-space intersection is empty"),
+            ([halfspace((1, 0), 0), halfspace((-1, 0), 0)] + square,
+             "vertex hull is not full-dimensional"),
+            ([halfspace((1, 1), 0), halfspace((-1, -1), 0), halfspace((1, 0), 0),
+              halfspace((-1, 0), 0)], "vertex hull is not full-dimensional"),
+            ([halfspace((1,), 1), halfspace((-1,), -1)], "vertex hull is not full-dimensional"),
+            ([halfspace((1, 0, 0), 0), halfspace((-1, 0, 0), 0)]
+             + [halfspace(n, 1) for n in ((0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))],
+             "vertex hull is not full-dimensional"),
+            (OCTAHEDRON + [halfspace((1, 1, 1), -4)], "half-space intersection is empty"),
+        ]
+        for rows, message in cases:
+            assert self.check(rows, require_simple=False) == (Degenerate, message)
+
+
+def _angular_cycle(points, flat):
+    """Reference face order: positions sorted by exact angle about the
+    centroid of ``flat``, rotated to start at the smallest of ``points``."""
+    cx = sum(p[0] for p in flat) / len(flat)
+    cy = sum(p[1] for p in flat) / len(flat)
+    vecs = [(p[0] - cx, p[1] - cy) for p in flat]
+
+    def compare(i, j):
+        (ax, ay), (bx, by) = vecs[i], vecs[j]
+        upper_i = ay > 0 or (ay == 0 and ax > 0)
+        upper_j = by > 0 or (by == 0 and bx > 0)
+        if upper_i != upper_j:
+            return -1 if upper_i else 1
+        return -1 if ax * by - ay * bx > 0 else 1
+
+    order = sorted(range(len(flat)), key=functools.cmp_to_key(compare))
+    start = order.index(min(range(len(points)), key=points.__getitem__))
+    return order[start:] + order[:start]
+
+
+class TestFaceOrder:
+    """Face order from the edge graph equals an angular sort."""
+
+    def check(self, poly):
+        if poly.dim == 2:
+            assert list(poly.ccw_cycle) == _angular_cycle(poly.vertices, poly.vertices)
+            return
+        for facet in poly.facets:
+            normal = poly.halfspaces[facet.halfspace_index].normal
+            points = [poly.vertices[j] for j in facet.vertex_indices]
+            drop = next(j for j, c in enumerate(normal) if c != 0)
+            flat = [p[:drop] + p[drop + 1:] for p in points]
+            cycle = [points[q] for q in _angular_cycle(points, flat)]
+            assert [s.vertices for s in facet.simplices] == [
+                (cycle[0], cycle[i], cycle[i + 1]) for i in range(1, len(cycle) - 1)
+            ]
+
+    def test_random_polygons_and_cells(self):
+        rng = random.Random("order-2d")
+        for _ in range(60):
+            poly = random_polygon(rng, den=rng.choice((1, 3)))
+            self.check(poly)
+            cell = geometry.intersect(poly, [_random_cut(rng, poly)])
+            if cell is not None:
+                self.check(cell)
+
+    def test_random_3d_cells(self):
+        rng = random.Random("order-3d")
+        bodies = [build_polytope(rows, require_simple=False) for rows in (PYRAMID, OCTAHEDRON)]
+        bodies += [_random_body(rng, kind) for kind in ("box", "simplex") for _ in range(8)]
+        checked = 0
+        for body in bodies:
+            self.check(body)
+            for _ in range(8):
+                cuts = [_random_cut(rng, body) for _ in range(rng.randint(1, 2))]
+                # Half of the cuts go through a vertex of the body.
+                for i, h in enumerate(cuts):
+                    if rng.random() < 0.5:
+                        v = rng.choice(body.vertices)
+                        cuts[i] = halfspace(h.normal, _linalg.dot(h.normal, v))
+                cell = geometry.intersect(body, cuts)
+                if cell is not None:
+                    self.check(cell)
+                    checked += 1
+        assert checked > 50
 
 
 class TestClipping:

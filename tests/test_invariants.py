@@ -283,6 +283,21 @@ class TestRelativeFutaki:
                 assert deg.rel_futaki < 0
             assert (deg.rel_futaki == 0) == deg.trivial
 
+    def test_L_value_equals_linear_functional(self, cp2, blowup1, pentagon, hexagon23):
+        # relative_futaki splits the weighted volume into theta and rbar
+        # parts; linear_functional_L integrates the weight in one piece.
+        rng = random.Random(23)
+        box = build_polytope([halfspace(n, b) for n, b in (
+            ((1, 0, 0), 2), ((-1, 0, 0), "1/2"), ((0, 1, 0), 1), ((0, -1, 0), 3),
+            ((0, 0, 1), "3/2"), ((0, 0, -1), 1))])
+        for poly in (cp2, blowup1, pentagon, hexagon23, box):
+            ext = invariants.extremal_field(poly)
+            for _ in range(6 if poly.dim == 2 else 2):
+                u = random_convex_pl(rng, poly)
+                assert relative_futaki(poly, u, ext).L_value == linear_functional_L(
+                    poly, u, ext
+                )
+
     def test_self_pairing_and_trivial_link(self, hexagon23):
         ext = invariants.extremal_field(hexagon23)
         u = crease_x1(hexagon23)

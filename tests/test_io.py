@@ -195,6 +195,24 @@ class TestCLI:
         assert main(["analyze", "--spec", "/does/not/exist.json"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("rows,message", [
+        ([((1, 0), 1), ((0, 1), 1), ((0, -1), 1)], "direction (-1, 0) recedes"),
+        ([((1, 0), -2), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)],
+         "half-space intersection is empty"),
+        ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)],
+         "vertex hull is not full-dimensional"),
+    ])
+    def test_bad_body_spec_exits_two(self, capsys, tmp_path, rows, message):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps({
+            "dim": 2,
+            "halfspaces": [{"normal": list(n), "bound": b} for n, b in rows],
+        }))
+        assert main(["analyze", "--spec", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_scan_subcommand_small_body(self, capsys, monkeypatch):
         # Patch the default grid down so the CLI path stays fast here; the
         # full default grid is exercised by the acceptance suite.
