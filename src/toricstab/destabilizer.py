@@ -3,24 +3,33 @@
 Candidates are ``u = max(0, g)`` with an affine crease function ``g``
 whose zero set crosses the polygon interior.  Directions come from a
 rational circle parameterization (tangent half-angle, so no floating
-trigonometry ever enters), offsets from an interior grid between the
-extreme values of the direction over the vertices.  Every candidate's
-functional value and boundary integral are exact rationals; the grid is
-refined locally around the incumbent a configurable number of rounds and
-the final incumbent is re-verified through the independent slow path.
+trigonometry ever enters), offsets from an evenly spaced grid between the
+base point and the extreme value of the direction over the vertices.
+Every candidate's functional value and boundary integral are exact
+rationals; the grid is refined locally around the incumbent a
+configurable number of rounds and the final incumbent is re-verified
+through the independent slow path.
 
-Candidates stay integers until the winner: each direction is put over one
-denominator once, a candidate is an integer tuple for the kernel, and
-candidates are ranked by cross-multiplying the kernel's integer results.
-Only the incumbent of each round becomes a ``Fraction`` ratio, and only
-the final winner an ``AffineFunction``.
+Each direction's offsets are swept as a profile.  The vertices' values of
+the direction cut the offset range into pieces; on a piece the boundary
+integral ``B`` is a polynomial of degree at most 2 in the offset and
+``integral(w * u)``, hence ``L``, one of degree at most 4, because the
+clipped region's vertices move affinely and the weight adds a degree.  So
+the kernel evaluates only the first :data:`SAMPLES` offsets of a piece,
+all pieces of a round in one batch, and the rest of the piece follows
+exactly by integer finite differences.  Candidates are ranked by
+cross-multiplying these integers; only the incumbent of each round is
+reduced and becomes a ``Fraction`` ratio, and only the final winner an
+``AffineFunction``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import integration, invariants
 from .errors import NoInteriorCrease
@@ -30,6 +39,7 @@ from .kernels import simple_pl_values
 from .plfunc import AffineFunction, SimplePL
 
 REFINE_POINTS = 21
+SAMPLES = 5  # kernel offsets per profile piece: enough to fix the quartic L
 
 
 @dataclass(frozen=True)
@@ -76,49 +86,130 @@ def _direction(w: Fraction):
 
 
 def _crease_family(poly: Polytope, base):
-    """Creases for direction parameters w and offset parameters v in [0, 1).
+    """Per-direction crease sweeps for direction parameters w in [0, 1).
 
-    Returns a function ``(ws, vs) -> list`` giving the creases of every
-    pair in ``ws x vs``, w-major.  A crease ``g = (g0 + g1 x + g2 y) / gden``
-    is the integer tuple ``(g0, g1, g2, gden)`` that
-    :func:`simple_pl_values` reads; the tuples are not reduced.  Each
-    direction ``(a1, a2)``, its value at the base point and its rise from
-    there to the maximal vertex are put over one denominator once, with
-    the vertices and the base point as integer numerators over a common
-    denominator.  Offsets sweep from the crease through the normalization
-    point (v = 0) out to the maximal vertex, so every candidate is
-    normalized: it vanishes at the base point and is nonnegative.  The
-    antipodal direction covers the other orientation of each crease line,
-    hence no line is lost to this restriction, and the resulting ratios
-    genuinely upper-bound the coercivity constant.
+    Returns a function ``w -> _Sweep``.  The vertices and the base point
+    are put over one denominator once, as integer numerators.  Offsets
+    ``v`` sweep from the crease through the normalization point (v = 0)
+    out to the maximal vertex (v = 1), so every candidate is normalized:
+    it vanishes at the base point and is nonnegative.  The antipodal
+    direction covers the other orientation of each crease line, hence no
+    line is lost to this restriction, and the resulting ratios genuinely
+    upper-bound the coercivity constant.
     """
     pden = math.lcm(*[c.denominator for p in (*poly.vertices, base) for c in p])
     pts = [(int(x * pden), int(y * pden)) for x, y in poly.vertices]
     bx, by = int(base[0] * pden), int(base[1] * pden)
 
-    def creases(ws, vs):
-        offsets = [(v.numerator, v.denominator) for v in vs]
-        out = []
-        for w in ws:
-            a1, a2 = _direction(w)
-            aden = math.lcm(a1.denominator, a2.denominator)
-            n1 = a1.numerator * (aden // a1.denominator)
-            n2 = a2.numerator * (aden // a2.denominator)
-            # Over aden * pden: the direction, its value at the base point
-            # and its rise to the maximal vertex; with v = vn / vd,
-            # g = a1 x + a2 y - (gbase + v * rise).
-            gbase = n1 * bx + n2 * by
-            rise = max(n1 * x + n2 * y for x, y in pts) - gbase
-            n1 *= pden
-            n2 *= pden
-            den = aden * pden
-            out.extend(
-                (-(gbase * vd + vn * rise), n1 * vd, n2 * vd, den * vd)
-                for vn, vd in offsets
-            )
-        return out
+    def sweep(w):
+        a1, a2 = _direction(w)
+        aden = math.lcm(a1.denominator, a2.denominator)
+        n1 = a1.numerator * (aden // a1.denominator)
+        n2 = a2.numerator * (aden // a2.denominator)
+        # Over aden * pden: the direction at each vertex and at the base
+        # point, and the rise from there to the maximal vertex.
+        values = [n1 * x + n2 * y for x, y in pts]
+        gbase = n1 * bx + n2 * by
+        top = max(values)
+        breaks = sorted({s - gbase for s in values if gbase < s < top})
+        return _Sweep(n1 * pden, n2 * pden, aden * pden, gbase, top - gbase, breaks)
 
-    return creases
+    return sweep
+
+
+class _Sweep(NamedTuple):
+    """The creases of one direction ``(n1, n2) / den`` as the offset moves.
+
+    With ``v = vn / vd`` the crease is ``g = (n1 x + n2 y) / den - (gbase
+    + v * rise) / den``; ``rise > 0`` because the base point is interior.
+    ``breaks`` are the numerators over ``rise`` of the breakpoints: the
+    offsets in (0, 1) at which the crease passes a vertex.
+    """
+
+    n1: int
+    n2: int
+    den: int
+    gbase: int
+    rise: int
+    breaks: list
+
+    def crease(self, vn, vd):
+        """The crease at ``v = vn / vd`` (``vd > 0``) as the unreduced
+        integer tuple ``(g0, g1, g2, gden)`` that :func:`simple_pl_values`
+        reads."""
+        return (-(self.gbase * vd + vn * self.rise), self.n1 * vd, self.n2 * vd, self.den * vd)
+
+    def pieces(self, p0, s, q, count):
+        """``(start, stop)`` runs of the offsets ``(p0 + t s) / q``,
+        ``t < count``, with ``s, q > 0``, that no breakpoint separates.
+
+        Offset t lies at or left of the breakpoint ``b / rise`` exactly
+        when ``t <= (b q - p0 rise) / (s rise)``, so an offset on a
+        breakpoint ends its run; by continuity either side would do.
+        """
+        rise = self.rise
+        cuts = {(b * q - p0 * rise) // (s * rise) + 1 for b in self.breaks}
+        bounds = [0, *sorted(c for c in cuts if 0 < c < count), count]
+        return list(zip(bounds, bounds[1:]))
+
+
+def _continue(values, count, degree):
+    """Extend ``values`` at 0, 1, ... of a polynomial of degree at most
+    ``degree`` to its values at ``0 .. count - 1``.
+
+    The backward differences at the last value, of orders ``0 .. degree``,
+    come from the last ``degree + 1`` values.  The top one is constant,
+    and each lower order is the running sum of the one above, so integers
+    stay integers.
+    """
+    if count <= len(values):
+        return values
+    row = values[-degree - 1:]
+    diffs = []
+    while row:
+        diffs.append(row[-1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    seq = itertools.repeat(diffs[degree], count - len(values))
+    for k in range(degree - 1, -1, -1):
+        seq = itertools.islice(itertools.accumulate(seq, initial=diffs[k]), 1, None)
+    return values + list(seq)
+
+
+def _profiles(family, kernel_args, ws, v0, step, count):
+    """Exact ``L`` and ``B`` of every crease ``(w, v0 + t * step)``,
+    ``w`` in ``ws`` and ``t < count``, with ``step > 0``.
+
+    Returns, per direction, its pieces as ``(start, cl, cb, ls, bs)``:
+    offset ``start + k`` has ``L = ls[k] / cl`` and ``B = bs[k] / cb``,
+    with ``cl, cb > 0``.  One
+    :func:`simple_pl_values` call evaluates the first :data:`SAMPLES`
+    offsets of every piece; ``cl`` and ``cb`` are the ``lcm`` of their
+    denominators, and the rest of a longer piece comes from
+    :func:`_continue` (degree 4 for ``L``, 2 for ``B``).
+    """
+    q = math.lcm(v0.denominator, step.denominator)
+    p0, s = v0.numerator * (q // v0.denominator), step.numerator * (q // step.denominator)
+    sweeps = [family(w) for w in ws]
+    plans = [sw.pieces(p0, s, q, count) for sw in sweeps]
+    cands = [
+        sw.crease(p0 + t * s, q)
+        for sw, pieces in zip(sweeps, plans)
+        for start, stop in pieces
+        for t in range(start, min(stop, start + SAMPLES))
+    ]
+    rows = iter(simple_pl_values(*kernel_args, cands))
+    out = []
+    for pieces in plans:
+        direction = []
+        for start, stop in pieces:
+            got = [next(rows) for _ in range(min(stop - start, SAMPLES))]
+            cl = math.lcm(*[ld for _, ld, _, _ in got])
+            cb = math.lcm(*[bd for _, _, _, bd in got])
+            ls = _continue([ln * (cl // ld) for ln, ld, _, _ in got], stop - start, 4)
+            bs = _continue([bn * (cb // bd) for _, _, bn, bd in got], stop - start, 2)
+            direction.append((start, cl, cb, ls, bs))
+        out.append(direction)
+    return out
 
 
 def _affine(cand) -> AffineFunction:
@@ -160,11 +251,16 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
     """Sweep single-crease candidates, keep the exact minimum ratio.
 
     The curvature hypothesis (weight nonnegative on P) is checked first
-    and recorded; evaluation is exact either way.  Candidates are integer
-    tuples from the grid point to the ranking; the incumbent becomes a
-    ``Fraction`` ratio once per round, and only the final winner an
-    ``AffineFunction``.  That winner is recomputed through the general
-    functional as an independent exactness check before reporting.
+    and recorded; evaluation is exact either way.  Each round hands every
+    direction the same evenly spaced offsets ``(v0, step, count)`` and
+    evaluates them as per-direction profiles (:func:`_profiles`): one
+    kernel batch of at most :data:`SAMPLES` offsets per piece, the rest by
+    exact integer finite differences.  Candidates are ranked w-major and
+    by offset, so the strict ``<`` keeps the first minimum of the grid.
+    The incumbent becomes a ``Fraction`` ratio once per round, and only
+    the final winner an ``AffineFunction``.  That winner is recomputed
+    through the general functional as an independent exactness check
+    before reporting.
     """
     if poly.dim != 2:
         raise ValueError("the crease scan is defined for dimension 2 only")
@@ -178,39 +274,45 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
     else:
         base = poly.barycenter
 
-    vxs, vys, vden, edges, wlin, wden = _kernel_data(poly, extremal)
-    creases = _crease_family(poly, base)
+    kernel_args = _kernel_data(poly, extremal)
+    family = _crease_family(poly, base)
 
     evaluated = 0
-    best = None  # (ratio numerator, ratio denominator, w, v, candidate, row)
+    best = None  # (ratio numerator, ratio denominator, w, v, candidate, (L, B))
     round_minima = []
 
-    def consider(ws, vs):
-        """Evaluate every (w, v) in ws x vs, w-major; keep the first minimum.
+    def consider(ws, v0, step, count):
+        """Evaluate every (w, v0 + t * step), w-major, t < count; keep the first minimum.
 
-        A row's ratio is ``L / B = (ln * bd) / (ld * bn)`` with ``bn > 0``
-        and positive denominators, so ratios compare exactly by
-        cross-multiplying; the strict ``<`` keeps the first minimum found.
+        ``L / B = (l * cb) / (cl * b)`` with ``b > 0`` and positive
+        denominators, so ratios compare exactly by cross-multiplying, the
+        products with the incumbent held per piece.  ``(1, 0)`` stands for
+        the ratio of no incumbent, which every candidate beats.
         """
         nonlocal best, evaluated
-        cands = creases(ws, vs)
-        rows = simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands)
+        profiles = _profiles(family, kernel_args, ws, v0, step, count)
+        top_n, top_d = best[:2] if best else (1, 0)
         pick = None
-        top_n, top_d = best[:2] if best else (None, None)
-        for k, (ln, ld, bn, bd) in enumerate(rows):
-            if bn == 0:
-                continue  # crease missed the body; u vanishes on the boundary
-            evaluated += 1
-            if top_d is None or ln * bd * top_d < top_n * ld * bn:
-                top_n, top_d = ln * bd, ld * bn
-                pick = k
+        for j, pieces in enumerate(profiles):
+            for start, cl, cb, ls, bs in pieces:
+                x, y = cb * top_d, top_n * cl
+                for t, (l, b) in enumerate(zip(ls, bs), start):
+                    if b == 0:
+                        continue  # crease missed the body; u vanishes on the boundary
+                    evaluated += 1
+                    if l * x < y * b:
+                        top_n, top_d = l * cb, cl * b
+                        x, y = cb * top_d, top_n * cl
+                        pick = (j, t, l, cl, b, cb)
         if pick is not None:
-            nv = len(vs)
-            best = (top_n, top_d, ws[pick // nv], vs[pick % nv], cands[pick], rows[pick])
+            j, t, l, cl, b, cb = pick
+            v = v0 + t * step
+            cand = family(ws[j]).crease(v.numerator, v.denominator)
+            best = (top_n, top_d, ws[j], v, cand, (Fraction(l, cl), Fraction(b, cb)))
 
     m = config.direction_count
     offs = config.offset_count
-    consider([Fraction(j, m) for j in range(m)], [Fraction(t, offs) for t in range(offs)])
+    consider([Fraction(j, m) for j in range(m)], Fraction(0), Fraction(1, offs), offs)
     if best is None:
         raise NoInteriorCrease("no scan candidate produced a valid crease")
     round_minima.append(Fraction(best[0], best[1]))
@@ -223,20 +325,17 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
             w_star - dw + Fraction(2 * i, REFINE_POINTS - 1) * dw
             for i in range(REFINE_POINTS)
         ]
-        vs = [
-            v_star - dv + Fraction(2 * i, REFINE_POINTS - 1) * dv
-            for i in range(REFINE_POINTS)
-        ]
-        vs = [v for v in vs if 0 <= v < 1]
-        consider(ws, vs)
+        step = 2 * dv / (REFINE_POINTS - 1)
+        # v_star - dv + i * step grows with i, so those in [0, 1) are a run.
+        inside = [i for i in range(REFINE_POINTS) if 0 <= v_star - dv + i * step < 1]
+        consider(ws, v_star - dv + inside[0] * step, step, len(inside))
         round_minima.append(Fraction(best[0], best[1]))
         dw = 2 * dw / (REFINE_POINTS - 1)
-        dv = 2 * dv / (REFINE_POINTS - 1)
+        dv = step
 
     ratio = round_minima[-1]
     crease = _affine(best[4])
-    ln, ld, bn, bd = best[5]
-    lval, bval = Fraction(ln, ld), Fraction(bn, bd)
+    lval, bval = best[5]
     worst = SimplePL(crease)
 
     # Independent re-verification through the general machinery.

@@ -374,11 +374,15 @@ def _build(hs, n, vertices, active, *, require_simple, warnings=()) -> Polytope:
             on[i].append(j)
 
     # Facet retention: a half-space supports a facet exactly when its active
-    # vertex set spans affine dimension n-1.
+    # vertex set spans affine dimension n-1.  For n <= 3 a count decides:
+    # no vertex of a convex body lies between two others, so n distinct
+    # vertices on one supporting plane are never collinear.  From n = 4 on,
+    # n of them can share a lower face (four on a 2-face), so the rank is
+    # computed.
     retained = []
     for i, h in enumerate(hs):
         pts = [vertices[j] for j in on[i]]
-        if len(pts) >= n and _linalg.affine_rank(pts) == n - 1:
+        if len(pts) >= n and (n <= 3 or _linalg.affine_rank(pts) == n - 1):
             retained.append(i)
         else:
             warnings.append(f"redundant half-space {h.normal} <= {h.bound} dropped")
@@ -639,7 +643,13 @@ def intersect(poly: Polytope, halfspaces) -> Polytope | None:
     result must equal field for field.
     """
     n = poly.dim
-    combined = _dedup_halfspaces(list(poly.halfspaces) + list(halfspaces))
+    # The body's half-spaces are unique already, each supporting a facet.
+    combined = list(poly.halfspaces)
+    seen = set(poly.facet_keys)
+    for h in halfspaces:
+        if h.key not in seen:
+            seen.add(h.key)
+            combined.append(h)
     clipped = _clip(poly._clip_start, combined, n, len(poly.halfspaces))
     if len(clipped) <= n:
         return None
@@ -725,16 +735,6 @@ def _spans_edge(normals, n) -> bool:
             for b1, b2, b3 in normals[1:]
         )
     return _linalg.rank(normals) == n - 1
-
-
-def _dedup_halfspaces(hs):
-    seen = set()
-    out = []
-    for h in hs:
-        if h.key not in seen:
-            seen.add(h.key)
-            out.append(h)
-    return out
 
 
 def _cut_data(cut):

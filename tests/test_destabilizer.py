@@ -13,7 +13,7 @@ from toricstab import (
     make_pl,
     scan,
 )
-from toricstab import invariants
+from toricstab import destabilizer, invariants
 from toricstab.destabilizer import (
     REFINE_POINTS,
     ScanConfig,
@@ -22,6 +22,7 @@ from toricstab.destabilizer import (
     _crease_family,
     _direction,
     _kernel_data,
+    _profiles,
 )
 from toricstab.plfunc import AffineFunction, SimplePL, affine, zero_function
 
@@ -124,9 +125,9 @@ class TestDirections:
         assert not corner.origin_interior
         for poly in [catalog("cp1xcp1"), catalog("hexagon(7/2,2)"), corner]:
             base = scan_base(poly)
-            cands = _crease_family(poly, base)(ws, vs)
-            assert len(cands) == len(ws) * len(vs)
-            for cand, (w, v) in zip(cands, [(w, v) for w in ws for v in vs]):
+            family = _crease_family(poly, base)
+            for w, v in [(w, v) for w in ws for v in vs]:
+                cand = family(w).crease(v.numerator, v.denominator)
                 assert cand[3] > 0
                 crease = _affine(cand)
                 assert crease == reference_crease(poly, w, v)
@@ -252,3 +253,94 @@ class TestScanAgainstReference:
         assert len(tied) >= 2
         result = assert_same_scan(square, config)
         assert result.worst_u.crease == tied[0]
+
+
+def breakpoints(poly, w):
+    """Offsets in (0, 1) at which the crease of direction w passes a
+    vertex, in Fractions from the vertices."""
+    base = scan_base(poly)
+    a1, a2 = _direction(w)
+    values = [a1 * x + a2 * y for x, y in poly.vertices]
+    gbase = a1 * base[0] + a2 * base[1]
+    top = max(values)
+    return sorted({(g - gbase) / (top - gbase) for g in values if gbase < g < top})
+
+
+def check_profiles(poly, ext, ws, v0, step, count):
+    """Every profile row equals ``simple_pl_values`` on the same crease, and
+    the pieces are the runs between breakpoints, an offset on a breakpoint
+    ending its run.  Returns the piece lengths and the number of offsets
+    that lie on a breakpoint."""
+    family = _crease_family(poly, scan_base(poly))
+    args = _kernel_data(poly, ext)
+    profiles = _profiles(family, args, ws, v0, step, count)
+    assert len(profiles) == len(ws)
+    vs = [v0 + t * step for t in range(count)]
+    lengths, on_break = [], 0
+    for w, pieces in zip(ws, profiles):
+        cands = [family(w).crease(v.numerator, v.denominator) for v in vs]
+        want = [(F(ln, ld), F(bn, bd)) for ln, ld, bn, bd in kernels.simple_pl_values(*args, cands)]
+        got, stops = [], []
+        for start, cl, cb, ls, bs in pieces:
+            assert start == len(got) and cl > 0 and cb > 0 and len(ls) == len(bs) > 0
+            got.extend((F(l, cl), F(b, cb)) for l, b in zip(ls, bs))
+            stops.append(len(got))
+            lengths.append(len(ls))
+        assert got == want
+        cuts = breakpoints(poly, w)
+        on_break += sum(v in cuts for v in vs)
+        for t in range(count - 1):
+            split = any(vs[t] <= c < vs[t + 1] for c in cuts)
+            assert split == (t + 1 in stops), (w, t)
+    return lengths, on_break
+
+
+class TestProfiles:
+    """Per-direction profiles against the kernel on every grid offset."""
+
+    WS = [F(j, 24) for j in range(24)]
+
+    def polygons(self):
+        rng = random.Random(99)
+        polys = [random_polygon(rng, radius=3) for _ in range(6)]
+        polys += [random_polygon(rng, den=rng.choice((2, 3, 7)), radius=5) for _ in range(4)]
+        polys += [catalog("cp2_2blowup"), catalog("hexagon(7/2,2)")]
+        # Both base points, and rational vertices over vden > 1.
+        assert {p.origin_interior for p in polys} == {True, False}
+        assert any(c.denominator > 1 for p in polys for pt in p.vertices for c in pt)
+        return polys
+
+    def test_seeded_polygons(self):
+        lengths, on_break = [], 0
+        for poly in self.polygons():
+            ext = invariants.extremal_field(poly)
+            got = check_profiles(poly, ext, self.WS, F(0), F(1, 40), 40)
+            lengths += got[0]
+            on_break += got[1]
+        # Short pieces, all kernel samples, and long ones continued by
+        # finite differences; and grid offsets exactly on a breakpoint.
+        assert {1, 2, 3, 4, 5} <= set(lengths)
+        assert max(lengths) >= 6
+        assert on_break > 0
+
+    def test_single_offset_and_offgrid_start(self):
+        poly = catalog("cp2_2blowup")
+        ext = invariants.extremal_field(poly)
+        check_profiles(poly, ext, self.WS, F(1, 3), F(1, 7), 1)
+        check_profiles(poly, ext, [F(-1, 7), F(5, 4)], F(2, 9), F(1, 60), 45)
+
+    def test_refine_round_progressions(self, monkeypatch):
+        calls = []
+
+        def recording(family, kernel_args, ws, v0, step, count):
+            calls.append((ws, v0, step, count))
+            return _profiles(family, kernel_args, ws, v0, step, count)
+
+        monkeypatch.setattr(destabilizer, "_profiles", recording)
+        for poly in self.polygons()[::3]:
+            ext = invariants.extremal_field(poly)
+            calls.clear()
+            scan(poly, ext, ScanConfig(12, 30, 3))
+            assert len(calls) == 4
+            for ws, v0, step, count in calls:
+                check_profiles(poly, ext, ws, v0, step, count)

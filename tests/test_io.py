@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ from toricstab.catalog import CATALOG_NAMES, hexagon
 from toricstab.cli import main
 from toricstab.errors import InvalidHexagonParams, ParseError, UnknownName
 from toricstab.plexpr import parse_pl_expression
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def F(a, b=1):
@@ -227,6 +231,17 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["scan"]["destabilizer_found"] is False
+
+    @pytest.mark.parametrize("name,golden", [("cp2_2blowup", "scan_cp2_2blowup.json"),
+                                             ("hexagon(2,3)", "scan_hexagon23.json")])
+    def test_default_scan_golden_bytes(self, tmp_path, name, golden):
+        # The files hold the output of the scan that sent every grid
+        # candidate through the kernel; the profile scan must match them
+        # byte for byte.
+        out = tmp_path / "scan.json"
+        code = main(["scan", "--catalog", name, "--format", "structured", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
     def test_center_flag(self, capsys):
         code = main([
