@@ -79,17 +79,6 @@ def det_int(rows):
     return sign * m[-1][-1]
 
 
-def det_fraction(rows):
-    """Determinant of a rational matrix, exact."""
-    scaled = []
-    denom = 1
-    for row in rows:
-        mult = lcm(*[entry.denominator for entry in row])
-        scaled.append([entry.numerator * (mult // entry.denominator) for entry in row])
-        denom *= mult
-    return Fraction(det_int(scaled), denom)
-
-
 def solve(rows, rhs):
     """Solve a square rational system exactly.
 
@@ -118,12 +107,11 @@ def solve(rows, rhs):
 
 
 def rank(rows):
-    """Rank of a rational matrix by fraction-free Gaussian elimination.
+    """Rank of an integer matrix by fraction-free Gaussian elimination.
 
-    Each row is scaled to integers, which keeps the rank, and a pivot row
-    eliminates below it by integer cross-multiplication.
+    A pivot row eliminates below it by integer cross-multiplication.
     """
-    m = [clear_row_denominators(row) for row in rows]
+    m = [list(row) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     r = 0
@@ -144,12 +132,12 @@ def rank(rows):
 
 
 def cross_generalized(rows, n):
-    """Vector orthogonal to n-1 row vectors in R^n via signed minors.
+    """Integer vector orthogonal to n-1 integer row vectors in R^n via signed minors.
 
     For n = 2 this rotates the single row by a quarter turn, for n = 3 it
-    is the cross product.  Entries inherit the scalar type of the input
-    (integers stay integers).  Returns the zero vector when the rows are
-    dependent.
+    is the cross product.  Returns the zero vector when the rows are
+    dependent.  Callers with rational rows write them over a common
+    denominator first, which scales the result by a positive integer.
     """
     if len(rows) != n - 1:
         raise ValueError("need exactly n-1 rows")
@@ -158,13 +146,9 @@ def cross_generalized(rows, n):
     out = []
     for j in range(n):
         minor = [[row[k] for k in range(n) if k != j] for row in rows]
-        d = det_fraction(minor) if _has_fraction(minor) else det_int(minor)
+        d = det_int(minor)
         out.append(d if j % 2 == 0 else -d)
     return tuple(out)
-
-
-def _has_fraction(rows):
-    return any(isinstance(x, Fraction) and x.denominator != 1 for row in rows for x in row)
 
 
 def primitivize(vec):

@@ -20,6 +20,16 @@ it is the Euclidean surface measure divided by ``|l|_2``.  Because the
 Euclidean measure of a rational facet piece is a rational multiple of
 ``sqrt(|l|_2^2)``, the lattice measure of every facet piece is an exact
 rational and no square root is ever materialized.
+
+What a polytope computes when it is built, and what only when read:
+:func:`_build` derives the vertices, the retained facets, their vertex
+sets and the simplices tiling each facet.  Everything an integral reads
+beyond that is a cached property, computed on first use and kept: a
+facet's simplices over one denominator and its lattice measures
+(:attr:`Facet.simplex_measures`), the triangulation and its integer
+form, the volume and barycenter, and the clipping start and cone
+half-spaces.  Most cells of the cone form are only integrated over
+their volume, so they never compute a facet measure.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, gcd
+from math import ceil, factorial, gcd, lcm
 
 from . import _linalg
 from .errors import (
@@ -53,10 +63,6 @@ class HalfSpace:
 
     normal: tuple
     bound: Fraction
-
-    @property
-    def norm_sq(self) -> int:
-        return sum(c * c for c in self.normal)
 
     @property
     def key(self):
@@ -86,11 +92,6 @@ class Simplex:
     def k(self) -> int:
         return len(self.vertices) - 1
 
-    def _integer_edges(self):
-        """``(q, edges)``: the edge vectors from vertex 0, as integer vectors over q."""
-        q, ints = _linalg.over_common_denominator(self.vertices)
-        return q, [_linalg.vsub(p, ints[0]) for p in ints[1:]]
-
     def volume(self) -> Fraction:
         """k-dimensional volume; only defined for full-dimensional simplices.
 
@@ -105,28 +106,57 @@ class Simplex:
         n = self.ambient_dim
         if self.k != n:
             raise DegenerateSimplex("volume needs a full-dimensional simplex")
-        q, edges = self._integer_edges()
-        return Fraction(abs(_linalg.det_int(edges)), q**n * factorial(n))
+        q, points = _linalg.over_common_denominator(self.vertices)
+        return Fraction(abs(_linalg.det_int(_edges(points))), q**n * factorial(n))
 
 
 @dataclass(frozen=True)
 class Facet:
-    """A facet of a polytope together with its lattice-measure decomposition.
+    """A facet of a polytope and the simplices tiling it.
 
-    ``measure_scale_sq`` records ``|l|_2^2`` for the facet normal; the
-    lattice measure of each stored simplex is already the exact rational
-    obtained after dividing the Euclidean measure by ``sqrt(|l|_2^2)``.
+    ``simplices`` tile the facet, and ``normal`` is the primitive integer
+    normal ``l`` of its half-space.  The lattice measure of each simplex,
+    the exact rational Euclidean measure over ``|l|_2``, is computed on
+    the first read of :attr:`simplex_measures` or :attr:`measure` and
+    kept.  Boundary integrals and boundary measures read it; the facets
+    of a cell that is only integrated over its volume never pay for it.
     """
 
     halfspace_index: int
     vertex_indices: tuple
     simplices: tuple
-    simplex_measures: tuple
-    measure_scale_sq: int
+    normal: tuple
+
+    @functools.cached_property
+    def _integer_simplices(self) -> tuple:
+        """``(q, scale, simplices)``: the simplices over one denominator.
+
+        Each simplex becomes ``(c, points)``: its vertices are
+        ``points / q`` and its lattice measure is ``c / scale``.  The
+        generalized cross product of a simplex's edges is parallel to
+        ``l``, and its component along ``l`` over ``(n-1)! |l|_2^2`` is
+        exactly the Euclidean measure over ``|l|_2``.  With the edges as
+        integer vectors over ``q`` the cross product is ``q**(n-1)`` times
+        the rational one, so ``c = |<cross, l>|`` and
+        ``scale = q**(n-1) |l|_2^2 (n-1)!``.
+        """
+        n = len(self.normal)
+        q, points = _over_one_denominator(self.simplices)
+        scale = q ** (n - 1) * sum(c * c for c in self.normal) * factorial(n - 1)
+        return q, scale, tuple(
+            (abs(_linalg.dot(_linalg.cross_generalized(_edges(p), n), self.normal)), p)
+            for p in points
+        )
+
+    @functools.cached_property
+    def simplex_measures(self) -> tuple:
+        _, scale, simplices = self._integer_simplices
+        return tuple(Fraction(c, scale) for c, _ in simplices)
 
     @property
     def measure(self) -> Fraction:
-        return sum(self.simplex_measures, Fraction(0))
+        _, scale, simplices = self._integer_simplices
+        return Fraction(sum(c for c, _ in simplices), scale)
 
 
 @dataclass(frozen=True)
@@ -200,7 +230,8 @@ class Polytope:
 
     @functools.cached_property
     def volume(self) -> Fraction:
-        return sum((s.volume() for s in self.triangulation), Fraction(0))
+        _, scale, fan = self._integer_fan
+        return Fraction(sum(det for det, _ in fan), scale)
 
     @functools.cached_property
     def boundary_measure(self) -> Fraction:
@@ -208,15 +239,15 @@ class Polytope:
 
     @functools.cached_property
     def barycenter(self) -> Point:
-        # Exact first moments over the cached triangulation: the centroid of
-        # a simplex is the vertex average and integrates x exactly.
-        total = [Fraction(0)] * self.dim
-        for s in self.triangulation:
-            vol = s.volume()
-            for j in range(self.dim):
-                avg = sum(v[j] for v in s.vertices) / Fraction(self.dim + 1)
-                total[j] += vol * avg
-        return tuple(t / self.volume for t in total)
+        # Exact first moments over the integer fan: the centroid of a
+        # simplex is the vertex average and integrates x exactly, and every
+        # simplex volume is its det over the same n! q**n.
+        q, _, fan = self._integer_fan
+        weight = (self.dim + 1) * q * sum(det for det, _ in fan)
+        return tuple(
+            Fraction(sum(det * sum(p[j] for p in points) for det, points in fan), weight)
+            for j in range(self.dim)
+        )
 
     @functools.cached_property
     def best_origin(self) -> BestOrigin:
@@ -229,6 +260,20 @@ class Polytope:
     @functools.cached_property
     def triangulation(self) -> tuple:
         return _fan_triangulation(self)
+
+    @functools.cached_property
+    def _integer_fan(self) -> tuple:
+        """``(q, scale, simplices)``: :attr:`triangulation` over one denominator.
+
+        The same form as :attr:`Facet._integer_simplices`: each simplex
+        is ``(det, points)`` with vertices ``points / q``, ``det`` the
+        integer ``|det|`` of its edges and ``scale = n! q**n``, so its
+        volume is ``det / scale``.  Volume integrals sum integers over
+        this and build one ``Fraction`` per call.
+        """
+        q, points = _over_one_denominator(self.triangulation)
+        fan = tuple((abs(_linalg.det_int(_edges(p))), p) for p in points)
+        return q, factorial(self.dim) * q**self.dim, fan
 
     @functools.cached_property
     def _clip_start(self) -> tuple:
@@ -340,10 +385,11 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     clipped = _clip(start, box + deduped, n, len(box))
     if not clipped:
         raise Degenerate("half-space intersection is empty")
-    vertices = [v for v, _ in clipped]
-    if _linalg.affine_rank(vertices) < n:
+    body = _full_body(clipped, n)
+    if body is None:
         raise Degenerate("vertex hull is not full-dimensional")
-    active = [frozenset(i - len(box) for i in at_v) for _, at_v in clipped]
+    vertices, active = body
+    active = [frozenset(i - len(box) for i in at_v) for at_v in active]
     return _build(deduped, n, vertices, active, require_simple=require_simple,
                   warnings=warnings)
 
@@ -355,7 +401,9 @@ def _build(hs, n, vertices, active, *, require_simple, warnings=()) -> Polytope:
     bound, which must be full-dimensional, and ``active[j]`` exactly the
     indices into ``hs`` of the half-spaces tight at ``vertices[j]``.  Both
     come from :func:`_clip`; nothing is re-evaluated here.  Retained
-    facets, facet simplices, measures and warnings are derived from them.
+    facets, facet simplices and warnings are derived from them; each
+    facet keeps its normal, and its lattice measures wait until a
+    boundary integral reads them (see :class:`Facet`).
 
     A 3-D facet's vertices are put in order by its edge graph: two of
     them share an edge exactly when their active sets meet in an index
@@ -401,16 +449,7 @@ def _build(hs, n, vertices, active, *, require_simple, warnings=()) -> Polytope:
             drop = next(j for j, c in enumerate(h.normal) if c != 0)
             flat = [p[:drop] + p[drop + 1:] for p in points]
             points = [points[q] for q in _ccw_walk(flat, neighbours)]
-        simplices, measures = _facet_decomposition(points, h.normal, n)
-        facets.append(
-            Facet(
-                halfspace_index=new_index,
-                vertex_indices=tuple(vidx),
-                simplices=simplices,
-                simplex_measures=measures,
-                measure_scale_sq=h.norm_sq,
-            )
-        )
+        facets.append(Facet(new_index, tuple(vidx), _facet_simplices(points, n), h.normal))
 
     if require_simple:
         for j, v in enumerate(vertices):
@@ -498,42 +537,27 @@ def _check_bounded(hs, n):
             raise Unbounded(f"direction {v} recedes")
 
 
-def _facet_decomposition(points, normal, n):
-    """Simplices tiling a facet plus their exact lattice measures.
-
-    In 3-D the points come in cycle order and are fanned from the first.
-    """
-    if n == 1:
-        s = Simplex(tuple(points), 1)
-        return (s,), (Fraction(1),)
-    if n == 2:
-        s = Simplex(tuple(points), 2)
-        return (s,), (_dsigma_measure(s, normal),)
-    simplices = []
-    measures = []
-    for i in range(1, len(points) - 1):
-        s = Simplex((points[0], points[i], points[i + 1]), n)
-        simplices.append(s)
-        measures.append(_dsigma_measure(s, normal))
-    return tuple(simplices), tuple(measures)
+def _facet_simplices(points, n) -> tuple:
+    """Simplices tiling a facet; in 3-D the points come in cycle order and
+    are fanned from the first."""
+    if n <= 2:
+        return (Simplex(tuple(points), n),)
+    return tuple(Simplex((points[0], points[i], points[i + 1]), n)
+                 for i in range(1, len(points) - 1))
 
 
-def _dsigma_measure(simplex, normal) -> Fraction:
-    """Lattice measure of an (n-1)-simplex lying on ``<l, x> = b``.
+def _over_one_denominator(simplices):
+    """``(q, points)``: each simplex's vertices as integer numerators over
+    the common denominator ``q`` of all of them."""
+    q = lcm(*[c.denominator for s in simplices for v in s.vertices for c in v])
+    return q, [[[c.numerator * (q // c.denominator) for c in v] for v in s.vertices]
+               for s in simplices]
 
-    The generalized cross product of the edge vectors is parallel to the
-    facet normal; its rational component along ``l`` times 1/(n-1)! is
-    exactly the Euclidean measure divided by ``|l|_2``.
-    """
-    n = simplex.ambient_dim
-    # With the edges as integer vectors over q, the cross product of the
-    # n - 1 of them is q**(n-1) times the rational one.
-    q, edges = simplex._integer_edges()
-    cross = _linalg.cross_generalized(edges, n)
-    return Fraction(
-        abs(_linalg.dot(cross, normal)),
-        q ** (n - 1) * sum(c * c for c in normal) * factorial(n - 1),
-    )
+
+def _edges(points):
+    """Edge vectors from the first of the integer points."""
+    base = points[0]
+    return [[a - b for a, b in zip(p, base)] for p in points[1:]]
 
 
 def _angular_order(vectors):
@@ -638,9 +662,13 @@ def intersect(poly: Polytope, halfspaces) -> Polytope | None:
 
     The cell's vertices and their active sets come from clipping
     ``poly.vertices`` (see :func:`_clip`), not from a fresh evaluation of
-    every half-space at every vertex.  ``tests/test_geometry.py`` keeps an
-    exhaustive n-subset enumeration of the combined list as the oracle the
-    result must equal field for field.
+    every half-space at every vertex, and whether they span dimension n is
+    decided on the integer numerators the clip holds (see
+    :func:`_full_body`).  The cell is built like any polytope: facet
+    measures, triangulation and volume come on demand, so a cell that is
+    only integrated over its volume never measures a facet.
+    ``tests/test_geometry.py`` keeps an exhaustive n-subset enumeration of
+    the combined list as the oracle the result must equal field for field.
     """
     n = poly.dim
     # The body's half-spaces are unique already, each supporting a facet.
@@ -650,17 +678,14 @@ def intersect(poly: Polytope, halfspaces) -> Polytope | None:
         if h.key not in seen:
             seen.add(h.key)
             combined.append(h)
-    clipped = _clip(poly._clip_start, combined, n, len(poly.halfspaces))
-    if len(clipped) <= n:
+    body = _full_body(_clip(poly._clip_start, combined, n, len(poly.halfspaces)), n)
+    if body is None:
         return None
-    vertices, active = zip(*clipped)
-    if _linalg.affine_rank(vertices) < n:
-        return None
-    return _build(combined, n, vertices, active, require_simple=False)
+    return _build(combined, n, *body, require_simple=False)
 
 
 def _clip(start, hs, n, first):
-    """``(vertex, tight_set)`` pairs of a body cut by ``hs[first:]``.
+    """The vertices of a body cut by ``hs[first:]``, in the form of ``start``.
 
     ``start`` lists the body's vertices as ``(point, numerators,
     denominator, tight set)``: ``point`` is ``numerators / denominator``
@@ -675,15 +700,15 @@ def _clip(start, hs, n, first):
     exactly where the whole edge is, so these sets are exact and
     :func:`_build` takes them as given.  This holds for any body, so the
     result is exact even when it is empty or lower-dimensional, which
-    the caller checks.
+    the caller checks (see :func:`_full_body`).
 
     The clipping runs on integers: a vertex is ``p / q`` with an integer
     vector ``p`` and a positive integer ``q``, and the slack against
     ``<l, x> <= b`` is replaced by ``S = num(b) q - den(b) <l, p>``, which
     is ``den(b) q`` times the slack and so has its sign.  The crossing
     point of ``u`` (``S_u > 0``) and ``w`` (``S_w < 0``) is
-    ``(S_u p_w - S_w p_u) / (S_u q_w - S_w q_u)``.  Only vertices without
-    a point are turned into ``Fraction`` points, once, at the end.
+    ``(S_u p_w - S_w p_u) / (S_u q_w - S_w q_u)``; it gets its
+    ``Fraction`` point only if the body is kept (see :func:`_full_body`).
     """
     current = start
     for i in range(first, len(hs)):
@@ -711,10 +736,23 @@ def _clip(start, hs, n, first):
         if not kept:
             return []
         current = kept
-    return [
-        (tuple(Fraction(c, q) for c in p) if v is None else v, at_v)
-        for v, p, q, at_v in current
-    ]
+    return current
+
+
+def _full_body(clipped, n):
+    """``(vertices, tight sets)`` of a :func:`_clip` result, or None when
+    it is not full-dimensional.
+
+    The vertices ``p / q`` span dimension n exactly when the homogeneous
+    rows ``(q, p)`` have rank n + 1, so the test runs on the integers
+    ``_clip`` holds.  Only a full-dimensional body has its new vertices
+    turned into ``Fraction`` points.
+    """
+    if len(clipped) <= n or _linalg.rank([[q, *p] for _, p, q, _ in clipped]) <= n:
+        return None
+    vertices = [tuple(Fraction(c, q) for c in p) if v is None else v
+                for v, p, q, _ in clipped]
+    return vertices, [at_v for *_, at_v in clipped]
 
 
 def _spans_edge(normals, n) -> bool:
@@ -754,22 +792,28 @@ def translate(poly: Polytope, t) -> Polytope:
 
 
 def simplex_halfspaces(simplex: Simplex):
-    """Half-space representation of a full-dimensional simplex."""
+    """Half-space representation of a full-dimensional simplex.
+
+    The work runs on integers: with the vertices written as ``P / q``, the
+    cross product of a face's integer edges is ``q**(n-1)`` times the
+    rational one, so it has the same primitive normal, found by a gcd and
+    turned away from the omitted vertex.  The only ``Fraction`` built per
+    face is its bound ``<l, P_0> / q``.  Affinely dependent vertices raise
+    :class:`DegenerateSimplex`: then some omitted vertex lies on the
+    hyperplane through its face, or the face spans none.
+    """
     n = simplex.ambient_dim
     if simplex.k != n:
         raise DegenerateSimplex("half-space form needs a full-dimensional simplex")
-    verts = simplex.vertices
+    q, points = _linalg.over_common_denominator(simplex.vertices)
     out = []
     for omit in range(n + 1):
-        face = [verts[i] for i in range(n + 1) if i != omit]
-        edges = [_linalg.vsub(p, face[0]) for p in face[1:]]
-        normal = _linalg.cross_generalized(edges, n)
-        if all(c == 0 for c in normal):
+        face = [p for i, p in enumerate(points) if i != omit]
+        normal = _linalg.cross_generalized(_edges(face), n)
+        level = _linalg.dot(normal, face[0])
+        side = _linalg.dot(normal, points[omit]) - level
+        if side == 0:
             raise DegenerateSimplex("affinely dependent simplex vertices")
-        prim, _ = _linalg.primitivize(normal)
-        bound = Fraction(_linalg.dot(prim, face[0]))
-        if _linalg.dot(prim, verts[omit]) > bound:
-            prim = tuple(-c for c in prim)
-            bound = -bound
-        out.append(HalfSpace(prim, bound))
+        g = gcd(*normal) if side < 0 else -gcd(*normal)
+        out.append(HalfSpace(tuple(c // g for c in normal), Fraction(level // g, q)))
     return out

@@ -5,11 +5,15 @@ boundary integrals use the same engine on the facet simplices with their
 lattice measures.  On a k-simplex, affine integrands take the centroid
 value, quadratics an exact rule on the vertices and edge midpoints, and
 only degrees 3 and 4 expand into barycentric monomial integrals.  The
-centroid and vertex-and-midpoint rules run on integers: the simplex's
-vertices are written over one common denominator, the polynomial's
-coefficients over another (cached on the polynomial), and each rule sums
-integer numerators, so the only ``Fraction`` arithmetic left per simplex
-is the final quotient and its product with the measure.
+centroid and vertex-and-midpoint rules run on integers, with the
+polynomial's coefficients over one denominator (cached on the
+polynomial).  The simplices of a body's triangulation, and those of each
+facet, are written over one common denominator with an integer measure
+each; the polytope computes this form on the first volume integral and a
+facet on the first boundary integral over it, and both keep it.  Every
+simplex's rule then has the same denominator, so a volume integral sums
+integers into a single ``Fraction``, and a boundary integral builds one
+per facet.
 Lattice-point work is a bounding-box scan with exact half-space
 filtering, guarded by a cell budget so a careless scale cannot wedge the
 process.
@@ -81,12 +85,16 @@ class Polynomial:
 
     @classmethod
     def affine(cls, dim, gradient, constant):
-        terms = {tuple([0] * dim): Fraction(constant)}
-        for j, g in enumerate(gradient):
-            alpha = [0] * dim
-            alpha[j] = 1
-            terms[tuple(alpha)] = Fraction(g)
-        return cls(dim, terms)
+        """``<gradient, x> + constant``, built straight into canonical form."""
+        if len(gradient) != dim:
+            raise ValueError(f"gradient {gradient} does not have dimension {dim}")
+        terms = {}
+        # The constant's exponent (j = dim) is all zeros; it comes first.
+        for j, c in ((dim, constant), *enumerate(gradient)):
+            c = Fraction(c)
+            if c:
+                terms[tuple(int(i == j) for i in range(dim))] = c
+        return cls._trusted(dim, terms, DEFAULT_MAX_DEGREE)
 
     def degree(self) -> int:
         return max((sum(a) for a in self.terms), default=0)
@@ -239,47 +247,88 @@ def _mul_linear(expansion, coeffs):
 def _poly_over_simplex(verts, poly: Polynomial, k, measure) -> Fraction:
     if measure == 0:
         return Fraction(0)
-    degree = poly.degree()
-    if degree <= 2:
-        # Both rules below sum integer numerators: vertex v is P_v / q, and
-        # f(P / q) = N(P, q) / (denominator * q**degree).
-        denominator = poly._integer_form[0]
+    if poly.degree() <= 2:
         q, points = _linalg.over_common_denominator(verts)
-    if degree <= 1:
-        # Affine integrands integrate to the centroid value times the measure;
-        # the centroid is (sum of P_v) / ((k + 1) q).
-        q *= len(verts)
-        centroid = [sum(c) for c in zip(*points)]
-        return Fraction(
-            poly._numerator(centroid, q), denominator * q**degree
-        ) * measure
-    if degree == 2:
-        # Exact for quadratics on a k-simplex: vertex values weighted 2 - k,
-        # edge-midpoint values weighted 4, over (k + 1)(k + 2).  The
-        # midpoint of P_u / q and P_w / q is (P_u + P_w) / (2q), so four
-        # times its value has the vertices' denominator * q**2.
-        at_vertices = sum(poly._numerator(p, q) for p in points)
-        at_midpoints = sum(
-            poly._numerator([a + b for a, b in zip(u, w)], 2 * q)
-            for u, w in itertools.combinations(points, 2)
-        )
-        return Fraction(
-            (2 - k) * at_vertices + at_midpoints,
-            denominator * q * q * (k + 1) * (k + 2),
-        ) * measure
+        numerator, denominator = _low_degree_rule(poly, points, q, k)
+        return Fraction(numerator, denominator) * measure
     total = Fraction(0)
     for alpha, coeff in poly.terms.items():
         total += coeff * _monomial_over_simplex(verts, alpha, k, measure)
     return total
 
 
+def _low_degree_rule(poly: Polynomial, points, q, k):
+    """``(N, d)``: the mean of ``poly`` (degree <= 2) on a k-simplex is ``N / d``.
+
+    The simplex has vertices ``P_v / q`` for the integer ``points``, and
+    ``d`` depends on ``poly``, ``q`` and ``k`` alone, so sums over
+    simplices sharing ``q`` can add the numerators.  Both rules sum
+    integer numerators: ``f(P / q) = N(P, q) / (denominator * q**degree)``.
+    """
+    denominator, degree, _ = poly._integer_form
+    if degree <= 1:
+        # Affine integrands integrate to the centroid value times the measure;
+        # the centroid is (sum of P_v) / ((k + 1) q).
+        q *= k + 1
+        centroid = [sum(c) for c in zip(*points)]
+        return poly._numerator(centroid, q), denominator * q**degree
+    # Exact for quadratics on a k-simplex: vertex values weighted 2 - k,
+    # edge-midpoint values weighted 4, over (k + 1)(k + 2).  The midpoint
+    # of P_u / q and P_w / q is (P_u + P_w) / (2q), so four times its
+    # value has the vertices' denominator * q**2.
+    at_vertices = sum(poly._numerator(p, q) for p in points)
+    at_midpoints = sum(
+        poly._numerator([a + b for a, b in zip(u, w)], 2 * q)
+        for u, w in itertools.combinations(points, 2)
+    )
+    return (
+        (2 - k) * at_vertices + at_midpoints,
+        denominator * q * q * (k + 1) * (k + 2),
+    )
+
+
+def _integer_sum(f: Polynomial, form, k) -> Fraction:
+    """Integral of ``f`` (degree <= 2) over k-simplices in integer form.
+
+    ``form`` is ``(q, scale, simplices)`` as :attr:`Polytope._integer_fan`
+    and :attr:`Facet._integer_simplices` give it: each simplex is
+    ``(c, points)`` with vertices ``points / q`` and measure
+    ``c / scale``.  Every rule numerator has the same denominator, so the
+    sum runs on integers and builds one ``Fraction``.
+    """
+    q, scale, simplices = form
+    total, denominator = 0, 1
+    for c, points in simplices:
+        numerator, denominator = _low_degree_rule(f, points, q, k)
+        total += c * numerator
+    return Fraction(total, scale * denominator)
+
+
 def integrate_polynomial(poly: Polytope, f) -> Fraction:
-    """Exact integral of a polynomial over the polytope."""
+    """Exact integral of a polynomial over the polytope.
+
+    Up to degree 2 the sum runs over :attr:`Polytope._integer_fan` (see
+    :func:`_integer_sum`); degrees 3 and 4 take the barycentric expansion
+    simplex by simplex.
+    """
     f = _as_polynomial(f, poly.dim)
-    total = Fraction(0)
-    for s in poly.triangulation:
-        total += _poly_over_simplex(s.vertices, f, poly.dim, s.volume())
-    return total
+    if f.degree() <= 2:
+        return _integer_sum(f, poly._integer_fan, poly.dim)
+    return sum(
+        (_poly_over_simplex(s.vertices, f, poly.dim, s.volume()) for s in poly.triangulation),
+        Fraction(0),
+    )
+
+
+def _facet_integral(facet, f: Polynomial, k) -> Fraction:
+    """Exact integral over one facet with the lattice measure."""
+    if f.degree() <= 2:
+        return _integer_sum(f, facet._integer_simplices, k)
+    return sum(
+        (_poly_over_simplex(s.vertices, f, k, m)
+         for s, m in zip(facet.simplices, facet.simplex_measures)),
+        Fraction(0),
+    )
 
 
 def integrate_pl(u) -> Fraction:
@@ -302,11 +351,7 @@ def boundary_integral(poly: Polytope, f) -> Fraction:
     if hasattr(f, "cells"):
         return _boundary_integral_pl(poly, f)
     f = _as_polynomial(f, poly.dim)
-    total = Fraction(0)
-    for facet in poly.facets:
-        for s, measure in zip(facet.simplices, facet.simplex_measures):
-            total += _poly_over_simplex(s.vertices, f, poly.dim - 1, measure)
-    return total
+    return sum((_facet_integral(facet, f, poly.dim - 1) for facet in poly.facets), Fraction(0))
 
 
 def _boundary_integral_pl(poly: Polytope, u) -> Fraction:
@@ -320,12 +365,8 @@ def _boundary_integral_pl(poly: Polytope, u) -> Fraction:
         )
         region = cell.region
         for facet in region.facets:
-            if region.halfspaces[facet.halfspace_index].key not in outer:
-                continue
-            for s, measure in zip(facet.simplices, facet.simplex_measures):
-                total += _poly_over_simplex(
-                    s.vertices, piece_poly, poly.dim - 1, measure
-                )
+            if region.halfspaces[facet.halfspace_index].key in outer:
+                total += _facet_integral(facet, piece_poly, poly.dim - 1)
     return total
 
 

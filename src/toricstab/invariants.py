@@ -221,24 +221,23 @@ def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fract
     u = _as_pl(u, poly)
     n = poly.dim
     weight = _weight(poly, extremal)
-    # Per cell, the integrand is lift / b_i - weighted; only b_i depends
-    # on the cone.
+    # Per cell the integrand is lift / b_i - weighted, with the lift
+    # <x, grad u> + n u = <(n + 1) grad u, x> + n c; only b_i depends on
+    # the cone, so each distinct b_i builds its integrands once.
     parts = []
     for cell in u.cells:
-        grad = cell.piece.gradient
-        piece = Polynomial.affine(n, grad, cell.piece.constant)
-        radial = Polynomial(n)
-        for j in range(n):
-            radial = radial + Polynomial.coordinate(n, j) * grad[j]
-        parts.append((cell.region, radial + piece * n, weight * piece))
+        grad, const = cell.piece.gradient, cell.piece.constant
+        lift = Polynomial.affine(n, [(n + 1) * g for g in grad], n * const)
+        parts.append((lift, weight * Polynomial.affine(n, grad, const)))
+    integrands = {}
     total = Fraction(0)
     for support, cone_hs in poly._cone_halfspaces:
-        for cell_region, lift, weighted in parts:
-            region = geometry.intersect(cell_region, cone_hs)
-            if region is None:
-                continue
-            integrand = lift * (Fraction(1) / support) - weighted
-            total += integration.integrate_polynomial(region, integrand)
+        if support not in integrands:
+            integrands[support] = [lift * (1 / support) - weighted for lift, weighted in parts]
+        for cell, integrand in zip(u.cells, integrands[support]):
+            region = geometry.intersect(cell.region, cone_hs)
+            if region is not None:
+                total += integration.integrate_polynomial(region, integrand)
     return total
 
 

@@ -10,15 +10,18 @@ import pytest
 from toricstab import (
     Simplex,
     build_polytope,
+    catalog,
     cone_decomposition,
     delzant_check,
     geometry,
     halfspace,
+    invariants,
     subdivide_by_hyperplanes,
     translate,
 )
 from toricstab.errors import (
     Degenerate,
+    DegenerateSimplex,
     NonPrimitiveNormal,
     NotSimple,
     OriginNotInterior,
@@ -26,6 +29,7 @@ from toricstab.errors import (
 )
 from toricstab import _linalg
 from toricstab.plfunc import affine
+from toricstab.reproduce import random_convex_pl
 
 from conftest import hull_polygon, random_polygon, shoelace
 
@@ -602,6 +606,171 @@ class TestClipping:
             for s1 in (1, -1) for s2 in (1, -1)
         ]
         assert [_fields(c) for c in cells] == [_fields(c) for c in expected if c is not None]
+
+
+def _rational_simplex(rng, n, den=3):
+    """n + 1 affinely independent points in R^n with rational coordinates."""
+    while True:
+        verts = tuple(
+            tuple(F(rng.randint(-6, 6)) / rng.randint(1, den) for _ in range(n))
+            for _ in range(n + 1)
+        )
+        if _linalg.affine_rank(verts) == n:
+            return verts
+
+
+def _bodies_and_cells(rng, count):
+    """Seeded polygons, 3-D boxes and simplices, rational vertices
+    included, each followed by its nonempty cells under random cuts."""
+    for i in range(count):
+        kind = ("polygon", "box", "simplex")[i % 3]
+        if kind == "polygon":
+            body = random_polygon(rng, den=rng.choice((1, 2, 3, 7)))
+        elif kind == "box":
+            body = _random_body(rng, "box")
+        else:
+            body = build_polytope(
+                geometry.simplex_halfspaces(Simplex(_rational_simplex(rng, 3), 3))
+            )
+        yield body
+        for _ in range(3):
+            cell = geometry.intersect(body, [_random_cut(rng, body)
+                                             for _ in range(rng.randint(1, 2))])
+            if cell is not None:
+                yield cell
+
+
+def _euclidean_sq(vertices):
+    """Squared length (two points) or squared area (three points in 3-D)."""
+    d = [[b - a for a, b in zip(vertices[0], v)] for v in vertices[1:]]
+    if len(d) == 1:
+        return sum(c * c for c in d[0])
+    (a1, a2, a3), (b1, b2, b3) = d
+    cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    return sum(c * c for c in cross) / 4
+
+
+def _unmeasured(facet):
+    """Whether the facet holds its fields alone, nothing computed on demand."""
+    return set(vars(facet)) == {"halfspace_index", "vertex_indices", "simplices", "normal"}
+
+
+class TestFacetMeasures:
+    """Lattice measures of facet simplices, computed when first read."""
+
+    def test_against_euclidean_oracle(self):
+        rng = random.Random("facet-measures")
+        checked = 0
+        for poly in _bodies_and_cells(rng, 60):
+            for facet in poly.facets:
+                h = poly.halfspaces[facet.halfspace_index]
+                assert facet.normal == h.normal
+                assert _unmeasured(facet)
+                norm_sq = sum(c * c for c in h.normal)
+                assert len(facet.simplex_measures) == len(facet.simplices)
+                for s, measure in zip(facet.simplices, facet.simplex_measures):
+                    assert all(h.value(v) == h.bound for v in s.vertices)
+                    assert measure > 0
+                    assert measure * measure == _euclidean_sq(s.vertices) / norm_sq
+                    checked += 1
+                assert facet.measure == sum(facet.simplex_measures)
+                corners = {v for s in facet.simplices for v in s.vertices}
+                assert corners == {poly.vertices[j] for j in facet.vertex_indices}
+        assert checked > 1000
+
+    def test_interval_facets_measure_one(self):
+        poly = build_polytope([halfspace((1,), F(7) / 3), halfspace((-1,), F(1) / 2)])
+        assert [f.simplex_measures for f in poly.facets] == [(1,), (1,)]
+
+    def test_cone_form_leaves_cone_cells_unmeasured(self, monkeypatch):
+        rng = random.Random("cone-cells")
+        box = build_polytope([halfspace(e, b) for e, b in (
+            ((1, 0, 0), 2), ((-1, 0, 0), 1), ((0, 1, 0), F(3) / 2),
+            ((0, -1, 0), 1), ((0, 0, 1), 1), ((0, 0, -1), F(5) / 2))])
+        for poly in (catalog("cp2_2blowup"), catalog("hexagon(2,3)"), box):
+            ext = invariants.extremal_field(poly)
+            u = random_convex_pl(rng, poly)
+            cells = []
+
+            def recording(cell, hs, intersect=geometry.intersect):
+                region = intersect(cell, hs)
+                cells.append(region)
+                return region
+
+            monkeypatch.setattr(geometry, "intersect", recording)
+            value = invariants.linear_functional_L_cone(poly, u, ext)
+            monkeypatch.undo()
+            assert value == invariants.linear_functional_L(poly, u, ext)
+            cells = [c for c in cells if c is not None]
+            assert cells
+            assert all(_unmeasured(f) for c in cells for f in c.facets)
+
+
+def _cross_fraction(rows, n):
+    """Signed minors of n - 1 rational rows, in ``Fraction`` arithmetic."""
+    if n == 1:
+        return (F(1),)
+    out = []
+    for j in range(n):
+        m = [[r[k] for k in range(n) if k != j] for r in rows]
+        d = m[0][0] if n == 2 else m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        out.append(d if j % 2 == 0 else -d)
+    return tuple(out)
+
+
+def _reference_halfspaces(verts, n):
+    """Reference for ``simplex_halfspaces``, rational from edges to bounds."""
+    out = []
+    for omit in range(n + 1):
+        face = [verts[i] for i in range(n + 1) if i != omit]
+        normal = _cross_fraction([[a - b for a, b in zip(p, face[0])] for p in face[1:]], n)
+        if not any(normal):
+            raise DegenerateSimplex("affinely dependent simplex vertices")
+        prim, _ = _linalg.primitivize(normal)
+        bound = F(_linalg.dot(prim, face[0]))
+        if _linalg.dot(prim, verts[omit]) > bound:
+            prim = tuple(-c for c in prim)
+            bound = -bound
+        out.append(halfspace(prim, bound))
+    return out
+
+
+class TestSimplexHalfspaces:
+    """The integer half-space form against a ``Fraction`` reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_against_fraction_reference(self, n):
+        rng = random.Random(f"simplex-halfspaces-{n}")
+        for _ in range(40):
+            verts = _rational_simplex(rng, n, den=rng.choice((1, 2, 5, 12)))
+            # Swapping two vertices flips the orientation.
+            for order in (verts, (verts[1], verts[0]) + verts[2:]):
+                hs = geometry.simplex_halfspaces(Simplex(order, n))
+                assert hs == _reference_halfspaces(order, n)
+                assert all(type(c) is int for h in hs for c in h.normal)
+                assert all(type(h.bound) is Fraction for h in hs)
+                for i, v in enumerate(order):
+                    # Each vertex lies on every face but its own, strictly inside that one.
+                    assert [h.slack(v) > 0 for h in hs] == [j == i for j in range(n + 1)]
+                    assert all(h.slack(v) >= 0 for h in hs)
+
+    @pytest.mark.parametrize("verts", [
+        ((F(1) / 2,), (F(1) / 2,)),
+        ((0, 0), (1, 1), (2, 2)),
+        ((F(1) / 2, 0), (F(1) / 2, 3), (F(1) / 2, F(-1) / 3)),
+        ((1, 2), (1, 2), (3, 0)),
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),
+        ((0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, F(1) / 7)),
+        ((F(1) / 3, 0, 1), (0, F(2) / 5, 1), (1, 1, 1), (5, -3, 1)),
+    ])
+    def test_dependent_vertices_raise(self, verts):
+        # The reference raises only when some face spans no hyperplane (two
+        # equal points in 2-D, three collinear in 3-D); the library also
+        # catches an omitted vertex on its face's hyperplane.
+        verts = tuple(pt(*v) for v in verts)
+        n = len(verts[0])
+        with pytest.raises(DegenerateSimplex):
+            geometry.simplex_halfspaces(Simplex(verts, n))
 
 
 class TestTranslate:

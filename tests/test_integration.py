@@ -19,11 +19,14 @@ from toricstab import (
     pl_lattice_sum,
     subdivide_by_hyperplanes,
 )
-from toricstab import _linalg
+from toricstab import _linalg, build_polytope, halfspace
 from toricstab.errors import DegenerateSimplex, ScaleOverflow
+from toricstab.geometry import intersect, simplex_halfspaces
 from toricstab.integration import _monomial_over_simplex, _poly_over_simplex, integrate_pl
 from toricstab.invariants import average_scalar_curvature
 from toricstab.plfunc import affine, zero_function
+
+from conftest import random_polygon
 
 
 def F(a, b=1):
@@ -212,6 +215,105 @@ class TestPolynomialArithmetic:
             assert (f * g).evaluate(x) == fx * gx
             assert (f * scalar).evaluate(x) == fx * scalar
             assert (f - f).terms == {}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_affine_equals_the_validated_path(self, n):
+        rng = random.Random(f"affine-{n}")
+        for _ in range(40):
+            gradient = [rng.choice([0, 2, -1, F(3, 4), F(0)]) for _ in range(n)]
+            constant = rng.choice([0, 5, F(-7, 3)])
+            terms = {(0,) * n: constant}
+            for j, g in enumerate(gradient):
+                terms[tuple(int(i == j) for i in range(n))] = g
+            f = Polynomial.affine(n, gradient, constant)
+            assert list(f.terms.items()) == list(Polynomial(n, terms).terms.items())
+            assert all(type(c) is Fraction for c in f.terms.values())
+        with pytest.raises(ValueError):
+            Polynomial.affine(n, [1] * (n + 1), 0)
+
+
+def _rational_bodies(rng, n, count):
+    """Seeded bodies in R^n with rational vertices, each followed by its
+    cells under random cuts; every third body is a single simplex."""
+    for i in range(count):
+        if i % 3 == 0:
+            body = build_polytope(simplex_halfspaces(Simplex(_random_simplex(rng, n, n), n)))
+        elif n == 2:
+            body = random_polygon(rng, den=rng.choice((1, 2, 3, 7)))
+        else:
+            rows = []
+            for j in range(n):
+                lo = F(rng.randint(-6, 2), rng.randint(1, 3))
+                e = tuple(int(i == j) for i in range(n))
+                rows.append(halfspace(e, lo + F(rng.randint(1, 9), rng.randint(1, 2))))
+                rows.append(halfspace(tuple(-c for c in e), -lo))
+            body = build_polytope(rows)
+        yield body
+        for _ in range(2):
+            while True:
+                normal = tuple(rng.randint(-3, 3) for _ in range(n))
+                if any(normal):
+                    break
+            normal, _ = _linalg.primitivize(normal)
+            values = sorted(_linalg.dot(normal, v) for v in body.vertices)
+            bound = values[0] + (values[-1] - values[0]) * F(rng.randint(1, 11), 12)
+            cell = intersect(body, [halfspace(normal, bound)])
+            if cell is not None:
+                yield cell
+
+
+class TestOneDenominatorSums:
+    """Volume and boundary integrals summed over one denominator per body
+    or facet, against the per-simplex rules and the pull-back oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_volume_against_per_simplex_sums(self, n):
+        rng = random.Random(f"volume-integral-{n}")
+        single = 0
+        for poly in _rational_bodies(rng, n, 12 if n == 2 else 3):
+            simplices = poly.triangulation
+            single += len(simplices) == 1
+            volume = sum(s.volume() for s in simplices)
+            assert poly.volume == volume
+            assert poly.barycenter == tuple(
+                sum(s.volume() * sum(v[j] for v in s.vertices) for s in simplices)
+                / ((n + 1) * volume)
+                for j in range(n)
+            )
+            for degree in range(5):
+                f = _random_polynomial(rng, n, degree)
+                value = integrate_polynomial(poly, f)
+                assert isinstance(value, Fraction)
+                assert value == sum(
+                    (_poly_over_simplex(s.vertices, f, n, s.volume()) for s in simplices),
+                    F(0),
+                )
+                assert value == sum(
+                    (_substitution_integral(s.vertices, f, n, s.volume()) for s in simplices),
+                    F(0),
+                )
+        assert single >= 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_boundary_against_per_simplex_sums(self, n):
+        rng = random.Random(f"boundary-integral-{n}")
+        for poly in _rational_bodies(rng, n, 9 if n == 2 else 2):
+            pieces = [(s, m) for facet in poly.facets
+                      for s, m in zip(facet.simplices, facet.simplex_measures)]
+            for degree in range(5):
+                f = _random_polynomial(rng, n, degree)
+                value = boundary_integral(poly, f)
+                assert isinstance(value, Fraction)
+                assert value == sum(
+                    (_poly_over_simplex(s.vertices, f, n - 1, m) for s, m in pieces), F(0)
+                )
+                assert value == sum(
+                    (_substitution_integral(s.vertices, f, n - 1, m) for s, m in pieces), F(0)
+                )
+
+    def test_zero_polynomial(self, pentagon):
+        assert integrate_polynomial(pentagon, Polynomial(2)) == 0
+        assert boundary_integral(pentagon, Polynomial(2)) == 0
 
 
 class TestPolynomialIntegral:
