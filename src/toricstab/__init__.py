@@ -33,7 +33,6 @@ from .integration import (
     Polynomial,
     boundary_integral,
     ehrhart_residual,
-    integrate_monomial_simplex,
     integrate_polynomial,
     lattice_points,
     pl_lattice_sum,
@@ -58,7 +57,6 @@ from .plfunc import (
     affine,
     is_affine,
     make_pl,
-    normalize_at,
 )
 from .destabilizer import ScanConfig, ScanResult, scan
 from .specfile import emit_spec, parse_spec

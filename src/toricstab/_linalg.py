@@ -197,27 +197,36 @@ def adjugate(rows):
 def lp_minimize(rows, rhs, objectives, basis):
     """Lexicographic minimum of a small LP ``rows z <= rhs``, exact.
 
-    ``rows`` and the cost vectors in ``objectives`` are integer; the
-    objectives are minimised in turn, each later one breaking ties among
-    minimisers of the earlier ones.  ``basis`` names d rows (d the number
-    of unknowns) that are linearly independent and tight at a feasible
-    starting vertex.  The simplex method walks from vertex to vertex,
-    releasing one tight row per step; Bland's rule (smallest row index
-    when releasing, smallest index among tied blocking rows) rules out
-    cycling on degenerate vertices.  The objectives must be bounded below
-    on the feasible set.  Returns the optimal vertex.
+    ``rows`` and the cost vectors in ``objectives`` are integer and
+    ``rhs`` rational; the objectives are minimised in turn, each later one
+    breaking ties among minimisers of the earlier ones.  ``basis`` names d
+    rows (d the number of unknowns) that are linearly independent and
+    tight at a feasible starting vertex.  The simplex method walks from
+    vertex to vertex, releasing one tight row per step; Bland's rule
+    (smallest row index when releasing, smallest index among tied
+    blocking rows) rules out cycling on degenerate vertices.  The
+    objectives must be bounded below on the feasible set.  Returns the
+    optimal vertex.
+
+    The pivots are fraction-free.  ``rhs`` goes over one denominator
+    ``D``, and the basis matrix is held as its adjugate ``adj`` and
+    determinant ``det``, so the vertex is ``adj rhs_B / (det D)`` on
+    integer numerators and each slack is an integer over ``|det| D``,
+    with the ratio test cross-multiplied.  Replacing basis row ``r`` by
+    the row ``a`` makes ``det' = a . adj[:, r]``; column ``r`` of the
+    adjugate stays, and every other column ``q`` becomes
+    ``(det' adj[:, q] - (a . adj[:, q]) adj[:, r]) / det``, an exact
+    division.  Each coordinate becomes a ``Fraction`` only at the end.
     """
     basis = list(basis)
     d = len(basis)
+    denominator, scaled = over_common_denominator((rhs,))
+    (rhs,) = scaled
     zero = (0,) * len(objectives)
-    z = None
+    adj, det = adjugate([rows[k] for k in basis])
     while True:
-        adj, det = adjugate([rows[k] for k in basis])
         sign = 1 if det > 0 else -1
-        if z is None:
-            z = [Fraction(sum(adj[p][q] * rhs[basis[q]] for q in range(d)), det)
-                 for p in range(d)]
-            slack = [b - dot(row, z) for row, b in zip(rows, rhs)]
+        z = [sum(adj[p][q] * rhs[basis[q]] for q in range(d)) for p in range(d)]
         # Releasing tight row q moves along -adj[:, q] / det, and each
         # objective c changes by -(c . adj[:, q]) / det per unit of slack.
         release = None
@@ -227,18 +236,27 @@ def lp_minimize(rows, rhs, objectives, basis):
                 release = q
                 break
         if release is None:
-            return tuple(z)
-        # A positive multiple of the edge direction, in integers.
+            return tuple(Fraction(zp, det * denominator) for zp in z)
+        # A positive multiple of the edge direction, in integers; a row's
+        # slack is its numerator over |det| D, and the step length to it
+        # the slack over its growth, compared by cross-multiplying.
         step = [-sign * adj[p][release] for p in range(d)]
-        growth = [dot(row, step) for row in rows]
-        enter, length = None, None
-        for k, g in enumerate(growth):
+        enter, best_slack, best_growth = None, None, None
+        for k, row in enumerate(rows):
+            g = dot(row, step)
             if g > 0 and k not in basis:
-                ratio = slack[k] / g
-                if length is None or ratio < length:
-                    enter, length = k, ratio
+                slack = sign * (rhs[k] * det - dot(row, z))
+                if enter is None or slack * best_growth < best_slack * g:
+                    enter, best_slack, best_growth = k, slack, g
         if enter is None:
             raise ValueError("objective is unbounded below")
+        a = rows[enter]
+        column = [adj[p][release] for p in range(d)]
+        new_det = dot(a, column)
+        for q in range(d):
+            if q != release:
+                f = sum(a[p] * adj[p][q] for p in range(d))
+                for p in range(d):
+                    adj[p][q] = (new_det * adj[p][q] - f * column[p]) // det
         basis[release] = enter
-        z = [zp + length * sp for zp, sp in zip(z, step)]
-        slack = [sk - length * g for sk, g in zip(slack, growth)]
+        det = new_det

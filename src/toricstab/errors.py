@@ -52,10 +52,6 @@ class OutsideDomain(ToricStabError):
     """Evaluation point lies outside the closed domain polytope."""
 
 
-class PointNotInterior(ToricStabError):
-    """Normalization point must be strictly interior to the domain."""
-
-
 # -- invariants ---------------------------------------------------------------
 
 class SingularMoment(ToricStabError):

@@ -13,7 +13,8 @@ input and then clips a bounding box by every input half-space; internal
 cells (:func:`intersect`, :func:`subdivide_by_hyperplanes`) clip their
 parent's vertices by a few more.  Either way the vertices and their
 active sets go to :func:`_build`, which derives everything else from
-them, the order of each 3-D facet's vertices included.
+them; which half-spaces support facets, and the order of each 3-D
+facet's vertices, come from :func:`_facets`.
 
 Boundary pieces carry the lattice measure: on the facet with normal ``l``
 it is the Euclidean surface measure divided by ``|l|_2``.  Because the
@@ -25,11 +26,17 @@ What a polytope computes when it is built, and what only when read:
 :func:`_build` derives the vertices, the retained facets, their vertex
 sets and the simplices tiling each facet.  Everything an integral reads
 beyond that is a cached property, computed on first use and kept: a
-facet's simplices over one denominator and its lattice measures
-(:attr:`Facet.simplex_measures`), the triangulation and its integer
-form, the volume and barycenter, and the clipping start and cone
-half-spaces.  Most cells of the cone form are only integrated over
-their volume, so they never compute a facet measure.
+facet's simplices over one denominator, its lattice measures
+(:attr:`Facet.simplex_measures`) and its moments, the triangulation,
+its integer form and the body's moments (:func:`_simplex_moments`), the
+volume and barycenter, and the clipping start and cone half-spaces.
+
+The cells of the cone form are never polytopes.  It reads nothing of a
+cone cell but its moments, so :func:`_cell_moments` clips a PL cell by
+a cone with the same :func:`_clip` and :func:`_facets` that
+:func:`intersect` uses and takes the moments straight from the clip's
+integer vertices, building no :class:`Polytope`, :class:`Facet`,
+:class:`Simplex` or ``Fraction`` vertex.
 """
 
 from __future__ import annotations
@@ -149,6 +156,11 @@ class Facet:
         )
 
     @functools.cached_property
+    def _moments(self) -> tuple:
+        """:func:`_simplex_moments` of the facet with its lattice measure."""
+        return _simplex_moments(len(self.normal) - 1, *self._integer_simplices)
+
+    @functools.cached_property
     def simplex_measures(self) -> tuple:
         _, scale, simplices = self._integer_simplices
         return tuple(Fraction(c, scale) for c, _ in simplices)
@@ -230,8 +242,8 @@ class Polytope:
 
     @functools.cached_property
     def volume(self) -> Fraction:
-        _, scale, fan = self._integer_fan
-        return Fraction(sum(det for det, _ in fan), scale)
+        denominator, moments = self._moments
+        return Fraction(moments[()], denominator)
 
     @functools.cached_property
     def boundary_measure(self) -> Fraction:
@@ -239,15 +251,9 @@ class Polytope:
 
     @functools.cached_property
     def barycenter(self) -> Point:
-        # Exact first moments over the integer fan: the centroid of a
-        # simplex is the vertex average and integrates x exactly, and every
-        # simplex volume is its det over the same n! q**n.
-        q, _, fan = self._integer_fan
-        weight = (self.dim + 1) * q * sum(det for det, _ in fan)
-        return tuple(
-            Fraction(sum(det * sum(p[j] for p in points) for det, points in fan), weight)
-            for j in range(self.dim)
-        )
+        # The first moments over the volume, both over the same denominator.
+        _, moments = self._moments
+        return tuple(Fraction(moments[(j,)], moments[()]) for j in range(self.dim))
 
     @functools.cached_property
     def best_origin(self) -> BestOrigin:
@@ -268,21 +274,26 @@ class Polytope:
         The same form as :attr:`Facet._integer_simplices`: each simplex
         is ``(det, points)`` with vertices ``points / q``, ``det`` the
         integer ``|det|`` of its edges and ``scale = n! q**n``, so its
-        volume is ``det / scale``.  Volume integrals sum integers over
-        this and build one ``Fraction`` per call.
+        volume is ``det / scale``.  The body's moments are summed over it.
         """
         q, points = _over_one_denominator(self.triangulation)
         fan = tuple((abs(_linalg.det_int(_edges(p))), p) for p in points)
         return q, factorial(self.dim) * q**self.dim, fan
 
     @functools.cached_property
+    def _moments(self) -> tuple:
+        """:func:`_simplex_moments` of the body, read by volume integrals of degree <= 2."""
+        return _simplex_moments(self.dim, *self._integer_fan)
+
+    @functools.cached_property
     def _clip_start(self) -> tuple:
         """Each vertex as ``(point, numerators, denominator, tight set)``.
 
-        :func:`intersect` starts :func:`_clip` from here: ``point`` equals
-        ``numerators / denominator``, and the tight set holds the indices
-        of the facet half-spaces through the vertex.  Kept because a cell
-        is clipped once per cone of the cone form.
+        :func:`intersect` and :func:`_cell_moments` start :func:`_clip`
+        from here: ``point`` equals ``numerators / denominator``, and the
+        tight set holds the indices of the facet half-spaces through the
+        vertex.  Kept because a cell is clipped once per cone of the cone
+        form.
         """
         tight = [set() for _ in self.vertices]
         for facet in self.facets:
@@ -323,7 +334,7 @@ class Polytope:
             a, b = facet.vertex_indices
             neighbours[a].append(b)
             neighbours[b].append(a)
-        return tuple(_ccw_walk(self.vertices, neighbours))
+        return tuple(_ccw_walk([(q, *p) for _, p, q, _ in self._clip_start], neighbours))
 
 
 # ---------------------------------------------------------------------------
@@ -385,71 +396,41 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     clipped = _clip(start, box + deduped, n, len(box))
     if not clipped:
         raise Degenerate("half-space intersection is empty")
-    body = _full_body(clipped, n)
-    if body is None:
+    if not _full_body(clipped, n):
         raise Degenerate("vertex hull is not full-dimensional")
-    vertices, active = body
-    active = [frozenset(i - len(box) for i in at_v) for at_v in active]
-    return _build(deduped, n, vertices, active, require_simple=require_simple,
-                  warnings=warnings)
+    body = [(v, p, q, frozenset(i - len(box) for i in at_v)) for v, p, q, at_v in clipped]
+    return _build(deduped, n, body, require_simple=require_simple, warnings=warnings)
 
 
-def _build(hs, n, vertices, active, *, require_simple, warnings=()) -> Polytope:
-    """Shared constructor from the half-spaces, the vertices and their active sets.
+def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
+    """Shared constructor from the half-spaces and the vertices of their body.
 
-    ``vertices`` must be exactly the vertices of the body the half-spaces
-    bound, which must be full-dimensional, and ``active[j]`` exactly the
-    indices into ``hs`` of the half-spaces tight at ``vertices[j]``.  Both
-    come from :func:`_clip`; nothing is re-evaluated here.  Retained
-    facets, facet simplices and warnings are derived from them; each
-    facet keeps its normal, and its lattice measures wait until a
-    boundary integral reads them (see :class:`Facet`).
-
-    A 3-D facet's vertices are put in order by its edge graph: two of
-    them share an edge exactly when their active sets meet in an index
-    besides the facet's own, for then both lie on a second supporting
-    plane.  :func:`_ccw_walk` turns the graph into the counterclockwise
-    cycle, as seen with the normal's first nonzero coordinate dropped,
-    from the smallest vertex.
+    ``body`` lists the vertices in the form :func:`_clip` returns them,
+    ``(point, numerators, denominator, tight set)``, and must be exactly
+    the vertices of the body the half-spaces bound, which must be
+    full-dimensional, with each tight set exactly the indices into ``hs``
+    of the half-spaces through the vertex.  Nothing is re-evaluated here.
+    A vertex without its ``Fraction`` point gets it now.  Retained facets
+    and their vertex order come from :func:`_facets`, and warnings from
+    what it drops; each facet keeps its normal, and its lattice measures
+    wait until a boundary integral reads them (see :class:`Facet`).
     """
     warnings = list(warnings)
-    order = sorted(range(len(vertices)), key=vertices.__getitem__)
-    vertices = [vertices[j] for j in order]
-    active = [active[j] for j in order]
-    on = [[] for _ in hs]
-    for j, at_v in enumerate(active):
-        for i in at_v:
-            on[i].append(j)
-
-    # Facet retention: a half-space supports a facet exactly when its active
-    # vertex set spans affine dimension n-1.  For n <= 3 a count decides:
-    # no vertex of a convex body lies between two others, so n distinct
-    # vertices on one supporting plane are never collinear.  From n = 4 on,
-    # n of them can share a lower face (four on a 2-face), so the rank is
-    # computed.
-    retained = []
-    for i, h in enumerate(hs):
-        pts = [vertices[j] for j in on[i]]
-        if len(pts) >= n and (n <= 3 or _linalg.affine_rank(pts) == n - 1):
-            retained.append(i)
-        else:
+    body = sorted(
+        ((tuple(Fraction(c, q) for c in p) if v is None else v, p, q, at_v)
+         for v, p, q, at_v in body),
+        key=lambda vertex: vertex[0],
+    )
+    vertices = [v for v, *_ in body]
+    kept, facets = [], []
+    for h, cycle in zip(hs, _facets(hs, n, body)):
+        if cycle is None:
             warnings.append(f"redundant half-space {h.normal} <= {h.bound} dropped")
-
-    kept = [hs[i] for i in retained]
-    facets = []
-    for new_index, old_index in enumerate(retained):
-        h = hs[old_index]
-        vidx = on[old_index]
-        points = [vertices[j] for j in vidx]
-        if n == 3:
-            neighbours = [
-                [q for q, k in enumerate(vidx) if k != j and len(active[j] & active[k]) > 1]
-                for j in vidx
-            ]
-            drop = next(j for j, c in enumerate(h.normal) if c != 0)
-            flat = [p[:drop] + p[drop + 1:] for p in points]
-            points = [points[q] for q in _ccw_walk(flat, neighbours)]
-        facets.append(Facet(new_index, tuple(vidx), _facet_simplices(points, n), h.normal))
+            continue
+        simplices = _facet_simplices([vertices[j] for j in cycle], n)
+        facets.append(Facet(len(kept), tuple(sorted(cycle)),
+                            tuple(Simplex(s, n) for s in simplices), h.normal))
+        kept.append(h)
 
     if require_simple:
         for j, v in enumerate(vertices):
@@ -462,17 +443,60 @@ def _build(hs, n, vertices, active, *, require_simple, warnings=()) -> Polytope:
     return Polytope(n, kept, vertices, facets, origin_interior, warnings)
 
 
+def _facets(hs, n, body) -> list:
+    """For each half-space, the positions in ``body`` of its facet's
+    vertices, or None when it supports no facet.
+
+    ``body`` lists the vertices as :func:`_clip` does, and only the
+    integer numerators, denominators and tight sets are read.  A
+    half-space supports a facet exactly when its vertices span affine
+    dimension n-1, that is when their homogeneous rows ``(q, p)`` have
+    rank n.  For n <= 3 a count decides: no vertex of a convex body lies
+    between two others, so n distinct vertices on one supporting plane
+    are never collinear.  From n = 4 on, n of them can share a lower face
+    (four on a 2-face), so the rank is computed.
+
+    The positions come in increasing order, except in 3-D, where they are
+    the facet's cycle from its first vertex: two vertices share an edge
+    exactly when their tight sets meet in an index besides the facet's
+    own, for then both lie on a second supporting plane, and
+    :func:`_ccw_walk` turns that graph into the counterclockwise cycle as
+    seen with the normal's first nonzero coordinate dropped.
+    """
+    on = [[] for _ in hs]
+    for j, vertex in enumerate(body):
+        for i in vertex[3]:
+            on[i].append(j)
+    out = []
+    for h, vidx in zip(hs, on):
+        if len(vidx) < n or (n > 3 and _linalg.rank(
+                [[body[j][2], *body[j][1]] for j in vidx]) != n):
+            out.append(None)
+        elif n == 3:
+            tight = [body[j][3] for j in vidx]
+            neighbours = [[b for b, at_b in enumerate(tight) if b != a and len(at_a & at_b) > 1]
+                          for a, at_a in enumerate(tight)]
+            drop = next(j for j, c in enumerate(h.normal) if c != 0)
+            flat = [(body[j][2], *body[j][1][:drop], *body[j][1][drop + 1:]) for j in vidx]
+            out.append([vidx[b] for b in _ccw_walk(flat, neighbours)])
+        else:
+            out.append(vidx)
+    return out
+
+
 def _ccw_walk(flat, neighbours) -> list:
     """Positions of a convex polygon's vertices in counterclockwise order from 0.
 
-    ``flat`` holds the planar vertices and ``neighbours[q]`` the two
-    positions sharing an edge with ``q``.  The walk leaves 0 towards the
-    neighbour from which the other one lies counterclockwise about 0 (one
-    2x2 integer determinant), then follows the edges.
+    ``flat`` holds the planar vertices as homogeneous integer rows
+    ``(q, x, y)`` with ``q > 0``, the point being ``(x, y) / q``, and
+    ``neighbours[b]`` the two positions sharing an edge with ``b``.  The
+    walk leaves 0 towards the neighbour from which the other one lies
+    counterclockwise about 0, then follows the edges.  The turn is the
+    sign of one 3x3 integer determinant of homogeneous rows, which is
+    the product of the positive ``q`` and the planar turn.
     """
     a, b = neighbours[0]
-    _, (o, pa, pb) = _linalg.over_common_denominator((flat[0], flat[a], flat[b]))
-    if (pa[0] - o[0]) * (pb[1] - o[1]) < (pa[1] - o[1]) * (pb[0] - o[0]):
+    if _linalg.det_int([flat[0], flat[a], flat[b]]) < 0:
         a = b
     cycle = [0, a]
     while len(cycle) < len(flat):
@@ -537,13 +561,12 @@ def _check_bounded(hs, n):
             raise Unbounded(f"direction {v} recedes")
 
 
-def _facet_simplices(points, n) -> tuple:
-    """Simplices tiling a facet; in 3-D the points come in cycle order and
-    are fanned from the first."""
+def _facet_simplices(points, n) -> list:
+    """Vertex tuples of the simplices tiling a facet; in 3-D the points
+    come in cycle order and are fanned from the first."""
     if n <= 2:
-        return (Simplex(tuple(points), n),)
-    return tuple(Simplex((points[0], points[i], points[i + 1]), n)
-                 for i in range(1, len(points) - 1))
+        return [tuple(points)]
+    return [(points[0], points[i], points[i + 1]) for i in range(1, len(points) - 1)]
 
 
 def _over_one_denominator(simplices):
@@ -665,12 +688,21 @@ def intersect(poly: Polytope, halfspaces) -> Polytope | None:
     every half-space at every vertex, and whether they span dimension n is
     decided on the integer numerators the clip holds (see
     :func:`_full_body`).  The cell is built like any polytope: facet
-    measures, triangulation and volume come on demand, so a cell that is
-    only integrated over its volume never measures a facet.
+    measures, triangulation and moments come on demand.  The cone form
+    needs only the moments and calls :func:`_cell_moments` instead.
     ``tests/test_geometry.py`` keeps an exhaustive n-subset enumeration of
     the combined list as the oracle the result must equal field for field.
     """
-    n = poly.dim
+    combined, body = _clip_by(poly, halfspaces)
+    if body is None:
+        return None
+    return _build(combined, poly.dim, body, require_simple=False)
+
+
+def _clip_by(poly: Polytope, halfspaces):
+    """``(combined, body)``: the half-spaces of ``poly`` followed by those of
+    ``halfspaces`` new to it, and the :func:`_clip` of its vertices by
+    them, or None for the body when that is not full-dimensional."""
     # The body's half-spaces are unique already, each supporting a facet.
     combined = list(poly.halfspaces)
     seen = set(poly.facet_keys)
@@ -678,10 +710,69 @@ def intersect(poly: Polytope, halfspaces) -> Polytope | None:
         if h.key not in seen:
             seen.add(h.key)
             combined.append(h)
-    body = _full_body(_clip(poly._clip_start, combined, n, len(poly.halfspaces)), n)
+    body = _clip(poly._clip_start, combined, poly.dim, len(poly.halfspaces))
+    return combined, body if _full_body(body, poly.dim) else None
+
+
+def _cell_moments(poly: Polytope, halfspaces):
+    """:func:`_simplex_moments` of ``intersect(poly, halfspaces)``, or None when that is None.
+
+    The cone form reads nothing of a cone cell but its moments, so they
+    come straight from the clip's integer vertices and tight sets: the
+    cell is fanned from its first vertex over the facets :func:`_facets`
+    finds not through it, as :attr:`Polytope.triangulation` does, and no
+    :class:`Polytope`, :class:`Facet`, :class:`Simplex` or ``Fraction``
+    vertex is built.
+    """
+    combined, body = _clip_by(poly, halfspaces)
     if body is None:
         return None
-    return _build(combined, n, *body, require_simple=False)
+    n = poly.dim
+    q = lcm(*[qv for _, _, qv, _ in body])
+    points = [[c * (q // qv) for c in p] for _, p, qv, _ in body]
+    fan = []
+    for cycle in _facets(combined, n, body):
+        if cycle is not None and 0 not in cycle:
+            for face in _facet_simplices([points[j] for j in cycle], n):
+                simplex = (points[0], *face)
+                fan.append((abs(_linalg.det_int(_edges(simplex))), simplex))
+    return _simplex_moments(n, q, factorial(n) * q**n, fan)
+
+
+def _simplex_moments(k, q, scale, simplices) -> tuple:
+    """``(D, moments)``: the integer moments of degree <= 2 of k-simplices.
+
+    Each simplex is ``(c, points)`` with vertices ``points / q`` and
+    measure ``c / scale``, as :attr:`Polytope._integer_fan` and
+    :attr:`Facet._integer_simplices` give them.  ``moments`` maps the
+    exponent of ``x^alpha``, written as the tuple of its coordinate
+    indices in increasing order (``()``, ``(j,)`` or ``(j, l)``), to the
+    integer whose quotient by ``D`` is the integral of ``x^alpha``.  On a
+    simplex with vertex sums ``S_j`` the integral of ``x_j`` is its
+    measure times ``S_j / ((k+1) q)``, and that of ``x_j x_l`` its measure
+    times ``(sum_v P_vj P_vl + S_j S_l) / ((k+1)(k+2) q**2)`` (Baldoni,
+    Berline, De Loera, Koeppe, Vergne, "How to integrate a polynomial
+    over a simplex", Math. Comp. 80 (2011)), so every moment sits over
+    ``D = scale (k+1)(k+2) q**2``.
+    """
+    n = len(simplices[0][1][0])
+    volume = 0
+    first = [0] * n
+    second = [[0] * n for _ in range(n)]
+    for c, points in simplices:
+        volume += c
+        sums = [sum(column) for column in zip(*points)]
+        for j, sj in enumerate(sums):
+            first[j] += c * sj
+            row = second[j]
+            for l in range(j, n):
+                row[l] += c * (sum([p[j] * p[l] for p in points]) + sj * sums[l])
+    moments = {(): volume * (k + 1) * (k + 2) * q * q}
+    for j in range(n):
+        moments[(j,)] = first[j] * (k + 2) * q
+        for l in range(j, n):
+            moments[(j, l)] = second[j][l]
+    return scale * (k + 1) * (k + 2) * q * q, moments
 
 
 def _clip(start, hs, n, first):
@@ -739,20 +830,14 @@ def _clip(start, hs, n, first):
     return current
 
 
-def _full_body(clipped, n):
-    """``(vertices, tight sets)`` of a :func:`_clip` result, or None when
-    it is not full-dimensional.
+def _full_body(clipped, n) -> bool:
+    """Whether a :func:`_clip` result spans dimension n.
 
     The vertices ``p / q`` span dimension n exactly when the homogeneous
     rows ``(q, p)`` have rank n + 1, so the test runs on the integers
-    ``_clip`` holds.  Only a full-dimensional body has its new vertices
-    turned into ``Fraction`` points.
+    ``_clip`` holds, before any vertex is turned into a ``Fraction``.
     """
-    if len(clipped) <= n or _linalg.rank([[q, *p] for _, p, q, _ in clipped]) <= n:
-        return None
-    vertices = [tuple(Fraction(c, q) for c in p) if v is None else v
-                for v, p, q, _ in clipped]
-    return vertices, [at_v for *_, at_v in clipped]
+    return len(clipped) > n and _linalg.rank([[q, *p] for _, p, q, _ in clipped]) > n
 
 
 def _spans_edge(normals, n) -> bool:

@@ -1,19 +1,17 @@
 """Exact integration over polytopes and their boundaries, plus lattice sums.
 
-Volume integrals of polynomials are summed over the cached triangulation;
-boundary integrals use the same engine on the facet simplices with their
-lattice measures.  On a k-simplex, affine integrands take the centroid
-value, quadratics an exact rule on the vertices and edge midpoints, and
-only degrees 3 and 4 expand into barycentric monomial integrals.  The
-centroid and vertex-and-midpoint rules run on integers, with the
-polynomial's coefficients over one denominator (cached on the
-polynomial).  The simplices of a body's triangulation, and those of each
-facet, are written over one common denominator with an integer measure
-each; the polytope computes this form on the first volume integral and a
-facet on the first boundary integral over it, and both keep it.  Every
-simplex's rule then has the same denominator, so a volume integral sums
-integers into a single ``Fraction``, and a boundary integral builds one
-per facet.
+Integrands of degree <= 2 read moments.  Every region, a polytope from
+its triangulation and a facet from its simplices with their lattice
+measures, computes once and keeps its integer moments of degree <= 2 over
+one denominator (:func:`geometry._simplex_moments`, from the closed-form
+simplex moments of Baldoni, Berline, De Loera, Koeppe and Vergne).  An
+integrand of degree <= 2 written as integer numerators over one
+denominator (an integer form, see :func:`_form_integral`) then integrates
+to one integer dot product and one ``Fraction``: a volume integral builds
+one per call, a boundary integral one per facet.  Products of affine
+functions are built as integer forms too (:func:`_product_form`), never
+as ``Polynomial`` products.  Only degrees 3 and 4 expand into barycentric
+monomial integrals, simplex by simplex.
 Lattice-point work is a bounding-box scan with exact half-space
 filtering, guarded by a cell budget so a careless scale cannot wedge the
 process.
@@ -29,8 +27,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import _linalg
-from .errors import DegenerateSimplex, ScaleOverflow
-from .geometry import Polytope, Simplex
+from .errors import ScaleOverflow
+from .geometry import Polytope, _simplex_moments
 from .kernels import lattice_weighted_sum
 
 DEFAULT_MAX_DEGREE = 4
@@ -42,7 +40,7 @@ class Polynomial:
 
     ``terms`` maps exponent tuples of length ``dim`` to nonzero ``Fraction``
     coefficients.  It is treated as immutable: the integer form that
-    :meth:`evaluate` and the quadrature rules use (one common denominator
+    :meth:`evaluate` and the moment integrals use (one common denominator
     and an integer numerator per term) is cached on first use.  The public
     constructor and classmethods coerce and validate their input; ``+``,
     ``-`` and ``*`` build their results through :meth:`_trusted`, because
@@ -139,36 +137,35 @@ class Polynomial:
 
     @functools.cached_property
     def _integer_form(self):
-        """``(denominator, degree, rows)``: the coefficients over one denominator.
+        """``(denominator, terms)``: the integer form of the polynomial.
 
-        Each term gives a row ``(numerator, pad, indices)``: its coefficient
-        is ``numerator / denominator``, ``indices`` repeats coordinate ``j``
-        ``alpha_j`` times, and ``pad`` is ``degree - |alpha|``.
+        ``terms`` maps each exponent, written as the tuple of its
+        coordinate indices in increasing order (``x_0^2 x_2`` as
+        ``(0, 0, 2)``), to the integer numerator of its coefficient over
+        ``denominator``; see :func:`_form_integral`.
         """
         denominator = math.lcm(*[c.denominator for c in self.terms.values()])
-        degree = self.degree()
-        rows = []
-        for alpha, c in self.terms.items():
-            indices = [j for j, a in enumerate(alpha) for _ in range(a)]
-            numerator = c.numerator * (denominator // c.denominator)
-            rows.append((numerator, degree - len(indices), indices))
-        return denominator, degree, tuple(rows)
+        return denominator, {
+            tuple(j for j, a in enumerate(alpha) for _ in range(a)):
+                c.numerator * (denominator // c.denominator)
+            for alpha, c in self.terms.items()
+        }
 
     def _numerator(self, point, q) -> int:
         """Integer ``N`` with ``f(point / q) = N / (denominator * q**degree)``.
 
         ``point`` holds integers, ``q`` is a positive integer, and
-        ``denominator`` and ``degree`` are those of :attr:`_integer_form`.
+        ``denominator`` is that of :attr:`_integer_form`.
         """
-        _, degree, rows = self._integer_form
+        degree = self.degree()
         powers = [1]
         for _ in range(degree):
             powers.append(powers[-1] * q)
         total = 0
-        for numerator, pad, indices in rows:
+        for indices, numerator in self._integer_form[1].items():
             for j in indices:
                 numerator *= point[j]
-            total += numerator * powers[pad]
+            total += numerator * powers[degree - len(indices)]
         return total
 
     def evaluate(self, x) -> Fraction:
@@ -178,8 +175,8 @@ class Polynomial:
         integer numerators; the result is the only ``Fraction`` built.
         """
         q, point = _linalg.over_common_denominator((x,))
-        denominator, degree, _ = self._integer_form
-        return Fraction(self._numerator(point[0], q), denominator * q**degree)
+        return Fraction(self._numerator(point[0], q),
+                        self._integer_form[0] * q**self.degree())
 
     def __repr__(self):
         return f"Polynomial({self.terms!r})"
@@ -197,17 +194,6 @@ class LatticeSum:
 # ---------------------------------------------------------------------------
 # simplex and polytope integrals
 # ---------------------------------------------------------------------------
-
-
-def integrate_monomial_simplex(simplex: Simplex, alpha) -> Fraction:
-    """Exact integral of ``x^alpha`` over a full-dimensional simplex."""
-    n = simplex.ambient_dim
-    if simplex.k != n:
-        raise DegenerateSimplex("monomial integral needs a full-dimensional simplex")
-    vol = simplex.volume()
-    if vol == 0:
-        raise DegenerateSimplex("zero-volume simplex")
-    return _monomial_over_simplex(simplex.vertices, tuple(alpha), n, vol)
 
 
 def _monomial_over_simplex(verts, alpha, k, measure) -> Fraction:
@@ -249,71 +235,75 @@ def _poly_over_simplex(verts, poly: Polynomial, k, measure) -> Fraction:
         return Fraction(0)
     if poly.degree() <= 2:
         q, points = _linalg.over_common_denominator(verts)
-        numerator, denominator = _low_degree_rule(poly, points, q, k)
-        return Fraction(numerator, denominator) * measure
+        moments = _simplex_moments(k, q, 1, [(1, points)])
+        return _form_integral(moments, poly._integer_form) * measure
     total = Fraction(0)
     for alpha, coeff in poly.terms.items():
         total += coeff * _monomial_over_simplex(verts, alpha, k, measure)
     return total
 
 
-def _low_degree_rule(poly: Polynomial, points, q, k):
-    """``(N, d)``: the mean of ``poly`` (degree <= 2) on a k-simplex is ``N / d``.
+def _form_integral(moments, form) -> Fraction:
+    """Integral of an integer form over a region with these moments.
 
-    The simplex has vertices ``P_v / q`` for the integer ``points``, and
-    ``d`` depends on ``poly``, ``q`` and ``k`` alone, so sums over
-    simplices sharing ``q`` can add the numerators.  Both rules sum
-    integer numerators: ``f(P / q) = N(P, q) / (denominator * q**degree)``.
+    ``form`` is ``(d, terms)``: the integrand is the sum of
+    ``c * x^alpha / d`` over ``terms``, which maps each exponent, as the
+    tuple of its coordinate indices in increasing order, to an integer
+    ``c``.  ``moments`` is ``(D, values)`` as
+    :func:`geometry._simplex_moments` gives it, with ``values[alpha] / D``
+    the integral of ``x^alpha``; degrees up to 2 are covered.
     """
-    denominator, degree, _ = poly._integer_form
-    if degree <= 1:
-        # Affine integrands integrate to the centroid value times the measure;
-        # the centroid is (sum of P_v) / ((k + 1) q).
-        q *= k + 1
-        centroid = [sum(c) for c in zip(*points)]
-        return poly._numerator(centroid, q), denominator * q**degree
-    # Exact for quadratics on a k-simplex: vertex values weighted 2 - k,
-    # edge-midpoint values weighted 4, over (k + 1)(k + 2).  The midpoint
-    # of P_u / q and P_w / q is (P_u + P_w) / (2q), so four times its
-    # value has the vertices' denominator * q**2.
-    at_vertices = sum(poly._numerator(p, q) for p in points)
-    at_midpoints = sum(
-        poly._numerator([a + b for a, b in zip(u, w)], 2 * q)
-        for u, w in itertools.combinations(points, 2)
-    )
-    return (
-        (2 - k) * at_vertices + at_midpoints,
-        denominator * q * q * (k + 1) * (k + 2),
-    )
+    denominator, values = moments
+    d, terms = form
+    return Fraction(sum(c * values[alpha] for alpha, c in terms.items()), d * denominator)
 
 
-def _integer_sum(f: Polynomial, form, k) -> Fraction:
-    """Integral of ``f`` (degree <= 2) over k-simplices in integer form.
+def _affine_form(gradient, constant) -> tuple:
+    """The integer form of ``<gradient, x> + constant`` (see :func:`_form_integral`);
+    the coefficients are ints or ``Fraction``s."""
+    coeffs = [constant, *gradient]
+    d = math.lcm(*[c.denominator for c in coeffs])
+    numerators = [c.numerator * (d // c.denominator) for c in coeffs]
+    terms = {(): numerators[0]}
+    for j, c in enumerate(numerators[1:]):
+        terms[(j,)] = c
+    return d, terms
 
-    ``form`` is ``(q, scale, simplices)`` as :attr:`Polytope._integer_fan`
-    and :attr:`Facet._integer_simplices` give it: each simplex is
-    ``(c, points)`` with vertices ``points / q`` and measure
-    ``c / scale``.  Every rule numerator has the same denominator, so the
-    sum runs on integers and builds one ``Fraction``.
-    """
-    q, scale, simplices = form
-    total, denominator = 0, 1
-    for c, points in simplices:
-        numerator, denominator = _low_degree_rule(f, points, q, k)
-        total += c * numerator
-    return Fraction(total, scale * denominator)
+
+def _product_form(a, b) -> tuple:
+    """The integer form of the product of two integer forms."""
+    (da, ta), (db, tb) = a, b
+    terms = {}
+    for ka, ca in ta.items():
+        for kb, cb in tb.items():
+            key = tuple(sorted(ka + kb))
+            terms[key] = terms.get(key, 0) + ca * cb
+    return da * db, terms
+
+
+def _combination(*pairs) -> tuple:
+    """The integer form of ``sum s * f`` over ``(s, f)`` pairs, each ``s``
+    an int or ``Fraction`` and each ``f`` an integer form."""
+    pairs = [(Fraction(s), f) for s, f in pairs]
+    d = math.lcm(*[s.denominator * f[0] for s, f in pairs])
+    terms = {}
+    for s, (df, tf) in pairs:
+        m = s.numerator * (d // (s.denominator * df))
+        for key, c in tf.items():
+            terms[key] = terms.get(key, 0) + m * c
+    return d, terms
 
 
 def integrate_polynomial(poly: Polytope, f) -> Fraction:
     """Exact integral of a polynomial over the polytope.
 
-    Up to degree 2 the sum runs over :attr:`Polytope._integer_fan` (see
-    :func:`_integer_sum`); degrees 3 and 4 take the barycentric expansion
-    simplex by simplex.
+    Up to degree 2 it is a dot product with the body's moments (see
+    :func:`_form_integral`); degrees 3 and 4 take the barycentric
+    expansion simplex by simplex.
     """
     f = _as_polynomial(f, poly.dim)
     if f.degree() <= 2:
-        return _integer_sum(f, poly._integer_fan, poly.dim)
+        return _form_integral(poly._moments, f._integer_form)
     return sum(
         (_poly_over_simplex(s.vertices, f, poly.dim, s.volume()) for s in poly.triangulation),
         Fraction(0),
@@ -323,7 +313,7 @@ def integrate_polynomial(poly: Polytope, f) -> Fraction:
 def _facet_integral(facet, f: Polynomial, k) -> Fraction:
     """Exact integral over one facet with the lattice measure."""
     if f.degree() <= 2:
-        return _integer_sum(f, facet._integer_simplices, k)
+        return _form_integral(facet._moments, f._integer_form)
     return sum(
         (_poly_over_simplex(s.vertices, f, k, m)
          for s, m in zip(facet.simplices, facet.simplex_measures)),
@@ -360,13 +350,11 @@ def _boundary_integral_pl(poly: Polytope, u) -> Fraction:
     outer = poly.facet_keys
     total = Fraction(0)
     for cell in u.cells:
-        piece_poly = Polynomial.affine(
-            poly.dim, cell.piece.gradient, cell.piece.constant
-        )
+        piece = _affine_form(cell.piece.gradient, cell.piece.constant)
         region = cell.region
         for facet in region.facets:
             if region.halfspaces[facet.halfspace_index].key in outer:
-                total += _facet_integral(facet, piece_poly, poly.dim - 1)
+                total += _form_integral(facet._moments, piece)
     return total
 
 

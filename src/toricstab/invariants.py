@@ -33,9 +33,11 @@ CONDITION_CODES = ("c02", "c02prime", "c02doubleprime", "c43", "c04", "c61")
 
 @dataclass(frozen=True)
 class ExtremalData:
-    """Centering constants, extremal coefficients and the potential's range."""
+    """Centering constants, the futaki vector ``b`` solved against,
+    extremal coefficients and the potential's range."""
 
     c: tuple
+    b: tuple
     a: tuple
     theta: AffineFunction
     theta_min: Fraction
@@ -125,16 +127,14 @@ def second_moment_matrix(poly: Polytope, c=None):
     if c is None:
         c = centering_constants(poly)
     n = poly.dim
-    centered = [
-        Polynomial.affine(
-            n, [Fraction(1) if i == j else Fraction(0) for i in range(n)], c[j]
-        )
-        for j in range(n)
-    ]
+    centered = [integration._affine_form([int(i == j) for i in range(n)], c[j])
+                for j in range(n)]
     mat = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
         for l in range(j, n):
-            value = integration.integrate_polynomial(poly, centered[j] * centered[l])
+            value = integration._form_integral(
+                poly._moments, integration._product_form(centered[j], centered[l])
+            )
             mat[j][l] = value
             mat[l][j] = value
     return mat
@@ -161,7 +161,7 @@ def extremal_field(poly: Polytope) -> ExtremalData:
     values = [theta.evaluate(v) for v in poly.vertices]
     tmin, tmax = min(values), max(values)
     return ExtremalData(
-        c=c, a=a, theta=theta, theta_min=tmin, theta_max=tmax,
+        c=c, b=b, a=a, theta=theta, theta_min=tmin, theta_max=tmax,
         norm=max(abs(tmin), abs(tmax)),
     )
 
@@ -171,11 +171,20 @@ def extremal_field(poly: Polytope) -> ExtremalData:
 # ---------------------------------------------------------------------------
 
 
-def _weight(poly: Polytope, extremal: ExtremalData) -> Polynomial:
-    """The affine weight: curvature average plus extremal potential."""
+def _weight(poly: Polytope, extremal: ExtremalData) -> tuple:
+    """The affine weight, curvature average plus extremal potential, as an
+    integer form (see :func:`integration._form_integral`)."""
     rbar = average_scalar_curvature(poly)
-    return Polynomial.affine(
-        poly.dim, extremal.theta.gradient, extremal.theta.constant + rbar
+    return integration._affine_form(extremal.theta.gradient, extremal.theta.constant + rbar)
+
+
+def _pairing(u: PLFunction, affine) -> Fraction:
+    """The integral over the domain of ``u`` times an affine integer form."""
+    return sum(
+        (integration._form_integral(cell.region._moments, integration._product_form(
+            affine, integration._affine_form(cell.piece.gradient, cell.piece.constant)))
+         for cell in u.cells),
+        Fraction(0),
     )
 
 
@@ -192,19 +201,7 @@ def _as_pl(u, poly: Polytope) -> PLFunction:
 def linear_functional_L(poly: Polytope, u, extremal: ExtremalData) -> Fraction:
     """Boundary integral of u minus the weighted volume integral, exact."""
     u = _as_pl(u, poly)
-    return integration.boundary_integral(poly, u) - _weighted_volume(poly, u, extremal)
-
-
-def _weighted_volume(poly: Polytope, u: PLFunction, extremal: ExtremalData) -> Fraction:
-    """The volume term of ``L``: the integral of the weight times ``u``."""
-    weight = _weight(poly, extremal)
-    total = Fraction(0)
-    for cell in u.cells:
-        piece = Polynomial.affine(
-            poly.dim, cell.piece.gradient, cell.piece.constant
-        )
-        total += integration.integrate_polynomial(cell.region, weight * piece)
-    return total
+    return integration.boundary_integral(poly, u) - _pairing(u, _weight(poly, extremal))
 
 
 def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fraction:
@@ -214,7 +211,10 @@ def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fract
     boundary piece converts to the divergence integrand
     ``<x, grad u> / b_i + (n / b_i) u``; summed against the weighted term
     this reproduces the boundary form exactly on the common refinement of
-    cones and PL cells.
+    cones and PL cells.  Nothing of a cone cell but its moments is read,
+    so each comes from :func:`geometry._cell_moments` and is never built
+    as a polytope; the integrands are integer forms, so each cell costs
+    one dot product and one ``Fraction``.
     """
     if not poly.origin_interior:
         raise OriginNotInterior("cone form needs 0 strictly inside")
@@ -227,17 +227,19 @@ def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fract
     parts = []
     for cell in u.cells:
         grad, const = cell.piece.gradient, cell.piece.constant
-        lift = Polynomial.affine(n, [(n + 1) * g for g in grad], n * const)
-        parts.append((lift, weight * Polynomial.affine(n, grad, const)))
+        lift = integration._affine_form([(n + 1) * g for g in grad], n * const)
+        weighted = integration._product_form(weight, integration._affine_form(grad, const))
+        parts.append((lift, weighted))
     integrands = {}
     total = Fraction(0)
     for support, cone_hs in poly._cone_halfspaces:
         if support not in integrands:
-            integrands[support] = [lift * (1 / support) - weighted for lift, weighted in parts]
+            integrands[support] = [integration._combination((1 / support, lift), (-1, weighted))
+                                   for lift, weighted in parts]
         for cell, integrand in zip(u.cells, integrands[support]):
-            region = geometry.intersect(cell.region, cone_hs)
-            if region is not None:
-                total += integration.integrate_polynomial(region, integrand)
+            moments = geometry._cell_moments(cell.region, cone_hs)
+            if moments is not None:
+                total += integration._form_integral(moments, integrand)
     return total
 
 
@@ -248,14 +250,11 @@ def relative_futaki(poly: Polytope, u, extremal: ExtremalData) -> DegenerationRe
     rbar = average_scalar_curvature(poly)
     boundary = integration.boundary_integral(poly, u)
     u_volume = integration.integrate_pl(u)
-    theta_poly = Polynomial.affine(
-        poly.dim, extremal.theta.gradient, extremal.theta.constant
+    theta = integration._affine_form(extremal.theta.gradient, extremal.theta.constant)
+    theta_u = _pairing(u, theta)
+    theta_sq = integration._form_integral(
+        poly._moments, integration._product_form(theta, theta)
     )
-    theta_u = Fraction(0)
-    for cell in u.cells:
-        piece = Polynomial.affine(poly.dim, cell.piece.gradient, cell.piece.constant)
-        theta_u += integration.integrate_polynomial(cell.region, theta_poly * piece)
-    theta_sq = integration.integrate_polynomial(poly, theta_poly * theta_poly)
     # The weight is theta + rbar, so its pairing with u splits exactly.
     L = boundary - theta_u - rbar * u_volume
     return DegenerationReport(

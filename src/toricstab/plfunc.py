@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg, geometry
-from .errors import EmptyPieceList, OutsideDomain, PointNotInterior
+from .errors import EmptyPieceList, OutsideDomain
 from .geometry import HalfSpace, Polytope
 
 
@@ -138,34 +138,6 @@ class SimplePL:
 
     def as_pl(self, domain: Polytope) -> PLFunction:
         return make_pl([zero_function(domain.dim), self.crease], domain)
-
-
-def normalize_at(u: PLFunction, p) -> PLFunction:
-    """Subtract a supporting affine function so the result is >= 0 and 0 at p.
-
-    The subtracted function is ``<s, x - p> + u(p)`` with ``s`` the average
-    of the gradients of all pieces active at ``p``; any subgradient works,
-    averaging makes the choice deterministic.
-    """
-    p = tuple(Fraction(c) for c in p)
-    if not u.domain.contains_interior(p):
-        raise PointNotInterior(f"{p} is not interior to the domain")
-    value = u.evaluate(p)
-    active = u.active_pieces(p)
-    n = u.domain.dim
-    s = tuple(
-        sum((a.gradient[j] for a in active), Fraction(0)) / len(active)
-        for j in range(n)
-    )
-    offset = _linalg.dot(s, p) - value
-    shifted = [
-        AffineFunction(
-            tuple(g - sj for g, sj in zip(piece.gradient, s)),
-            piece.constant + offset,
-        )
-        for piece in u.pieces
-    ]
-    return make_pl(shifted, u.domain)
 
 
 def is_affine(u: PLFunction) -> bool:

@@ -94,9 +94,7 @@ def build_report(poly: Polytope, name=None, pl_functions=(), scan_result=None) -
         },
         "rbar": rational_entry(rbar),
         "centering": [rational_entry(c) for c in extremal.c],
-        "futaki_vector": [
-            rational_entry(b) for b in invariants.futaki_vector(poly, extremal.c)
-        ],
+        "futaki_vector": [rational_entry(b) for b in extremal.b],
         "extremal": {
             "coefficients": [rational_entry(a) for a in extremal.a],
             "theta_constant": rational_entry(extremal.theta.constant),

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from toricstab import (
+    Polynomial,
     Simplex,
     build_polytope,
     catalog,
@@ -15,6 +16,7 @@ from toricstab import (
     delzant_check,
     geometry,
     halfspace,
+    integrate_polynomial,
     invariants,
     subdivide_by_hyperplanes,
     translate,
@@ -277,9 +279,11 @@ def _from_enumeration(hs, n, warnings=(), require_simple=False):
         raise Degenerate("half-space intersection is empty")
     if _linalg.affine_rank(vertices) < n:
         raise Degenerate("vertex hull is not full-dimensional")
-    active = [{i for i, h in enumerate(hs) if h.value(v) == h.bound} for v in vertices]
-    return geometry._build(hs, n, vertices, active, require_simple=require_simple,
-                           warnings=warnings)
+    body = []
+    for v in vertices:
+        q, (p,) = _linalg.over_common_denominator((v,))
+        body.append((v, p, q, frozenset(i for i, h in enumerate(hs) if h.value(v) == h.bound)))
+    return geometry._build(hs, n, body, require_simple=require_simple, warnings=warnings)
 
 
 def _enumerated(poly, cuts):
@@ -608,6 +612,130 @@ class TestClipping:
         assert [_fields(c) for c in cells] == [_fields(c) for c in expected if c is not None]
 
 
+def _monomial(n, alpha):
+    """``x^alpha`` for an exponent written as its coordinate indices."""
+    exponent = [0] * n
+    for j in alpha:
+        exponent[j] += 1
+    return Polynomial(n, {tuple(exponent): 1})
+
+
+def _centered(poly):
+    """``poly`` translated so its barycenter is the origin."""
+    return translate(poly, tuple(-c for c in poly.barycenter))
+
+
+class TestCellMoments:
+    """The cone form's cells: ``_cell_moments`` straight from the clip,
+    against the moments of the ``intersect`` cell."""
+
+    def check(self, poly, cuts):
+        moments = geometry._cell_moments(poly, cuts)
+        cell = geometry.intersect(poly, cuts)
+        if cell is None:
+            assert moments is None
+            return None
+        n = poly.dim
+        denominator, values = moments
+        assert set(values) == {(), *((j,) for j in range(n)),
+                               *itertools.combinations_with_replacement(range(n), 2)}
+        for alpha, value in values.items():
+            assert Fraction(value, denominator) == integrate_polynomial(cell, _monomial(n, alpha))
+        assert moments == cell._moments
+        return cell
+
+    @pytest.mark.parametrize("kind,count", [
+        ("lattice polygon", 80), ("rational polygon", 80), ("box", 30), ("simplex", 30)])
+    def test_random_cuts(self, kind, count):
+        # Cuts through vertices, between vertex values and outside the body.
+        rng = random.Random(f"cell-moments-{kind}")
+        kept = 0
+        for _ in range(count):
+            if kind == "lattice polygon":
+                poly = random_polygon(rng)
+            elif kind == "rational polygon":
+                poly = random_polygon(rng, den=rng.choice((2, 3, 7)))
+            elif kind == "box":
+                poly = _random_body(rng, "box")
+            else:
+                poly = build_polytope(
+                    geometry.simplex_halfspaces(Simplex(_rational_simplex(rng, 3), 3)))
+            cuts = [_random_cut(rng, poly) for _ in range(rng.randint(1, 3))]
+            kept += self.check(poly, cuts) is not None
+        assert 0 < kept < count
+
+    def test_cone_cells_of_pl_functions(self):
+        # The cones cut along rays from the origin through the vertices,
+        # both the body itself and the cells of a convex PL function.
+        rng = random.Random("cell-moments-cones")
+        bodies = [catalog("cp2_2blowup"), catalog("hexagon(2,3)")]
+        bodies += [_centered(random_polygon(rng, den=rng.choice((1, 3)))) for _ in range(4)]
+        bodies += [_centered(_random_body(rng, kind)) for kind in ("box", "box", "simplex")]
+        empty = 0
+        for poly in bodies:
+            regions = [poly] + [cell.region for cell in random_convex_pl(rng, poly).cells]
+            for region in regions:
+                for _, cone_hs in poly._cone_halfspaces:
+                    empty += self.check(region, cone_hs) is None
+        assert empty > 0
+
+    def test_flat_and_empty_results(self, square):
+        cube = build_polytope([halfspace(n, 1) for n in (
+            (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))])
+        cases = [
+            (square, [halfspace((1, 0), 0), halfspace((-1, 0), 0)], None),   # a line
+            (square, [halfspace((1, 1), -2)], None),                          # one vertex
+            (square, [halfspace((-1, 0), -1)], None),                         # one edge
+            (square, [halfspace((1, 0), -5)], None),                          # nothing
+            (square, [halfspace((1, 1), 0)], 2),                              # a diagonal
+            (cube, [halfspace((1, 1, 1), -3)], None),                         # one vertex
+            (cube, [halfspace((1, 1, 0), -2)], None),                         # one edge
+            (cube, [halfspace((1, 0, 0), 0), halfspace((-1, 0, 0), 0)], None),  # a square
+            (cube, [halfspace((1, 1, 0), 0), halfspace((1, 0, 1), 0)], Fraction(8, 3)),
+        ]
+        for poly, cuts, volume in cases:
+            cell = self.check(poly, cuts)
+            assert (None if cell is None else cell.volume) == volume
+
+
+def _fraction_lp_minimize(rows, rhs, objectives, basis):
+    """Reference: the simplex method with the vertex and every slack in
+    ``Fraction``, under the same Bland rule, the adjugate recomputed at
+    every pivot."""
+    basis = list(basis)
+    d = len(basis)
+    zero = (0,) * len(objectives)
+    z = None
+    while True:
+        adj, det = _linalg.adjugate([rows[k] for k in basis])
+        sign = 1 if det > 0 else -1
+        if z is None:
+            z = [Fraction(sum(adj[p][q] * rhs[basis[q]] for q in range(d)), det)
+                 for p in range(d)]
+            slack = [b - _linalg.dot(row, z) for row, b in zip(rows, rhs)]
+        release = None
+        for q in sorted(range(d), key=basis.__getitem__):
+            rate = tuple(-sign * sum(c[p] * adj[p][q] for p in range(d)) for c in objectives)
+            if rate < zero:
+                release = q
+                break
+        if release is None:
+            return tuple(z)
+        step = [-sign * adj[p][release] for p in range(d)]
+        growth = [_linalg.dot(row, step) for row in rows]
+        enter, length = None, None
+        for k, g in enumerate(growth):
+            if g > 0 and k not in basis:
+                ratio = slack[k] / g
+                if length is None or ratio < length:
+                    enter, length = k, ratio
+        if enter is None:
+            raise ValueError("objective is unbounded below")
+        basis[release] = enter
+        z = [zp + length * sp for zp, sp in zip(z, step)]
+        slack = [sk - length * g for sk, g in zip(slack, growth)]
+
+
 def _rational_simplex(rng, n, den=3):
     """n + 1 affinely independent points in R^n with rational coordinates."""
     while True:
@@ -683,6 +811,8 @@ class TestFacetMeasures:
         assert [f.simplex_measures for f in poly.facets] == [(1,), (1,)]
 
     def test_cone_form_leaves_cone_cells_unmeasured(self, monkeypatch):
+        # The cone form reads only the moments of its cone cells, so it
+        # must build none of them: no intersect and no _build call at all.
         rng = random.Random("cone-cells")
         box = build_polytope([halfspace(e, b) for e, b in (
             ((1, 0, 0), 2), ((-1, 0, 0), 1), ((0, 1, 0), F(3) / 2),
@@ -690,20 +820,21 @@ class TestFacetMeasures:
         for poly in (catalog("cp2_2blowup"), catalog("hexagon(2,3)"), box):
             ext = invariants.extremal_field(poly)
             u = random_convex_pl(rng, poly)
-            cells = []
+            assert len(u.cells) > 1
+            calls = []
 
-            def recording(cell, hs, intersect=geometry.intersect):
-                region = intersect(cell, hs)
-                cells.append(region)
-                return region
+            def refuse(name):
+                def call(*args, **kwargs):
+                    calls.append(name)
+                    raise AssertionError(f"the cone form called {name}")
+                return call
 
-            monkeypatch.setattr(geometry, "intersect", recording)
+            monkeypatch.setattr(geometry, "intersect", refuse("intersect"))
+            monkeypatch.setattr(geometry, "_build", refuse("_build"))
             value = invariants.linear_functional_L_cone(poly, u, ext)
             monkeypatch.undo()
+            assert calls == []
             assert value == invariants.linear_functional_L(poly, u, ext)
-            cells = [c for c in cells if c is not None]
-            assert cells
-            assert all(_unmeasured(f) for c in cells for f in c.facets)
 
 
 def _cross_fraction(rows, n):
@@ -841,3 +972,23 @@ class TestBestOrigin:
                                halfspace((0, 1), 1), halfspace((0, -1), 1)])
         best = translate(rect, (3, 1)).best_origin
         assert (best.point, best.max_support, best.depth) == (pt(3, 1), 2, 1)
+
+    def test_matches_the_fraction_lp(self, monkeypatch):
+        # The fraction-free pivots must walk to the same vertex as the
+        # Fraction simplex method, field for field.
+        rng = random.Random("best-origin-lp")
+        rect = build_polytope([halfspace((1, 0), 2), halfspace((-1, 0), 2),
+                               halfspace((0, 1), 1), halfspace((0, -1), 1)])
+        bodies = [rect, translate(rect, (3, 1))]
+        bodies += [random_polygon(rng) for _ in range(40)]
+        bodies += [translate(random_polygon(rng), (F(rng.randint(-9, 9)) / rng.randint(1, 7),
+                                                   F(rng.randint(-9, 9)) / rng.randint(1, 7)))
+                   for _ in range(20)]
+        bodies += [_random_body(rng, "box") for _ in range(15)]
+        for poly in bodies:
+            best = geometry._best_origin(poly)
+            monkeypatch.setattr(_linalg, "lp_minimize", _fraction_lp_minimize)
+            reference = geometry._best_origin(poly)
+            monkeypatch.undo()
+            assert best == reference
+            assert all(type(c) is Fraction for c in (*best.point, best.max_support, best.depth))

@@ -12,7 +12,6 @@ from toricstab import (
     Simplex,
     boundary_integral,
     ehrhart_residual,
-    integrate_monomial_simplex,
     integrate_polynomial,
     lattice_points,
     make_pl,
@@ -22,7 +21,16 @@ from toricstab import (
 from toricstab import _linalg, build_polytope, halfspace
 from toricstab.errors import DegenerateSimplex, ScaleOverflow
 from toricstab.geometry import intersect, simplex_halfspaces
-from toricstab.integration import _monomial_over_simplex, _poly_over_simplex, integrate_pl
+from toricstab.integration import (
+    _affine_form,
+    _combination,
+    _facet_integral,
+    _form_integral,
+    _monomial_over_simplex,
+    _poly_over_simplex,
+    _product_form,
+    integrate_pl,
+)
 from toricstab.invariants import average_scalar_curvature
 from toricstab.plfunc import affine, zero_function
 
@@ -54,24 +62,27 @@ def brute_lattice(poly, k):
     return out
 
 
+def _simplex_body(*verts):
+    return build_polytope(simplex_halfspaces(Simplex(verts, len(verts[0]))))
+
+
 class TestMonomialSimplex:
     def test_standard_simplex_volume(self):
-        s = Simplex(((F(0), F(0)), (F(1), F(0)), (F(0), F(1))), 2)
-        assert integrate_monomial_simplex(s, (0, 0)) == F(1, 2)
+        s = _simplex_body((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))
+        assert integrate_polynomial(s, Polynomial.constant(2, 1)) == F(1, 2)
 
     def test_standard_simplex_coordinate(self):
-        s = Simplex(((F(0), F(0)), (F(1), F(0)), (F(0), F(1))), 2)
-        assert integrate_monomial_simplex(s, (1, 0)) == F(1, 6)
+        s = _simplex_body((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))
+        assert integrate_polynomial(s, Polynomial.coordinate(2, 0)) == F(1, 6)
 
     def test_big_triangle_square_monomial(self):
         # Iterated-integral oracle: int_{-1}^{2} x^2 (2 - x) dx = 9/4.
-        s = Simplex(((F(-1), F(-1)), (F(2), F(-1)), (F(-1), F(2))), 2)
-        assert integrate_monomial_simplex(s, (2, 0)) == F(9, 4)
+        s = _simplex_body((F(-1), F(-1)), (F(2), F(-1)), (F(-1), F(2)))
+        assert integrate_polynomial(s, Polynomial(2, {(2, 0): 1})) == F(9, 4)
 
     def test_degenerate_simplex_rejected(self):
-        s = Simplex(((F(0), F(0)), (F(1), F(1)), (F(2), F(2))), 2)
         with pytest.raises(DegenerateSimplex):
-            integrate_monomial_simplex(s, (0, 0))
+            _simplex_body((F(0), F(0)), (F(1), F(1)), (F(2), F(2)))
 
 
 def _random_simplex(rng, k, n):
@@ -121,12 +132,13 @@ def _substitution_integral(verts, f, k, measure):
     return total * measure
 
 
-# (k, n): full-dimensional simplices and facet simplices (k = n - 1).
-SIMPLEX_SHAPES = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)]
+# (k, n): full-dimensional simplices and facet simplices (k = n - 1),
+# points included (k = 0, the facets in 1-D).
+SIMPLEX_SHAPES = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (0, 1), (0, 2), (0, 3)]
 
 
 class TestQuadraticRule:
-    """The vertex and edge-midpoint rule that integrates degree 2 exactly."""
+    """The closed-form simplex moments that integrate degree 2 exactly."""
 
     @pytest.mark.parametrize("k,n", SIMPLEX_SHAPES)
     def test_matches_monomial_expansion(self, k, n):
@@ -145,7 +157,7 @@ class TestQuadraticRule:
     @pytest.mark.parametrize("k,n", SIMPLEX_SHAPES)
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     def test_against_pullback_oracle(self, k, n, degree):
-        # Degrees 0 and 1 cover the centroid rule, 3 and 4 the barycentric
+        # Degrees 0 to 2 cover the moments, 3 and 4 the barycentric
         # expansion.
         rng = random.Random(f"pullback-{k}-{n}-{degree}")
         for _ in range(5):
@@ -266,7 +278,7 @@ class TestOneDenominatorSums:
     """Volume and boundary integrals summed over one denominator per body
     or facet, against the per-simplex rules and the pull-back oracle."""
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_volume_against_per_simplex_sums(self, n):
         rng = random.Random(f"volume-integral-{n}")
         single = 0
@@ -294,7 +306,7 @@ class TestOneDenominatorSums:
                 )
         assert single >= 2
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_boundary_against_per_simplex_sums(self, n):
         rng = random.Random(f"boundary-integral-{n}")
         for poly in _rational_bodies(rng, n, 9 if n == 2 else 2):
@@ -310,6 +322,32 @@ class TestOneDenominatorSums:
                 assert value == sum(
                     (_substitution_integral(s.vertices, f, n - 1, m) for s, m in pieces), F(0)
                 )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_integer_forms_against_polynomials(self, n):
+        # The integrands the invariants build as integer forms, affine
+        # products and their combinations, against the same integrands
+        # built as polynomials, over bodies and over facets.
+        rng = random.Random(f"integer-forms-{n}")
+
+        def random_affine():
+            gradient = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+            return gradient, F(rng.randint(-9, 9), rng.randint(1, 6))
+
+        for poly in _rational_bodies(rng, n, 6):
+            for _ in range(3):
+                (ga, ca), (gb, cb) = random_affine(), random_affine()
+                a, b = Polynomial.affine(n, ga, ca), Polynomial.affine(n, gb, cb)
+                form_a, form_b = _affine_form(ga, ca), _affine_form(gb, cb)
+                product = _product_form(form_a, form_b)
+                s = F(rng.randint(-9, 9), rng.randint(1, 9))
+                mixed = _combination((s, form_a), (-1, product))
+                for region, value in ((poly, lambda f: integrate_polynomial(poly, f)),
+                                      *((facet, lambda f, facet=facet: _facet_integral(
+                                          facet, f, n - 1)) for facet in poly.facets)):
+                    assert _form_integral(region._moments, form_a) == value(a)
+                    assert _form_integral(region._moments, product) == value(a * b)
+                    assert _form_integral(region._moments, mixed) == value(a * s - a * b)
 
     def test_zero_polynomial(self, pentagon):
         assert integrate_polynomial(pentagon, Polynomial(2)) == 0

@@ -16,7 +16,6 @@ from toricstab import (
     linear_functional_L,
     linear_functional_L_cone,
     make_pl,
-    normalize_at,
     relative_futaki,
     translate,
 )
@@ -25,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from toricstab import build_polytope, geometry, halfspace, invariants, report
 from toricstab.errors import OriginNotInterior, WrongFamily
 from toricstab.geometry import cone_decomposition, simplex_halfspaces, intersect
-from toricstab.plfunc import affine, zero_function
+from toricstab.plfunc import AffineFunction, affine, zero_function
 from toricstab.reproduce import random_affine, random_convex_pl
 
 
@@ -208,6 +207,19 @@ class TestLinearFunctional:
         with pytest.raises(OriginNotInterior):
             linear_functional_L_cone(moved, crease_x1(moved), ext)
 
+    @staticmethod
+    def _normalized_at_origin(u):
+        """``u`` minus a supporting affine function at the origin: the
+        average gradient of the pieces active there, so the result is
+        >= 0 and 0 at the origin."""
+        origin = (F(0),) * u.domain.dim
+        active = u.active_pieces(origin)
+        s = [sum((a.gradient[j] for a in active), F(0)) / len(active)
+             for j in range(u.domain.dim)]
+        return make_pl([AffineFunction(tuple(g - sj for g, sj in zip(p.gradient, s)),
+                                       p.constant - u.evaluate(origin))
+                        for p in u.pieces], u.domain)
+
     def test_lower_bound_for_normalized(self, pentagon, square):
         # For u normalized at the origin, the functional dominates the cone
         # sum with the shifted weight, because the per-cell Legendre values
@@ -221,7 +233,7 @@ class TestLinearFunctional:
                 n, ext.theta.gradient, ext.theta.constant + rbar
             )
             for _ in range(10):
-                u = normalize_at(random_convex_pl(rng, poly), (0, 0))
+                u = self._normalized_at_origin(random_convex_pl(rng, poly))
                 value = linear_functional_L(poly, u, ext)
                 bound = F(0)
                 for facet_index, cone_simplex in cone_decomposition(poly).cells:

@@ -243,6 +243,24 @@ class TestCLI:
         assert code == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
+    @pytest.mark.parametrize("tag,source,expr", [
+        ("cp2_2blowup", ["--catalog", "cp2_2blowup"], "max(0, x1 - 1/2, 1/3*x1 + x2)"),
+        ("hexagon23", ["--catalog", "hexagon(2,3)"], "max(0, x1 - x2 + 1/2, 2/3*x2 - 1)"),
+        ("box3", ["--spec", "box3_rational.json"], "max(0, x1 + x2 - 1/3, x3 - 1/2)"),
+    ])
+    @pytest.mark.parametrize("command,prefix", [("lfun", "lfun"), ("analyze", "analyze_pl")])
+    def test_pl_golden_bytes(self, tmp_path, monkeypatch, tag, source, expr, command, prefix):
+        # The structured output of ``lfun --pl`` (both forms of L) and
+        # ``analyze --pl`` must match these files byte for byte.  The spec
+        # is read relative to the golden directory, so its name in the
+        # report does not depend on where the tests run.
+        monkeypatch.chdir(GOLDEN)
+        out = tmp_path / "out.json"
+        code = main([command, *source, "--pl", expr, "--format", "structured",
+                     "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / f"{prefix}_{tag}.json").read_bytes()
+
     def test_center_flag(self, capsys):
         code = main([
             "analyze", "--catalog", "cp2_2blowup", "--center",

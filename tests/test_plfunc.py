@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricstab import is_affine, make_pl, normalize_at
-from toricstab.errors import EmptyPieceList, OutsideDomain, PointNotInterior
+from toricstab import is_affine, make_pl
+from toricstab.errors import EmptyPieceList, OutsideDomain
 from toricstab.plfunc import AffineFunction, SimplePL, affine, zero_function
 
 
@@ -78,76 +78,6 @@ class TestEvaluate:
         u = make_pl([zero_function(2)], square)
         with pytest.raises(OutsideDomain):
             u.evaluate((2, 0))
-
-
-class TestNormalizeAt:
-    def test_affine_normalizes_to_zero(self, square):
-        u = make_pl([affine((1, 0), 3)], square)
-        v = normalize_at(u, (0, 0))
-        assert is_affine(v)
-        assert v.pieces[0].gradient == (0, 0)
-        assert v.pieces[0].constant == 0
-
-    def test_smooth_point_keeps_function(self, square):
-        u = make_pl([zero_function(2), affine((1, 0), 0)], square)
-        v = normalize_at(u, (F(-1, 2), 0))
-        assert set((p.gradient, p.constant) for p in v.pieces) == set(
-            (p.gradient, p.constant) for p in u.pieces
-        )
-
-    def test_tie_point_averages_gradients(self, square):
-        u = make_pl([zero_function(2), affine((1, 0), 0)], square)
-        v = normalize_at(u, (0, 0))
-        grads = sorted(p.gradient for p in v.pieces)
-        assert grads == [(F(-1, 2), 0), (F(1, 2), 0)]
-
-    def test_requires_interior_point(self, square):
-        u = make_pl([zero_function(2)], square)
-        with pytest.raises(PointNotInterior):
-            normalize_at(u, (1, 0))
-
-    def test_nonnegative_and_zero_at_point(self, pentagon):
-        rng = random.Random(11)
-        for _ in range(25):
-            pieces = [
-                AffineFunction(
-                    (F(rng.randint(-3, 3), rng.randint(1, 3)),
-                     F(rng.randint(-3, 3), rng.randint(1, 3))),
-                    F(rng.randint(-3, 3), rng.randint(1, 3)),
-                )
-                for _ in range(rng.randint(1, 4))
-            ]
-            u = make_pl(pieces, pentagon)
-            v = normalize_at(u, (0, 0))
-            assert v.evaluate((0, 0)) == 0
-            for cell in v.cells:
-                for vert in cell.region.vertices:
-                    assert v.evaluate(vert) >= 0
-
-    def test_normalized_constants_nonpositive(self, pentagon):
-        # Pieces active on a full-dimensional cell of a function normalized
-        # at the origin have nonpositive constant terms, which is exactly
-        # the nonnegativity of the pointwise Legendre dual value.
-        rng = random.Random(13)
-        for _ in range(25):
-            pieces = [
-                AffineFunction(
-                    (F(rng.randint(-3, 3), rng.randint(1, 3)),
-                     F(rng.randint(-3, 3), rng.randint(1, 3))),
-                    F(rng.randint(-3, 3), rng.randint(1, 3)),
-                )
-                for _ in range(rng.randint(2, 4))
-            ]
-            v = normalize_at(make_pl(pieces, pentagon), (0, 0))
-            for cell in v.cells:
-                piece = cell.piece
-                assert piece.constant <= 0
-                # Legendre value <x, grad> - u equals -constant on the cell.
-                for vert in cell.region.vertices:
-                    radial = sum(
-                        g * c for g, c in zip(piece.gradient, vert)
-                    )
-                    assert radial - piece.evaluate(vert) == -piece.constant
 
 
 class TestQueries:
