@@ -34,7 +34,6 @@ from .integration import (
     boundary_integral,
     ehrhart_residual,
     integrate_polynomial,
-    lattice_points,
     pl_lattice_sum,
 )
 from .invariants import (

@@ -23,10 +23,6 @@ def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def scale(u, s):
-    return tuple(s * a for a in u)
-
-
 def clear_row_denominators(row):
     """Scale a rational row to integers; returns the integer row."""
     mult = lcm(*[entry.denominator for entry in row])

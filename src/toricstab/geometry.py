@@ -194,9 +194,6 @@ class ConeDecomposition:
 
     cells: tuple  # pairs (facet_index, Simplex)
 
-    def volumes(self):
-        return tuple(simplex.volume() for _, simplex in self.cells)
-
 
 class Polytope:
     """Bounded full-dimensional rational polytope.

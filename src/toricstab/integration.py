@@ -1,17 +1,15 @@
 """Exact integration over polytopes and their boundaries, plus lattice sums.
 
-Integrands of degree <= 2 read moments.  Every region, a polytope from
-its triangulation and a facet from its simplices with their lattice
-measures, computes once and keeps its integer moments of degree <= 2 over
-one denominator (:func:`geometry._simplex_moments`, from the closed-form
-simplex moments of Baldoni, Berline, De Loera, Koeppe and Vergne).  An
-integrand of degree <= 2 written as integer numerators over one
-denominator (an integer form, see :func:`_form_integral`) then integrates
-to one integer dot product and one ``Fraction``: a volume integral builds
-one per call, a boundary integral one per facet.  Products of affine
-functions are built as integer forms too (:func:`_product_form`), never
-as ``Polynomial`` products.  Only degrees 3 and 4 expand into barycentric
-monomial integrals, simplex by simplex.
+Every integrand is a :class:`Polynomial` of degree at most 2, because
+every integral behind the invariants is at most an affine weight times an
+affine piece.  A polynomial is held as integer numerators over one
+denominator, and every region, a polytope from its triangulation and a
+facet from its simplices with their lattice measures, computes once and
+keeps its integer moments of degree <= 2 over one denominator
+(:func:`geometry._simplex_moments`, from the closed-form simplex moments
+of Baldoni, Berline, De Loera, Koeppe and Vergne).  An integral is then
+one integer dot product and one ``Fraction`` (:func:`_form_integral`): a
+volume integral builds one per call, a boundary integral one per facet.
 Lattice-point work is a bounding-box scan with exact half-space
 filtering, guarded by a cell budget so a careless scale cannot wedge the
 process.
@@ -19,112 +17,131 @@ process.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
+import types
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from . import _linalg
 from .errors import ScaleOverflow
-from .geometry import Polytope, _simplex_moments
+from .geometry import Polytope
 from .kernels import lattice_weighted_sum
 
-DEFAULT_MAX_DEGREE = 4
+MAX_DEGREE = 2
 DEFAULT_CELL_BUDGET = 10**8
 
 
 class Polynomial:
-    """Sparse polynomial with rational coefficients, keyed by exponent tuples.
+    """Polynomial of degree at most :data:`MAX_DEGREE` with rational coefficients.
 
-    ``terms`` maps exponent tuples of length ``dim`` to nonzero ``Fraction``
-    coefficients.  It is treated as immutable: the integer form that
-    :meth:`evaluate` and the moment integrals use (one common denominator
-    and an integer numerator per term) is cached on first use.  The public
-    constructor and classmethods coerce and validate their input; ``+``,
-    ``-`` and ``*`` build their results through :meth:`_trusted`, because
-    terms combined from valid polynomials are already in that form.
+    Its state is the integer form ``(denominator, numerators)`` that
+    :func:`_form_integral` integrates: ``numerators`` maps each monomial,
+    written as the tuple of its coordinate indices in increasing order
+    (``x_0 x_2`` as ``(0, 2)``, the constant as ``()``), to the integer
+    numerator of its coefficient over the positive ``denominator``.
+    Instances are immutable.  ``+``, ``-`` and ``*`` keep the form as it
+    comes, so a cancelled monomial may stay with numerator 0;
+    :attr:`terms` and :meth:`degree` skip those.  A product above degree 2
+    raises ``ValueError``.
     """
 
-    def __init__(self, dim, terms=None, max_degree=DEFAULT_MAX_DEGREE):
-        self.dim = dim
-        self.max_degree = max_degree
-        clean = {}
+    def __init__(self, dim, terms=None):
+        coefficients = []
         for alpha, coeff in (terms or {}).items():
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != dim or any(a < 0 for a in alpha):
                 raise ValueError(f"bad exponent {alpha} for dimension {dim}")
-            if sum(alpha) > max_degree:
-                raise ValueError(f"degree {sum(alpha)} exceeds cap {max_degree}")
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[alpha] = clean.get(alpha, Fraction(0)) + coeff
-        self.terms = {a: c for a, c in clean.items() if c}
+            if sum(alpha) > MAX_DEGREE:
+                raise ValueError(f"degree {sum(alpha)} exceeds cap {MAX_DEGREE}")
+            key = tuple(j for j, a in enumerate(alpha) for _ in range(a))
+            coefficients.append((key, Fraction(coeff)))
+        denominator = math.lcm(*[c.denominator for _, c in coefficients])
+        numerators = {}
+        for key, c in coefficients:
+            numerators[key] = numerators.get(key, 0) + c.numerator * (denominator // c.denominator)
+        self.dim = dim
+        self._form = (denominator, numerators)
 
     @classmethod
-    def _trusted(cls, dim, terms, max_degree):
-        """Wrap ``terms`` already in canonical form, without re-checking it."""
+    def _of(cls, dim, denominator, numerators):
+        """Wrap an integer form built by the arithmetic, without checking it."""
         poly = cls.__new__(cls)
         poly.dim = dim
-        poly.max_degree = max_degree
-        poly.terms = terms
+        poly._form = (denominator, numerators)
         return poly
 
     @classmethod
     def constant(cls, dim, value):
-        return cls(dim, {tuple([0] * dim): Fraction(value)})
+        value = Fraction(value)
+        return cls._of(dim, value.denominator, {(): value.numerator})
 
     @classmethod
     def coordinate(cls, dim, j):
-        alpha = [0] * dim
-        alpha[j] = 1
-        return cls(dim, {tuple(alpha): Fraction(1)})
+        if not 0 <= j < dim:
+            raise ValueError(f"no coordinate {j} in dimension {dim}")
+        return cls._of(dim, 1, {(j,): 1})
 
     @classmethod
     def affine(cls, dim, gradient, constant):
-        """``<gradient, x> + constant``, built straight into canonical form."""
+        """``<gradient, x> + constant``; the coefficients are ints or ``Fraction``s."""
         if len(gradient) != dim:
             raise ValueError(f"gradient {gradient} does not have dimension {dim}")
+        denominator = math.lcm(constant.denominator, *[c.denominator for c in gradient])
+        numerators = {(): constant.numerator * (denominator // constant.denominator)}
+        for j, c in enumerate(gradient):
+            numerators[(j,)] = c.numerator * (denominator // c.denominator)
+        return cls._of(dim, denominator, numerators)
+
+    @property
+    def terms(self):
+        """Read-only view of the nonzero ``Fraction`` coefficients, keyed by
+        exponent tuples of length ``dim``."""
+        denominator, numerators = self._form
         terms = {}
-        # The constant's exponent (j = dim) is all zeros; it comes first.
-        for j, c in ((dim, constant), *enumerate(gradient)):
-            c = Fraction(c)
+        for key, c in numerators.items():
             if c:
-                terms[tuple(int(i == j) for i in range(dim))] = c
-        return cls._trusted(dim, terms, DEFAULT_MAX_DEGREE)
+                alpha = [0] * self.dim
+                for j in key:
+                    alpha[j] += 1
+                terms[tuple(alpha)] = Fraction(c, denominator)
+        return types.MappingProxyType(terms)
 
     def degree(self) -> int:
-        return max((sum(a) for a in self.terms), default=0)
+        return max((len(key) for key, c in self._form[1].items() if c), default=0)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            terms[a] = terms.get(a, 0) + c
-        return Polynomial._trusted(
-            self.dim, {a: c for a, c in terms.items() if c},
-            max(self.max_degree, other.max_degree),
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (self._coerce(other) * Fraction(-1))
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """``self + sign * other`` over the lcm of the two denominators."""
+        (da, ta), (db, tb) = self._form, self._coerce(other)._form
+        denominator = math.lcm(da, db)
+        ma, mb = denominator // da, sign * (denominator // db)
+        numerators = {key: c * ma for key, c in ta.items()}
+        for key, c in tb.items():
+            numerators[key] = numerators.get(key, 0) + c * mb
+        return Polynomial._of(self.dim, denominator, numerators)
 
     def __mul__(self, other):
+        da, ta = self._form
         if isinstance(other, (int, Fraction)):
-            terms = {a: c * other for a, c in self.terms.items()} if other else {}
-            return Polynomial._trusted(self.dim, terms, self.max_degree)
-        other = self._coerce(other)
-        terms = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                terms[key] = terms.get(key, 0) + ca * cb
-        max_degree = max(self.max_degree, other.max_degree,
-                         max((sum(k) for k in terms), default=0))
-        return Polynomial._trusted(
-            self.dim, {a: c for a, c in terms.items() if c}, max_degree
-        )
+            return Polynomial._of(self.dim, da * other.denominator,
+                                  {key: c * other.numerator for key, c in ta.items()})
+        db, tb = self._coerce(other)._form
+        numerators = {}
+        for ka, ca in ta.items():
+            if ca:
+                for kb, cb in tb.items():
+                    if cb:
+                        key = ka + kb
+                        if len(key) > MAX_DEGREE:
+                            raise ValueError(f"product exceeds degree cap {MAX_DEGREE}")
+                        key = tuple(sorted(key))
+                        numerators[key] = numerators.get(key, 0) + ca * cb
+        return Polynomial._of(self.dim, da * db, numerators)
 
     __rmul__ = __mul__
 
@@ -135,51 +152,24 @@ class Polynomial:
             return other
         return Polynomial.constant(self.dim, other)
 
-    @functools.cached_property
-    def _integer_form(self):
-        """``(denominator, terms)``: the integer form of the polynomial.
-
-        ``terms`` maps each exponent, written as the tuple of its
-        coordinate indices in increasing order (``x_0^2 x_2`` as
-        ``(0, 0, 2)``), to the integer numerator of its coefficient over
-        ``denominator``; see :func:`_form_integral`.
-        """
-        denominator = math.lcm(*[c.denominator for c in self.terms.values()])
-        return denominator, {
-            tuple(j for j, a in enumerate(alpha) for _ in range(a)):
-                c.numerator * (denominator // c.denominator)
-            for alpha, c in self.terms.items()
-        }
-
-    def _numerator(self, point, q) -> int:
-        """Integer ``N`` with ``f(point / q) = N / (denominator * q**degree)``.
-
-        ``point`` holds integers, ``q`` is a positive integer, and
-        ``denominator`` is that of :attr:`_integer_form`.
-        """
-        degree = self.degree()
-        powers = [1]
-        for _ in range(degree):
-            powers.append(powers[-1] * q)
-        total = 0
-        for indices, numerator in self._integer_form[1].items():
-            for j in indices:
-                numerator *= point[j]
-            total += numerator * powers[degree - len(indices)]
-        return total
-
     def evaluate(self, x) -> Fraction:
         """Exact value at a point of ints and ``Fraction``s.
 
-        The point goes over one common denominator and the sum runs on
-        integer numerators; the result is the only ``Fraction`` built.
+        The point goes over one common denominator ``q``, and the sum runs
+        on integer numerators with each monomial raised to degree 2 by
+        powers of ``q``; the result is the only ``Fraction`` built.
         """
-        q, point = _linalg.over_common_denominator((x,))
-        return Fraction(self._numerator(point[0], q),
-                        self._integer_form[0] * q**self.degree())
+        q, (point,) = _linalg.over_common_denominator((x,))
+        denominator, numerators = self._form
+        total = 0
+        for key, c in numerators.items():
+            for j in key:
+                c *= point[j]
+            total += c * q ** (MAX_DEGREE - len(key))
+        return Fraction(total, denominator * q**MAX_DEGREE)
 
     def __repr__(self):
-        return f"Polynomial({self.terms!r})"
+        return f"Polynomial({dict(self.terms)!r})"
 
 
 @dataclass(frozen=True)
@@ -192,133 +182,26 @@ class LatticeSum:
 
 
 # ---------------------------------------------------------------------------
-# simplex and polytope integrals
+# polytope and boundary integrals
 # ---------------------------------------------------------------------------
 
 
-def _monomial_over_simplex(verts, alpha, k, measure) -> Fraction:
-    """Barycentric formula on a k-simplex of known k-measure.
+def _form_integral(moments, f: Polynomial) -> Fraction:
+    """Integral of ``f`` over a region with these moments.
 
-    Expands ``x^alpha`` with ``x = sum lambda_i v_i`` into barycentric
-    monomials and applies
-    ``integral of prod lambda^beta = k! * measure * prod(beta!) / (k+|beta|)!``.
-    """
-    if sum(alpha) == 0:
-        return measure
-    expansion = {tuple([0] * len(verts)): Fraction(1)}
-    for j, power in enumerate(alpha):
-        for _ in range(power):
-            expansion = _mul_linear(expansion, [v[j] for v in verts])
-    kfact = factorial(k)
-    total = Fraction(0)
-    for beta, coeff in expansion.items():
-        weight = Fraction(kfact, factorial(k + sum(beta)))
-        for b in beta:
-            weight *= factorial(b)
-        total += coeff * weight
-    return total * measure
-
-
-def _mul_linear(expansion, coeffs):
-    out = {}
-    for beta, c in expansion.items():
-        for i, vi in enumerate(coeffs):
-            if vi == 0:
-                continue
-            key = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-            out[key] = out.get(key, Fraction(0)) + c * vi
-    return out
-
-
-def _poly_over_simplex(verts, poly: Polynomial, k, measure) -> Fraction:
-    if measure == 0:
-        return Fraction(0)
-    if poly.degree() <= 2:
-        q, points = _linalg.over_common_denominator(verts)
-        moments = _simplex_moments(k, q, 1, [(1, points)])
-        return _form_integral(moments, poly._integer_form) * measure
-    total = Fraction(0)
-    for alpha, coeff in poly.terms.items():
-        total += coeff * _monomial_over_simplex(verts, alpha, k, measure)
-    return total
-
-
-def _form_integral(moments, form) -> Fraction:
-    """Integral of an integer form over a region with these moments.
-
-    ``form`` is ``(d, terms)``: the integrand is the sum of
-    ``c * x^alpha / d`` over ``terms``, which maps each exponent, as the
-    tuple of its coordinate indices in increasing order, to an integer
-    ``c``.  ``moments`` is ``(D, values)`` as
-    :func:`geometry._simplex_moments` gives it, with ``values[alpha] / D``
-    the integral of ``x^alpha``; degrees up to 2 are covered.
+    ``moments`` is ``(D, values)`` as :func:`geometry._simplex_moments`
+    gives it, with ``values[key] / D`` the integral of the monomial
+    ``key`` written as in :class:`Polynomial`.
     """
     denominator, values = moments
-    d, terms = form
-    return Fraction(sum(c * values[alpha] for alpha, c in terms.items()), d * denominator)
-
-
-def _affine_form(gradient, constant) -> tuple:
-    """The integer form of ``<gradient, x> + constant`` (see :func:`_form_integral`);
-    the coefficients are ints or ``Fraction``s."""
-    coeffs = [constant, *gradient]
-    d = math.lcm(*[c.denominator for c in coeffs])
-    numerators = [c.numerator * (d // c.denominator) for c in coeffs]
-    terms = {(): numerators[0]}
-    for j, c in enumerate(numerators[1:]):
-        terms[(j,)] = c
-    return d, terms
-
-
-def _product_form(a, b) -> tuple:
-    """The integer form of the product of two integer forms."""
-    (da, ta), (db, tb) = a, b
-    terms = {}
-    for ka, ca in ta.items():
-        for kb, cb in tb.items():
-            key = tuple(sorted(ka + kb))
-            terms[key] = terms.get(key, 0) + ca * cb
-    return da * db, terms
-
-
-def _combination(*pairs) -> tuple:
-    """The integer form of ``sum s * f`` over ``(s, f)`` pairs, each ``s``
-    an int or ``Fraction`` and each ``f`` an integer form."""
-    pairs = [(Fraction(s), f) for s, f in pairs]
-    d = math.lcm(*[s.denominator * f[0] for s, f in pairs])
-    terms = {}
-    for s, (df, tf) in pairs:
-        m = s.numerator * (d // (s.denominator * df))
-        for key, c in tf.items():
-            terms[key] = terms.get(key, 0) + m * c
-    return d, terms
+    d, numerators = f._form
+    return Fraction(sum(c * values[key] for key, c in numerators.items()), d * denominator)
 
 
 def integrate_polynomial(poly: Polytope, f) -> Fraction:
-    """Exact integral of a polynomial over the polytope.
-
-    Up to degree 2 it is a dot product with the body's moments (see
-    :func:`_form_integral`); degrees 3 and 4 take the barycentric
-    expansion simplex by simplex.
-    """
-    f = _as_polynomial(f, poly.dim)
-    if f.degree() <= 2:
-        return _form_integral(poly._moments, f._integer_form)
-    return sum(
-        (_poly_over_simplex(s.vertices, f, poly.dim, s.volume()) for s in poly.triangulation),
-        Fraction(0),
-    )
-
-
-def _facet_integral(facet, f: Polynomial, k) -> Fraction:
-    """Exact integral over one facet with the lattice measure."""
-    if f.degree() <= 2:
-        return _form_integral(facet._moments, f._integer_form)
-    return sum(
-        (_poly_over_simplex(s.vertices, f, k, m)
-         for s, m in zip(facet.simplices, facet.simplex_measures)),
-        Fraction(0),
-    )
+    """Exact integral of a polynomial over the polytope: a dot product
+    with the body's moments (see :func:`_form_integral`)."""
+    return _form_integral(poly._moments, _as_polynomial(f, poly.dim))
 
 
 def integrate_pl(u) -> Fraction:
@@ -341,7 +224,7 @@ def boundary_integral(poly: Polytope, f) -> Fraction:
     if hasattr(f, "cells"):
         return _boundary_integral_pl(poly, f)
     f = _as_polynomial(f, poly.dim)
-    return sum((_facet_integral(facet, f, poly.dim - 1) for facet in poly.facets), Fraction(0))
+    return sum((_form_integral(facet._moments, f) for facet in poly.facets), Fraction(0))
 
 
 def _boundary_integral_pl(poly: Polytope, u) -> Fraction:
@@ -350,7 +233,7 @@ def _boundary_integral_pl(poly: Polytope, u) -> Fraction:
     outer = poly.facet_keys
     total = Fraction(0)
     for cell in u.cells:
-        piece = _affine_form(cell.piece.gradient, cell.piece.constant)
+        piece = Polynomial.affine(poly.dim, cell.piece.gradient, cell.piece.constant)
         region = cell.region
         for facet in region.facets:
             if region.halfspaces[facet.halfspace_index].key in outer:
@@ -394,20 +277,6 @@ def _scaled_constraints(poly: Polytope, k):
         q = h.bound.denominator
         rows.append((tuple(q * c for c in h.normal), k * h.bound.numerator))
     return rows
-
-def lattice_points(poly: Polytope, k, budget=DEFAULT_CELL_BUDGET) -> list:
-    """All integer points of the dilation ``k * P`` (closure)."""
-    if k <= 0:
-        raise ValueError("scale k must be a positive integer")
-    lows, highs = _integer_box(poly, k, budget)
-    rows = _scaled_constraints(poly, k)
-    points = []
-    for point in itertools.product(
-        *(range(lo, hi + 1) for lo, hi in zip(lows, highs))
-    ):
-        if all(_linalg.dot(m, point) <= r for m, r in rows):
-            points.append(point)
-    return points
 
 
 def _piece_table(u, dim):

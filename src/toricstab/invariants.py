@@ -111,15 +111,12 @@ def futaki_vector(poly: Polytope, c=None) -> tuple:
     """
     if c is None:
         c = centering_constants(poly)
-    out = []
-    for j in range(poly.dim):
-        f = Polynomial.affine(
-            poly.dim,
-            [Fraction(1) if i == j else Fraction(0) for i in range(poly.dim)],
-            c[j],
-        )
-        out.append(integration.boundary_integral(poly, f))
-    return tuple(out)
+    return tuple(integration.boundary_integral(poly, f) for f in _centered(poly.dim, c))
+
+
+def _centered(n, c) -> list:
+    """The centered coordinates ``x_j + c_j`` as polynomials."""
+    return [Polynomial.affine(n, [int(i == j) for i in range(n)], c[j]) for j in range(n)]
 
 
 def second_moment_matrix(poly: Polytope, c=None):
@@ -127,14 +124,11 @@ def second_moment_matrix(poly: Polytope, c=None):
     if c is None:
         c = centering_constants(poly)
     n = poly.dim
-    centered = [integration._affine_form([int(i == j) for i in range(n)], c[j])
-                for j in range(n)]
+    centered = _centered(n, c)
     mat = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
         for l in range(j, n):
-            value = integration._form_integral(
-                poly._moments, integration._product_form(centered[j], centered[l])
-            )
+            value = integration.integrate_polynomial(poly, centered[j] * centered[l])
             mat[j][l] = value
             mat[l][j] = value
     return mat
@@ -171,18 +165,18 @@ def extremal_field(poly: Polytope) -> ExtremalData:
 # ---------------------------------------------------------------------------
 
 
-def _weight(poly: Polytope, extremal: ExtremalData) -> tuple:
-    """The affine weight, curvature average plus extremal potential, as an
-    integer form (see :func:`integration._form_integral`)."""
+def _weight(poly: Polytope, extremal: ExtremalData) -> Polynomial:
+    """The affine weight, curvature average plus extremal potential."""
     rbar = average_scalar_curvature(poly)
-    return integration._affine_form(extremal.theta.gradient, extremal.theta.constant + rbar)
+    return Polynomial.affine(poly.dim, extremal.theta.gradient, extremal.theta.constant + rbar)
 
 
-def _pairing(u: PLFunction, affine) -> Fraction:
-    """The integral over the domain of ``u`` times an affine integer form."""
+def _pairing(u: PLFunction, affine: Polynomial) -> Fraction:
+    """The integral over the domain of ``u`` times an affine polynomial."""
+    n = u.domain.dim
     return sum(
-        (integration._form_integral(cell.region._moments, integration._product_form(
-            affine, integration._affine_form(cell.piece.gradient, cell.piece.constant)))
+        (integration.integrate_polynomial(cell.region, affine * Polynomial.affine(
+            n, cell.piece.gradient, cell.piece.constant))
          for cell in u.cells),
         Fraction(0),
     )
@@ -213,8 +207,8 @@ def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fract
     this reproduces the boundary form exactly on the common refinement of
     cones and PL cells.  Nothing of a cone cell but its moments is read,
     so each comes from :func:`geometry._cell_moments` and is never built
-    as a polytope; the integrands are integer forms, so each cell costs
-    one dot product and one ``Fraction``.
+    as a polytope, and each cell costs one dot product with its moments
+    and one ``Fraction``.
     """
     if not poly.origin_interior:
         raise OriginNotInterior("cone form needs 0 strictly inside")
@@ -227,15 +221,13 @@ def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fract
     parts = []
     for cell in u.cells:
         grad, const = cell.piece.gradient, cell.piece.constant
-        lift = integration._affine_form([(n + 1) * g for g in grad], n * const)
-        weighted = integration._product_form(weight, integration._affine_form(grad, const))
-        parts.append((lift, weighted))
+        lift = Polynomial.affine(n, [(n + 1) * g for g in grad], n * const)
+        parts.append((lift, weight * Polynomial.affine(n, grad, const)))
     integrands = {}
     total = Fraction(0)
     for support, cone_hs in poly._cone_halfspaces:
         if support not in integrands:
-            integrands[support] = [integration._combination((1 / support, lift), (-1, weighted))
-                                   for lift, weighted in parts]
+            integrands[support] = [lift * (1 / support) - weighted for lift, weighted in parts]
         for cell, integrand in zip(u.cells, integrands[support]):
             moments = geometry._cell_moments(cell.region, cone_hs)
             if moments is not None:
@@ -250,11 +242,9 @@ def relative_futaki(poly: Polytope, u, extremal: ExtremalData) -> DegenerationRe
     rbar = average_scalar_curvature(poly)
     boundary = integration.boundary_integral(poly, u)
     u_volume = integration.integrate_pl(u)
-    theta = integration._affine_form(extremal.theta.gradient, extremal.theta.constant)
+    theta = Polynomial.affine(poly.dim, extremal.theta.gradient, extremal.theta.constant)
     theta_u = _pairing(u, theta)
-    theta_sq = integration._form_integral(
-        poly._moments, integration._product_form(theta, theta)
-    )
+    theta_sq = integration.integrate_polynomial(poly, theta * theta)
     # The weight is theta + rbar, so its pairing with u splits exactly.
     L = boundary - theta_u - rbar * u_volume
     return DegenerationReport(

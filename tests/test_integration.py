@@ -1,9 +1,11 @@
 """Exact integration and lattice sums, checked against independent oracles."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -13,28 +15,20 @@ from toricstab import (
     boundary_integral,
     ehrhart_residual,
     integrate_polynomial,
-    lattice_points,
     make_pl,
     pl_lattice_sum,
     subdivide_by_hyperplanes,
 )
 from toricstab import _linalg, build_polytope, halfspace
 from toricstab.errors import DegenerateSimplex, ScaleOverflow
-from toricstab.geometry import intersect, simplex_halfspaces
-from toricstab.integration import (
-    _affine_form,
-    _combination,
-    _facet_integral,
-    _form_integral,
-    _monomial_over_simplex,
-    _poly_over_simplex,
-    _product_form,
-    integrate_pl,
-)
+from toricstab.geometry import _simplex_moments, intersect, simplex_halfspaces
+from toricstab.integration import _form_integral, integrate_pl
 from toricstab.invariants import average_scalar_curvature
 from toricstab.plfunc import affine, zero_function
 
 from conftest import random_polygon
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "toricstab"
 
 
 def F(a, b=1):
@@ -105,6 +99,37 @@ def _random_polynomial(rng, n, degree):
     return Polynomial(n, terms)
 
 
+def _simplex_integral(verts, f, k, measure):
+    """``f`` over one k-simplex of this measure, from the simplex's moments."""
+    q, points = _linalg.over_common_denominator(verts)
+    return _form_integral(_simplex_moments(k, q, 1, [(1, points)]), f) * measure
+
+
+def _monomial_over_simplex(verts, alpha, k, measure):
+    """Oracle: the barycentric formula on a k-simplex of known k-measure.
+
+    Expands ``x^alpha`` with ``x = sum lambda_i v_i`` into barycentric
+    monomials and applies
+    ``integral of prod lambda^beta = k! * measure * prod(beta!) / (k+|beta|)!``.
+    """
+    expansion = {(0,) * len(verts): F(1)}
+    for j, power in enumerate(alpha):
+        for _ in range(power):
+            product = {}
+            for beta, c in expansion.items():
+                for i, v in enumerate(verts):
+                    key = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    product[key] = product.get(key, F(0)) + c * v[j]
+            expansion = product
+    total = F(0)
+    for beta, coeff in expansion.items():
+        weight = F(factorial(k), factorial(k + sum(beta)))
+        for b in beta:
+            weight *= factorial(b)
+        total += coeff * weight
+    return total * measure
+
+
 def _substitution_integral(verts, f, k, measure):
     """Oracle: pull f back to the standard k-simplex, integrate by Dirichlet.
 
@@ -152,19 +177,17 @@ class TestQuadraticRule:
                 (c * _monomial_over_simplex(verts, a, k, measure) for a, c in f.terms.items()),
                 F(0),
             )
-            assert _poly_over_simplex(verts, f, k, measure) == expected
+            assert _simplex_integral(verts, f, k, measure) == expected
 
     @pytest.mark.parametrize("k,n", SIMPLEX_SHAPES)
-    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_against_pullback_oracle(self, k, n, degree):
-        # Degrees 0 to 2 cover the moments, 3 and 4 the barycentric
-        # expansion.
         rng = random.Random(f"pullback-{k}-{n}-{degree}")
         for _ in range(5):
             verts = _random_simplex(rng, k, n)
             measure = F(rng.randint(1, 30), rng.randint(1, 7))
             f = _random_polynomial(rng, n, degree)
-            assert _poly_over_simplex(verts, f, k, measure) == _substitution_integral(
+            assert _simplex_integral(verts, f, k, measure) == _substitution_integral(
                 verts, f, k, measure
             )
 
@@ -190,12 +213,13 @@ def _random_point(rng, n):
 
 
 class TestPolynomialArithmetic:
-    """Integer-numerator evaluation and the unvalidated arithmetic results."""
+    """Integer-numerator evaluation, the unvalidated arithmetic results and
+    the degree cap."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_evaluate_matches_naive(self, n):
         rng = random.Random(f"evaluate-{n}")
-        for degree in range(5):
+        for degree in range(3):
             for _ in range(15):
                 f = _random_polynomial(rng, n, degree)
                 for _ in range(4):
@@ -211,8 +235,9 @@ class TestPolynomialArithmetic:
     def test_results_equal_the_validated_path(self, n):
         rng = random.Random(f"arithmetic-{n}")
         for _ in range(40):
-            f = _random_polynomial(rng, n, rng.randint(0, 2))
-            g = _random_polynomial(rng, n, rng.randint(0, 2))
+            degree = rng.randint(0, 2)
+            f = _random_polynomial(rng, n, degree)
+            g = _random_polynomial(rng, n, rng.randint(0, 2 - degree))
             scalar = rng.choice([0, 3, -2, F(-5, 7), F(0)])
             results = [f + g, f - g, f * g, f * scalar, scalar * f,
                        f - f, f + f * -1, f + 2, f - F(1, 3)]
@@ -242,6 +267,37 @@ class TestPolynomialArithmetic:
             assert all(type(c) is Fraction for c in f.terms.values())
         with pytest.raises(ValueError):
             Polynomial.affine(n, [1] * (n + 1), 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_degree_cap(self, n):
+        for alpha in itertools.product(range(4), repeat=n):
+            if sum(alpha) == 3:
+                with pytest.raises(ValueError):
+                    Polynomial(n, {alpha: F(1, 2)})
+        x = Polynomial.coordinate(n, 0)
+        with pytest.raises(ValueError):
+            x * x * x
+        with pytest.raises(ValueError):
+            (x * x + 1) * (x - 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cancelled_terms(self, n):
+        x = Polynomial.coordinate(n, n - 1)
+        square = (x + 1) * (x - 1)
+        assert dict(square.terms) == {(0,) * (n - 1) + (2,): 1, (0,) * n: -1}
+        assert square.degree() == 2
+        assert all(square.terms.values())
+        for p in (square, x, x * x * F(3, 4) + 2, Polynomial.constant(n, 5)):
+            for zero in (p - p, p + p * -1, p * 0, p * F(0)):
+                assert dict(zero.terms) == {}
+                assert zero.degree() == 0
+                assert zero.evaluate((F(1, 3),) * n) == 0
+        # A monomial that cancelled does not count towards a product's degree.
+        linear = (x * x + x) - x * x
+        assert linear.degree() == 1
+        assert dict((linear * linear).terms) == dict((x * x).terms)
+        with pytest.raises(TypeError):
+            square.terms[(0,) * n] = 1
 
 
 def _rational_bodies(rng, n, count):
@@ -280,9 +336,12 @@ class TestOneDenominatorSums:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_volume_against_per_simplex_sums(self, n):
+        # The integrands come from their own stream, so the bodies do not
+        # depend on how many are drawn; bodies 0 and 3 are simplices.
         rng = random.Random(f"volume-integral-{n}")
+        draws = random.Random(f"volume-integrands-{n}")
         single = 0
-        for poly in _rational_bodies(rng, n, 12 if n == 2 else 3):
+        for poly in _rational_bodies(rng, n, 12 if n == 2 else 4):
             simplices = poly.triangulation
             single += len(simplices) == 1
             volume = sum(s.volume() for s in simplices)
@@ -292,12 +351,12 @@ class TestOneDenominatorSums:
                 / ((n + 1) * volume)
                 for j in range(n)
             )
-            for degree in range(5):
-                f = _random_polynomial(rng, n, degree)
+            for degree in range(3):
+                f = _random_polynomial(draws, n, degree)
                 value = integrate_polynomial(poly, f)
                 assert isinstance(value, Fraction)
                 assert value == sum(
-                    (_poly_over_simplex(s.vertices, f, n, s.volume()) for s in simplices),
+                    (_simplex_integral(s.vertices, f, n, s.volume()) for s in simplices),
                     F(0),
                 )
                 assert value == sum(
@@ -312,42 +371,16 @@ class TestOneDenominatorSums:
         for poly in _rational_bodies(rng, n, 9 if n == 2 else 2):
             pieces = [(s, m) for facet in poly.facets
                       for s, m in zip(facet.simplices, facet.simplex_measures)]
-            for degree in range(5):
+            for degree in range(3):
                 f = _random_polynomial(rng, n, degree)
                 value = boundary_integral(poly, f)
                 assert isinstance(value, Fraction)
                 assert value == sum(
-                    (_poly_over_simplex(s.vertices, f, n - 1, m) for s, m in pieces), F(0)
+                    (_simplex_integral(s.vertices, f, n - 1, m) for s, m in pieces), F(0)
                 )
                 assert value == sum(
                     (_substitution_integral(s.vertices, f, n - 1, m) for s, m in pieces), F(0)
                 )
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_integer_forms_against_polynomials(self, n):
-        # The integrands the invariants build as integer forms, affine
-        # products and their combinations, against the same integrands
-        # built as polynomials, over bodies and over facets.
-        rng = random.Random(f"integer-forms-{n}")
-
-        def random_affine():
-            gradient = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
-            return gradient, F(rng.randint(-9, 9), rng.randint(1, 6))
-
-        for poly in _rational_bodies(rng, n, 6):
-            for _ in range(3):
-                (ga, ca), (gb, cb) = random_affine(), random_affine()
-                a, b = Polynomial.affine(n, ga, ca), Polynomial.affine(n, gb, cb)
-                form_a, form_b = _affine_form(ga, ca), _affine_form(gb, cb)
-                product = _product_form(form_a, form_b)
-                s = F(rng.randint(-9, 9), rng.randint(1, 9))
-                mixed = _combination((s, form_a), (-1, product))
-                for region, value in ((poly, lambda f: integrate_polynomial(poly, f)),
-                                      *((facet, lambda f, facet=facet: _facet_integral(
-                                          facet, f, n - 1)) for facet in poly.facets)):
-                    assert _form_integral(region._moments, form_a) == value(a)
-                    assert _form_integral(region._moments, product) == value(a * b)
-                    assert _form_integral(region._moments, mixed) == value(a * s - a * b)
 
     def test_zero_polynomial(self, pentagon):
         assert integrate_polynomial(pentagon, Polynomial(2)) == 0
@@ -430,23 +463,32 @@ class TestBoundaryIntegral:
 
 
 class TestLatticePoints:
+    """The count of :func:`pl_lattice_sum`, which the ``ehrhart`` command prints."""
+
+    @staticmethod
+    def count(poly, k, **budget):
+        return pl_lattice_sum(poly, zero_function(poly.dim), k, **budget).count
+
     def test_square_counts(self, square):
-        assert len(lattice_points(square, 1)) == 9
-        assert len(lattice_points(square, 10)) == 441
+        assert self.count(square, 1) == 9
+        assert self.count(square, 10) == 441
 
     def test_cp2_count(self, cp2):
-        assert len(lattice_points(cp2, 1)) == 10
+        assert self.count(cp2, 1) == 10
 
     def test_matches_brute_enumeration(self, pentagon, cp2):
+        # A weight with distinct values on these points checks which points
+        # were counted, not only how many.
         for poly in (pentagon, cp2):
             for k in (1, 3, 7):
-                assert sorted(lattice_points(poly, k)) == sorted(
-                    brute_lattice(poly, k)
-                )
+                points = brute_lattice(poly, k)
+                out = pl_lattice_sum(poly, affine((1, 64), 0), k)
+                assert out.count == len(points)
+                assert out.weighted_sum == sum((F(i + 64 * j, k) for i, j in points), F(0))
 
     def test_budget_guard(self, square):
         with pytest.raises(ScaleOverflow):
-            lattice_points(square, 10**6, budget=10**4)
+            self.count(square, 10**6, budget=10**4)
 
     def test_count_at_least_vertices(self, cp2, square, pentagon):
         for poly in (cp2, square, pentagon):
@@ -456,7 +498,7 @@ class TestLatticePoints:
                     for v in poly.vertices
                     if all((k * c).denominator == 1 for c in v)
                 )
-                assert len(lattice_points(poly, k)) >= integral_vertices
+                assert self.count(poly, k) >= integral_vertices
 
 
 class TestPLLatticeSum:
@@ -522,3 +564,24 @@ class TestEhrhartResidual:
             F(0),
         )
         assert integrate_pl(phi) == direct
+
+
+class TestIntegerFormBoundary:
+    def test_no_other_module_reads_integration_internals(self):
+        # The integer form of a polynomial is private to ``integration``;
+        # other modules may reach only ``_form_integral`` there, which the
+        # cone form needs for moments that come from no polytope.
+        allowed = {"_form_integral"}
+        for path in sorted(SOURCE.glob("*.py")):
+            if path.name == "integration.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("integration"):
+                    names = {alias.name for alias in node.names}
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "integration"):
+                    names = {node.attr}
+                else:
+                    continue
+                leaked = {name for name in names if name.startswith("_")} - allowed
+                assert not leaked, (path.name, sorted(leaked))

@@ -261,6 +261,23 @@ class TestCLI:
         assert code == 0
         assert out.read_bytes() == (GOLDEN / f"{prefix}_{tag}.json").read_bytes()
 
+    @pytest.mark.parametrize("tag,source,expr", [
+        ("cp2_2blowup", ["--catalog", "cp2_2blowup"], "max(0, x1 - 1/2, 1/3*x1 + x2)"),
+        ("hexagon23", ["--catalog", "hexagon(2,3)"], "max(0, x1 - x2 + 1/2, 2/3*x2 - 1)"),
+        ("box3", ["--spec", "box3_rational.json"], "max(0, x1 + x2 - 1/3, x3 - 1/2)"),
+    ])
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_ehrhart_golden_bytes(self, tmp_path, monkeypatch, tag, source, expr, k):
+        # The lattice sum, the PL volume and boundary integrals and the
+        # residual that ``ehrhart`` prints must match these files byte for
+        # byte.
+        monkeypatch.chdir(GOLDEN)
+        out = tmp_path / "out.json"
+        code = main(["ehrhart", *source, "--pl", expr, "--k", str(k), "--format", "structured",
+                     "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / f"ehrhart_{tag}_k{k}.json").read_bytes()
+
     def test_center_flag(self, capsys):
         code = main([
             "analyze", "--catalog", "cp2_2blowup", "--center",
