@@ -16,16 +16,12 @@ from fractions import Fraction as Rational
 from .catalog import CATALOG_NAMES, catalog, hexagon
 from .errors import ToricStabError
 from .geometry import (
-    ConeDecomposition,
     Facet,
     HalfSpace,
     Polytope,
-    Simplex,
     build_polytope,
-    cone_decomposition,
     delzant_check,
     halfspace,
-    subdivide_by_hyperplanes,
     translate,
 )
 from .integration import (

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import integration, invariants
-from .errors import NoInteriorCrease
+from .errors import NoInteriorCrease, UnsupportedDimension
 from .geometry import Polytope
 from .invariants import ExtremalData
 from .kernels import simple_pl_values
@@ -263,7 +263,8 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
     before reporting.
     """
     if poly.dim != 2:
-        raise ValueError("the crease scan is defined for dimension 2 only")
+        raise UnsupportedDimension(
+            f"the crease scan is defined for dimension 2 only, not {poly.dim}")
     rbar = invariants.average_scalar_curvature(poly)
     weight_min = min(
         rbar + extremal.theta.evaluate(v) for v in poly.vertices

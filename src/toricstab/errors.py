@@ -42,6 +42,10 @@ class ScaleOverflow(ToricStabError):
     """A lattice scan would exceed the configured cell budget."""
 
 
+class NonPositiveScale(ToricStabError, ValueError):
+    """A lattice scale ``k`` is not a positive integer."""
+
+
 # -- piecewise-linear functions ----------------------------------------------
 
 class EmptyPieceList(ToricStabError):
@@ -66,6 +70,10 @@ class WrongFamily(ToricStabError):
 
 class NoInteriorCrease(ToricStabError):
     """The scan grid produced no crease meeting the polytope interior."""
+
+
+class UnsupportedDimension(ToricStabError, ValueError):
+    """The crease scan was asked for a body that is not a polygon."""
 
 
 # -- input handling ------------------------------------------------------------

@@ -2,19 +2,28 @@
 
 A polytope is the bounded intersection of half-spaces ``<l_i, x> <= b_i``
 with primitive integer normals ``l_i`` and rational bounds.  Everything
-derived from it (vertices, facets, boundary measures, triangulations,
-cone decompositions, subdivisions) is computed in exact rational
-arithmetic; this module never touches floating point.
+derived from it (vertices, facets, boundary measures, moments, the cones
+over its facets) is computed in exact rational arithmetic; this module
+never touches floating point.
 
 Vertices come from one place, :func:`_clip`, which cuts a known body by
 half-spaces one at a time and carries along which half-spaces are tight
-at each vertex (its active set).  :func:`build_polytope` validates user
-input and then clips a bounding box by every input half-space; internal
-cells (:func:`intersect`, :func:`subdivide_by_hyperplanes`) clip their
-parent's vertices by a few more.  Either way the vertices and their
-active sets go to :func:`_build`, which derives everything else from
-them; which half-spaces support facets, and the order of each 3-D
-facet's vertices, come from :func:`_facets`.
+at each vertex (its active set), each vertex as integer numerators over
+a denominator.  :func:`build_polytope` validates user input and then
+clips a bounding box by every input half-space; a cell
+(:func:`intersect`) clips its parent's vertices by a few more.  Either
+way the vertices and their active sets go to :func:`_build`, which
+derives everything else from them; which half-spaces support facets,
+and the cycle order of each 3-D facet's vertices, come from
+:func:`_facets`.
+
+There is one simplex form: the integer points of a clip over one
+denominator.  :func:`_fan` cones a body from its first vertex over the
+facets not through it, each facet fanned from the first vertex of its
+cycle by :func:`_facet_simplices`, and :func:`_simplex_moments` sums the
+closed-form moments over those simplices.  A facet is fanned the same way
+in its own dimension, and the cones of the cone form go from the origin
+over the same facet faces (:attr:`Polytope._cone_halfspaces`).
 
 Boundary pieces carry the lattice measure: on the facet with normal ``l``
 it is the Euclidean surface measure divided by ``|l|_2``.  Because the
@@ -23,20 +32,20 @@ Euclidean measure of a rational facet piece is a rational multiple of
 rational and no square root is ever materialized.
 
 What a polytope computes when it is built, and what only when read:
-:func:`_build` derives the vertices, the retained facets, their vertex
-sets and the simplices tiling each facet.  Everything an integral reads
-beyond that is a cached property, computed on first use and kept: a
-facet's simplices over one denominator, its lattice measures
-(:attr:`Facet.simplex_measures`) and its moments, the triangulation,
-its integer form and the body's moments (:func:`_simplex_moments`), the
-volume and barycenter, and the clipping start and cone half-spaces.
+:func:`_build` derives the vertices and the retained facets, each with
+its vertices in cycle order.  Everything an integral reads beyond that
+is a cached property, computed on first use and kept: a facet's simplices
+over one denominator, their lattice measures
+(:attr:`Facet.simplex_measures`) and the facet's moments, the body's
+moments, the volume and barycenter, and the clipping start and cone
+half-spaces.
 
 The cells of the cone form are never polytopes.  It reads nothing of a
 cone cell but its moments, so :func:`_cell_moments` clips a PL cell by
 a cone with the same :func:`_clip` and :func:`_facets` that
 :func:`intersect` uses and takes the moments straight from the clip's
-integer vertices, building no :class:`Polytope`, :class:`Facet`,
-:class:`Simplex` or ``Fraction`` vertex.
+integer vertices, building no :class:`Polytope`, :class:`Facet` or
+``Fraction`` vertex.
 """
 
 from __future__ import annotations
@@ -53,7 +62,6 @@ from .errors import (
     DegenerateSimplex,
     NonPrimitiveNormal,
     NotSimple,
-    OriginNotInterior,
     Unbounded,
 )
 
@@ -89,70 +97,46 @@ def halfspace(normal, bound) -> HalfSpace:
 
 
 @dataclass(frozen=True)
-class Simplex:
-    """Affinely independent rational points spanning a k-simplex in R^n."""
-
-    vertices: tuple
-    ambient_dim: int
-
-    @property
-    def k(self) -> int:
-        return len(self.vertices) - 1
-
-    def volume(self) -> Fraction:
-        """k-dimensional volume; only defined for full-dimensional simplices.
-
-        The determinant is computed once per simplex and kept, so the
-        cached triangulation of a cell pays for it once over every
-        integral taken on that cell.
-        """
-        return self._volume
-
-    @functools.cached_property
-    def _volume(self) -> Fraction:
-        n = self.ambient_dim
-        if self.k != n:
-            raise DegenerateSimplex("volume needs a full-dimensional simplex")
-        q, points = _linalg.over_common_denominator(self.vertices)
-        return Fraction(abs(_linalg.det_int(_edges(points))), q**n * factorial(n))
-
-
-@dataclass(frozen=True)
 class Facet:
-    """A facet of a polytope and the simplices tiling it.
+    """A facet of a polytope and its vertices.
 
-    ``simplices`` tile the facet, and ``normal`` is the primitive integer
-    normal ``l`` of its half-space.  The lattice measure of each simplex,
-    the exact rational Euclidean measure over ``|l|_2``, is computed on
-    the first read of :attr:`simplex_measures` or :attr:`measure` and
-    kept.  Boundary integrals and boundary measures read it; the facets
-    of a cell that is only integrated over its volume never pay for it.
+    ``vertex_indices`` are the positions of the facet's vertices in the
+    polytope's vertex list and ``vertices`` the points themselves, both in
+    the order :func:`_facets` gives: the cycle from the first vertex in
+    3-D, increasing otherwise.  ``normal`` is the primitive integer normal
+    ``l`` of its half-space.  The simplices tiling the facet and the
+    lattice measure of each, the exact rational Euclidean measure over
+    ``|l|_2``, are computed on the first read of :attr:`simplex_measures`
+    or :attr:`measure` and kept.  Boundary integrals and boundary measures
+    read them; the facets of a cell that is only integrated over its
+    volume never pay for them.
     """
 
     halfspace_index: int
     vertex_indices: tuple
-    simplices: tuple
+    vertices: tuple
     normal: tuple
 
     @functools.cached_property
     def _integer_simplices(self) -> tuple:
-        """``(q, scale, simplices)``: the simplices over one denominator.
+        """``(q, scale, simplices)``: the facet's simplices over one denominator.
 
-        Each simplex becomes ``(c, points)``: its vertices are
-        ``points / q`` and its lattice measure is ``c / scale``.  The
-        generalized cross product of a simplex's edges is parallel to
-        ``l``, and its component along ``l`` over ``(n-1)! |l|_2^2`` is
-        exactly the Euclidean measure over ``|l|_2``.  With the edges as
-        integer vectors over ``q`` the cross product is ``q**(n-1)`` times
-        the rational one, so ``c = |<cross, l>|`` and
-        ``scale = q**(n-1) |l|_2^2 (n-1)!``.
+        The vertices become integer points over their common denominator
+        ``q`` and are fanned by :func:`_facet_simplices`.  Each simplex is
+        ``(c, points)``: its vertices are ``points / q`` and its lattice
+        measure is ``c / scale``.  The generalized cross product of a
+        simplex's edges is parallel to ``l``, and its component along
+        ``l`` over ``(n-1)! |l|_2^2`` is exactly the Euclidean measure over
+        ``|l|_2``.  With the edges as integer vectors over ``q`` the cross
+        product is ``q**(n-1)`` times the rational one, so
+        ``c = |<cross, l>|`` and ``scale = q**(n-1) |l|_2^2 (n-1)!``.
         """
         n = len(self.normal)
-        q, points = _over_one_denominator(self.simplices)
+        q, points = _linalg.over_common_denominator(self.vertices)
         scale = q ** (n - 1) * sum(c * c for c in self.normal) * factorial(n - 1)
         return q, scale, tuple(
             (abs(_linalg.dot(_linalg.cross_generalized(_edges(p), n), self.normal)), p)
-            for p in points
+            for p in _facet_simplices(points, n)
         )
 
     @functools.cached_property
@@ -186,13 +170,6 @@ class BestOrigin:
     point: Point
     max_support: Fraction
     depth: Fraction
-
-
-@dataclass(frozen=True)
-class ConeDecomposition:
-    """Cones over the facet simplices with apex at the origin, tiling P."""
-
-    cells: tuple  # pairs (facet_index, Simplex)
 
 
 class Polytope:
@@ -261,36 +238,21 @@ class Polytope:
         return tuple(h.slack(t) for h in self.halfspaces)
 
     @functools.cached_property
-    def triangulation(self) -> tuple:
-        return _fan_triangulation(self)
-
-    @functools.cached_property
-    def _integer_fan(self) -> tuple:
-        """``(q, scale, simplices)``: :attr:`triangulation` over one denominator.
-
-        The same form as :attr:`Facet._integer_simplices`: each simplex
-        is ``(det, points)`` with vertices ``points / q``, ``det`` the
-        integer ``|det|`` of its edges and ``scale = n! q**n``, so its
-        volume is ``det / scale``.  The body's moments are summed over it.
-        """
-        q, points = _over_one_denominator(self.triangulation)
-        fan = tuple((abs(_linalg.det_int(_edges(p))), p) for p in points)
-        return q, factorial(self.dim) * q**self.dim, fan
-
-    @functools.cached_property
     def _moments(self) -> tuple:
-        """:func:`_simplex_moments` of the body, read by volume integrals of degree <= 2."""
-        return _simplex_moments(self.dim, *self._integer_fan)
+        """:func:`_simplex_moments` of the body over its :func:`_fan`, read
+        by volume integrals of degree <= 2."""
+        cycles = [f.vertex_indices for f in self.facets]
+        return _simplex_moments(self.dim, *_fan(self.dim, self._clip_start, cycles))
 
     @functools.cached_property
     def _clip_start(self) -> tuple:
         """Each vertex as ``(point, numerators, denominator, tight set)``.
 
         :func:`intersect` and :func:`_cell_moments` start :func:`_clip`
-        from here: ``point`` equals ``numerators / denominator``, and the
-        tight set holds the indices of the facet half-spaces through the
-        vertex.  Kept because a cell is clipped once per cone of the cone
-        form.
+        from here, and :attr:`_moments` fans it: ``point`` equals
+        ``numerators / denominator``, and the tight set holds the indices
+        of the facet half-spaces through the vertex.  Kept because a cell
+        is clipped once per cone of the cone form.
         """
         tight = [set() for _ in self.vertices]
         for facet in self.facets:
@@ -304,17 +266,21 @@ class Polytope:
 
     @functools.cached_property
     def _cone_halfspaces(self) -> tuple:
-        """Each cone of :func:`cone_decomposition` as ``(support, half-spaces)``.
+        """The cones from the origin over the facets, as ``(support, half-spaces)``.
 
-        ``support`` is the bound ``b_i`` of the cone's facet and the
-        half-spaces are :func:`simplex_halfspaces` of its simplex, in the
-        decomposition's order.  Both depend on the polytope alone; kept
-        because the cone form clips every PL cell by every cone.
+        Each facet is fanned by :func:`_facet_simplices`, in facet order,
+        and each face with the origin is a cone: ``support`` is the bound
+        ``b_i`` of its facet and the half-spaces are
+        :func:`simplex_halfspaces` of the origin followed by the face, so
+        the first is the facet's own.  The cones tile P when the origin
+        is interior, which the caller checks.  Kept because the cone form
+        clips every PL cell by every cone.
         """
+        origin = (Fraction(0),) * self.dim
         return tuple(
-            (self.halfspaces[self.facets[fi].halfspace_index].bound,
-             tuple(simplex_halfspaces(simplex)))
-            for fi, simplex in cone_decomposition(self).cells
+            (self.halfspaces[facet.halfspace_index].bound,
+             tuple(simplex_halfspaces((origin, *face))))
+            for facet in self.facets for face in _facet_simplices(facet.vertices, self.dim)
         )
 
     @functools.cached_property
@@ -409,8 +375,9 @@ def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
     of the half-spaces through the vertex.  Nothing is re-evaluated here.
     A vertex without its ``Fraction`` point gets it now.  Retained facets
     and their vertex order come from :func:`_facets`, and warnings from
-    what it drops; each facet keeps its normal, and its lattice measures
-    wait until a boundary integral reads them (see :class:`Facet`).
+    what it drops; each facet keeps its vertices in that order and its
+    normal, and its simplices and their lattice measures wait until a
+    boundary integral reads them (see :class:`Facet`).
     """
     warnings = list(warnings)
     body = sorted(
@@ -424,9 +391,7 @@ def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
         if cycle is None:
             warnings.append(f"redundant half-space {h.normal} <= {h.bound} dropped")
             continue
-        simplices = _facet_simplices([vertices[j] for j in cycle], n)
-        facets.append(Facet(len(kept), tuple(sorted(cycle)),
-                            tuple(Simplex(s, n) for s in simplices), h.normal))
+        facets.append(Facet(len(kept), tuple(cycle), tuple(vertices[j] for j in cycle), h.normal))
         kept.append(h)
 
     if require_simple:
@@ -559,19 +524,34 @@ def _check_bounded(hs, n):
 
 
 def _facet_simplices(points, n) -> list:
-    """Vertex tuples of the simplices tiling a facet; in 3-D the points
-    come in cycle order and are fanned from the first."""
+    """Vertex tuples of the simplices tiling a facet of a body in R^n;
+    in 3-D the points come in cycle order and are fanned from the first."""
     if n <= 2:
         return [tuple(points)]
     return [(points[0], points[i], points[i + 1]) for i in range(1, len(points) - 1)]
 
 
-def _over_one_denominator(simplices):
-    """``(q, points)``: each simplex's vertices as integer numerators over
-    the common denominator ``q`` of all of them."""
-    q = lcm(*[c.denominator for s in simplices for v in s.vertices for c in v])
-    return q, [[[c.numerator * (q // c.denominator) for c in v] for v in s.vertices]
-               for s in simplices]
+def _fan(n, body, cycles) -> tuple:
+    """``(q, scale, simplices)``: n-simplices tiling a body, over one denominator.
+
+    ``body`` lists the vertices as :func:`_clip` does, and ``cycles``
+    holds, for each half-space, the positions in ``body`` of its facet's
+    vertices as :func:`_facets` gives them, or None.  The body is coned
+    from its first vertex over the :func:`_facet_simplices` of every facet
+    not through it.  The form is that of :attr:`Facet._integer_simplices`:
+    each simplex is ``(det, points)`` with vertices ``points / q``,
+    ``det`` the integer ``|det|`` of its edges and ``scale = n! q**n``, so
+    its volume is ``det / scale``.
+    """
+    q = lcm(*[qv for _, _, qv, _ in body])
+    points = [[c * (q // qv) for c in p] for _, p, qv, _ in body]
+    fan = []
+    for cycle in cycles:
+        if cycle is not None and 0 not in cycle:
+            for face in _facet_simplices([points[j] for j in cycle], n):
+                simplex = (points[0], *face)
+                fan.append((abs(_linalg.det_int(_edges(simplex))), simplex))
+    return q, factorial(n) * q**n, fan
 
 
 def _edges(points):
@@ -601,20 +581,6 @@ def _angular_order(vectors):
     return sorted(range(len(vectors)), key=functools.cmp_to_key(compare))
 
 
-def _cones(poly: Polytope, apex, facets) -> list:
-    """``(facet_index, Simplex)``: the cone from ``apex`` over each simplex
-    of the ``(facet_index, Facet)`` pairs, which must leave out the facets
-    through ``apex``."""
-    return [(fi, Simplex((apex,) + s.vertices, poly.dim))
-            for fi, facet in facets for s in facet.simplices]
-
-
-def _fan_triangulation(poly: Polytope) -> tuple:
-    """n-simplices tiling P: cone from vertex 0 over the facets not through it."""
-    away = [(fi, f) for fi, f in enumerate(poly.facets) if 0 not in f.vertex_indices]
-    return tuple(s for _, s in _cones(poly, poly.vertices[0], away))
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -639,44 +605,6 @@ def delzant_check(poly: Polytope):
     return True, None
 
 
-def cone_decomposition(poly: Polytope) -> ConeDecomposition:
-    """Cones with apex at the origin over the facet simplices."""
-    if not poly.origin_interior:
-        raise OriginNotInterior("cone decomposition needs 0 strictly inside")
-    origin = tuple(Fraction(0) for _ in range(poly.dim))
-    return ConeDecomposition(tuple(_cones(poly, origin, enumerate(poly.facets))))
-
-
-def subdivide_by_hyperplanes(poly: Polytope, cuts) -> list:
-    """Cells of P carved by the zero sets of affine functions.
-
-    Each cut contributes its two closed sides; cells are the nonempty
-    full-dimensional intersections over all sign patterns.  Cut objects
-    need ``gradient`` and ``constant`` attributes (or may be given as
-    ``(gradient, constant)`` pairs).  Each sign pattern is one call to
-    :func:`intersect`.
-    """
-    cells = [[]]
-    for cut in cuts:
-        grad, const = _cut_data(cut)
-        if all(g == 0 for g in grad):
-            continue  # constant function: one side is everything
-        prim, s = _linalg.primitivize(grad)
-        below = HalfSpace(prim, -s * const)  # gradient side <= 0
-        above = HalfSpace(tuple(-c for c in prim), s * const)
-        new_cells = []
-        for cell in cells:
-            new_cells.append(cell + [below])
-            new_cells.append(cell + [above])
-        cells = new_cells
-    out = []
-    for cell_hs in cells:
-        cell = intersect(poly, cell_hs)
-        if cell is not None:
-            out.append(cell)
-    return out
-
-
 def intersect(poly: Polytope, halfspaces) -> Polytope | None:
     """Intersection with extra half-spaces; None if empty or lower-dimensional.
 
@@ -684,9 +612,10 @@ def intersect(poly: Polytope, halfspaces) -> Polytope | None:
     ``poly.vertices`` (see :func:`_clip`), not from a fresh evaluation of
     every half-space at every vertex, and whether they span dimension n is
     decided on the integer numerators the clip holds (see
-    :func:`_full_body`).  The cell is built like any polytope: facet
-    measures, triangulation and moments come on demand.  The cone form
-    needs only the moments and calls :func:`_cell_moments` instead.
+    :func:`_full_body`).  The cell is built like any polytope: its facets
+    keep their vertices, and facet simplices, measures and moments come
+    on demand.  The cone form needs only the moments and calls
+    :func:`_cell_moments` instead.
     ``tests/test_geometry.py`` keeps an exhaustive n-subset enumeration of
     the combined list as the oracle the result must equal field for field.
     """
@@ -716,31 +645,22 @@ def _cell_moments(poly: Polytope, halfspaces):
 
     The cone form reads nothing of a cone cell but its moments, so they
     come straight from the clip's integer vertices and tight sets: the
-    cell is fanned from its first vertex over the facets :func:`_facets`
-    finds not through it, as :attr:`Polytope.triangulation` does, and no
-    :class:`Polytope`, :class:`Facet`, :class:`Simplex` or ``Fraction``
-    vertex is built.
+    same :func:`_fan` that :attr:`Polytope._moments` sums over, with the
+    facets :func:`_facets` finds, and no :class:`Polytope`, :class:`Facet`
+    or ``Fraction`` vertex is built.
     """
     combined, body = _clip_by(poly, halfspaces)
     if body is None:
         return None
     n = poly.dim
-    q = lcm(*[qv for _, _, qv, _ in body])
-    points = [[c * (q // qv) for c in p] for _, p, qv, _ in body]
-    fan = []
-    for cycle in _facets(combined, n, body):
-        if cycle is not None and 0 not in cycle:
-            for face in _facet_simplices([points[j] for j in cycle], n):
-                simplex = (points[0], *face)
-                fan.append((abs(_linalg.det_int(_edges(simplex))), simplex))
-    return _simplex_moments(n, q, factorial(n) * q**n, fan)
+    return _simplex_moments(n, *_fan(n, body, _facets(combined, n, body)))
 
 
 def _simplex_moments(k, q, scale, simplices) -> tuple:
     """``(D, moments)``: the integer moments of degree <= 2 of k-simplices.
 
     Each simplex is ``(c, points)`` with vertices ``points / q`` and
-    measure ``c / scale``, as :attr:`Polytope._integer_fan` and
+    measure ``c / scale``, as :func:`_fan` and
     :attr:`Facet._integer_simplices` give them.  ``moments`` maps the
     exponent of ``x^alpha``, written as the tuple of its coordinate
     indices in increasing order (``()``, ``(j,)`` or ``(j, l)``), to the
@@ -857,13 +777,6 @@ def _spans_edge(normals, n) -> bool:
     return _linalg.rank(normals) == n - 1
 
 
-def _cut_data(cut):
-    if hasattr(cut, "gradient"):
-        return tuple(Fraction(g) for g in cut.gradient), Fraction(cut.constant)
-    grad, const = cut
-    return tuple(Fraction(g) for g in grad), Fraction(const)
-
-
 def translate(poly: Polytope, t) -> Polytope:
     """Shift by a rational vector: normals unchanged, bounds adjusted."""
     t = _frac_point(t)
@@ -873,21 +786,24 @@ def translate(poly: Polytope, t) -> Polytope:
     return build_polytope(shifted)
 
 
-def simplex_halfspaces(simplex: Simplex):
-    """Half-space representation of a full-dimensional simplex.
+def simplex_halfspaces(vertices):
+    """Half-space representation of the full-dimensional simplex on ``vertices``.
 
-    The work runs on integers: with the vertices written as ``P / q``, the
-    cross product of a face's integer edges is ``q**(n-1)`` times the
-    rational one, so it has the same primitive normal, found by a gcd and
-    turned away from the omitted vertex.  The only ``Fraction`` built per
+    ``vertices`` are n + 1 rational points in R^n, and the i-th half-space
+    is that of the face omitting vertex i.  The work runs on integers:
+    with the vertices written as ``P / q``, the cross product of a face's
+    integer edges is ``q**(n-1)`` times the rational one, so it has the
+    same primitive normal, found by a gcd and turned away from the
+    omitted vertex.  The only ``Fraction`` built per
     face is its bound ``<l, P_0> / q``.  Affinely dependent vertices raise
     :class:`DegenerateSimplex`: then some omitted vertex lies on the
-    hyperplane through its face, or the face spans none.
+    hyperplane through its face, or the face spans none.  So does a vertex
+    count other than n + 1.
     """
-    n = simplex.ambient_dim
-    if simplex.k != n:
-        raise DegenerateSimplex("half-space form needs a full-dimensional simplex")
-    q, points = _linalg.over_common_denominator(simplex.vertices)
+    n = len(vertices[0])
+    if len(vertices) != n + 1:
+        raise DegenerateSimplex(f"a simplex in R^{n} needs {n + 1} vertices, not {len(vertices)}")
+    q, points = _linalg.over_common_denominator(vertices)
     out = []
     for omit in range(n + 1):
         face = [p for i, p in enumerate(points) if i != omit]

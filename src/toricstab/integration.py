@@ -3,11 +3,11 @@
 Every integrand is a :class:`Polynomial` of degree at most 2, because
 every integral behind the invariants is at most an affine weight times an
 affine piece.  A polynomial is held as integer numerators over one
-denominator, and every region, a polytope from its triangulation and a
-facet from its simplices with their lattice measures, computes once and
-keeps its integer moments of degree <= 2 over one denominator
-(:func:`geometry._simplex_moments`, from the closed-form simplex moments
-of Baldoni, Berline, De Loera, Koeppe and Vergne).  An integral is then
+denominator, and every region, a polytope from the fan of its integer
+vertices and a facet from its simplices with their lattice measures,
+computes once and keeps its integer moments of degree <= 2 over one
+denominator (:func:`geometry._simplex_moments`, from the closed-form
+simplex moments of Baldoni, Berline, De Loera, Koeppe and Vergne).  An integral is then
 one integer dot product and one ``Fraction`` (:func:`_form_integral`): a
 volume integral builds one per call, a boundary integral one per facet.
 Lattice-point work is a bounding-box scan with exact half-space
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .errors import ScaleOverflow
+from .errors import NonPositiveScale, ScaleOverflow
 from .geometry import Polytope
 from .kernels import lattice_weighted_sum
 
@@ -304,7 +304,7 @@ def _piece_table(u, dim):
 def pl_lattice_sum(poly: Polytope, phi, k, budget=DEFAULT_CELL_BUDGET) -> LatticeSum:
     """Count lattice points of ``k * P`` and sum ``phi(I / k)`` exactly."""
     if k <= 0:
-        raise ValueError("scale k must be a positive integer")
+        raise NonPositiveScale(f"scale k must be a positive integer, not {k}")
     lows, highs = _integer_box(poly, k, budget)
     rows = _scaled_constraints(poly, k)
     table, denom = _piece_table(phi, poly.dim)

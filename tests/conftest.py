@@ -1,11 +1,13 @@
 """Shared fixtures: the catalog polytopes and small test helpers."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from toricstab import _linalg, build_polytope, catalog, halfspace
+from toricstab.geometry import intersect
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +49,52 @@ def shoelace(points):
         x2, y2 = points[(i + 1) % m]
         total += x1 * y2 - x2 * y1
     return abs(total) / 2
+
+
+def det(rows):
+    """Determinant of a small square matrix by cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def simplex_volume(verts):
+    """Volume of a full-dimensional simplex, ``|det(edges)| / n!``."""
+    edges = [[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]
+    return abs(Fraction(det(edges))) / math.factorial(len(edges))
+
+
+def facet_faces(facet, n):
+    """The simplices tiling a facet of a body in R^n, fanned here from the
+    facet's vertices in cycle order: the whole facet up to 2-D, triangles
+    from the first vertex in 3-D."""
+    points = facet.vertices
+    if n <= 2:
+        return [tuple(points)]
+    return [(points[0], points[i], points[i + 1]) for i in range(1, len(points) - 1)]
+
+
+def body_simplices(poly):
+    """The n-simplices tiling ``poly``: its first vertex coned over the
+    :func:`facet_faces` of every facet not through it."""
+    v0 = poly.vertices[0]
+    return [(v0, *face) for facet in poly.facets if 0 not in facet.vertex_indices
+            for face in facet_faces(facet, poly.dim)]
+
+
+def cells_across(poly, cuts):
+    """The nonempty cells of ``poly`` on either side of each cut, one
+    ``intersect`` per sign pattern; a cut ``(normal, bound)`` is the
+    hyperplane ``<normal, x> = bound``."""
+    cells = []
+    for signs in itertools.product((1, -1), repeat=len(cuts)):
+        sides = [halfspace(tuple(s * c for c in normal), s * Fraction(bound))
+                 for s, (normal, bound) in zip(signs, cuts)]
+        cell = intersect(poly, sides)
+        if cell is not None:
+            cells.append(cell)
+    return cells
 
 
 def hull_polygon(points, den=1):

@@ -9,16 +9,13 @@ import pytest
 
 from toricstab import (
     Polynomial,
-    Simplex,
     build_polytope,
     catalog,
-    cone_decomposition,
     delzant_check,
     geometry,
     halfspace,
     integrate_polynomial,
     invariants,
-    subdivide_by_hyperplanes,
     translate,
 )
 from toricstab.errors import (
@@ -33,7 +30,15 @@ from toricstab import _linalg
 from toricstab.plfunc import affine
 from toricstab.reproduce import random_convex_pl
 
-from conftest import hull_polygon, random_polygon, shoelace
+from conftest import (
+    body_simplices,
+    cells_across,
+    facet_faces,
+    hull_polygon,
+    random_polygon,
+    shoelace,
+    simplex_volume,
+)
 
 
 def F(x):
@@ -164,97 +169,111 @@ class TestDelzant:
         assert delzant_check(moved) == (True, None)
 
 
+def _fan(poly):
+    """The library's fan of ``poly`` as ``(volume, vertices)`` per simplex."""
+    cycles = [f.vertex_indices for f in poly.facets]
+    q, scale, fan = geometry._fan(poly.dim, poly._clip_start, cycles)
+    return [(Fraction(det, scale), tuple(tuple(Fraction(c, q) for c in p) for p in points))
+            for det, points in fan]
+
+
 class TestTriangulate:
+    """The fan that ``Polytope._moments`` and ``_cell_moments`` sum over."""
+
     def test_square_two_triangles(self, square):
-        tris = square.triangulation
-        assert len(tris) == 2
-        assert [t.volume() for t in tris] == [2, 2]
+        assert [volume for volume, _ in _fan(square)] == [2, 2]
 
     def test_cp2_single_simplex(self, cp2):
-        tris = cp2.triangulation
-        assert len(tris) == 1
-        assert tris[0].volume() == Fraction(9, 2)
+        assert [volume for volume, _ in _fan(cp2)] == [Fraction(9, 2)]
 
     def test_pentagon_area_sum(self, pentagon):
-        tris = pentagon.triangulation
-        assert len(tris) == 3
-        assert sum(t.volume() for t in tris) == Fraction(7, 2)
+        fan = _fan(pentagon)
+        assert len(fan) == 3
+        assert sum(volume for volume, _ in fan) == Fraction(7, 2)
 
     def test_volume_sum_matches_for_all_catalog(self, cp2, square, pentagon, hexagon23):
         for poly in (cp2, square, pentagon, hexagon23):
-            assert sum(t.volume() for t in poly.triangulation) == poly.volume
+            assert sum(volume for volume, _ in _fan(poly)) == poly.volume
+
+
+def _cones(poly):
+    """``(support, half-spaces, volume)`` of each cone of the cone form,
+    its volume from the polytope its half-spaces bound."""
+    return [(support, hs, build_polytope(hs).volume) for support, hs in poly._cone_halfspaces]
 
 
 class TestConeDecomposition:
+    """The cones from the origin over the facet faces (``_cone_halfspaces``)."""
+
     def test_square_four_unit_cones(self, square):
-        cones = cone_decomposition(square)
-        assert len(cones.cells) == 4
-        assert all(s.volume() == 1 for _, s in cones.cells)
+        cones = _cones(square)
+        assert len(cones) == 4
+        assert all(volume == 1 for *_, volume in cones)
 
     def test_cp2_cone_volumes(self, cp2):
-        cones = cone_decomposition(cp2)
-        volumes = sorted(s.volume() for _, s in cones.cells)
-        assert volumes == [Fraction(3, 2)] * 3
+        assert [volume for *_, volume in _cones(cp2)] == [Fraction(3, 2)] * 3
 
     def test_pentagon_total(self, pentagon):
-        cones = cone_decomposition(pentagon)
-        assert len(cones.cells) == 5
-        assert sum(s.volume() for _, s in cones.cells) == Fraction(7, 2)
+        cones = _cones(pentagon)
+        assert len(cones) == 5
+        assert sum(volume for *_, volume in cones) == Fraction(7, 2)
 
     def test_cone_volume_formula(self, cp2, square, pentagon, hexagon23):
-        # bound * facet measure = dim * cone volume, facet by facet
-        for poly in (cp2, square, pentagon, hexagon23):
-            cones = cone_decomposition(poly)
+        # bound * facet measure = dim * cone volume, facet by facet; a
+        # cone's first half-space is its facet's own.
+        box = _random_body(random.Random("cone-volumes"), "box")
+        for poly in (cp2, square, pentagon, hexagon23, _centered(box)):
             per_facet = {}
-            for fi, s in cones.cells:
-                per_facet[fi] = per_facet.get(fi, Fraction(0)) + s.volume()
-            for fi, facet in enumerate(poly.facets):
-                bound = poly.halfspaces[facet.halfspace_index].bound
-                assert bound * facet.measure == poly.dim * per_facet[fi]
+            for support, hs, volume in _cones(poly):
+                assert hs[0].bound == support
+                per_facet[hs[0].key] = per_facet.get(hs[0].key, Fraction(0)) + volume
+            assert len(per_facet) == len(poly.facets)
+            for facet in poly.facets:
+                h = poly.halfspaces[facet.halfspace_index]
+                assert h.bound * facet.measure == poly.dim * per_facet[h.key]
 
     def test_cone_and_fan_order(self, cp2, pentagon, hexagon23):
-        # Both cone from an apex over the facet simplices in facet order,
-        # the apex first; the fan skips the facets through vertex 0.
+        # Both cone from an apex over the facet faces in facet order, the
+        # apex first; the fan skips the facets through vertex 0.
         box = _random_body(random.Random("fan"), "box")
         centred = translate(box, tuple(-c for c in box.barycenter))
         for poly in (cp2, pentagon, hexagon23, box, centred):
-            v0 = poly.vertices[0]
-            assert list(poly.triangulation) == [
-                Simplex((v0,) + s.vertices, poly.dim)
-                for facet in poly.facets if 0 not in facet.vertex_indices
-                for s in facet.simplices
-            ]
+            simplices = body_simplices(poly)
+            assert _fan(poly) == [(simplex_volume(points), points) for points in simplices]
             if poly.origin_interior:
                 origin = (F(0),) * poly.dim
-                assert list(cone_decomposition(poly).cells) == [
-                    (fi, Simplex((origin,) + s.vertices, poly.dim))
-                    for fi, facet in enumerate(poly.facets) for s in facet.simplices
+                assert list(poly._cone_halfspaces) == [
+                    (poly.halfspaces[facet.halfspace_index].bound,
+                     tuple(geometry.simplex_halfspaces((origin, *face))))
+                    for facet in poly.facets for face in facet_faces(facet, poly.dim)
                 ]
 
     def test_requires_interior_origin(self, cp2):
+        moved = translate(cp2, (10, 0))
         with pytest.raises(OriginNotInterior):
-            cone_decomposition(translate(cp2, (10, 0)))
+            invariants.linear_functional_L_cone(
+                moved, affine((1, 0), 0), invariants.extremal_field(moved))
 
 
 class TestSubdivide:
+    """Cells on either side of cuts, one ``intersect`` per sign pattern."""
+
     def test_square_single_cut(self, square):
-        cells = subdivide_by_hyperplanes(square, [affine((1, 0), 0)])
+        cells = cells_across(square, [((1, 0), 0)])
         assert len(cells) == 2
         assert sorted(c.volume for c in cells) == [2, 2]
 
     def test_cp2_cut_areas(self, cp2):
-        cells = subdivide_by_hyperplanes(cp2, [affine((1, 0), 0)])
+        cells = cells_across(cp2, [((1, 0), 0)])
         assert sorted(c.volume for c in cells) == [2, Fraction(5, 2)]
 
     def test_pentagon_two_cuts(self, pentagon):
-        cells = subdivide_by_hyperplanes(
-            pentagon, [affine((1, 0), 0), affine((0, 1), 0)]
-        )
+        cells = cells_across(pentagon, [((1, 0), 0), ((0, 1), 0)])
         assert len(cells) == 4
         assert sum(c.volume for c in cells) == Fraction(7, 2)
 
     def test_cut_missing_the_body(self, square):
-        cells = subdivide_by_hyperplanes(square, [affine((1, 0), 10)])
+        cells = cells_across(square, [((1, 0), 10)])
         assert len(cells) == 1
         assert cells[0].volume == 4
 
@@ -334,7 +353,7 @@ def _random_body(rng, kind):
     while True:
         verts = tuple(pt(*(rng.randint(-3, 3) for _ in range(3))) for _ in range(4))
         if _linalg.affine_rank(list(verts)) == 3:
-            return build_polytope(geometry.simplex_halfspaces(Simplex(verts, 3)))
+            return build_polytope(geometry.simplex_halfspaces(verts))
 
 
 def _primitive(rng, n):
@@ -512,13 +531,11 @@ class TestFaceOrder:
             return
         for facet in poly.facets:
             normal = poly.halfspaces[facet.halfspace_index].normal
-            points = [poly.vertices[j] for j in facet.vertex_indices]
+            points = list(facet.vertices)
+            assert points == [poly.vertices[j] for j in facet.vertex_indices]
             drop = next(j for j, c in enumerate(normal) if c != 0)
             flat = [p[:drop] + p[drop + 1:] for p in points]
-            cycle = [points[q] for q in _angular_cycle(points, flat)]
-            assert [s.vertices for s in facet.simplices] == [
-                (cycle[0], cycle[i], cycle[i + 1]) for i in range(1, len(cycle) - 1)
-            ]
+            assert points == [points[q] for q in _angular_cycle(points, flat)]
 
     def test_random_polygons_and_cells(self):
         rng = random.Random("order-2d")
@@ -603,14 +620,6 @@ class TestClipping:
             cell = self.check(cube, cuts)
             assert (None if cell is None else cell.volume) == volume
 
-    def test_subdivision_calls_intersect_per_sign_pattern(self, pentagon):
-        cells = subdivide_by_hyperplanes(pentagon, [affine((1, 0), 0), affine((1, -2), 0)])
-        expected = [
-            _enumerated(pentagon, [halfspace((s1, 0), 0), halfspace((s2, -2 * s2), 0)])
-            for s1 in (1, -1) for s2 in (1, -1)
-        ]
-        assert [_fields(c) for c in cells] == [_fields(c) for c in expected if c is not None]
-
 
 def _monomial(n, alpha):
     """``x^alpha`` for an exponent written as its coordinate indices."""
@@ -659,7 +668,7 @@ class TestCellMoments:
                 poly = _random_body(rng, "box")
             else:
                 poly = build_polytope(
-                    geometry.simplex_halfspaces(Simplex(_rational_simplex(rng, 3), 3)))
+                    geometry.simplex_halfspaces(_rational_simplex(rng, 3)))
             cuts = [_random_cut(rng, poly) for _ in range(rng.randint(1, 3))]
             kept += self.check(poly, cuts) is not None
         assert 0 < kept < count
@@ -758,7 +767,7 @@ def _bodies_and_cells(rng, count):
             body = _random_body(rng, "box")
         else:
             body = build_polytope(
-                geometry.simplex_halfspaces(Simplex(_rational_simplex(rng, 3), 3))
+                geometry.simplex_halfspaces(_rational_simplex(rng, 3))
             )
         yield body
         for _ in range(3):
@@ -780,7 +789,7 @@ def _euclidean_sq(vertices):
 
 def _unmeasured(facet):
     """Whether the facet holds its fields alone, nothing computed on demand."""
-    return set(vars(facet)) == {"halfspace_index", "vertex_indices", "simplices", "normal"}
+    return set(vars(facet)) == {"halfspace_index", "vertex_indices", "vertices", "normal"}
 
 
 class TestFacetMeasures:
@@ -795,14 +804,15 @@ class TestFacetMeasures:
                 assert facet.normal == h.normal
                 assert _unmeasured(facet)
                 norm_sq = sum(c * c for c in h.normal)
-                assert len(facet.simplex_measures) == len(facet.simplices)
-                for s, measure in zip(facet.simplices, facet.simplex_measures):
-                    assert all(h.value(v) == h.bound for v in s.vertices)
+                faces = facet_faces(facet, poly.dim)
+                assert len(facet.simplex_measures) == len(faces)
+                for face, measure in zip(faces, facet.simplex_measures):
+                    assert all(h.value(v) == h.bound for v in face)
                     assert measure > 0
-                    assert measure * measure == _euclidean_sq(s.vertices) / norm_sq
+                    assert measure * measure == _euclidean_sq(face) / norm_sq
                     checked += 1
                 assert facet.measure == sum(facet.simplex_measures)
-                corners = {v for s in facet.simplices for v in s.vertices}
+                corners = {v for face in faces for v in face}
                 assert corners == {poly.vertices[j] for j in facet.vertex_indices}
         assert checked > 1000
 
@@ -876,7 +886,7 @@ class TestSimplexHalfspaces:
             verts = _rational_simplex(rng, n, den=rng.choice((1, 2, 5, 12)))
             # Swapping two vertices flips the orientation.
             for order in (verts, (verts[1], verts[0]) + verts[2:]):
-                hs = geometry.simplex_halfspaces(Simplex(order, n))
+                hs = geometry.simplex_halfspaces(order)
                 assert hs == _reference_halfspaces(order, n)
                 assert all(type(c) is int for h in hs for c in h.normal)
                 assert all(type(h.bound) is Fraction for h in hs)
@@ -899,9 +909,18 @@ class TestSimplexHalfspaces:
         # equal points in 2-D, three collinear in 3-D); the library also
         # catches an omitted vertex on its face's hyperplane.
         verts = tuple(pt(*v) for v in verts)
-        n = len(verts[0])
         with pytest.raises(DegenerateSimplex):
-            geometry.simplex_halfspaces(Simplex(verts, n))
+            geometry.simplex_halfspaces(verts)
+
+    @pytest.mark.parametrize("verts", [
+        ((0,),),
+        ((0, 0), (1, 0)),
+        ((0, 0), (1, 0), (0, 1), (1, 1)),
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+    ])
+    def test_wrong_vertex_count_raises(self, verts):
+        with pytest.raises(DegenerateSimplex):
+            geometry.simplex_halfspaces(tuple(pt(*v) for v in verts))
 
 
 class TestTranslate:

@@ -11,13 +11,11 @@ import pytest
 
 from toricstab import (
     Polynomial,
-    Simplex,
     boundary_integral,
     ehrhart_residual,
     integrate_polynomial,
     make_pl,
     pl_lattice_sum,
-    subdivide_by_hyperplanes,
 )
 from toricstab import _linalg, build_polytope, halfspace
 from toricstab.errors import DegenerateSimplex, ScaleOverflow
@@ -26,7 +24,7 @@ from toricstab.integration import _form_integral, integrate_pl
 from toricstab.invariants import average_scalar_curvature
 from toricstab.plfunc import affine, zero_function
 
-from conftest import random_polygon
+from conftest import body_simplices, cells_across, facet_faces, random_polygon, simplex_volume
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "toricstab"
 
@@ -57,7 +55,7 @@ def brute_lattice(poly, k):
 
 
 def _simplex_body(*verts):
-    return build_polytope(simplex_halfspaces(Simplex(verts, len(verts[0]))))
+    return build_polytope(simplex_halfspaces(verts))
 
 
 class TestMonomialSimplex:
@@ -305,7 +303,7 @@ def _rational_bodies(rng, n, count):
     cells under random cuts; every third body is a single simplex."""
     for i in range(count):
         if i % 3 == 0:
-            body = build_polytope(simplex_halfspaces(Simplex(_random_simplex(rng, n, n), n)))
+            body = build_polytope(simplex_halfspaces(_random_simplex(rng, n, n)))
         elif n == 2:
             body = random_polygon(rng, den=rng.choice((1, 2, 3, 7)))
         else:
@@ -342,13 +340,12 @@ class TestOneDenominatorSums:
         draws = random.Random(f"volume-integrands-{n}")
         single = 0
         for poly in _rational_bodies(rng, n, 12 if n == 2 else 4):
-            simplices = poly.triangulation
+            simplices = [(s, simplex_volume(s)) for s in body_simplices(poly)]
             single += len(simplices) == 1
-            volume = sum(s.volume() for s in simplices)
+            volume = sum(m for _, m in simplices)
             assert poly.volume == volume
             assert poly.barycenter == tuple(
-                sum(s.volume() * sum(v[j] for v in s.vertices) for s in simplices)
-                / ((n + 1) * volume)
+                sum(m * sum(v[j] for v in s) for s, m in simplices) / ((n + 1) * volume)
                 for j in range(n)
             )
             for degree in range(3):
@@ -356,31 +353,28 @@ class TestOneDenominatorSums:
                 value = integrate_polynomial(poly, f)
                 assert isinstance(value, Fraction)
                 assert value == sum(
-                    (_simplex_integral(s.vertices, f, n, s.volume()) for s in simplices),
-                    F(0),
-                )
+                    (_simplex_integral(s, f, n, m) for s, m in simplices), F(0))
                 assert value == sum(
-                    (_substitution_integral(s.vertices, f, n, s.volume()) for s in simplices),
-                    F(0),
-                )
+                    (_substitution_integral(s, f, n, m) for s, m in simplices), F(0))
         assert single >= 2
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_boundary_against_per_simplex_sums(self, n):
         rng = random.Random(f"boundary-integral-{n}")
         for poly in _rational_bodies(rng, n, 9 if n == 2 else 2):
-            pieces = [(s, m) for facet in poly.facets
-                      for s, m in zip(facet.simplices, facet.simplex_measures)]
+            pieces = []
+            for facet in poly.facets:
+                faces = facet_faces(facet, n)
+                assert len(faces) == len(facet.simplex_measures)
+                pieces += zip(faces, facet.simplex_measures)
             for degree in range(3):
                 f = _random_polynomial(rng, n, degree)
                 value = boundary_integral(poly, f)
                 assert isinstance(value, Fraction)
                 assert value == sum(
-                    (_simplex_integral(s.vertices, f, n - 1, m) for s, m in pieces), F(0)
-                )
+                    (_simplex_integral(s, f, n - 1, m) for s, m in pieces), F(0))
                 assert value == sum(
-                    (_substitution_integral(s.vertices, f, n - 1, m) for s, m in pieces), F(0)
-                )
+                    (_substitution_integral(s, f, n - 1, m) for s, m in pieces), F(0))
 
     def test_zero_polynomial(self, pentagon):
         assert integrate_polynomial(pentagon, Polynomial(2)) == 0
@@ -412,9 +406,8 @@ class TestPolynomialIntegral:
 
     def test_additivity_over_subdivision(self, pentagon):
         f = Polynomial(2, {(2, 0): F(1), (1, 1): F(1, 2), (0, 0): F(-3)})
-        cells = subdivide_by_hyperplanes(
-            pentagon, [affine((1, 0), F(1, 3)), affine((1, -2), 0)]
-        )
+        cells = cells_across(pentagon, [((1, 0), F(-1, 3)), ((1, -2), 0)])
+        assert len(cells) == 4
         total = sum(integrate_polynomial(c, f) for c in cells)
         assert total == integrate_polynomial(pentagon, f)
 

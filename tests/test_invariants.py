@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from toricstab import build_polytope, geometry, halfspace, invariants, report
 from toricstab.errors import OriginNotInterior, WrongFamily
-from toricstab.geometry import cone_decomposition, simplex_halfspaces, intersect
+from toricstab.geometry import intersect
 from toricstab.plfunc import AffineFunction, affine, zero_function
 from toricstab.reproduce import random_affine, random_convex_pl
 
@@ -236,11 +236,7 @@ class TestLinearFunctional:
                 u = self._normalized_at_origin(random_convex_pl(rng, poly))
                 value = linear_functional_L(poly, u, ext)
                 bound = F(0)
-                for facet_index, cone_simplex in cone_decomposition(poly).cells:
-                    support = poly.halfspaces[
-                        poly.facets[facet_index].halfspace_index
-                    ].bound
-                    cone_hs = simplex_halfspaces(cone_simplex)
+                for support, cone_hs in poly._cone_halfspaces:
                     for cell in u.cells:
                         region = intersect(cell.region, cone_hs)
                         if region is None:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import toricstab
 from toricstab import catalog, emit_spec, parse_spec, translate
 from toricstab.catalog import CATALOG_NAMES, hexagon
 from toricstab.cli import main
@@ -199,6 +200,22 @@ class TestCLI:
         assert main(["analyze", "--spec", "/does/not/exist.json"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["ehrhart", "--catalog", "cp2", "--pl", "max(0, x1)", "--k", "0"],
+         "scale k must be a positive integer, not 0"),
+        (["ehrhart", "--catalog", "cp2", "--pl", "max(0, x1)", "--k", "-3"],
+         "scale k must be a positive integer, not -3"),
+        (["scan", "--spec", "box3_rational.json"],
+         "the crease scan is defined for dimension 2 only, not 3"),
+    ])
+    def test_bad_scale_and_dimension_exit_two(self, capsys, monkeypatch, argv, message):
+        # Exit 1 means a failing condition, so these input errors exit 2.
+        monkeypatch.chdir(GOLDEN)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("rows,message", [
         ([((1, 0), 1), ((0, 1), 1), ((0, -1), 1)], "direction (-1, 0) recedes"),
         ([((1, 0), -2), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)],
@@ -319,3 +336,22 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAILS" in out
+
+
+class TestPublicSurface:
+    def test_exported_names(self):
+        # The public surface changes only on purpose: update this list
+        # together with the change and its note in CHANGES.md.
+        assert sorted(toricstab.__all__) == [
+            "AffineFunction", "CATALOG_NAMES", "ConditionVerdict", "DegenerationReport",
+            "ExtremalData", "Facet", "HalfSpace", "KERNEL_BACKEND", "LatticeSum",
+            "PLFunction", "Polynomial", "Polytope", "Rational", "ScanConfig", "ScanResult",
+            "SimplePL", "ToricStabError", "affine", "average_scalar_curvature",
+            "boundary_integral", "build_polytope", "catalog", "centering_constants",
+            "check_condition", "delzant_check", "destabilizer", "ehrhart_residual",
+            "emit_spec", "errors", "extremal_field", "futaki_vector", "geometry",
+            "halfspace", "hexagon", "integrate_polynomial", "integration", "invariants",
+            "is_affine", "kernels", "linear_functional_L", "linear_functional_L_cone",
+            "make_pl", "parse_spec", "pl_lattice_sum", "plfunc", "relative_futaki", "scan",
+            "specfile", "translate",
+        ]
