@@ -10,6 +10,12 @@ rationals; the grid is refined locally around the incumbent a
 configurable number of rounds and the final incumbent is re-verified
 through the independent slow path.
 
+The grid is integer: a direction parameter ``a / d`` and an offset
+``p / q`` are kept as integer pairs, and a direction is its circle point
+times ``d**2`` (:func:`_direction`), so the grid builds no ``Fraction``.
+A refine round is the grid of the round before at :data:`ZOOM` times the
+resolution, in a window of :data:`ZOOM` points each side of the incumbent.
+
 Each direction's offsets are swept as a profile.  The vertices' values of
 the direction cut the offset range into pieces; on a piece the boundary
 integral ``B`` is a polynomial of degree at most 2 in the offset and
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import integration, invariants
+from . import _linalg, integration, invariants
 from .errors import NoInteriorCrease, UnsupportedDimension
 from .geometry import Polytope
 from .invariants import ExtremalData
@@ -39,6 +45,9 @@ from .kernels import simple_pl_values
 from .plfunc import AffineFunction, SimplePL
 
 REFINE_POINTS = 21
+# A refine round spans one step of the round before each side of the
+# incumbent with REFINE_POINTS points, so its steps are ZOOM times finer.
+ZOOM = (REFINE_POINTS - 1) // 2
 SAMPLES = 5  # kernel offsets per profile piece: enough to fix the quartic L
 
 
@@ -74,22 +83,27 @@ class ScanResult:
     round_minima: tuple
 
 
-def _direction(w: Fraction):
-    """Rational point on the circle for a parameter in [0, 1)."""
-    w = w % 1
-    half = Fraction(1, 2)
-    if w < half:
-        s = 4 * w - 1
-        return (1 - s * s, 2 * s)
-    s = 4 * (w - half) - 1
-    return (s * s - 1, -2 * s)
+def _direction(a: int, d: int):
+    """The rational point on the circle for the parameter ``w = a / d``
+    (taken mod 1), times ``d**2``, as an integer pair.
+
+    For ``w < 1/2`` the point is ``(1 - s^2, 2 s)`` with ``s = 4 w - 1``,
+    and beyond it ``(s^2 - 1, -2 s)`` with ``s = 4 (w - 1/2) - 1``; here
+    ``d s`` is the integer ``4 a - d`` or ``4 a - 3 d``.
+    """
+    a %= d
+    if 2 * a < d:
+        s = 4 * a - d
+        return (d * d - s * s, 2 * d * s)
+    s = 4 * a - 3 * d
+    return (s * s - d * d, -2 * d * s)
 
 
 def _crease_family(poly: Polytope, base):
-    """Per-direction crease sweeps for direction parameters w in [0, 1).
+    """Per-direction crease sweeps for direction parameters ``w = a / d``.
 
-    Returns a function ``w -> _Sweep``.  The vertices and the base point
-    are put over one denominator once, as integer numerators.  Offsets
+    Returns a function ``(a, d) -> _Sweep``.  The vertices and the base
+    point are put over one denominator once, as integer numerators.  Offsets
     ``v`` sweep from the crease through the normalization point (v = 0)
     out to the maximal vertex (v = 1), so every candidate is normalized:
     it vanishes at the base point and is nonnegative.  The antipodal
@@ -97,22 +111,17 @@ def _crease_family(poly: Polytope, base):
     line is lost to this restriction, and the resulting ratios genuinely
     upper-bound the coercivity constant.
     """
-    pden = math.lcm(*[c.denominator for p in (*poly.vertices, base) for c in p])
-    pts = [(int(x * pden), int(y * pden)) for x, y in poly.vertices]
-    bx, by = int(base[0] * pden), int(base[1] * pden)
+    pden, (*pts, (bx, by)) = _linalg.over_common_denominator((*poly.vertices, base))
 
-    def sweep(w):
-        a1, a2 = _direction(w)
-        aden = math.lcm(a1.denominator, a2.denominator)
-        n1 = a1.numerator * (aden // a1.denominator)
-        n2 = a2.numerator * (aden // a2.denominator)
-        # Over aden * pden: the direction at each vertex and at the base
+    def sweep(a, d):
+        n1, n2 = _direction(a, d)
+        # Over d**2 * pden: the direction at each vertex and at the base
         # point, and the rise from there to the maximal vertex.
         values = [n1 * x + n2 * y for x, y in pts]
         gbase = n1 * bx + n2 * by
         top = max(values)
         breaks = sorted({s - gbase for s in values if gbase < s < top})
-        return _Sweep(n1 * pden, n2 * pden, aden * pden, gbase, top - gbase, breaks)
+        return _Sweep(n1 * pden, n2 * pden, d * d * pden, gbase, top - gbase, breaks)
 
     return sweep
 
@@ -139,16 +148,15 @@ class _Sweep(NamedTuple):
         reads."""
         return (-(self.gbase * vd + vn * self.rise), self.n1 * vd, self.n2 * vd, self.den * vd)
 
-    def pieces(self, p0, s, q, count):
-        """``(start, stop)`` runs of the offsets ``(p0 + t s) / q``,
-        ``t < count``, with ``s, q > 0``, that no breakpoint separates.
+    def pieces(self, p0, q, count):
+        """``(start, stop)`` runs of the offsets ``(p0 + t) / q``,
+        ``t < count``, with ``q > 0``, that no breakpoint separates.
 
         Offset t lies at or left of the breakpoint ``b / rise`` exactly
-        when ``t <= (b q - p0 rise) / (s rise)``, so an offset on a
-        breakpoint ends its run; by continuity either side would do.
+        when ``t <= b q / rise - p0``, so an offset on a breakpoint ends
+        its run; by continuity either side would do.
         """
-        rise = self.rise
-        cuts = {(b * q - p0 * rise) // (s * rise) + 1 for b in self.breaks}
+        cuts = {b * q // self.rise - p0 + 1 for b in self.breaks}
         bounds = [0, *sorted(c for c in cuts if 0 < c < count), count]
         return list(zip(bounds, bounds[1:]))
 
@@ -175,9 +183,10 @@ def _continue(values, count, degree):
     return values + list(seq)
 
 
-def _profiles(family, kernel_args, ws, v0, step, count):
-    """Exact ``L`` and ``B`` of every crease ``(w, v0 + t * step)``,
-    ``w`` in ``ws`` and ``t < count``, with ``step > 0``.
+def _profiles(family, kernel_args, ws, p0, q, count):
+    """Exact ``L`` and ``B`` of every crease with direction parameter
+    ``a / d`` for ``(a, d)`` in ``ws`` and offset ``(p0 + t) / q``,
+    ``t < count``, with ``q > 0``: one row of the integer grid.
 
     Returns, per direction, its pieces as ``(start, cl, cb, ls, bs)``:
     offset ``start + k`` has ``L = ls[k] / cl`` and ``B = bs[k] / cb``,
@@ -187,12 +196,10 @@ def _profiles(family, kernel_args, ws, v0, step, count):
     denominators, and the rest of a longer piece comes from
     :func:`_continue` (degree 4 for ``L``, 2 for ``B``).
     """
-    q = math.lcm(v0.denominator, step.denominator)
-    p0, s = v0.numerator * (q // v0.denominator), step.numerator * (q // step.denominator)
-    sweeps = [family(w) for w in ws]
-    plans = [sw.pieces(p0, s, q, count) for sw in sweeps]
+    sweeps = [family(a, d) for a, d in ws]
+    plans = [sw.pieces(p0, q, count) for sw in sweeps]
     cands = [
-        sw.crease(p0 + t * s, q)
+        sw.crease(p0 + t, q)
         for sw, pieces in zip(sweeps, plans)
         for start, stop in pieces
         for t in range(start, min(stop, start + SAMPLES))
@@ -220,13 +227,8 @@ def _affine(cand) -> AffineFunction:
 
 def _kernel_data(poly: Polytope, extremal: ExtremalData):
     cycle = poly.ccw_cycle
-    verts = [poly.vertices[i] for i in cycle]
-    vden = 1
-    for p in verts:
-        for c in p:
-            vden = math.lcm(vden, c.denominator)
-    vxs = [int(p[0] * vden) for p in verts]
-    vys = [int(p[1] * vden) for p in verts]
+    vden, verts = _linalg.over_common_denominator([poly.vertices[i] for i in cycle])
+    vxs, vys = map(list, zip(*verts))
 
     edge_by_pair = {}
     for facet in poly.facets:
@@ -240,10 +242,8 @@ def _kernel_data(poly: Polytope, extremal: ExtremalData):
         edges.append((pos, (pos + 1) % m, length.numerator, length.denominator))
 
     rbar = invariants.average_scalar_curvature(poly)
-    w0 = extremal.theta.constant + rbar
-    w1, w2 = extremal.theta.gradient
-    wden = math.lcm(w0.denominator, w1.denominator, w2.denominator)
-    wlin = (int(w0 * wden), int(w1 * wden), int(w2 * wden))
+    wden, (wlin,) = _linalg.over_common_denominator(
+        [(extremal.theta.constant + rbar, *extremal.theta.gradient)])
     return vxs, vys, vden, edges, wlin, wden
 
 
@@ -252,7 +252,7 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
 
     The curvature hypothesis (weight nonnegative on P) is checked first
     and recorded; evaluation is exact either way.  Each round hands every
-    direction the same evenly spaced offsets ``(v0, step, count)`` and
+    direction the same offsets ``(p0 + t) / q``, ``t < count``, and
     evaluates them as per-direction profiles (:func:`_profiles`): one
     kernel batch of at most :data:`SAMPLES` offsets per piece, the rest by
     exact integer finite differences.  Candidates are ranked w-major and
@@ -279,11 +279,13 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
     family = _crease_family(poly, base)
 
     evaluated = 0
-    best = None  # (ratio numerator, ratio denominator, w, v, candidate, (L, B))
+    best = None  # (ratio numerator, ratio denominator, (a, d), (p, q), candidate, (L, B))
     round_minima = []
 
-    def consider(ws, v0, step, count):
-        """Evaluate every (w, v0 + t * step), w-major, t < count; keep the first minimum.
+    def consider(ws, p0, q, count):
+        """Evaluate every crease ``(a / d, (p0 + t) / q)`` of the integer
+        grid, ``(a, d)`` in ``ws`` w-major and ``t < count``; keep the
+        first minimum.
 
         ``L / B = (l * cb) / (cl * b)`` with ``b > 0`` and positive
         denominators, so ratios compare exactly by cross-multiplying, the
@@ -291,7 +293,7 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
         the ratio of no incumbent, which every candidate beats.
         """
         nonlocal best, evaluated
-        profiles = _profiles(family, kernel_args, ws, v0, step, count)
+        profiles = _profiles(family, kernel_args, ws, p0, q, count)
         top_n, top_d = best[:2] if best else (1, 0)
         pick = None
         for j, pieces in enumerate(profiles):
@@ -307,32 +309,26 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
                         pick = (j, t, l, cl, b, cb)
         if pick is not None:
             j, t, l, cl, b, cb = pick
-            v = v0 + t * step
-            cand = family(ws[j]).crease(v.numerator, v.denominator)
-            best = (top_n, top_d, ws[j], v, cand, (Fraction(l, cl), Fraction(b, cb)))
+            a, d = ws[j]
+            cand = family(a, d).crease(p0 + t, q)
+            best = (top_n, top_d, (a, d), (p0 + t, q), cand, (Fraction(l, cl), Fraction(b, cb)))
 
     m = config.direction_count
     offs = config.offset_count
-    consider([Fraction(j, m) for j in range(m)], Fraction(0), Fraction(1, offs), offs)
+    consider([(a, m) for a in range(m)], 0, offs, offs)
     if best is None:
         raise NoInteriorCrease("no scan candidate produced a valid crease")
     round_minima.append(Fraction(best[0], best[1]))
 
-    dw = Fraction(1, m)
-    dv = Fraction(1, offs)
-    for _ in range(config.refine_rounds):
-        w_star, v_star = best[2], best[3]
-        ws = [
-            w_star - dw + Fraction(2 * i, REFINE_POINTS - 1) * dw
-            for i in range(REFINE_POINTS)
-        ]
-        step = 2 * dv / (REFINE_POINTS - 1)
-        # v_star - dv + i * step grows with i, so those in [0, 1) are a run.
-        inside = [i for i in range(REFINE_POINTS) if 0 <= v_star - dv + i * step < 1]
-        consider(ws, v_star - dv + inside[0] * step, step, len(inside))
+    for r in range(1, config.refine_rounds + 1):
+        d, q = m * ZOOM**r, offs * ZOOM**r
+        # The incumbent over this round's denominators: a round that kept
+        # it leaves it over an older, coarser grid.
+        (a, ad), (p, pq) = best[2], best[3]
+        a, p = a * (d // ad), p * (q // pq)
+        lo, hi = max(p - ZOOM, 0), min(p + ZOOM, q - 1)
+        consider([(a + i, d) for i in range(-ZOOM, ZOOM + 1)], lo, q, hi - lo + 1)
         round_minima.append(Fraction(best[0], best[1]))
-        dw = 2 * dw / (REFINE_POINTS - 1)
-        dv = step
 
     ratio = round_minima[-1]
     crease = _affine(best[4])

@@ -73,7 +73,8 @@ class NoInteriorCrease(ToricStabError):
 
 
 class UnsupportedDimension(ToricStabError, ValueError):
-    """The crease scan was asked for a body that is not a polygon."""
+    """A body of a dimension the operation does not handle: the crease
+    scan takes polygons only, and polytopes have dimension 1 to 3."""
 
 
 # -- input handling ------------------------------------------------------------

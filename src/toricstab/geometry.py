@@ -32,12 +32,15 @@ Euclidean measure of a rational facet piece is a rational multiple of
 rational and no square root is ever materialized.
 
 What a polytope computes when it is built, and what only when read:
-:func:`_build` derives the vertices and the retained facets, each with
-its vertices in cycle order.  Everything an integral reads beyond that
-is a cached property, computed on first use and kept: a facet's simplices
-over one denominator, their lattice measures
-(:attr:`Facet.simplex_measures`) and the facet's moments, the body's
-moments, the volume and barycenter, and the clipping start and cone
+:func:`_build` derives the retained facets, each with its vertices in
+cycle order, and the polytope keeps its clip (see :class:`Polytope`):
+the simplicity check, :func:`delzant_check`, the start of the
+:func:`_best_origin` LP and every later clip read its tight sets, and
+nothing is rebuilt from ``Fraction`` vertices.
+Everything an integral reads beyond that is a cached property, computed
+on first use and kept: a facet's simplices over one denominator, their
+lattice measures (:attr:`Facet.simplex_measures`) and the facet's
+moments, the body's moments, the volume and barycenter, and the cone
 half-spaces.
 
 The cells of the cone form are never polytopes.  It reads nothing of a
@@ -63,6 +66,7 @@ from .errors import (
     NonPrimitiveNormal,
     NotSimple,
     Unbounded,
+    UnsupportedDimension,
 )
 
 Point = tuple
@@ -177,13 +181,20 @@ class Polytope:
 
     Instances are immutable after construction; use :func:`build_polytope`.
     Vertices are stored in lexicographic order, facets in the order of the
-    retained half-spaces.
+    retained half-spaces.  ``_clip_start`` is the clip the polytope was
+    built from, each vertex as ``(point, numerators, denominator, tight
+    set)`` in vertex order: ``point`` equals ``numerators / denominator``
+    in lowest terms, and the tight set holds the indices into
+    ``halfspaces`` of the facets through the vertex.  :func:`intersect`
+    and :func:`_cell_moments` start :func:`_clip` from it, and
+    :attr:`_moments` fans it.
     """
 
-    def __init__(self, dim, halfspaces, vertices, facets, origin_interior, warnings=()):
+    def __init__(self, dim, halfspaces, clip_start, facets, origin_interior, warnings=()):
         self.dim = dim
         self.halfspaces = tuple(halfspaces)
-        self.vertices = tuple(vertices)
+        self._clip_start = tuple(clip_start)
+        self.vertices = tuple(v for v, *_ in self._clip_start)
         self.facets = tuple(facets)
         self.origin_interior = origin_interior
         self.warnings = tuple(warnings)
@@ -245,26 +256,6 @@ class Polytope:
         return _simplex_moments(self.dim, *_fan(self.dim, self._clip_start, cycles))
 
     @functools.cached_property
-    def _clip_start(self) -> tuple:
-        """Each vertex as ``(point, numerators, denominator, tight set)``.
-
-        :func:`intersect` and :func:`_cell_moments` start :func:`_clip`
-        from here, and :attr:`_moments` fans it: ``point`` equals
-        ``numerators / denominator``, and the tight set holds the indices
-        of the facet half-spaces through the vertex.  Kept because a cell
-        is clipped once per cone of the cone form.
-        """
-        tight = [set() for _ in self.vertices]
-        for facet in self.facets:
-            for j in facet.vertex_indices:
-                tight[j].add(facet.halfspace_index)
-        start = []
-        for v, at_v in zip(self.vertices, tight):
-            q, (p,) = _linalg.over_common_denominator((v,))
-            start.append((v, p, q, frozenset(at_v)))
-        return tuple(start)
-
-    @functools.cached_property
     def _cone_halfspaces(self) -> tuple:
         """The cones from the origin over the facets, as ``(support, half-spaces)``.
 
@@ -308,14 +299,17 @@ class Polytope:
 def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     """Construct a polytope from half-space data, verifying its invariants.
 
-    After validation, duplicates are dropped with a warning record and the
-    body is checked to be bounded.  Its vertices then come from clipping
-    the box ``|x_j| <= M`` by every input half-space (see :func:`_clip`).
-    ``M = n! H**n + 1``, with ``H`` the largest ``|normal entry|`` and
-    ``ceil(|bound|)``, puts the body strictly inside the box: by Cramer's
-    rule a vertex coordinate is a determinant with entries of size at most
-    ``H``, so at most ``n! H**n``, over a nonzero integer determinant.  So
-    no box half-space is tight at a vertex of the body, and the active
+    The dimension must be 1 to 3.  After validation, duplicates are
+    dropped with a warning record and the normals are checked to span, so
+    the body has a vertex if it is not empty.  Its vertices then come from
+    clipping the box ``|x_j| <= M`` by every input half-space (see
+    :func:`_clip`).  ``M = n! H**n + 1``, with ``H`` the largest ``|normal
+    entry|`` and ``ceil(|bound|)``, puts every vertex of the body strictly
+    inside the box: by Cramer's rule a vertex coordinate is a determinant
+    with entries of size at most ``H``, so at most ``n! H**n``, over a
+    nonzero integer determinant.  So an empty clip means an empty body,
+    which is reported before any recession direction is looked for; for a
+    bounded body no box half-space is tight at a vertex, and the active
     sets lose nothing when the box indices are shifted off.  Redundant
     half-spaces (touching the body in dimension below n-1 or not at all)
     are dropped with a warning record.
@@ -324,6 +318,9 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     if not hs:
         raise Degenerate("no half-spaces given")
     n = len(hs[0].normal)
+    if n > 3:
+        raise UnsupportedDimension(
+            f"dimension {n} is not supported; polytopes have dimension 1 to 3")
     for h in hs:
         if len(h.normal) != n:
             raise Degenerate("mixed normal dimensions")
@@ -347,7 +344,8 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
         seen.add(h.key)
         deduped.append(h)
 
-    _check_bounded(deduped, n)
+    if _linalg.rank([h.normal for h in deduped]) < n:
+        raise Unbounded("normals do not span the ambient space")
     big = max(max(*map(abs, h.normal), ceil(abs(h.bound))) for h in deduped)
     m = factorial(n) * big**n + 1
     # Box half-space 2j is x_j <= m and 2j + 1 is -x_j <= m.
@@ -359,6 +357,7 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     clipped = _clip(start, box + deduped, n, len(box))
     if not clipped:
         raise Degenerate("half-space intersection is empty")
+    _check_recession(deduped, n)
     if not _full_body(clipped, n):
         raise Degenerate("vertex hull is not full-dimensional")
     body = [(v, p, q, frozenset(i - len(box) for i in at_v)) for v, p, q, at_v in clipped]
@@ -372,12 +371,15 @@ def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
     ``(point, numerators, denominator, tight set)``, and must be exactly
     the vertices of the body the half-spaces bound, which must be
     full-dimensional, with each tight set exactly the indices into ``hs``
-    of the half-spaces through the vertex.  Nothing is re-evaluated here.
-    A vertex without its ``Fraction`` point gets it now.  Retained facets
-    and their vertex order come from :func:`_facets`, and warnings from
-    what it drops; each facet keeps its vertices in that order and its
-    normal, and its simplices and their lattice measures wait until a
-    boundary integral reads them (see :class:`Facet`).
+    of the half-spaces through the vertex, and each vertex in lowest
+    terms.  Nothing is re-evaluated here.  A vertex without its
+    ``Fraction`` point gets it now.  Retained facets and their vertex
+    order come from :func:`_facets`, and warnings from what it drops;
+    each facet keeps its vertices in that order and its normal, and its
+    simplices and their lattice measures wait until a boundary integral
+    reads them (see :class:`Facet`).  The polytope keeps the sorted body
+    as its ``_clip_start``, the tight sets renumbered to the retained
+    half-spaces, so a vertex lies on as many facets as its tight set holds.
     """
     warnings = list(warnings)
     body = sorted(
@@ -385,24 +387,25 @@ def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
          for v, p, q, at_v in body),
         key=lambda vertex: vertex[0],
     )
-    vertices = [v for v, *_ in body]
-    kept, facets = [], []
-    for h, cycle in zip(hs, _facets(hs, n, body)):
+    kept, facets, renumber = [], [], {}
+    for i, (h, cycle) in enumerate(zip(hs, _facets(hs, n, body))):
         if cycle is None:
             warnings.append(f"redundant half-space {h.normal} <= {h.bound} dropped")
             continue
-        facets.append(Facet(len(kept), tuple(cycle), tuple(vertices[j] for j in cycle), h.normal))
+        renumber[i] = len(kept)
+        facets.append(Facet(len(kept), tuple(cycle), tuple(body[j][0] for j in cycle), h.normal))
         kept.append(h)
+    clip = [(v, p, q, frozenset(renumber[i] for i in at_v if i in renumber))
+            for v, p, q, at_v in body]
 
     if require_simple:
-        for j, v in enumerate(vertices):
-            count = sum(1 for f in facets if j in f.vertex_indices)
-            if count != n:
-                raise NotSimple(f"vertex {v} lies on {count} facets")
+        for v, _, _, at_v in clip:
+            if len(at_v) != n:
+                raise NotSimple(f"vertex {v} lies on {len(at_v)} facets")
 
     # At the origin every <l, x> is 0, so it is interior when every bound is positive.
     origin_interior = all(h.bound > 0 for h in kept)
-    return Polytope(n, kept, vertices, facets, origin_interior, warnings)
+    return Polytope(n, kept, clip, facets, origin_interior, warnings)
 
 
 def _facets(hs, n, body) -> list:
@@ -412,11 +415,9 @@ def _facets(hs, n, body) -> list:
     ``body`` lists the vertices as :func:`_clip` does, and only the
     integer numerators, denominators and tight sets are read.  A
     half-space supports a facet exactly when its vertices span affine
-    dimension n-1, that is when their homogeneous rows ``(q, p)`` have
-    rank n.  For n <= 3 a count decides: no vertex of a convex body lies
-    between two others, so n distinct vertices on one supporting plane
-    are never collinear.  From n = 4 on, n of them can share a lower face
-    (four on a 2-face), so the rank is computed.
+    dimension n-1.  For n <= 3 a count decides: no vertex of a convex body
+    lies between two others, so n distinct vertices on one supporting
+    plane are never collinear.
 
     The positions come in increasing order, except in 3-D, where they are
     the facet's cycle from its first vertex: two vertices share an edge
@@ -431,8 +432,7 @@ def _facets(hs, n, body) -> list:
             on[i].append(j)
     out = []
     for h, vidx in zip(hs, on):
-        if len(vidx) < n or (n > 3 and _linalg.rank(
-                [[body[j][2], *body[j][1]] for j in vidx]) != n):
+        if len(vidx) < n:
             out.append(None)
         elif n == 3:
             tight = [body[j][3] for j in vidx]
@@ -474,6 +474,8 @@ def _best_origin(poly: Polytope) -> BestOrigin:
     ``h``, then maximise ``depth``.  The start is the first vertex ``v``
     with ``h = F(v)`` and ``depth = 0``: the n facets through ``v``, one
     row reaching ``F(v)`` and ``depth >= 0`` are tight and independent.
+    The facets are the first n independent ones of ``v``'s tight set in
+    index order.
     """
     n, m = poly.dim, len(poly.halfspaces)
     rows, rhs = [], []
@@ -487,11 +489,11 @@ def _best_origin(poly: Polytope) -> BestOrigin:
     rows.append(lowest_depth)
     rhs.append(Fraction(0))
 
-    v = poly.vertices[0]
+    v, _, _, tight = poly._clip_start[0]
     basis = []
-    for i, h in enumerate(poly.halfspaces):
-        if h.value(v) == h.bound and len(basis) < n and _linalg.rank(
-            [poly.halfspaces[j].normal for j in basis] + [h.normal]
+    for i in sorted(tight):
+        if len(basis) < n and _linalg.rank(
+            [poly.halfspaces[j].normal for j in basis] + [poly.halfspaces[i].normal]
         ) == len(basis) + 1:
             basis.append(i)
     at_v = poly.support_values(v)
@@ -502,13 +504,15 @@ def _best_origin(poly: Polytope) -> BestOrigin:
     return BestOrigin(point=z[:n], max_support=z[n], depth=z[n + 1])
 
 
-def _check_bounded(hs, n):
+def _check_recession(hs, n):
+    """Raise :class:`Unbounded` when the body of ``hs``, whose normals
+    span, recedes in some direction.
+
+    The recession cone is pointed once the normals span; it is nonzero
+    exactly when some candidate extreme ray (null direction of an
+    (n-1)-subset of normals) satisfies every inequality ``<l, v> <= 0``.
+    """
     normals = [h.normal for h in hs]
-    if _linalg.rank(normals) < n:
-        raise Unbounded("normals do not span the ambient space")
-    # The recession cone is pointed once the normals span; it is nonzero
-    # exactly when some candidate extreme ray (null direction of an
-    # (n-1)-subset of normals) satisfies every inequality <l, v> <= 0.
     if n == 1:
         candidates = [(1,), (-1,)]
     else:
@@ -590,17 +594,13 @@ def delzant_check(poly: Polytope):
     """Whether the facet normals at every vertex form a lattice basis.
 
     Returns ``(ok, first_violating_vertex)`` scanning vertices in their
-    stored lexicographic order.
+    stored lexicographic order; the normals at a vertex are those of its
+    tight set.
     """
-    for j, v in enumerate(poly.vertices):
-        normals = [
-            poly.halfspaces[f.halfspace_index].normal
-            for f in poly.facets
-            if j in f.vertex_indices
-        ]
-        if len(normals) != poly.dim:
+    for v, _, _, tight in poly._clip_start:
+        if len(tight) != poly.dim:
             return False, v
-        if abs(_linalg.det_int(normals)) != 1:
+        if abs(_linalg.det_int([poly.halfspaces[i].normal for i in sorted(tight)])) != 1:
             return False, v
     return True, None
 
@@ -766,15 +766,13 @@ def _spans_edge(normals, n) -> bool:
     """
     if n <= 2:
         return len(normals) >= n - 1
-    if n == 3:
-        if not normals:
-            return False
-        a1, a2, a3 = normals[0]
-        return any(
-            a2 * b3 != a3 * b2 or a3 * b1 != a1 * b3 or a1 * b2 != a2 * b1
-            for b1, b2, b3 in normals[1:]
-        )
-    return _linalg.rank(normals) == n - 1
+    if not normals:
+        return False
+    a1, a2, a3 = normals[0]
+    return any(
+        a2 * b3 != a3 * b2 or a3 * b1 != a1 * b3 or a1 * b2 != a2 * b1
+        for b1, b2, b3 in normals[1:]
+    )
 
 
 def translate(poly: Polytope, t) -> Polytope:

@@ -198,10 +198,10 @@ def _form_integral(moments, f: Polynomial) -> Fraction:
     return Fraction(sum(c * values[key] for key, c in numerators.items()), d * denominator)
 
 
-def integrate_polynomial(poly: Polytope, f) -> Fraction:
+def integrate_polynomial(poly: Polytope, f: Polynomial) -> Fraction:
     """Exact integral of a polynomial over the polytope: a dot product
     with the body's moments (see :func:`_form_integral`)."""
-    return _form_integral(poly._moments, _as_polynomial(f, poly.dim))
+    return _form_integral(poly._moments, f)
 
 
 def integrate_pl(u) -> Fraction:
@@ -216,14 +216,13 @@ def integrate_pl(u) -> Fraction:
 def boundary_integral(poly: Polytope, f) -> Fraction:
     """Exact integral over the boundary with the lattice measure.
 
-    Polynomials integrate facet by facet.  A piecewise-linear function is
-    integrated through its cell subdivision: each cell is a polytope that
-    shares its outer facets with ``poly``, so restricting the active piece
-    to those facets covers the boundary exactly once.
+    ``f`` is a :class:`Polynomial`, integrated facet by facet, or a
+    ``PLFunction``, integrated through its cell subdivision: each cell is
+    a polytope that shares its outer facets with ``poly``, so restricting
+    the active piece to those facets covers the boundary exactly once.
     """
-    if hasattr(f, "cells"):
+    if not isinstance(f, Polynomial):
         return _boundary_integral_pl(poly, f)
-    f = _as_polynomial(f, poly.dim)
     return sum((_form_integral(facet._moments, f) for facet in poly.facets), Fraction(0))
 
 
@@ -239,14 +238,6 @@ def _boundary_integral_pl(poly: Polytope, u) -> Fraction:
             if region.halfspaces[facet.halfspace_index].key in outer:
                 total += _form_integral(facet._moments, piece)
     return total
-
-
-def _as_polynomial(f, dim) -> Polynomial:
-    if isinstance(f, Polynomial):
-        return f
-    if hasattr(f, "gradient"):
-        return Polynomial.affine(dim, f.gradient, f.constant)
-    return Polynomial.constant(dim, f)
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +308,13 @@ def pl_lattice_sum(poly: Polytope, phi, k, budget=DEFAULT_CELL_BUDGET) -> Lattic
 def ehrhart_residual(poly: Polytope, phi, k, budget=DEFAULT_CELL_BUDGET) -> Fraction:
     """Lattice sum minus its volume and boundary predictions.
 
-    For a convex piecewise-linear weight the leading behaviour of the
-    lattice sum is ``k^n`` times the volume integral plus ``k^(n-1)/2``
-    times the boundary integral; the residual is what remains and stays
-    bounded by lower-order terms.
+    For a convex piecewise-linear weight ``phi`` (a ``PLFunction``) the
+    leading behaviour of the lattice sum is ``k^n`` times the volume
+    integral plus ``k^(n-1)/2`` times the boundary integral; the residual
+    is what remains and stays bounded by lower-order terms.
     """
     total = pl_lattice_sum(poly, phi, k, budget).weighted_sum
-    if hasattr(phi, "cells"):
-        vol_term = integrate_pl(phi)
-        bnd_term = boundary_integral(poly, phi)
-    else:
-        f = _as_polynomial(phi, poly.dim)
-        vol_term = integrate_polynomial(poly, f)
-        bnd_term = boundary_integral(poly, f)
+    vol_term = integrate_pl(phi)
+    bnd_term = boundary_integral(poly, phi)
     n = poly.dim
     return total - k**n * vol_term - Fraction(k ** (n - 1), 2) * bnd_term

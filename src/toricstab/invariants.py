@@ -182,23 +182,12 @@ def _pairing(u: PLFunction, affine: Polynomial) -> Fraction:
     )
 
 
-def _as_pl(u, poly: Polytope) -> PLFunction:
-    if isinstance(u, PLFunction):
-        return u
-    if isinstance(u, plfunc.SimplePL):
-        return u.as_pl(poly)
-    if isinstance(u, AffineFunction):
-        return plfunc.make_pl([u], poly)
-    raise TypeError(f"cannot interpret {type(u).__name__} as a PL function")
-
-
-def linear_functional_L(poly: Polytope, u, extremal: ExtremalData) -> Fraction:
+def linear_functional_L(poly: Polytope, u: PLFunction, extremal: ExtremalData) -> Fraction:
     """Boundary integral of u minus the weighted volume integral, exact."""
-    u = _as_pl(u, poly)
     return integration.boundary_integral(poly, u) - _pairing(u, _weight(poly, extremal))
 
 
-def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fraction:
+def linear_functional_L_cone(poly: Polytope, u: PLFunction, extremal: ExtremalData) -> Fraction:
     """The same functional computed through the cone decomposition.
 
     Over the cone with apex 0 above a facet of support value ``b_i`` the
@@ -212,7 +201,6 @@ def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fract
     """
     if not poly.origin_interior:
         raise OriginNotInterior("cone form needs 0 strictly inside")
-    u = _as_pl(u, poly)
     n = poly.dim
     weight = _weight(poly, extremal)
     # Per cell the integrand is lift / b_i - weighted, with the lift
@@ -235,9 +223,8 @@ def linear_functional_L_cone(poly: Polytope, u, extremal: ExtremalData) -> Fract
     return total
 
 
-def relative_futaki(poly: Polytope, u, extremal: ExtremalData) -> DegenerationReport:
+def relative_futaki(poly: Polytope, u: PLFunction, extremal: ExtremalData) -> DegenerationReport:
     """Exact invariants of the toric degeneration induced by ``u``."""
-    u = _as_pl(u, poly)
     vol = poly.volume
     rbar = average_scalar_curvature(poly)
     boundary = integration.boundary_integral(poly, u)
@@ -345,7 +332,8 @@ def check_condition(poly: Polytope, extremal: ExtremalData, which: str) -> Condi
     witness = (facet, vertex_index) if which == "c43" else facet
     at_given = None
     if poly.origin_interior:
-        at_given = slack(max(poly.support_values((0,) * n)))
+        # Measured from 0, each support value is the bound itself.
+        at_given = slack(max(h.bound for h in poly.halfspaces))
     return ConditionVerdict(which, holds, margin, witness, origin, at_given)
 
 

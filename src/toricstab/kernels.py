@@ -8,9 +8,11 @@ the ``lcm`` of their denominators, the clipped polygon over the product
 of its crossing weights), so a candidate costs two ``gcd`` calls, the
 two that reduce its results.  The crease scan calls it once per round,
 on the first few offsets of each piece of each direction's profile; the
-scan continues every piece from these exact samples by finite
-differences, so the kernel's rows must be exact at every offset it is
-given.  ``lattice_weighted_sum`` is the bounding-box lattice scan.
+candidates come unreduced from the scan's integer grid, direction
+``a / d`` and offset ``p / q`` as integers over ``d**2 q`` times the
+vertex denominator.  The scan continues every piece from these exact
+samples by finite differences, so the kernel's rows must be exact at
+every offset it is given.  ``lattice_weighted_sum`` is the bounding-box lattice scan.
 Results are exact integers.
 """
 

@@ -1,6 +1,8 @@
 """Crease scan: exactness, monotone refinement, and sanity on stable bodies."""
 
+import fractions
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,10 +42,22 @@ def scan_base(poly):
     return (F(0), F(0)) if poly.origin_interior else poly.barycenter
 
 
+def direction(w):
+    """Rational point on the circle for a parameter ``w`` taken mod 1, in
+    Fractions: the reference for the integer ``_direction``."""
+    w = w % 1
+    half = F(1, 2)
+    if w < half:
+        s = 4 * w - 1
+        return (1 - s * s, 2 * s)
+    s = 4 * (w - half) - 1
+    return (s * s - 1, -2 * s)
+
+
 def reference_crease(poly, w, v):
     """The crease for (w, v) as one ``AffineFunction`` in Fractions."""
     base = scan_base(poly)
-    a1, a2 = _direction(w)
+    a1, a2 = direction(w)
     gmax = max(a1 * p[0] + a2 * p[1] for p in poly.vertices)
     gbase = a1 * base[0] + a2 * base[1]
     return AffineFunction((a1, a2), -(gbase + v * (gmax - gbase)))
@@ -110,15 +124,20 @@ class TestDirections:
     def test_rational_circle_points(self):
         seen = set()
         for j in range(16):
-            a = _direction(F(j, 16))
+            a = _direction(j, 16)
             assert a != (0, 0)
-            assert all(isinstance(c, Fraction) for c in a)
+            assert all(type(c) is int for c in a)
             seen.add(a)
         assert len(seen) == 16
+        # d**2 times the Fraction circle point, for parameters outside
+        # [0, 1) and fractions not in lowest terms too.
+        for d in (1, 2, 3, 7, 12, 360, 36000):
+            for a in [*range(-2 * d, 2 * d + 1, max(1, d // 12)), d // 2, d - 1]:
+                assert _direction(a, d) == tuple(d * d * c for c in direction(F(a, d)))
 
     def test_candidates_are_normalized(self):
-        ws = [F(j, 12) for j in range(12)] + [F(-1, 7), F(5, 4)]
-        vs = [F(t, 5) for t in range(5)] + [F(2, 3)]
+        ws = [(j, 12) for j in range(12)] + [(-1, 7), (5, 4), (6, 8)]
+        vs = [(t, 5) for t in range(5)] + [(2, 3), (4, 6)]
         # The square, rational vertices, and the origin on the boundary,
         # where the base point is the barycenter.
         corner = hull_polygon([(0, 0), (3, 0), (2, 2), (0, 1)])
@@ -126,11 +145,12 @@ class TestDirections:
         for poly in [catalog("cp1xcp1"), catalog("hexagon(7/2,2)"), corner]:
             base = scan_base(poly)
             family = _crease_family(poly, base)
-            for w, v in [(w, v) for w in ws for v in vs]:
-                cand = family(w).crease(v.numerator, v.denominator)
+            for (a, d), (p, q) in [(w, v) for w in ws for v in vs]:
+                cand = family(a, d).crease(p, q)
+                assert all(type(c) is int for c in cand)
                 assert cand[3] > 0
                 crease = _affine(cand)
-                assert crease == reference_crease(poly, w, v)
+                assert crease == reference_crease(poly, F(a, d), F(p, q))
                 assert crease.evaluate(base) <= 0
                 # crease meets the interior: positive somewhere on vertices
                 assert max(crease.evaluate(v) for v in poly.vertices) > 0
@@ -254,31 +274,40 @@ class TestScanAgainstReference:
         result = assert_same_scan(square, config)
         assert result.worst_u.crease == tied[0]
 
+    def test_kept_incumbent_is_rescaled(self):
+        # Round 1 keeps the incumbent of round 0, so its grid indices are
+        # over the coarser round-0 denominators; round 2 must centre its
+        # window on the same point, and there finds a lower ratio.
+        result = assert_same_scan(catalog("cp2_2blowup"), ScanConfig(7, 5, 3))
+        minima = result.round_minima
+        assert minima[0] == minima[1] > minima[2]
+
 
 def breakpoints(poly, w):
     """Offsets in (0, 1) at which the crease of direction w passes a
     vertex, in Fractions from the vertices."""
     base = scan_base(poly)
-    a1, a2 = _direction(w)
+    a1, a2 = direction(w)
     values = [a1 * x + a2 * y for x, y in poly.vertices]
     gbase = a1 * base[0] + a2 * base[1]
     top = max(values)
     return sorted({(g - gbase) / (top - gbase) for g in values if gbase < g < top})
 
 
-def check_profiles(poly, ext, ws, v0, step, count):
-    """Every profile row equals ``simple_pl_values`` on the same crease, and
+def check_profiles(poly, ext, ws, p0, q, count):
+    """Every profile row equals ``simple_pl_values`` on the same crease,
+    directions ``(a, d)`` in ``ws`` and offsets ``(p0 + t) / q``, and
     the pieces are the runs between breakpoints, an offset on a breakpoint
     ending its run.  Returns the piece lengths and the number of offsets
     that lie on a breakpoint."""
     family = _crease_family(poly, scan_base(poly))
     args = _kernel_data(poly, ext)
-    profiles = _profiles(family, args, ws, v0, step, count)
+    profiles = _profiles(family, args, ws, p0, q, count)
     assert len(profiles) == len(ws)
-    vs = [v0 + t * step for t in range(count)]
+    vs = [F(p0 + t, q) for t in range(count)]
     lengths, on_break = [], 0
-    for w, pieces in zip(ws, profiles):
-        cands = [family(w).crease(v.numerator, v.denominator) for v in vs]
+    for (a, d), pieces in zip(ws, profiles):
+        cands = [family(a, d).crease(p0 + t, q) for t in range(count)]
         want = [(F(ln, ld), F(bn, bd)) for ln, ld, bn, bd in kernels.simple_pl_values(*args, cands)]
         got, stops = [], []
         for start, cl, cb, ls, bs in pieces:
@@ -287,18 +316,50 @@ def check_profiles(poly, ext, ws, v0, step, count):
             stops.append(len(got))
             lengths.append(len(ls))
         assert got == want
-        cuts = breakpoints(poly, w)
+        cuts = breakpoints(poly, F(a, d))
         on_break += sum(v in cuts for v in vs)
         for t in range(count - 1):
             split = any(vs[t] <= c < vs[t + 1] for c in cuts)
-            assert split == (t + 1 in stops), (w, t)
+            assert split == (t + 1 in stops), (a, d, t)
     return lengths, on_break
+
+
+def fraction_calls(run):
+    """The calls into ``fractions`` made straight from ``destabilizer``
+    code while ``run()`` runs: constructions, arithmetic, comparisons."""
+    here, there = destabilizer.__file__, fractions.__file__
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if (event == "call" and frame.f_code.co_filename == there
+                and frame.f_back.f_code.co_filename == here):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestIntegerGrid:
+    def test_fraction_work_does_not_grow_with_the_grid(self):
+        # The grid, its refine rounds and the ranking run on integers; the
+        # Fractions left are per polygon, per round and for the winner.
+        poly = catalog("hexagon(2,3)")
+        ext = invariants.extremal_field(poly)
+        counts = [fraction_calls(lambda: scan(poly, ext, ScanConfig(m, offs, 2)))
+                  for m, offs in ((12, 10), (48, 10), (12, 40), (96, 80))]
+        assert len(set(counts)) == 1
+        assert counts[0] > 0  # the per-round ratios are seen
 
 
 class TestProfiles:
     """Per-direction profiles against the kernel on every grid offset."""
 
-    WS = [F(j, 24) for j in range(24)]
+    WS = [(j, 24) for j in range(24)]
 
     def polygons(self):
         rng = random.Random(99)
@@ -314,7 +375,7 @@ class TestProfiles:
         lengths, on_break = [], 0
         for poly in self.polygons():
             ext = invariants.extremal_field(poly)
-            got = check_profiles(poly, ext, self.WS, F(0), F(1, 40), 40)
+            got = check_profiles(poly, ext, self.WS, 0, 40, 40)
             lengths += got[0]
             on_break += got[1]
         # Short pieces, all kernel samples, and long ones continued by
@@ -326,15 +387,16 @@ class TestProfiles:
     def test_single_offset_and_offgrid_start(self):
         poly = catalog("cp2_2blowup")
         ext = invariants.extremal_field(poly)
-        check_profiles(poly, ext, self.WS, F(1, 3), F(1, 7), 1)
-        check_profiles(poly, ext, [F(-1, 7), F(5, 4)], F(2, 9), F(1, 60), 45)
+        check_profiles(poly, ext, self.WS, 7, 21, 1)
+        check_profiles(poly, ext, [(-1, 7), (5, 4)], 40, 180, 45)
+        check_profiles(poly, ext, [(13, 70), (99, 50)], 150, 180, 30)
 
     def test_refine_round_progressions(self, monkeypatch):
         calls = []
 
-        def recording(family, kernel_args, ws, v0, step, count):
-            calls.append((ws, v0, step, count))
-            return _profiles(family, kernel_args, ws, v0, step, count)
+        def recording(family, kernel_args, ws, p0, q, count):
+            calls.append((ws, p0, q, count))
+            return _profiles(family, kernel_args, ws, p0, q, count)
 
         monkeypatch.setattr(destabilizer, "_profiles", recording)
         for poly in self.polygons()[::3]:
@@ -342,5 +404,5 @@ class TestProfiles:
             calls.clear()
             scan(poly, ext, ScanConfig(12, 30, 3))
             assert len(calls) == 4
-            for ws, v0, step, count in calls:
-                check_profiles(poly, ext, ws, v0, step, count)
+            for ws, p0, q, count in calls:
+                check_profiles(poly, ext, ws, p0, q, count)

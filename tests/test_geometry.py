@@ -24,7 +24,9 @@ from toricstab.errors import (
     NonPrimitiveNormal,
     NotSimple,
     OriginNotInterior,
+    ToricStabError,
     Unbounded,
+    UnsupportedDimension,
 )
 from toricstab import _linalg
 from toricstab.plfunc import affine
@@ -132,6 +134,15 @@ class TestBuildPolytope:
         assert len(poly.vertices) == 8
         assert poly.volume == 8
         assert poly.boundary_measure == 24
+
+    def test_dimension_four_rejected(self):
+        # The 4-cube: integrals and clipping handle dimensions 1 to 3 only.
+        rows = [halfspace(tuple(s * (i == j) for i in range(4)), 1)
+                for j in range(4) for s in (1, -1)]
+        with pytest.raises(UnsupportedDimension) as info:
+            build_polytope(rows)
+        assert isinstance(info.value, ToricStabError)
+        assert str(info.value) == "dimension 4 is not supported; polytopes have dimension 1 to 3"
 
 
 class TestEulerAndMeasures:
@@ -497,9 +508,68 @@ class TestBuildAgainstEnumeration:
              + [halfspace(n, 1) for n in ((0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))],
              "vertex hull is not full-dimensional"),
             (OCTAHEDRON + [halfspace((1, 1, 1), -4)], "half-space intersection is empty"),
+            # The direction (0, -1) recedes, but the body is empty.
+            ([halfspace((1, 0), -1), halfspace((-1, 0), -1), halfspace((0, 1), 0)],
+             "half-space intersection is empty"),
         ]
         for rows, message in cases:
             assert self.check(rows, require_simple=False) == (Degenerate, message)
+
+
+def _rebuilt_clip_start(poly):
+    """The clip a polytope keeps, rebuilt from its ``Fraction`` vertices
+    and its facets: each vertex over the least common denominator of its
+    coordinates, and the indices of the facets through it."""
+    tight = [set() for _ in poly.vertices]
+    for facet in poly.facets:
+        for j in facet.vertex_indices:
+            tight[j].add(facet.halfspace_index)
+    start = []
+    for v, at_v in zip(poly.vertices, tight):
+        q, (p,) = _linalg.over_common_denominator((v,))
+        start.append((v, p, q, frozenset(at_v)))
+    return tuple(start)
+
+
+class TestKeptClip:
+    """``Polytope._clip_start`` is the clip ``_build`` was given, its tight
+    sets renumbered to the retained half-spaces; the rebuild from the
+    ``Fraction`` vertices and the facets is the oracle."""
+
+    def check(self, poly):
+        assert poly._clip_start == _rebuilt_clip_start(poly)
+
+    def test_catalog_polygons(self):
+        for name in ("cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup", "cp2_3blowup",
+                     "hexagon(2,3)", "hexagon(7/2,2)"):
+            self.check(catalog(name))
+
+    def test_boxes_simplices_and_cells(self):
+        rng = random.Random("kept-clip")
+        for kind in ("polygon", "box", "simplex"):
+            for _ in range(15):
+                poly = _random_body(rng, kind)
+                self.check(poly)
+                cell = geometry.intersect(poly, [_random_cut(rng, poly) for _ in range(2)])
+                if cell is not None:
+                    self.check(cell)
+
+    def test_duplicate_and_redundant_halfspaces(self):
+        # Dropped half-spaces shift the indices of those after them, so the
+        # clip's tight sets must be renumbered.
+        rng = random.Random("kept-clip-extras")
+        renumbered = 0
+        for kind in ("polygon", "box", "simplex"):
+            for _ in range(15):
+                poly = _random_body(rng, kind)
+                rows = _with_extras(rng, poly, F(1) / rng.randint(1, 3))
+                built = build_polytope(rows, require_simple=False)
+                self.check(built)
+                renumbered += len(built.halfspaces) < len(rows)
+        for rows in (PYRAMID, OCTAHEDRON):
+            self.check(build_polytope(rows + rows[:1] + [halfspace(rows[0].normal, 9)],
+                                      require_simple=False))
+        assert renumbered > 10
 
 
 def _angular_cycle(points, flat):

@@ -222,6 +222,8 @@ class TestCLI:
          "half-space intersection is empty"),
         ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)],
          "vertex hull is not full-dimensional"),
+        # Empty, although (0, -1) recedes from every half-space.
+        ([((1, 0), -1), ((-1, 0), -1), ((0, 1), 0)], "half-space intersection is empty"),
     ])
     def test_bad_body_spec_exits_two(self, capsys, tmp_path, rows, message):
         spec_path = tmp_path / "bad.json"
