@@ -22,8 +22,9 @@ denominator.  :func:`_fan` cones a body from its first vertex over the
 facets not through it, each facet fanned from the first vertex of its
 cycle by :func:`_facet_simplices`, and :func:`_simplex_moments` sums the
 closed-form moments over those simplices.  A facet is fanned the same way
-in its own dimension, and the cones of the cone form go from the origin
-over the same facet faces (:attr:`Polytope._cone_halfspaces`).
+in its own dimension.  The cone form has one pyramid per facet, with its
+apex at the origin (:attr:`Polytope._cone_halfspaces`), and fans it like
+any other clip.
 
 Boundary pieces carry the lattice measure: on the facet with normal ``l``
 it is the Euclidean surface measure divided by ``|l|_2``.  Because the
@@ -40,15 +41,15 @@ nothing is rebuilt from ``Fraction`` vertices.
 Everything an integral reads beyond that is a cached property, computed
 on first use and kept: a facet's simplices over one denominator, their
 lattice measures (:attr:`Facet.simplex_measures`) and the facet's
-moments, the body's moments, the volume and barycenter, and the cone
-half-spaces.
+moments, the body's moments, the volume and barycenter, and the
+pyramids of the cone form.
 
 The cells of the cone form are never polytopes.  It reads nothing of a
-cone cell but its moments, so :func:`_cell_moments` clips a PL cell by
-a cone with the same :func:`_clip` and :func:`_facets` that
-:func:`intersect` uses and takes the moments straight from the clip's
-integer vertices, building no :class:`Polytope`, :class:`Facet` or
-``Fraction`` vertex.
+cone cell but its moments, so :func:`_cell_moments` clips a pyramid's
+start by the cuts of one PL cell with the same :func:`_clip` and
+:func:`_facets` that :func:`intersect` uses and takes the moments
+straight from the clip's integer vertices, building no
+:class:`Polytope`, :class:`Facet` or ``Fraction`` vertex.
 """
 
 from __future__ import annotations
@@ -89,10 +90,17 @@ class HalfSpace:
         return (self.normal, self.bound)
 
     def value(self, x) -> Fraction:
-        return _linalg.dot(self.normal, x)
+        q, (p,) = _linalg.over_common_denominator((x,))
+        return Fraction(_linalg.dot(self.normal, p), q)
 
     def slack(self, x) -> Fraction:
-        return self.bound - self.value(x)
+        q, (p,) = _linalg.over_common_denominator((x,))
+        return self._slack(q, p)
+
+    def _slack(self, q, p) -> Fraction:
+        """The slack at the point ``p / q`` (integer ``p``), as one ``Fraction``."""
+        num, den = self.bound.numerator, self.bound.denominator
+        return Fraction(num * q - den * _linalg.dot(self.normal, p), den * q)
 
 
 def halfspace(normal, bound) -> HalfSpace:
@@ -186,8 +194,8 @@ class Polytope:
     set)`` in vertex order: ``point`` equals ``numerators / denominator``
     in lowest terms, and the tight set holds the indices into
     ``halfspaces`` of the facets through the vertex.  :func:`intersect`
-    and :func:`_cell_moments` start :func:`_clip` from it, and
-    :attr:`_moments` fans it.
+    starts :func:`_clip` from it, the pyramids of :attr:`_cone_halfspaces`
+    take their facet vertices from it, and :attr:`_moments` fans it.
     """
 
     def __init__(self, dim, halfspaces, clip_start, facets, origin_interior, warnings=()):
@@ -246,7 +254,8 @@ class Polytope:
 
     def support_values(self, t) -> tuple:
         """Facet bounds ``b_i - <l_i, t>`` measured from the point ``t``."""
-        return tuple(h.slack(t) for h in self.halfspaces)
+        q, (p,) = _linalg.over_common_denominator((t,))
+        return tuple(h._slack(q, p) for h in self.halfspaces)
 
     @functools.cached_property
     def _moments(self) -> tuple:
@@ -257,22 +266,48 @@ class Polytope:
 
     @functools.cached_property
     def _cone_halfspaces(self) -> tuple:
-        """The cones from the origin over the facets, as ``(support, half-spaces)``.
+        """The pyramids from the origin over the facets, as ``(support, half-spaces, start)``.
 
-        Each facet is fanned by :func:`_facet_simplices`, in facet order,
-        and each face with the origin is a cone: ``support`` is the bound
-        ``b_i`` of its facet and the half-spaces are
-        :func:`simplex_halfspaces` of the origin followed by the face, so
-        the first is the facet's own.  The cones tile P when the origin
-        is interior, which the caller checks.  Kept because the cone form
-        clips every PL cell by every cone.
+        One pyramid per facet, in facet order; ``support`` is the bound
+        ``b_i`` of its facet.  The first half-space is the facet's own,
+        and then comes one plane through the origin per ridge of the
+        facet, turned towards the rest of the facet: the facet's vertices
+        taken n - 1 at a time around its cycle, so in 3-D the edges of the
+        cycle, in 2-D the two vertices and in 1-D the empty ridge.  With
+        the vertices as integer points ``p / q`` the ridge plane's normal
+        is the primitive :func:`_linalg.cross_generalized` of the ridge's
+        ``p``, as scaling each point by its own ``q`` keeps a plane through
+        the origin.  ``start`` is the pyramid's :func:`_clip` start, the
+        apex first, then the facet's vertices as the polytope's clip holds
+        them.  Its tight sets are exact: the apex lies on every ridge plane
+        and not on the facet plane, and a vertex of the facet lies on the
+        facet plane and on the planes of its ridges only, since the origin
+        is off the facet plane and no three vertices of a facet are
+        collinear.  The pyramids tile P when the origin is interior, which
+        the caller checks before reading them.  Kept because the cone form
+        cuts every pyramid by the cuts of every PL cell.
         """
-        origin = (Fraction(0),) * self.dim
-        return tuple(
-            (self.halfspaces[facet.halfspace_index].bound,
-             tuple(simplex_halfspaces((origin, *face))))
-            for facet in self.facets for face in _facet_simplices(facet.vertices, self.dim)
-        )
+        n = self.dim
+        pyramids = []
+        for facet in self.facets:
+            own = self.halfspaces[facet.halfspace_index]
+            base = [self._clip_start[j] for j in facet.vertex_indices]
+            m = len(base)
+            ridges = [tuple((j + k) % m for k in range(n - 1)) for j in range(m)]
+            hs = [own]
+            for j, ridge in enumerate(ridges):
+                normal = _linalg.cross_generalized([base[k][1] for k in ridge], n)
+                # The vertex after the ridge is off its plane and must keep slack > 0.
+                side = _linalg.dot(normal, base[(j + n - 1) % m][1])
+                g = gcd(*normal) if side < 0 else -gcd(*normal)
+                hs.append(HalfSpace(tuple(c // g for c in normal), Fraction(0)))
+            apex = ((Fraction(0),) * n, [0] * n, 1, frozenset(range(1, m + 1)))
+            start = [apex] + [
+                (v, p, q, frozenset([0] + [1 + j for j, ridge in enumerate(ridges) if k in ridge]))
+                for k, (v, p, q, _) in enumerate(base)
+            ]
+            pyramids.append((own.bound, tuple(hs), tuple(start)))
+        return tuple(pyramids)
 
     @functools.cached_property
     def facet_keys(self) -> frozenset:
@@ -619,40 +654,44 @@ def intersect(poly: Polytope, halfspaces) -> Polytope | None:
     ``tests/test_geometry.py`` keeps an exhaustive n-subset enumeration of
     the combined list as the oracle the result must equal field for field.
     """
-    combined, body = _clip_by(poly, halfspaces)
+    combined, body = _clip_by(poly.halfspaces, poly._clip_start, halfspaces)
     if body is None:
         return None
     return _build(combined, poly.dim, body, require_simple=False)
 
 
-def _clip_by(poly: Polytope, halfspaces):
-    """``(combined, body)``: the half-spaces of ``poly`` followed by those of
-    ``halfspaces`` new to it, and the :func:`_clip` of its vertices by
-    them, or None for the body when that is not full-dimensional."""
-    # The body's half-spaces are unique already, each supporting a facet.
-    combined = list(poly.halfspaces)
-    seen = set(poly.facet_keys)
-    for h in halfspaces:
-        if h.key not in seen:
-            seen.add(h.key)
+def _clip_by(hs, start, cuts):
+    """``(combined, body)``: the half-spaces ``hs`` of a body followed by
+    those of ``cuts`` new to them, and the :func:`_clip` of the body's
+    clip ``start`` by them, or None for the body when that is not
+    full-dimensional."""
+    # The body's half-spaces are unique already; only the cuts can repeat.
+    n = len(hs[0].normal)
+    combined = list(hs)
+    for h in cuts:
+        if h not in combined:
             combined.append(h)
-    body = _clip(poly._clip_start, combined, poly.dim, len(poly.halfspaces))
-    return combined, body if _full_body(body, poly.dim) else None
+    body = _clip(start, combined, n, len(hs))
+    return combined, body if _full_body(body, n) else None
 
 
-def _cell_moments(poly: Polytope, halfspaces):
-    """:func:`_simplex_moments` of ``intersect(poly, halfspaces)``, or None when that is None.
+def _cell_moments(hs, start, cuts):
+    """:func:`_simplex_moments` of the body with half-spaces ``hs`` and clip
+    ``start`` cut by ``cuts``, or None when that is empty or flat.
 
     The cone form reads nothing of a cone cell but its moments, so they
     come straight from the clip's integer vertices and tight sets: the
     same :func:`_fan` that :attr:`Polytope._moments` sums over, with the
     facets :func:`_facets` finds, and no :class:`Polytope`, :class:`Facet`
-    or ``Fraction`` vertex is built.
+    or ``Fraction`` vertex is built.  The body is a pyramid of
+    :attr:`Polytope._cone_halfspaces` there, and for a polytope
+    ``_cell_moments(poly.halfspaces, poly._clip_start, cuts)`` is the
+    moments of ``intersect(poly, cuts)``.
     """
-    combined, body = _clip_by(poly, halfspaces)
+    combined, body = _clip_by(hs, start, cuts)
     if body is None:
         return None
-    n = poly.dim
+    n = len(hs[0].normal)
     return _simplex_moments(n, *_fan(n, body, _facets(combined, n, body)))
 
 

@@ -190,14 +190,17 @@ def linear_functional_L(poly: Polytope, u: PLFunction, extremal: ExtremalData) -
 def linear_functional_L_cone(poly: Polytope, u: PLFunction, extremal: ExtremalData) -> Fraction:
     """The same functional computed through the cone decomposition.
 
-    Over the cone with apex 0 above a facet of support value ``b_i`` the
-    boundary piece converts to the divergence integrand
+    Over the pyramid with apex 0 above a facet of support value ``b_i``
+    the boundary piece converts to the divergence integrand
     ``<x, grad u> / b_i + (n / b_i) u``; summed against the weighted term
     this reproduces the boundary form exactly on the common refinement of
-    cones and PL cells.  Nothing of a cone cell but its moments is read,
-    so each comes from :func:`geometry._cell_moments` and is never built
-    as a polytope, and each cell costs one dot product with its moments
-    and one ``Fraction``.
+    pyramids and PL cells.  A cell is P cut by its own cuts, the
+    half-spaces of ``cell.region`` that are not facets of P, and a pyramid
+    lies in P, so each refinement cell is a pyramid
+    (:attr:`Polytope._cone_halfspaces`) cut by one cell's cuts.  Nothing
+    of it but its moments is read, so each comes from
+    :func:`geometry._cell_moments` and is never built as a polytope, and
+    each costs one dot product with its moments and one ``Fraction``.
     """
     if not poly.origin_interior:
         raise OriginNotInterior("cone form needs 0 strictly inside")
@@ -205,19 +208,20 @@ def linear_functional_L_cone(poly: Polytope, u: PLFunction, extremal: ExtremalDa
     weight = _weight(poly, extremal)
     # Per cell the integrand is lift / b_i - weighted, with the lift
     # <x, grad u> + n u = <(n + 1) grad u, x> + n c; only b_i depends on
-    # the cone, so each distinct b_i builds its integrands once.
-    parts = []
+    # the pyramid, so each distinct b_i builds its integrands once.
+    parts, cuts = [], []
     for cell in u.cells:
         grad, const = cell.piece.gradient, cell.piece.constant
         lift = Polynomial.affine(n, [(n + 1) * g for g in grad], n * const)
         parts.append((lift, weight * Polynomial.affine(n, grad, const)))
+        cuts.append([h for h in cell.region.halfspaces if h.key not in poly.facet_keys])
     integrands = {}
     total = Fraction(0)
-    for support, cone_hs in poly._cone_halfspaces:
+    for support, pyramid_hs, start in poly._cone_halfspaces:
         if support not in integrands:
             integrands[support] = [lift * (1 / support) - weighted for lift, weighted in parts]
-        for cell, integrand in zip(u.cells, integrands[support]):
-            moments = geometry._cell_moments(cell.region, cone_hs)
+        for cell_cuts, integrand in zip(cuts, integrands[support]):
+            moments = geometry._cell_moments(pyramid_hs, start, cell_cuts)
             if moments is not None:
                 total += integration._form_integral(moments, integrand)
     return total

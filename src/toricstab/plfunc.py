@@ -25,7 +25,12 @@ class AffineFunction:
     constant: Fraction
 
     def evaluate(self, x) -> Fraction:
-        return _linalg.dot(self.gradient, x) + self.constant
+        # The gradient and the point each over one denominator, so the
+        # value is one Fraction.
+        g, (grad,) = _linalg.over_common_denominator((self.gradient,))
+        q, (p,) = _linalg.over_common_denominator((x,))
+        num, den = self.constant.numerator, self.constant.denominator
+        return Fraction(_linalg.dot(grad, p) * den + num * g * q, g * q * den)
 
     def __sub__(self, other: "AffineFunction") -> "AffineFunction":
         return AffineFunction(

@@ -121,6 +121,12 @@ def hull_polygon(points, den=1):
     return build_polytope(rows, require_simple=False)
 
 
+def prism(polygon, lo, hi):
+    """The prism over a polygon with ``lo <= x3 <= hi``."""
+    return build_polytope([halfspace((*h.normal, 0), h.bound) for h in polygon.halfspaces]
+                          + [halfspace((0, 0, 1), hi), halfspace((0, 0, -1), -lo)])
+
+
 def random_polygon(rng, den=1, radius=4, most=7):
     """Seeded hull of 3 to ``most`` integer points in ``[-radius, radius]^2``,
     divided by ``den``."""

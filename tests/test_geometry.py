@@ -37,6 +37,7 @@ from conftest import (
     cells_across,
     facet_faces,
     hull_polygon,
+    prism,
     random_polygon,
     shoelace,
     simplex_volume,
@@ -208,13 +209,33 @@ class TestTriangulate:
 
 
 def _cones(poly):
-    """``(support, half-spaces, volume)`` of each cone of the cone form,
+    """``(support, half-spaces, volume)`` of each pyramid of the cone form,
     its volume from the polytope its half-spaces bound."""
-    return [(support, hs, build_polytope(hs).volume) for support, hs in poly._cone_halfspaces]
+    return [(support, hs, build_polytope(hs, require_simple=False).volume)
+            for support, hs, _ in poly._cone_halfspaces]
+
+
+def _pyramid_bodies(rng):
+    """Bodies with the origin inside: the catalog polygons, 3-D boxes,
+    rational simplices, a segment, prisms over ``cp2_2blowup`` and a moved
+    ``hexagon(2,3)`` (pentagonal and hexagonal facets) and a cube with a
+    corner cut off (pentagonal and triangular facets)."""
+    bodies = [catalog(name) for name in ("cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup",
+                                         "cp2_3blowup", "hexagon(2,3)")]
+    bodies += [_centered(_random_body(rng, "box")) for _ in range(3)]
+    bodies += [_centered(build_polytope(geometry.simplex_halfspaces(_rational_simplex(rng, n))))
+               for n in (2, 3, 3)]
+    bodies.append(build_polytope([halfspace((1,), F(7) / 3), halfspace((-1,), F(1) / 2)]))
+    bodies.append(prism(catalog("cp2_2blowup"), F(-1) / 2, F(2) / 3))
+    bodies.append(prism(translate(catalog("hexagon(2,3)"), (F(1) / 3, F(-1) / 5)), -1, F(1) / 3))
+    bodies.append(build_polytope([halfspace(e, 1) for e in (
+        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))]
+        + [halfspace((1, 1, 1), 2)]))
+    return bodies
 
 
 class TestConeDecomposition:
-    """The cones from the origin over the facet faces (``_cone_halfspaces``)."""
+    """The pyramids from the origin over the facets (``_cone_halfspaces``)."""
 
     def test_square_four_unit_cones(self, square):
         cones = _cones(square)
@@ -229,23 +250,56 @@ class TestConeDecomposition:
         assert len(cones) == 5
         assert sum(volume for *_, volume in cones) == Fraction(7, 2)
 
-    def test_cone_volume_formula(self, cp2, square, pentagon, hexagon23):
-        # bound * facet measure = dim * cone volume, facet by facet; a
-        # cone's first half-space is its facet's own.
-        box = _random_body(random.Random("cone-volumes"), "box")
-        for poly in (cp2, square, pentagon, hexagon23, _centered(box)):
-            per_facet = {}
-            for support, hs, volume in _cones(poly):
-                assert hs[0].bound == support
-                per_facet[hs[0].key] = per_facet.get(hs[0].key, Fraction(0)) + volume
-            assert len(per_facet) == len(poly.facets)
-            for facet in poly.facets:
-                h = poly.halfspaces[facet.halfspace_index]
-                assert h.bound * facet.measure == poly.dim * per_facet[h.key]
+    def test_bodies_cover_the_facet_shapes(self):
+        # The prisms and the cut cube give facets with 5 and 6 vertices.
+        sizes = {len(f.vertices) for poly in _pyramid_bodies(random.Random("pyramids"))
+                 if poly.dim == 3 for f in poly.facets}
+        assert {3, 4, 5, 6} <= sizes
+
+    def test_cone_volume_formula(self):
+        # bound * facet measure = dim * pyramid volume, facet by facet, from
+        # the clip start and from the polytope the half-spaces bound, and
+        # the pyramids tile the body.
+        for poly in _pyramid_bodies(random.Random("pyramids")):
+            assert poly.origin_interior
+            cones = poly._cone_halfspaces
+            assert len(cones) == len(poly.facets)
+            total = Fraction(0)
+            for facet, (support, hs, start), (_, _, volume) in zip(
+                    poly.facets, cones, _cones(poly)):
+                denominator, moments = geometry._cell_moments(hs, start, ())
+                assert Fraction(moments[()], denominator) == volume
+                assert hs[0] is poly.halfspaces[facet.halfspace_index]
+                assert support == hs[0].bound
+                assert support * facet.measure == poly.dim * volume
+                total += volume
+            assert total == poly.volume
+
+    def test_pyramid_layout(self):
+        # The facet's own half-space, then one plane through the origin per
+        # ridge.  The start's tight sets are exactly the half-spaces through
+        # each vertex, with every vertex inside every half-space, and the
+        # polytope the half-spaces bound has the same vertices and sets.
+        for poly in _pyramid_bodies(random.Random("pyramids")):
+            for facet, (_, hs, start) in zip(poly.facets, poly._cone_halfspaces):
+                assert len(hs) == 1 + len(facet.vertices)
+                assert all(h.bound == 0 for h in hs[1:])
+                for v, p, q, tight in start:
+                    assert tuple(Fraction(c, q) for c in p) == v
+                    slacks = [h.slack(v) for h in hs]
+                    assert min(slacks) >= 0
+                    assert tight == {i for i, s in enumerate(slacks) if s == 0}
+                assert len(start[0][3]) == len(hs) - 1
+                pyramid = build_polytope(hs, require_simple=False)
+                assert pyramid.halfspaces == hs
+                assert sorted((v, tight) for v, _, _, tight in pyramid._clip_start) == sorted(
+                    (v, tight) for v, _, _, tight in start)
 
     def test_cone_and_fan_order(self, cp2, pentagon, hexagon23):
-        # Both cone from an apex over the facet faces in facet order, the
-        # apex first; the fan skips the facets through vertex 0.
+        # The fan cones from vertex 0 over the facet faces in facet order,
+        # skipping the facets through vertex 0; the pyramids come in facet
+        # order, each start the apex and then the facet's vertices in
+        # cycle order.
         box = _random_body(random.Random("fan"), "box")
         centred = translate(box, tuple(-c for c in box.barycenter))
         for poly in (cp2, pentagon, hexagon23, box, centred):
@@ -253,10 +307,10 @@ class TestConeDecomposition:
             assert _fan(poly) == [(simplex_volume(points), points) for points in simplices]
             if poly.origin_interior:
                 origin = (F(0),) * poly.dim
-                assert list(poly._cone_halfspaces) == [
-                    (poly.halfspaces[facet.halfspace_index].bound,
-                     tuple(geometry.simplex_halfspaces((origin, *face))))
-                    for facet in poly.facets for face in facet_faces(facet, poly.dim)
+                assert [(support, [v for v, *_ in start])
+                        for support, _, start in poly._cone_halfspaces] == [
+                    (poly.halfspaces[facet.halfspace_index].bound, [origin, *facet.vertices])
+                    for facet in poly.facets
                 ]
 
     def test_requires_interior_origin(self, cp2):
@@ -709,7 +763,7 @@ class TestCellMoments:
     against the moments of the ``intersect`` cell."""
 
     def check(self, poly, cuts):
-        moments = geometry._cell_moments(poly, cuts)
+        moments = geometry._cell_moments(poly.halfspaces, poly._clip_start, cuts)
         cell = geometry.intersect(poly, cuts)
         if cell is None:
             assert moments is None
@@ -744,19 +798,23 @@ class TestCellMoments:
         assert 0 < kept < count
 
     def test_cone_cells_of_pl_functions(self):
-        # The cones cut along rays from the origin through the vertices,
-        # both the body itself and the cells of a convex PL function.
+        # Each pyramid cut by the cuts of each cell of a convex PL function
+        # against the intersect of the cell with the pyramid's half-spaces.
         rng = random.Random("cell-moments-cones")
         bodies = [catalog("cp2_2blowup"), catalog("hexagon(2,3)")]
         bodies += [_centered(random_polygon(rng, den=rng.choice((1, 3)))) for _ in range(4)]
         bodies += [_centered(_random_body(rng, kind)) for kind in ("box", "box", "simplex")]
-        empty = 0
+        empty = kept = 0
         for poly in bodies:
-            regions = [poly] + [cell.region for cell in random_convex_pl(rng, poly).cells]
-            for region in regions:
-                for _, cone_hs in poly._cone_halfspaces:
-                    empty += self.check(region, cone_hs) is None
-        assert empty > 0
+            for cell in random_convex_pl(rng, poly).cells:
+                cuts = [h for h in cell.region.halfspaces if h.key not in poly.facet_keys]
+                for _, hs, start in poly._cone_halfspaces:
+                    moments = geometry._cell_moments(hs, start, cuts)
+                    region = geometry.intersect(cell.region, hs)
+                    assert moments == (None if region is None else region._moments)
+                    empty += moments is None
+                    kept += moments is not None
+        assert empty > 0 and kept > 0
 
     def test_flat_and_empty_results(self, square):
         cube = build_polytope([halfspace(n, 1) for n in (

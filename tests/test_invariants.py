@@ -27,6 +27,8 @@ from toricstab.geometry import intersect
 from toricstab.plfunc import AffineFunction, affine, zero_function
 from toricstab.reproduce import random_affine, random_convex_pl
 
+from conftest import prism
+
 
 def F(a, b=1):
     return Fraction(a, b)
@@ -201,6 +203,30 @@ class TestLinearFunctional:
                     poly, u, ext
                 )
 
+    def test_cone_form_matches_in_3d(self):
+        # Boxes with rational bounds and prisms over moved catalog polygons,
+        # so rational vertices, the origin inside every one.
+        rng = random.Random("cone-form-3d")
+        bodies = []
+        for _ in range(3):
+            bodies.append(build_polytope([
+                halfspace(tuple(s * int(i == j) for i in range(3)),
+                          F(rng.randint(1, 9), rng.randint(1, 4)))
+                for j in range(3) for s in (1, -1)]))
+        for name, shift in (("cp2_2blowup", (F(1, 3), F(-1, 5))), ("hexagon(2,3)", (F(-2, 7), 0))):
+            bodies.append(prism(translate(catalog(name), shift), F(-1, 2), F(2, 3)))
+        cells = 0
+        for poly in bodies:
+            assert poly.origin_interior and any(q > 1 for _, _, q, _ in poly._clip_start)
+            ext = invariants.extremal_field(poly)
+            for _ in range(4):
+                u = random_convex_pl(rng, poly)
+                cells += len(u.cells)
+                assert linear_functional_L_cone(poly, u, ext) == linear_functional_L(
+                    poly, u, ext
+                )
+        assert cells > 2 * 4 * len(bodies)
+
     def test_cone_form_needs_interior_origin(self, cp2):
         moved = translate(cp2, (10, 0))
         ext = invariants.extremal_field(moved)
@@ -236,7 +262,7 @@ class TestLinearFunctional:
                 u = self._normalized_at_origin(random_convex_pl(rng, poly))
                 value = linear_functional_L(poly, u, ext)
                 bound = F(0)
-                for support, cone_hs in poly._cone_halfspaces:
+                for support, cone_hs, _ in poly._cone_halfspaces:
                     for cell in u.cells:
                         region = intersect(cell.region, cone_hs)
                         if region is None:
