@@ -8,15 +8,11 @@ occur; results come back as ``Fraction``.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vadd(u, v):
@@ -145,34 +141,6 @@ def cross_generalized(rows, n):
         d = det_int(minor)
         out.append(d if j % 2 == 0 else -d)
     return tuple(out)
-
-
-def primitivize(vec):
-    """Integer primitive vector parallel to a rational vector.
-
-    Returns ``(prim, s)`` with ``prim = s * vec`` componentwise, ``s`` a
-    positive rational.  Raises ValueError on the zero vector.
-    """
-    mult = 1
-    for entry in vec:
-        entry = Fraction(entry)
-        mult = lcm(mult, entry.denominator)
-    ints = [int(Fraction(entry) * mult) for entry in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints), Fraction(mult, g)
-
-
-def affine_rank(points):
-    """Dimension of the affine hull of a point collection."""
-    if len(points) <= 1:
-        return 0
-    _, ints = over_common_denominator(points)
-    base = ints[0]
-    return rank([vsub(p, base) for p in ints[1:]])
 
 
 def adjugate(rows):

@@ -188,16 +188,16 @@ def _dispatch(args) -> int:
     if args.command == "ehrhart":
         u = _parse_pl(args.pl, poly)
         total = integration.pl_lattice_sum(poly, u, args.k)
-        residual = integration.ehrhart_residual(poly, u, args.k)
+        volume = integration.integrate_pl(u)
+        boundary = integration.boundary_integral(poly, u)
+        residual = total.residual(poly.dim, volume, boundary)
         _emit(args, {
             "function": args.pl,
             "k": args.k,
             "lattice_points": total.count,
             "weighted_sum": report.rational_entry(total.weighted_sum),
-            "volume_integral": report.rational_entry(integration.integrate_pl(u)),
-            "boundary_integral": report.rational_entry(
-                integration.boundary_integral(poly, u)
-            ),
+            "volume_integral": report.rational_entry(volume),
+            "boundary_integral": report.rational_entry(boundary),
             "residual": report.rational_entry(residual),
         }, report.render_simple)
         return 0

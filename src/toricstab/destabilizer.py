@@ -241,10 +241,8 @@ def _kernel_data(poly: Polytope, extremal: ExtremalData):
         length = edge_by_pair[frozenset((i, j))]
         edges.append((pos, (pos + 1) % m, length.numerator, length.denominator))
 
-    rbar = invariants.average_scalar_curvature(poly)
-    wden, (wlin,) = _linalg.over_common_denominator(
-        [(extremal.theta.constant + rbar, *extremal.theta.gradient)])
-    return vxs, vys, vden, edges, wlin, wden
+    wden, wgrad, w0 = invariants._weight(poly, extremal).affine_numerators()
+    return vxs, vys, vden, edges, [w0, *wgrad], wden
 
 
 def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig()) -> ScanResult:
@@ -265,11 +263,8 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
     if poly.dim != 2:
         raise UnsupportedDimension(
             f"the crease scan is defined for dimension 2 only, not {poly.dim}")
-    rbar = invariants.average_scalar_curvature(poly)
-    weight_min = min(
-        rbar + extremal.theta.evaluate(v) for v in poly.vertices
-    )
-    hypothesis_ok = weight_min >= 0
+    weight = invariants._weight(poly, extremal)
+    hypothesis_ok = min(weight.evaluate(v) for v in poly.vertices) >= 0
     if poly.origin_interior:
         base = (Fraction(0), Fraction(0))
     else:

@@ -32,10 +32,6 @@ class OriginNotInterior(ToricStabError):
     """An operation requiring the origin strictly inside the polytope."""
 
 
-class DegenerateSimplex(ToricStabError):
-    """Simplex vertices are affinely dependent."""
-
-
 # -- integration and lattice scans ------------------------------------------
 
 class ScaleOverflow(ToricStabError):

@@ -63,7 +63,6 @@ from math import ceil, factorial, gcd, lcm
 from . import _linalg
 from .errors import (
     Degenerate,
-    DegenerateSimplex,
     NonPrimitiveNormal,
     NotSimple,
     Unbounded,
@@ -822,33 +821,3 @@ def translate(poly: Polytope, t) -> Polytope:
     ]
     return build_polytope(shifted)
 
-
-def simplex_halfspaces(vertices):
-    """Half-space representation of the full-dimensional simplex on ``vertices``.
-
-    ``vertices`` are n + 1 rational points in R^n, and the i-th half-space
-    is that of the face omitting vertex i.  The work runs on integers:
-    with the vertices written as ``P / q``, the cross product of a face's
-    integer edges is ``q**(n-1)`` times the rational one, so it has the
-    same primitive normal, found by a gcd and turned away from the
-    omitted vertex.  The only ``Fraction`` built per
-    face is its bound ``<l, P_0> / q``.  Affinely dependent vertices raise
-    :class:`DegenerateSimplex`: then some omitted vertex lies on the
-    hyperplane through its face, or the face spans none.  So does a vertex
-    count other than n + 1.
-    """
-    n = len(vertices[0])
-    if len(vertices) != n + 1:
-        raise DegenerateSimplex(f"a simplex in R^{n} needs {n + 1} vertices, not {len(vertices)}")
-    q, points = _linalg.over_common_denominator(vertices)
-    out = []
-    for omit in range(n + 1):
-        face = [p for i, p in enumerate(points) if i != omit]
-        normal = _linalg.cross_generalized(_edges(face), n)
-        level = _linalg.dot(normal, face[0])
-        side = _linalg.dot(normal, points[omit]) - level
-        if side == 0:
-            raise DegenerateSimplex("affinely dependent simplex vertices")
-        g = gcd(*normal) if side < 0 else -gcd(*normal)
-        out.append(HalfSpace(tuple(c // g for c in normal), Fraction(level // g, q)))
-    return out

@@ -10,7 +10,10 @@ denominator (:func:`geometry._simplex_moments`, from the closed-form
 simplex moments of Baldoni, Berline, De Loera, Koeppe and Vergne).  An integral is then
 one integer dot product and one ``Fraction`` (:func:`_form_integral`): a
 volume integral builds one per call, a boundary integral one per facet.
-Lattice-point work is a bounding-box scan with exact half-space
+An affine piece of a PL function enters as its own integer form
+(``AffineFunction.form``, built once per piece): the integrals, the
+pairings and the lattice sum's piece table all read it, and none builds
+another.  Lattice-point work is a bounding-box scan with exact half-space
 filtering, guarded by a cell budget so a careless scale cannot wedge the
 process.
 """
@@ -91,6 +94,13 @@ class Polynomial:
         for j, c in enumerate(gradient):
             numerators[(j,)] = c.numerator * (denominator // c.denominator)
         return cls._of(dim, denominator, numerators)
+
+    def affine_numerators(self):
+        """``(D, G, C)`` with the polynomial equal to ``(<G, x> + C) / D``
+        in integers; for a polynomial of degree at most 1."""
+        denominator, numerators = self._form
+        gradient = [numerators.get((j,), 0) for j in range(self.dim)]
+        return denominator, gradient, numerators.get((), 0)
 
     @property
     def terms(self):
@@ -180,6 +190,12 @@ class LatticeSum:
     count: int
     weighted_sum: Fraction
 
+    def residual(self, n, volume, boundary) -> Fraction:
+        """The weighted sum minus its predictions from the volume and
+        boundary integrals of the weight over an n-dimensional body
+        (see :func:`ehrhart_residual`)."""
+        return self.weighted_sum - self.k**n * volume - Fraction(self.k ** (n - 1), 2) * boundary
+
 
 # ---------------------------------------------------------------------------
 # polytope and boundary integrals
@@ -206,11 +222,7 @@ def integrate_polynomial(poly: Polytope, f: Polynomial) -> Fraction:
 
 def integrate_pl(u) -> Fraction:
     """Exact integral of a piecewise-linear function over its domain."""
-    total = Fraction(0)
-    for cell in u.cells:
-        f = Polynomial.affine(u.domain.dim, cell.piece.gradient, cell.piece.constant)
-        total += integrate_polynomial(cell.region, f)
-    return total
+    return sum((integrate_polynomial(cell.region, cell.piece.form) for cell in u.cells), Fraction(0))
 
 
 def boundary_integral(poly: Polytope, f) -> Fraction:
@@ -232,11 +244,10 @@ def _boundary_integral_pl(poly: Polytope, u) -> Fraction:
     outer = poly.facet_keys
     total = Fraction(0)
     for cell in u.cells:
-        piece = Polynomial.affine(poly.dim, cell.piece.gradient, cell.piece.constant)
         region = cell.region
         for facet in region.facets:
             if region.halfspaces[facet.halfspace_index].key in outer:
-                total += _form_integral(facet._moments, piece)
+                total += _form_integral(facet._moments, cell.piece.form)
     return total
 
 
@@ -270,7 +281,7 @@ def _scaled_constraints(poly: Polytope, k):
     return rows
 
 
-def _piece_table(u, dim):
+def _piece_table(u):
     """Pieces as integer rows over one common denominator.
 
     Row ``(A, C)`` encodes the affine piece with value
@@ -279,16 +290,12 @@ def _piece_table(u, dim):
     pieces = getattr(u, "pieces", None)
     if pieces is None:
         pieces = (u,)
-    denom = 1
-    for p in pieces:
-        for g in p.gradient:
-            denom = math.lcm(denom, Fraction(g).denominator)
-        denom = math.lcm(denom, Fraction(p.constant).denominator)
+    forms = [p.form.affine_numerators() for p in pieces]
+    denom = math.lcm(*[d for d, _, _ in forms])
     table = []
-    for p in pieces:
-        row_a = tuple(int(Fraction(g) * denom) for g in p.gradient)
-        row_c = int(Fraction(p.constant) * denom)
-        table.append((row_a, row_c))
+    for d, gradient, constant in forms:
+        m = denom // d
+        table.append((tuple(g * m for g in gradient), constant * m))
     return table, denom
 
 
@@ -298,7 +305,7 @@ def pl_lattice_sum(poly: Polytope, phi, k, budget=DEFAULT_CELL_BUDGET) -> Lattic
         raise NonPositiveScale(f"scale k must be a positive integer, not {k}")
     lows, highs = _integer_box(poly, k, budget)
     rows = _scaled_constraints(poly, k)
-    table, denom = _piece_table(phi, poly.dim)
+    table, denom = _piece_table(phi)
     count, numerator = lattice_weighted_sum(
         poly.dim, lows, highs, rows, table, k
     )
@@ -313,8 +320,5 @@ def ehrhart_residual(poly: Polytope, phi, k, budget=DEFAULT_CELL_BUDGET) -> Frac
     integral plus ``k^(n-1)/2`` times the boundary integral; the residual
     is what remains and stays bounded by lower-order terms.
     """
-    total = pl_lattice_sum(poly, phi, k, budget).weighted_sum
-    vol_term = integrate_pl(phi)
-    bnd_term = boundary_integral(poly, phi)
-    n = poly.dim
-    return total - k**n * vol_term - Fraction(k ** (n - 1), 2) * bnd_term
+    total = pl_lattice_sum(poly, phi, k, budget)
+    return total.residual(poly.dim, integrate_pl(phi), boundary_integral(poly, phi))

@@ -14,7 +14,10 @@ The linear functional ``L`` of a convex piecewise-linear function is the
 boundary integral minus the weighted volume integral; its sign over all
 such functions encodes relative stability of the associated family of
 degenerations, and ``-L / (2 Vol)`` is the reported invariant of one
-degeneration.
+degeneration.  Every affine input is read as its integer form: each PL
+piece and the potential ``theta`` carry theirs (``AffineFunction.form``),
+and the weight ``rbar + theta`` is built from it in :func:`_weight` alone,
+which the crease scan reads too.
 """
 
 from __future__ import annotations
@@ -166,17 +169,15 @@ def extremal_field(poly: Polytope) -> ExtremalData:
 
 
 def _weight(poly: Polytope, extremal: ExtremalData) -> Polynomial:
-    """The affine weight, curvature average plus extremal potential."""
-    rbar = average_scalar_curvature(poly)
-    return Polynomial.affine(poly.dim, extremal.theta.gradient, extremal.theta.constant + rbar)
+    """The affine weight, curvature average plus extremal potential; the
+    one place it is built."""
+    return extremal.theta.form + average_scalar_curvature(poly)
 
 
 def _pairing(u: PLFunction, affine: Polynomial) -> Fraction:
     """The integral over the domain of ``u`` times an affine polynomial."""
-    n = u.domain.dim
     return sum(
-        (integration.integrate_polynomial(cell.region, affine * Polynomial.affine(
-            n, cell.piece.gradient, cell.piece.constant))
+        (integration.integrate_polynomial(cell.region, affine * cell.piece.form)
          for cell in u.cells),
         Fraction(0),
     )
@@ -207,13 +208,13 @@ def linear_functional_L_cone(poly: Polytope, u: PLFunction, extremal: ExtremalDa
     n = poly.dim
     weight = _weight(poly, extremal)
     # Per cell the integrand is lift / b_i - weighted, with the lift
-    # <x, grad u> + n u = <(n + 1) grad u, x> + n c; only b_i depends on
-    # the pyramid, so each distinct b_i builds its integrands once.
+    # <x, grad u> + n u = (n + 1) u - c for the piece u = <grad u, x> + c;
+    # only b_i depends on the pyramid, so each distinct b_i builds its
+    # integrands once.
     parts, cuts = [], []
     for cell in u.cells:
-        grad, const = cell.piece.gradient, cell.piece.constant
-        lift = Polynomial.affine(n, [(n + 1) * g for g in grad], n * const)
-        parts.append((lift, weight * Polynomial.affine(n, grad, const)))
+        piece = cell.piece
+        parts.append((piece.form * (n + 1) - piece.constant, weight * piece.form))
         cuts.append([h for h in cell.region.halfspaces if h.key not in poly.facet_keys])
     integrands = {}
     total = Fraction(0)
@@ -233,7 +234,7 @@ def relative_futaki(poly: Polytope, u: PLFunction, extremal: ExtremalData) -> De
     rbar = average_scalar_curvature(poly)
     boundary = integration.boundary_integral(poly, u)
     u_volume = integration.integrate_pl(u)
-    theta = Polynomial.affine(poly.dim, extremal.theta.gradient, extremal.theta.constant)
+    theta = extremal.theta.form
     theta_u = _pairing(u, theta)
     theta_sq = integration.integrate_polynomial(poly, theta * theta)
     # The weight is theta + rbar, so its pairing with u splits exactly.

@@ -1,42 +1,46 @@
 """Convex piecewise-linear functions on a polytope.
 
 A function is the maximum of finitely many affine pieces with rational
-data.  Construction computes the cell subdivision of the domain on which
-each piece is the active maximizer; pieces that never win on a
-full-dimensional cell are dropped, duplicates are merged, so affineness
-is a plain cell-count test afterwards.
+data.  Each piece carries its integer form, the degree-1
+:class:`~toricstab.integration.Polynomial` that every integral, lattice
+sum and evaluation reads, built once per piece.  Construction computes
+the cell subdivision of the domain on which each piece is the active
+maximizer, cutting by the integer differences of those forms; pieces
+that never win on a full-dimensional cell are dropped, duplicates are
+merged, so affineness is a plain cell-count test afterwards.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from . import _linalg, geometry
+from . import geometry
 from .errors import EmptyPieceList, OutsideDomain
 from .geometry import HalfSpace, Polytope
+from .integration import Polynomial
 
 
 @dataclass(frozen=True)
 class AffineFunction:
-    """The affine map ``x -> <gradient, x> + constant``."""
+    """The affine map ``x -> <gradient, x> + constant``.
+
+    The coefficients are ints or ``Fraction``s.  :attr:`form` is the map
+    as an integer :class:`Polynomial`, built on first use and kept; the
+    integrals, the cuts of :func:`make_pl` and :meth:`evaluate` all read it.
+    """
 
     gradient: tuple
     constant: Fraction
 
-    def evaluate(self, x) -> Fraction:
-        # The gradient and the point each over one denominator, so the
-        # value is one Fraction.
-        g, (grad,) = _linalg.over_common_denominator((self.gradient,))
-        q, (p,) = _linalg.over_common_denominator((x,))
-        num, den = self.constant.numerator, self.constant.denominator
-        return Fraction(_linalg.dot(grad, p) * den + num * g * q, g * q * den)
+    @functools.cached_property
+    def form(self) -> Polynomial:
+        return Polynomial.affine(len(self.gradient), self.gradient, self.constant)
 
-    def __sub__(self, other: "AffineFunction") -> "AffineFunction":
-        return AffineFunction(
-            tuple(a - b for a, b in zip(self.gradient, other.gradient)),
-            self.constant - other.constant,
-        )
+    def evaluate(self, x) -> Fraction:
+        return self.form.evaluate(x)
 
     def __neg__(self) -> "AffineFunction":
         return AffineFunction(tuple(-a for a in self.gradient), -self.constant)
@@ -115,17 +119,16 @@ def make_pl(pieces, domain: Polytope) -> PLFunction:
         for j, q in enumerate(unique):
             if i == j:
                 continue
-            diff = p - q  # keep where diff >= 0
-            if all(g == 0 for g in diff.gradient):
-                if diff.constant < 0:
+            # Keep where p - q >= 0, that is <G, x> + C >= 0 for the
+            # integer numerators of the difference over its denominator.
+            _, grad, const = (p.form - q.form).affine_numerators()
+            g = gcd(*grad)
+            if g == 0:
+                if const < 0:
                     emptied = True
                     break
                 continue
-            prim, s = _linalg.primitivize(diff.gradient)
-            # <grad, x> + c >= 0  <=>  <-prim, x> <= s * c
-            constraints.append(
-                HalfSpace(tuple(-c for c in prim), s * diff.constant)
-            )
+            constraints.append(HalfSpace(tuple(-c // g for c in grad), Fraction(const, g)))
         if emptied:
             continue
         region = geometry.intersect(domain, constraints)

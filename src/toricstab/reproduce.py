@@ -223,9 +223,7 @@ def criterion_pairing_identity():
     for name in ("cp2_2blowup", "cp2_1blowup"):
         poly = catalog(name)
         ext = invariants.extremal_field(poly)
-        theta_poly = integration.Polynomial.affine(
-            poly.dim, ext.theta.gradient, ext.theta.constant
-        )
+        theta_poly = ext.theta.form
         lhs = integration.boundary_integral(poly, theta_poly)
         rhs = integration.integrate_polynomial(poly, theta_poly * theta_poly)
         if lhs != rhs:
@@ -266,9 +264,7 @@ def criterion_blowup1_audit():
         if not all(rbar + norm <= Fraction(n + 1, 1) / b for b in bounds):
             failures.append(f"{label}: main condition fails with norm {norm}")
 
-    theta_poly = integration.Polynomial.affine(
-        poly.dim, ext.theta.gradient, ext.theta.constant
-    )
+    theta_poly = ext.theta.form
     lhs = integration.boundary_integral(poly, theta_poly)
     rhs = integration.integrate_polynomial(poly, theta_poly * theta_poly)
     if lhs != rhs:

@@ -1,4 +1,9 @@
-"""Shared fixtures: the catalog polytopes and small test helpers."""
+"""Shared fixtures: the catalog polytopes and small test helpers.
+
+The helpers include the simplex and lattice-vector routines that only
+tests need: :func:`simplex_halfspaces` with its :class:`DegenerateSimplex`,
+:func:`affine_rank` and :func:`primitivize`.
+"""
 
 import itertools
 import math
@@ -7,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from toricstab import _linalg, build_polytope, catalog, halfspace
-from toricstab.geometry import intersect
+from toricstab.errors import ToricStabError
+from toricstab.geometry import HalfSpace, _edges, intersect
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +44,64 @@ def hexagon11():
 @pytest.fixture(scope="session")
 def hexagon23():
     return catalog("hexagon(2,3)")
+
+
+class DegenerateSimplex(ToricStabError):
+    """Simplex vertices are affinely dependent."""
+
+
+def primitivize(vec):
+    """Integer primitive vector parallel to a rational vector.
+
+    Returns ``(prim, s)`` with ``prim = s * vec`` componentwise, ``s`` a
+    positive rational.  Raises ValueError on the zero vector.
+    """
+    mult = math.lcm(*[Fraction(entry).denominator for entry in vec])
+    ints = [int(Fraction(entry) * mult) for entry in vec]
+    g = math.gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(x // g for x in ints), Fraction(mult, g)
+
+
+def affine_rank(points):
+    """Dimension of the affine hull of a point collection."""
+    if len(points) <= 1:
+        return 0
+    _, ints = _linalg.over_common_denominator(points)
+    base = ints[0]
+    return _linalg.rank([[a - b for a, b in zip(p, base)] for p in ints[1:]])
+
+
+def simplex_halfspaces(vertices):
+    """Half-space representation of the full-dimensional simplex on ``vertices``.
+
+    ``vertices`` are n + 1 rational points in R^n, and the i-th half-space
+    is that of the face omitting vertex i.  The work runs on integers:
+    with the vertices written as ``P / q``, the cross product of a face's
+    integer edges is ``q**(n-1)`` times the rational one, so it has the
+    same primitive normal, found by a gcd and turned away from the
+    omitted vertex.  The only ``Fraction`` built per face is its bound
+    ``<l, P_0> / q``.  Affinely dependent vertices raise
+    :class:`DegenerateSimplex`: then some omitted vertex lies on the
+    hyperplane through its face, or the face spans none.  So does a vertex
+    count other than n + 1.
+    """
+    n = len(vertices[0])
+    if len(vertices) != n + 1:
+        raise DegenerateSimplex(f"a simplex in R^{n} needs {n + 1} vertices, not {len(vertices)}")
+    q, points = _linalg.over_common_denominator(vertices)
+    out = []
+    for omit in range(n + 1):
+        face = [p for i, p in enumerate(points) if i != omit]
+        normal = _linalg.cross_generalized(_edges(face), n)
+        level = _linalg.dot(normal, face[0])
+        side = _linalg.dot(normal, points[omit]) - level
+        if side == 0:
+            raise DegenerateSimplex("affinely dependent simplex vertices")
+        g = math.gcd(*normal) if side < 0 else -math.gcd(*normal)
+        out.append(HalfSpace(tuple(c // g for c in normal), Fraction(level // g, q)))
+    return out
 
 
 def shoelace(points):
@@ -116,7 +180,7 @@ def hull_polygon(points, den=1):
     cycle = chain(pts) + chain(pts[::-1])
     rows = []
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        normal, _ = _linalg.primitivize((b[1] - a[1], a[0] - b[0]))
+        normal, _ = primitivize((b[1] - a[1], a[0] - b[0]))
         rows.append(halfspace(normal, Fraction(_linalg.dot(normal, a), den)))
     return build_polytope(rows, require_simple=False)
 
@@ -133,7 +197,7 @@ def random_polygon(rng, den=1, radius=4, most=7):
     while True:
         pts = [(rng.randint(-radius, radius), rng.randint(-radius, radius))
                for _ in range(rng.randint(3, most))]
-        if _linalg.affine_rank(pts) == 2:
+        if affine_rank(pts) == 2:
             return hull_polygon(pts, den)
 
 

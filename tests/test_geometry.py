@@ -20,7 +20,6 @@ from toricstab import (
 )
 from toricstab.errors import (
     Degenerate,
-    DegenerateSimplex,
     NonPrimitiveNormal,
     NotSimple,
     OriginNotInterior,
@@ -33,13 +32,17 @@ from toricstab.plfunc import affine
 from toricstab.reproduce import random_convex_pl
 
 from conftest import (
+    DegenerateSimplex,
+    affine_rank,
     body_simplices,
     cells_across,
     facet_faces,
     hull_polygon,
+    primitivize,
     prism,
     random_polygon,
     shoelace,
+    simplex_halfspaces,
     simplex_volume,
 )
 
@@ -223,7 +226,7 @@ def _pyramid_bodies(rng):
     bodies = [catalog(name) for name in ("cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup",
                                          "cp2_3blowup", "hexagon(2,3)")]
     bodies += [_centered(_random_body(rng, "box")) for _ in range(3)]
-    bodies += [_centered(build_polytope(geometry.simplex_halfspaces(_rational_simplex(rng, n))))
+    bodies += [_centered(build_polytope(simplex_halfspaces(_rational_simplex(rng, n))))
                for n in (2, 3, 3)]
     bodies.append(build_polytope([halfspace((1,), F(7) / 3), halfspace((-1,), F(1) / 2)]))
     bodies.append(prism(catalog("cp2_2blowup"), F(-1) / 2, F(2) / 3))
@@ -361,7 +364,7 @@ def _from_enumeration(hs, n, warnings=(), require_simple=False):
     vertices = _enumerate_vertices(hs, n)
     if not vertices:
         raise Degenerate("half-space intersection is empty")
-    if _linalg.affine_rank(vertices) < n:
+    if affine_rank(vertices) < n:
         raise Degenerate("vertex hull is not full-dimensional")
     body = []
     for v in vertices:
@@ -405,7 +408,7 @@ def _random_body(rng, kind):
     if kind == "polygon":
         while True:
             pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 8))]
-            if _linalg.affine_rank(pts) == 2:
+            if affine_rank(pts) == 2:
                 return hull_polygon(pts)
     if kind == "box":
         rows = []
@@ -417,15 +420,15 @@ def _random_body(rng, kind):
         return build_polytope(rows)
     while True:
         verts = tuple(pt(*(rng.randint(-3, 3) for _ in range(3))) for _ in range(4))
-        if _linalg.affine_rank(list(verts)) == 3:
-            return build_polytope(geometry.simplex_halfspaces(verts))
+        if affine_rank(list(verts)) == 3:
+            return build_polytope(simplex_halfspaces(verts))
 
 
 def _primitive(rng, n):
     while True:
         normal = tuple(rng.randint(-3, 3) for _ in range(n))
         if any(normal):
-            return _linalg.primitivize(normal)[0]
+            return primitivize(normal)[0]
 
 
 def _random_cut(rng, poly):
@@ -480,7 +483,7 @@ class TestBuildAgainstEnumeration:
             n, kept, vertices = built[:3]
             for h in rows:
                 pts = [v for v in vertices if h.value(v) == h.bound]
-                assert (h in kept) == (len(pts) >= n and _linalg.affine_rank(pts) == n - 1)
+                assert (h in kept) == (len(pts) >= n and affine_rank(pts) == n - 1)
         return built
 
     @pytest.mark.parametrize("kind,count", [("polygon", 60), ("box", 20), ("simplex", 20)])
@@ -792,7 +795,7 @@ class TestCellMoments:
                 poly = _random_body(rng, "box")
             else:
                 poly = build_polytope(
-                    geometry.simplex_halfspaces(_rational_simplex(rng, 3)))
+                    simplex_halfspaces(_rational_simplex(rng, 3)))
             cuts = [_random_cut(rng, poly) for _ in range(rng.randint(1, 3))]
             kept += self.check(poly, cuts) is not None
         assert 0 < kept < count
@@ -880,7 +883,7 @@ def _rational_simplex(rng, n, den=3):
             tuple(F(rng.randint(-6, 6)) / rng.randint(1, den) for _ in range(n))
             for _ in range(n + 1)
         )
-        if _linalg.affine_rank(verts) == n:
+        if affine_rank(verts) == n:
             return verts
 
 
@@ -895,7 +898,7 @@ def _bodies_and_cells(rng, count):
             body = _random_body(rng, "box")
         else:
             body = build_polytope(
-                geometry.simplex_halfspaces(_rational_simplex(rng, 3))
+                simplex_halfspaces(_rational_simplex(rng, 3))
             )
         yield body
         for _ in range(3):
@@ -995,7 +998,7 @@ def _reference_halfspaces(verts, n):
         normal = _cross_fraction([[a - b for a, b in zip(p, face[0])] for p in face[1:]], n)
         if not any(normal):
             raise DegenerateSimplex("affinely dependent simplex vertices")
-        prim, _ = _linalg.primitivize(normal)
+        prim, _ = primitivize(normal)
         bound = F(_linalg.dot(prim, face[0]))
         if _linalg.dot(prim, verts[omit]) > bound:
             prim = tuple(-c for c in prim)
@@ -1014,7 +1017,7 @@ class TestSimplexHalfspaces:
             verts = _rational_simplex(rng, n, den=rng.choice((1, 2, 5, 12)))
             # Swapping two vertices flips the orientation.
             for order in (verts, (verts[1], verts[0]) + verts[2:]):
-                hs = geometry.simplex_halfspaces(order)
+                hs = simplex_halfspaces(order)
                 assert hs == _reference_halfspaces(order, n)
                 assert all(type(c) is int for h in hs for c in h.normal)
                 assert all(type(h.bound) is Fraction for h in hs)
@@ -1038,7 +1041,7 @@ class TestSimplexHalfspaces:
         # catches an omitted vertex on its face's hyperplane.
         verts = tuple(pt(*v) for v in verts)
         with pytest.raises(DegenerateSimplex):
-            geometry.simplex_halfspaces(verts)
+            simplex_halfspaces(verts)
 
     @pytest.mark.parametrize("verts", [
         ((0,),),
@@ -1048,7 +1051,7 @@ class TestSimplexHalfspaces:
     ])
     def test_wrong_vertex_count_raises(self, verts):
         with pytest.raises(DegenerateSimplex):
-            geometry.simplex_halfspaces(tuple(pt(*v) for v in verts))
+            simplex_halfspaces(tuple(pt(*v) for v in verts))
 
 
 class TestTranslate:

@@ -18,13 +18,23 @@ from toricstab import (
     pl_lattice_sum,
 )
 from toricstab import _linalg, build_polytope, halfspace
-from toricstab.errors import DegenerateSimplex, ScaleOverflow
-from toricstab.geometry import _simplex_moments, intersect, simplex_halfspaces
+from toricstab.errors import ScaleOverflow
+from toricstab.geometry import _simplex_moments, intersect
 from toricstab.integration import _form_integral, integrate_pl
 from toricstab.invariants import average_scalar_curvature
 from toricstab.plfunc import affine, zero_function
 
-from conftest import body_simplices, cells_across, facet_faces, random_polygon, simplex_volume
+from conftest import (
+    DegenerateSimplex,
+    affine_rank,
+    body_simplices,
+    cells_across,
+    facet_faces,
+    primitivize,
+    random_polygon,
+    simplex_halfspaces,
+    simplex_volume,
+)
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "toricstab"
 
@@ -84,7 +94,7 @@ def _random_simplex(rng, k, n):
             tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
             for _ in range(k + 1)
         )
-        if _linalg.affine_rank(verts) == k:
+        if affine_rank(verts) == k:
             return verts
 
 
@@ -263,6 +273,14 @@ class TestPolynomialArithmetic:
             f = Polynomial.affine(n, gradient, constant)
             assert list(f.terms.items()) == list(Polynomial(n, terms).terms.items())
             assert all(type(c) is Fraction for c in f.terms.values())
+            # The integer numerators, also of a difference and a constant.
+            for p, grad, const in ((f, gradient, constant),
+                                   (f - Polynomial.coordinate(n, 0) * F(1, 6),
+                                    [gradient[0] - F(1, 6), *gradient[1:]], constant),
+                                   (Polynomial.constant(n, constant), [0] * n, constant)):
+                d, numerators, c = p.affine_numerators()
+                assert d > 0 and all(type(g) is int for g in (*numerators, c))
+                assert [F(g, d) for g in numerators] == grad and F(c, d) == const
         with pytest.raises(ValueError):
             Polynomial.affine(n, [1] * (n + 1), 0)
 
@@ -320,7 +338,7 @@ def _rational_bodies(rng, n, count):
                 normal = tuple(rng.randint(-3, 3) for _ in range(n))
                 if any(normal):
                     break
-            normal, _ = _linalg.primitivize(normal)
+            normal, _ = primitivize(normal)
             values = sorted(_linalg.dot(normal, v) for v in body.vertices)
             bound = values[0] + (values[-1] - values[0]) * F(rng.randint(1, 11), 12)
             cell = intersect(body, [halfspace(normal, bound)])

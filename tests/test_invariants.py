@@ -21,7 +21,7 @@ from toricstab import (
 )
 from hypothesis import given, settings, strategies as st
 
-from toricstab import build_polytope, geometry, halfspace, invariants, report
+from toricstab import build_polytope, geometry, halfspace, integration, invariants, report
 from toricstab.errors import OriginNotInterior, WrongFamily
 from toricstab.geometry import intersect
 from toricstab.plfunc import AffineFunction, affine, zero_function
@@ -340,6 +340,33 @@ class TestRelativeFutaki:
         # and generalized invariants coincide.
         assert deg.ip_bb == 0
         assert deg.rel_futaki == deg.gen_futaki_alpha
+
+
+class TestAffineFormsBuiltOnce:
+    def test_second_calls_build_no_form(self, hexagon23, monkeypatch):
+        # Each piece and the potential carry their integer form, so once
+        # those are built no reader builds another.
+        u = make_pl([affine((1, 0), 0), affine((0, 1), F(1, 2)), zero_function(2)], hexagon23)
+        assert len(u.cells) == 3
+        ext = invariants.extremal_field(hexagon23)
+        readers = [
+            lambda: integration.integrate_pl(u),
+            lambda: boundary_integral(hexagon23, u),
+            lambda: linear_functional_L(hexagon23, u, ext),
+            lambda: linear_functional_L_cone(hexagon23, u, ext),
+            lambda: relative_futaki(hexagon23, u, ext),
+        ]
+        first = [read() for read in readers]
+        builds = []
+        build = Polynomial.affine.__func__
+
+        def counted(cls, *args):
+            builds.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(Polynomial, "affine", classmethod(counted))
+        assert [read() for read in readers] == first
+        assert builds == []
 
 
 class TestConditions:

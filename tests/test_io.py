@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import toricstab
-from toricstab import catalog, emit_spec, parse_spec, translate
+from toricstab import catalog, emit_spec, integration, parse_spec, translate
 from toricstab.catalog import CATALOG_NAMES, hexagon
 from toricstab.cli import main
 from toricstab.errors import InvalidHexagonParams, ParseError, UnknownName
@@ -175,6 +175,20 @@ class TestCLI:
         assert code == 0
         assert payload["residual"]["exact"] == "1/2"
         assert payload["lattice_points"] == 441
+
+    def test_ehrhart_sums_the_lattice_once(self, capsys, monkeypatch):
+        # The count, the weighted sum and the residual come from one scan.
+        calls = []
+        scan = integration.pl_lattice_sum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(integration, "pl_lattice_sum", counted)
+        assert main(["ehrhart", "--catalog", "cp2", "--pl", "max(0, x1)", "--k", "5"]) == 0
+        assert "residual" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_catalog_listing_and_emission(self, capsys, tmp_path):
         assert main(["catalog"]) == 0

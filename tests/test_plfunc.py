@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricstab import is_affine, make_pl
+from toricstab import catalog, is_affine, make_pl
 from toricstab.errors import EmptyPieceList, OutsideDomain
+from toricstab.geometry import HalfSpace, intersect
 from toricstab.plfunc import AffineFunction, SimplePL, affine, zero_function
+
+from conftest import primitivize
 
 
 def F(a, b=1):
@@ -118,3 +121,88 @@ class TestConvexity:
         y = random_point_in(rng, pentagon)
         mid = tuple(t * a + (1 - t) * b for a, b in zip(x, y))
         assert u.evaluate(mid) <= t * u.evaluate(x) + (1 - t) * u.evaluate(y)
+
+
+def _reference_cells(pieces, domain):
+    """``(piece, region)`` per cell of the maximum, cut the ``Fraction``
+    way: each difference of pieces taken in ``Fraction``s, its gradient
+    made primitive and the bound scaled to match."""
+    unique = list(dict.fromkeys(pieces))
+    out = []
+    for p in unique:
+        cuts = []
+        for q in unique:
+            if q is p:
+                continue
+            grad = [a - b for a, b in zip(p.gradient, q.gradient)]
+            const = p.constant - q.constant
+            if not any(grad):
+                if const < 0:
+                    break
+                continue
+            prim, s = primitivize(grad)
+            cuts.append(HalfSpace(tuple(-c for c in prim), s * const))
+        else:
+            region = intersect(domain, cuts)
+            if region is not None:
+                out.append((p, region))
+    return out
+
+
+class TestIntegerCuts:
+    """``make_pl`` cuts by the integer differences of the pieces' forms."""
+
+    @pytest.mark.parametrize("name", ["cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup",
+                                      "cp2_3blowup", "hexagon(2,3)"])
+    def test_against_fraction_reference(self, name):
+        domain = catalog(name)
+        rng = random.Random(f"integer-cuts-{name}")
+
+        def coefficient():
+            # Half the coefficients are plain ints.
+            if rng.random() < 0.5:
+                return rng.randint(-3, 3)
+            return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+        for _ in range(25):
+            pieces = [AffineFunction((coefficient(), coefficient()), coefficient())
+                      for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:
+                pieces.append(rng.choice(pieces))  # a duplicate
+            if rng.random() < 0.5:
+                p = rng.choice(pieces)  # the same gradient, another constant
+                pieces.append(AffineFunction(p.gradient, p.constant + Fraction(rng.randint(-4, 4), 3)))
+            rng.shuffle(pieces)
+            u = make_pl(pieces, domain)
+            reference = _reference_cells(pieces, domain)
+            assert [c.piece for c in u.cells] == [p for p, _ in reference]
+            for cell, (_, region) in zip(u.cells, reference):
+                assert cell.region.halfspaces == region.halfspaces
+                assert all(type(c) is int for h in cell.region.halfspaces for c in h.normal)
+                assert all(type(h.bound) is Fraction for h in cell.region.halfspaces)
+
+
+class TestAffineForm:
+    @pytest.mark.parametrize("gradient, constant", [
+        ((2, -3), 5),
+        ((F(1, 2), F(-2, 3)), F(5, 7)),
+        ((1, F(3, 4)), 0),
+        ((0, 0), F(-1, 6)),
+        ((F(7, 3),), 2),
+        ((1, -1, F(1, 5)), F(2, 9)),
+    ])
+    def test_evaluate_matches_fraction_arithmetic(self, gradient, constant):
+        f = AffineFunction(gradient, constant)
+        rng = random.Random(f"evaluate-{gradient}-{constant}")
+        for _ in range(20):
+            x = tuple(rng.choice((rng.randint(-5, 5), F(rng.randint(-9, 9), rng.randint(1, 8))))
+                      for _ in gradient)
+            want = sum((Fraction(g) * c for g, c in zip(gradient, x)), Fraction(constant))
+            got = f.evaluate(x)
+            assert got == want
+            assert type(got) is Fraction
+
+    def test_form_is_built_once(self):
+        f = affine((1, F(1, 2)), F(-1, 3))
+        assert f.form is f.form
+        assert f.form.terms == {(0, 0): F(-1, 3), (1, 0): 1, (0, 1): F(1, 2)}
