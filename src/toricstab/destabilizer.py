@@ -23,15 +23,16 @@ integral ``B`` is a polynomial of degree at most 2 in the offset and
 clipped region's vertices move affinely and the weight adds a degree.  So
 the kernel evaluates only the first :data:`SAMPLES` offsets of a piece,
 all pieces of a round in one batch, and the rest of the piece follows
-exactly by integer finite differences.  Candidates are ranked by
-cross-multiplying these integers; only the incumbent of each round is
-reduced and becomes a ``Fraction`` ratio, and only the final winner an
-``AffineFunction``.
+exactly from difference registers: each piece is one iterator
+(:func:`_continued`) that yields the kernel's samples and then each
+further ``(L, B)`` from four plus two integer additions.  Candidates are
+ranked straight from these iterators (:func:`_rank`) by cross-multiplying
+their integers; only the incumbent of each round is reduced and becomes
+a ``Fraction`` ratio, and only the final winner an ``AffineFunction``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,26 +162,40 @@ class _Sweep(NamedTuple):
         return list(zip(bounds, bounds[1:]))
 
 
-def _continue(values, count, degree):
-    """Extend ``values`` at 0, 1, ... of a polynomial of degree at most
-    ``degree`` to its values at ``0 .. count - 1``.
+def _differences(values):
+    """The backward differences of ``values`` at its last value, of
+    orders ``0 .. len(values) - 1``."""
+    out = []
+    while values:
+        out.append(values[-1])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
 
-    The backward differences at the last value, of orders ``0 .. degree``,
-    come from the last ``degree + 1`` values.  The top one is constant,
-    and each lower order is the running sum of the one above, so integers
-    stay integers.
+
+def _continued(ls, bs, count):
+    """The rows ``(L, B)`` of a piece at its offsets ``0 .. count - 1``,
+    from the kernel's samples ``ls`` and ``bs`` at the first of them.
+
+    The samples come first.  Past them, ``L`` (degree 4) and ``B``
+    (degree 2) run on difference registers: the backward differences at
+    the last row, of orders up to the degree.  The top one is constant
+    and each lower one adds the one above, so a row costs 4 + 2 integer
+    additions.  A piece longer than its samples has :data:`SAMPLES` of
+    them, as many as ``L`` needs.
     """
-    if count <= len(values):
-        return values
-    row = values[-degree - 1:]
-    diffs = []
-    while row:
-        diffs.append(row[-1])
-        row = [b - a for a, b in zip(row, row[1:])]
-    seq = itertools.repeat(diffs[degree], count - len(values))
-    for k in range(degree - 1, -1, -1):
-        seq = itertools.islice(itertools.accumulate(seq, initial=diffs[k]), 1, None)
-    return values + list(seq)
+    yield from zip(ls, bs)
+    if count == len(ls):
+        return
+    l0, l1, l2, l3, l4 = _differences(ls)
+    b0, b1, b2 = _differences(bs[-3:])
+    for _ in range(count - len(ls)):
+        l3 += l4
+        l2 += l3
+        l1 += l2
+        l0 += l1
+        b1 += b2
+        b0 += b1
+        yield l0, b0
 
 
 def _profiles(family, kernel_args, ws, p0, q, count):
@@ -188,13 +203,13 @@ def _profiles(family, kernel_args, ws, p0, q, count):
     ``a / d`` for ``(a, d)`` in ``ws`` and offset ``(p0 + t) / q``,
     ``t < count``, with ``q > 0``: one row of the integer grid.
 
-    Returns, per direction, its pieces as ``(start, cl, cb, ls, bs)``:
-    offset ``start + k`` has ``L = ls[k] / cl`` and ``B = bs[k] / cb``,
-    with ``cl, cb > 0``.  One
-    :func:`simple_pl_values` call evaluates the first :data:`SAMPLES`
-    offsets of every piece; ``cl`` and ``cb`` are the ``lcm`` of their
-    denominators, and the rest of a longer piece comes from
-    :func:`_continue` (degree 4 for ``L``, 2 for ``B``).
+    Returns, per direction, its pieces as ``(start, cl, cb, rows)``:
+    ``rows`` is a :func:`_continued` iterator whose ``k``-th item
+    ``(l, b)`` is offset ``start + k``, with ``L = l / cl`` and ``B = b /
+    cb`` and ``cl, cb > 0``.  One :func:`simple_pl_values` call evaluates
+    the first :data:`SAMPLES` offsets of every piece, a direction's
+    candidates together; ``cl`` and ``cb`` are the ``lcm`` of their
+    denominators.
     """
     sweeps = [family(a, d) for a, d in ws]
     plans = [sw.pieces(p0, q, count) for sw in sweeps]
@@ -212,11 +227,40 @@ def _profiles(family, kernel_args, ws, p0, q, count):
             got = [next(rows) for _ in range(min(stop - start, SAMPLES))]
             cl = math.lcm(*[ld for _, ld, _, _ in got])
             cb = math.lcm(*[bd for _, _, _, bd in got])
-            ls = _continue([ln * (cl // ld) for ln, ld, _, _ in got], stop - start, 4)
-            bs = _continue([bn * (cb // bd) for _, _, bn, bd in got], stop - start, 2)
-            direction.append((start, cl, cb, ls, bs))
+            ls = [ln * (cl // ld) for ln, ld, _, _ in got]
+            bs = [bn * (cb // bd) for _, _, bn, bd in got]
+            direction.append((start, cl, cb, _continued(ls, bs, stop - start)))
         out.append(direction)
     return out
+
+
+def _rank(profiles, top_n, top_d):
+    """Rank the rows of ``profiles`` (from :func:`_profiles`) in order,
+    direction by direction and by offset, against the incumbent ratio
+    ``top_n / top_d``.
+
+    Returns ``(evaluated, pick)``: the number of rows with ``B > 0``, and
+    ``(j, t, l, cl, b, cb)`` for the first row of the lowest ratio below
+    the incumbent (direction ``j``, offset ``t``), or None.  ``L / B = (l
+    * cb) / (cl * b)`` with ``b > 0`` and positive denominators, so ratios
+    compare exactly by cross-multiplying, the products with the incumbent
+    held per piece.  ``(1, 0)`` stands for the ratio of no incumbent,
+    which every row beats.
+    """
+    evaluated = 0
+    pick = None
+    for j, pieces in enumerate(profiles):
+        for start, cl, cb, rows in pieces:
+            x, y = cb * top_d, top_n * cl
+            for t, (l, b) in enumerate(rows, start):
+                if b == 0:
+                    continue  # crease missed the body; u vanishes on the boundary
+                evaluated += 1
+                if l * x < y * b:
+                    top_n, top_d = l * cb, cl * b
+                    x, y = cb * top_d, top_n * cl
+                    pick = (j, t, l, cl, b, cb)
+    return evaluated, pick
 
 
 def _affine(cand) -> AffineFunction:
@@ -252,9 +296,9 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
     and recorded; evaluation is exact either way.  Each round hands every
     direction the same offsets ``(p0 + t) / q``, ``t < count``, and
     evaluates them as per-direction profiles (:func:`_profiles`): one
-    kernel batch of at most :data:`SAMPLES` offsets per piece, the rest by
-    exact integer finite differences.  Candidates are ranked w-major and
-    by offset, so the strict ``<`` keeps the first minimum of the grid.
+    kernel batch of at most :data:`SAMPLES` offsets per piece, the rest
+    from difference registers.  :func:`_rank` takes the candidates w-major
+    and by offset, so its strict ``<`` keeps the first minimum of the grid.
     The incumbent becomes a ``Fraction`` ratio once per round, and only
     the final winner an ``AffineFunction``.  That winner is recomputed
     through the general functional as an independent exactness check
@@ -280,33 +324,16 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
     def consider(ws, p0, q, count):
         """Evaluate every crease ``(a / d, (p0 + t) / q)`` of the integer
         grid, ``(a, d)`` in ``ws`` w-major and ``t < count``; keep the
-        first minimum.
-
-        ``L / B = (l * cb) / (cl * b)`` with ``b > 0`` and positive
-        denominators, so ratios compare exactly by cross-multiplying, the
-        products with the incumbent held per piece.  ``(1, 0)`` stands for
-        the ratio of no incumbent, which every candidate beats.
-        """
+        first minimum."""
         nonlocal best, evaluated
         profiles = _profiles(family, kernel_args, ws, p0, q, count)
-        top_n, top_d = best[:2] if best else (1, 0)
-        pick = None
-        for j, pieces in enumerate(profiles):
-            for start, cl, cb, ls, bs in pieces:
-                x, y = cb * top_d, top_n * cl
-                for t, (l, b) in enumerate(zip(ls, bs), start):
-                    if b == 0:
-                        continue  # crease missed the body; u vanishes on the boundary
-                    evaluated += 1
-                    if l * x < y * b:
-                        top_n, top_d = l * cb, cl * b
-                        x, y = cb * top_d, top_n * cl
-                        pick = (j, t, l, cl, b, cb)
+        ranked, pick = _rank(profiles, *(best[:2] if best else (1, 0)))
+        evaluated += ranked
         if pick is not None:
             j, t, l, cl, b, cb = pick
             a, d = ws[j]
             cand = family(a, d).crease(p0 + t, q)
-            best = (top_n, top_d, (a, d), (p0 + t, q), cand, (Fraction(l, cl), Fraction(b, cb)))
+            best = (l * cb, cl * b, (a, d), (p0 + t, q), cand, (Fraction(l, cl), Fraction(b, cb)))
 
     m = config.direction_count
     offs = config.offset_count

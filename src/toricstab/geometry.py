@@ -242,6 +242,11 @@ class Polytope:
         return sum((f.measure for f in self.facets), Fraction(0))
 
     @functools.cached_property
+    def rbar(self) -> Fraction:
+        """Boundary measure over volume: the average scalar curvature."""
+        return self.boundary_measure / self.volume
+
+    @functools.cached_property
     def barycenter(self) -> Point:
         # The first moments over the volume, both over the same denominator.
         _, moments = self._moments

@@ -22,6 +22,7 @@ which the crease scan reads too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,8 +89,9 @@ class ConditionVerdict:
 
 
 def average_scalar_curvature(poly: Polytope) -> Fraction:
-    """Boundary measure over volume; the curvature average of the class."""
-    return poly.boundary_measure / poly.volume
+    """Boundary measure over volume; the curvature average of the class,
+    kept on the polytope as :attr:`Polytope.rbar`."""
+    return poly.rbar
 
 
 def centering_constants(poly: Polytope) -> tuple:
@@ -111,10 +113,25 @@ def futaki_vector(poly: Polytope, c=None) -> tuple:
     the boundary integral of ``x_j + c_j``; it is zero exactly when the
     obstruction to constant scalar curvature vanishes on the class.
     ``c`` defaults to :func:`centering_constants`.
+
+    The integral of ``x_j + c_j`` is the facets' first moments in ``x_j``
+    plus ``c_j`` times their measures, so one pass reads each facet's
+    moments once, over the ``lcm`` of their denominators, and builds one
+    ``Fraction`` per coordinate.
     """
     if c is None:
         c = centering_constants(poly)
-    return tuple(integration.boundary_integral(poly, f) for f in _centered(poly.dim, c))
+    moments = [facet._moments for facet in poly.facets]
+    den = math.lcm(*[d for d, _ in moments])
+    measure = 0
+    first = [0] * poly.dim
+    for d, values in moments:
+        s = den // d
+        measure += s * values[()]
+        for j in range(poly.dim):
+            first[j] += s * values[(j,)]
+    return tuple(Fraction(f * cj.denominator + cj.numerator * measure, den * cj.denominator)
+                 for f, cj in zip(first, c))
 
 
 def _centered(n, c) -> list:

@@ -18,6 +18,7 @@ from toricstab import (
 from toricstab import destabilizer, invariants
 from toricstab.destabilizer import (
     REFINE_POINTS,
+    SAMPLES,
     ScanConfig,
     ScanResult,
     _affine,
@@ -25,10 +26,11 @@ from toricstab.destabilizer import (
     _direction,
     _kernel_data,
     _profiles,
+    _rank,
 )
 from toricstab.plfunc import AffineFunction, SimplePL, affine, zero_function
 
-from conftest import hull_polygon, pack, random_polygon
+from helpers import hull_polygon, pack, random_polygon
 
 
 SMALL = ScanConfig(direction_count=24, offset_count=8, refine_rounds=1)
@@ -310,11 +312,12 @@ def check_profiles(poly, ext, ws, p0, q, count):
         cands = [family(a, d).crease(p0 + t, q) for t in range(count)]
         want = [(F(ln, ld), F(bn, bd)) for ln, ld, bn, bd in kernels.simple_pl_values(*args, cands)]
         got, stops = [], []
-        for start, cl, cb, ls, bs in pieces:
-            assert start == len(got) and cl > 0 and cb > 0 and len(ls) == len(bs) > 0
-            got.extend((F(l, cl), F(b, cb)) for l, b in zip(ls, bs))
+        for start, cl, cb, rows in pieces:
+            rows = list(rows)
+            assert start == len(got) and cl > 0 and cb > 0 and rows
+            got.extend((F(l, cl), F(b, cb)) for l, b in rows)
             stops.append(len(got))
-            lengths.append(len(ls))
+            lengths.append(len(rows))
         assert got == want
         cuts = breakpoints(poly, F(a, d))
         on_break += sum(v in cuts for v in vs)
@@ -406,3 +409,39 @@ class TestProfiles:
             assert len(calls) == 4
             for ws, p0, q, count in calls:
                 check_profiles(poly, ext, ws, p0, q, count)
+
+    def test_rank_skips_missed_creases(self):
+        # Offsets t / 40 up to t = 40, where the crease touches the top
+        # vertex and B = 0.  _rank reads the profile iterators, counts
+        # the rows with B > 0 and picks the first strict minimum, as a
+        # Fraction loop over the kernel's rows does.
+        q = 40
+        continued_misses = 0
+        for poly in self.polygons()[::2]:
+            ext = invariants.extremal_field(poly)
+            family = _crease_family(poly, scan_base(poly))
+            args = _kernel_data(poly, ext)
+            count, best = 0, None
+            for j, (a, d) in enumerate(self.WS):
+                sweep = family(a, d)
+                rows = kernels.simple_pl_values(*args, [sweep.crease(t, q) for t in range(q + 1)])
+                assert rows[q] == (0, 1, 0, 1)
+                start = sweep.pieces(0, q, q + 1)[-1][0]
+                continued_misses += q - start >= SAMPLES
+                for t, (ln, ld, bn, bd) in enumerate(rows):
+                    if bn:
+                        count += 1
+                        ratio = F(ln, ld) / F(bn, bd)
+                        if best is None or ratio < best[0]:
+                            best = (ratio, j, t)
+            evaluated, pick = _rank(_profiles(family, args, self.WS, 0, q, q + 1), 1, 0)
+            j, t, l, cl, b, cb = pick
+            assert evaluated == count
+            assert (F(l, cl) / F(b, cb), j, t) == best
+            # Against that minimum as the incumbent nothing is picked.
+            top = best[0]
+            again = _rank(_profiles(family, args, self.WS, 0, q, q + 1),
+                          top.numerator, top.denominator)
+            assert again == (count, None)
+        # Some missed crease lies past the kernel's samples of its piece.
+        assert continued_misses > 0

@@ -31,7 +31,7 @@ from toricstab import _linalg
 from toricstab.plfunc import affine
 from toricstab.reproduce import random_convex_pl
 
-from conftest import (
+from helpers import (
     DegenerateSimplex,
     affine_rank,
     body_simplices,

@@ -24,7 +24,7 @@ from toricstab.integration import _form_integral, integrate_pl
 from toricstab.invariants import average_scalar_curvature
 from toricstab.plfunc import affine, zero_function
 
-from conftest import (
+from helpers import (
     DegenerateSimplex,
     affine_rank,
     body_simplices,

@@ -27,7 +27,7 @@ from toricstab.geometry import intersect
 from toricstab.plfunc import AffineFunction, affine, zero_function
 from toricstab.reproduce import random_affine, random_convex_pl
 
-from conftest import prism
+from helpers import prism
 
 
 def F(a, b=1):

@@ -266,13 +266,19 @@ class TestCLI:
         assert payload["scan"]["destabilizer_found"] is False
 
     @pytest.mark.parametrize("name,golden", [("cp2_2blowup", "scan_cp2_2blowup.json"),
-                                             ("hexagon(2,3)", "scan_hexagon23.json")])
-    def test_default_scan_golden_bytes(self, tmp_path, name, golden):
+                                             ("hexagon(2,3)", "scan_hexagon23.json"),
+                                             ("blowup1_moved.json", "scan_blowup1_moved.json")])
+    def test_default_scan_golden_bytes(self, tmp_path, monkeypatch, name, golden):
         # The files hold the output of the scan that sent every grid
         # candidate through the kernel; the profile scan must match them
-        # byte for byte.
+        # byte for byte.  The two catalog polygons are lattice polygons
+        # around the origin; the spec is cp2_1blowup moved by (3/2, 1/3),
+        # so its vertices are over 6 and the scan's base point is the
+        # barycenter.
+        monkeypatch.chdir(GOLDEN)
+        source = ["--spec", name] if name.endswith(".json") else ["--catalog", name]
         out = tmp_path / "scan.json"
-        code = main(["scan", "--catalog", name, "--format", "structured", "--out", str(out)])
+        code = main(["scan", *source, "--format", "structured", "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 

@@ -16,7 +16,7 @@ from toricstab.destabilizer import _kernel_data
 from toricstab.errors import ScaleOverflow
 from toricstab.plfunc import AffineFunction, SimplePL
 
-from conftest import pack, random_polygon
+from helpers import pack, random_polygon
 
 
 def brute_weighted_sum(dim, lows, highs, rows, table, k):
@@ -256,3 +256,47 @@ class TestCreaseEdgeCases:
             ext = invariants.extremal_field(poly)
             for label, crease, misses in special_creases(poly):
                 self.check(poly, ext, crease, misses, label)
+
+
+class TestFanCases:
+    """``simple_pl_values`` fans the region ``{g >= 0}`` from its first
+    polygon vertex; every way the crease can meet the polygon's vertices
+    must give the reference values."""
+
+    @staticmethod
+    def creases(rng, poly):
+        """Seeded creases through a vertex or a random point, with small
+        integer normals."""
+        for _ in range(40):
+            normal = (rng.randint(-4, 4), rng.randint(-4, 4))
+            if normal == (0, 0):
+                continue
+            if rng.random() < 0.4:
+                point = rng.choice(poly.vertices)
+            else:
+                point = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(2))
+            yield AffineFunction(normal, -(normal[0] * point[0] + normal[1] * point[1]))
+
+    def test_every_case_matches_reference(self):
+        rng = random.Random(17)
+        seen = set()
+        for den in (1, 1, 1, 2, 3, 5):
+            for _ in range(2):
+                poly = random_polygon(rng, den)
+                ext = invariants.extremal_field(poly)
+                args = _kernel_data(poly, ext)
+                vxs, vys, vden = args[:3]
+                creases = list(self.creases(rng, poly))
+                rows = kernels.simple_pl_values(*args, [pack(c) for c in creases])
+                for crease, (ln, ld, bn, bd) in zip(creases, rows):
+                    (g1, g2), g0 = crease.gradient, crease.constant
+                    ghat = [g1 * x + g2 * y + g0 * vden for x, y in zip(vxs, vys)]
+                    positive = sum(g > 0 for g in ghat)
+                    if positive:
+                        seen.add((min(positive, 3), ghat[0] < 0, 0 in ghat))
+                    u = SimplePL(crease).as_pl(poly)
+                    assert Fraction(ln, ld) == linear_functional_L(poly, u, ext), crease
+                    assert Fraction(bn, bd) == boundary_integral(poly, u), crease
+        # One, two or more vertices above the crease; the first ccw vertex
+        # below it or not; a vertex on it or none: each combination occurs.
+        assert seen == set(itertools.product((1, 2, 3), (False, True), (False, True)))

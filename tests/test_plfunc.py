@@ -12,7 +12,7 @@ from toricstab.errors import EmptyPieceList, OutsideDomain
 from toricstab.geometry import HalfSpace, intersect
 from toricstab.plfunc import AffineFunction, SimplePL, affine, zero_function
 
-from conftest import primitivize
+from helpers import primitivize
 
 
 def F(a, b=1):
