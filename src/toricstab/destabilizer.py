@@ -22,13 +22,20 @@ integral ``B`` is a polynomial of degree at most 2 in the offset and
 ``integral(w * u)``, hence ``L``, one of degree at most 4, because the
 clipped region's vertices move affinely and the weight adds a degree.  So
 the kernel evaluates only the first :data:`SAMPLES` offsets of a piece,
-all pieces of a round in one batch, and the rest of the piece follows
-exactly from difference registers: each piece is one iterator
-(:func:`_continued`) that yields the kernel's samples and then each
-further ``(L, B)`` from four plus two integer additions.  Candidates are
-ranked straight from these iterators (:func:`_rank`) by cross-multiplying
-their integers; only the incumbent of each round is reduced and becomes
-a ``Fraction`` ratio, and only the final winner an ``AffineFunction``.
+all pieces of a round in one batch, and fixed formulas turn them into the
+forward differences at the piece's first offset (:func:`_forward`).
+
+Candidates are ranked piece by piece (:func:`_rank`) by cross-multiplying
+their integers against the incumbent ratio: a row beats it only where the
+quartic ``P = x L - y B`` is negative.  The Bernstein coefficients of
+``P`` and ``B`` on the piece bound their range (Narkawicz, Garloff, Smith
+and Munoz, Reliable Computing 17, 2012), so when they show ``P >= 0`` and
+``B > 0`` throughout (:func:`_certified`) no row of the piece can be
+picked and it is skipped without a walk.  Any other piece is walked on
+difference registers from the same differences (:func:`_walk`), each row
+from four plus two integer additions.  Only the incumbent of each round
+is reduced and becomes a ``Fraction`` ratio, and only the final winner an
+``AffineFunction``.
 """
 
 from __future__ import annotations
@@ -162,40 +169,70 @@ class _Sweep(NamedTuple):
         return list(zip(bounds, bounds[1:]))
 
 
-def _differences(values):
-    """The backward differences of ``values`` at its last value, of
-    orders ``0 .. len(values) - 1``."""
-    out = []
-    while values:
-        out.append(values[-1])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return out
+def _forward(ls, bs):
+    """The forward differences of a piece at its first offset: of ``L``,
+    orders 0 to 4, from its :data:`SAMPLES` samples ``ls``, and of ``B``,
+    orders 0 to 2, from the first three of ``bs``.  The top order of each
+    is constant on the piece."""
+    l0, l1, l2, l3, l4 = ls
+    b0, b1, b2 = bs[:3]
+    return ((l0, l1 - l0, l2 - 2 * l1 + l0, l3 - 3 * l2 + 3 * l1 - l0,
+             l4 - 4 * l3 + 6 * l2 - 4 * l1 + l0),
+            (b0, b1 - b0, b2 - 2 * b1 + b0))
 
 
-def _continued(ls, bs, count):
-    """The rows ``(L, B)`` of a piece at its offsets ``0 .. count - 1``,
-    from the kernel's samples ``ls`` and ``bs`` at the first of them.
-
-    The samples come first.  Past them, ``L`` (degree 4) and ``B``
-    (degree 2) run on difference registers: the backward differences at
-    the last row, of orders up to the degree.  The top one is constant
-    and each lower one adds the one above, so a row costs 4 + 2 integer
-    additions.  A piece longer than its samples has :data:`SAMPLES` of
-    them, as many as ``L`` needs.
-    """
-    yield from zip(ls, bs)
-    if count == len(ls):
-        return
-    l0, l1, l2, l3, l4 = _differences(ls)
-    b0, b1, b2 = _differences(bs[-3:])
-    for _ in range(count - len(ls)):
-        l3 += l4
-        l2 += l3
-        l1 += l2
-        l0 += l1
-        b1 += b2
-        b0 += b1
+def _walk(dl, db, count):
+    """The rows ``(L, B)`` at offsets ``0 .. count - 1`` of a piece, from
+    its :func:`_forward` differences: each register adds the one above,
+    so a row costs 4 + 2 integer additions."""
+    l0, l1, l2, l3, l4 = dl
+    b0, b1, b2 = db
+    for _ in range(count):
         yield l0, b0
+        l0 += l1
+        l1 += l2
+        l2 += l3
+        l3 += l4
+        b0 += b1
+        b1 += b2
+
+
+def _certified(x, y, dl, db, count):
+    """Whether ``P = x L - y B >= 0`` and ``B > 0`` on all of ``[0, n]``,
+    ``n = count - 1 >= 1``, by the signs of their Bernstein coefficients
+    there; ``L`` and ``B`` are given by their :func:`_forward` differences.
+
+    A polynomial on an interval lies between the least and the largest
+    of its Bernstein coefficients on it (Narkawicz, Garloff, Smith and
+    Munoz, "Bounding the range of a rational function over a box",
+    Reliable Computing 17, 2012), so the test is sound: it may refuse a
+    piece whose rows all pass, never accept one with a row that fails.
+    From the forward differences ``d`` of ``P`` at 0, ``24 P(t)`` has the
+    power coefficients ``c_k`` below (Newton's binomial form expanded),
+    ``c_k n**k`` those of ``24 P(n s)`` in ``s``, and the degree-4
+    Bernstein coefficients on ``[0, 1]`` are ``sum_{k <= i} C(i, k) /
+    C(4, k) c_k n**k``, here scaled by positive integers.  ``B`` is
+    treated the same way at degree 2, with ``2 B(t)``.  The first and
+    the last coefficient are ``P(0)`` and ``P(n)``, so a piece whose
+    first row beats the incumbent costs two products.
+    """
+    b0, b1, b2 = db
+    d0 = x * dl[0] - y * b0
+    if d0 < 0 or b0 <= 0:
+        return False
+    n = count - 1
+    d1, d2 = x * dl[1] - y * b1, x * dl[2] - y * b2
+    d3, d4 = x * dl[3], x * dl[4]
+    c0 = 24 * d0
+    c1 = (24 * d1 - 12 * d2 + 8 * d3 - 6 * d4) * n
+    c2 = (12 * d2 - 12 * d3 + 11 * d4) * n * n
+    c3 = (4 * d3 - 6 * d4) * n**3
+    c4 = d4 * n**4
+    if (c0 + c1 + c2 + c3 + c4 < 0 or 4 * c0 + c1 < 0
+            or 6 * c0 + 3 * c1 + c2 < 0 or 4 * c0 + 3 * c1 + 2 * c2 + c3 < 0):
+        return False
+    e1, e2 = (2 * b1 - b2) * n, b2 * n * n
+    return 4 * b0 + e1 > 0 and 2 * b0 + e1 + e2 > 0
 
 
 def _profiles(family, kernel_args, ws, p0, q, count):
@@ -203,13 +240,14 @@ def _profiles(family, kernel_args, ws, p0, q, count):
     ``a / d`` for ``(a, d)`` in ``ws`` and offset ``(p0 + t) / q``,
     ``t < count``, with ``q > 0``: one row of the integer grid.
 
-    Returns, per direction, its pieces as ``(start, cl, cb, rows)``:
-    ``rows`` is a :func:`_continued` iterator whose ``k``-th item
-    ``(l, b)`` is offset ``start + k``, with ``L = l / cl`` and ``B = b /
-    cb`` and ``cl, cb > 0``.  One :func:`simple_pl_values` call evaluates
-    the first :data:`SAMPLES` offsets of every piece, a direction's
-    candidates together; ``cl`` and ``cb`` are the ``lcm`` of their
-    denominators.
+    Returns, per direction, its pieces as ``(start, count, cl, cb, ls,
+    bs)``: the offsets ``start .. start + count - 1``, and the samples
+    ``L = l / cl`` and ``B = b / cb`` for ``l, b`` in ``ls, bs`` at the
+    first of them, with ``cl, cb > 0``.  A piece has all its rows as
+    samples, or :data:`SAMPLES` of them, as many as fix ``L``.  One
+    :func:`simple_pl_values` call evaluates the samples of every piece, a
+    direction's candidates together; ``cl`` and ``cb`` are the ``lcm`` of
+    their denominators.
     """
     sweeps = [family(a, d) for a, d in ws]
     plans = [sw.pieces(p0, q, count) for sw in sweeps]
@@ -229,7 +267,7 @@ def _profiles(family, kernel_args, ws, p0, q, count):
             cb = math.lcm(*[bd for _, _, _, bd in got])
             ls = [ln * (cl // ld) for ln, ld, _, _ in got]
             bs = [bn * (cb // bd) for _, _, bn, bd in got]
-            direction.append((start, cl, cb, _continued(ls, bs, stop - start)))
+            direction.append((start, stop - start, cl, cb, ls, bs))
         out.append(direction)
     return out
 
@@ -242,16 +280,34 @@ def _rank(profiles, top_n, top_d):
     Returns ``(evaluated, pick)``: the number of rows with ``B > 0``, and
     ``(j, t, l, cl, b, cb)`` for the first row of the lowest ratio below
     the incumbent (direction ``j``, offset ``t``), or None.  ``L / B = (l
-    * cb) / (cl * b)`` with ``b > 0`` and positive denominators, so ratios
-    compare exactly by cross-multiplying, the products with the incumbent
-    held per piece.  ``(1, 0)`` stands for the ratio of no incumbent,
-    which every row beats.
+    * cb) / (cl * b)`` with ``b > 0`` and positive denominators, so a row
+    beats the incumbent exactly when ``P = x l - y b < 0`` with ``x = cb
+    * top_d`` and ``y = top_n * cl``, the products held per piece.
+    ``(1, 0)`` stands for the ratio of no incumbent, which every row
+    beats.
+
+    A piece longer than its samples is first put to :func:`_certified`:
+    on it ``l`` is a quartic and ``b`` a quadratic in the offset, and when
+    the Bernstein coefficients show ``P >= 0`` and ``b > 0`` on the whole
+    piece, no row of it can be picked and every row counts as evaluated,
+    so the piece is skipped unwalked.  Otherwise its rows are walked from
+    the same forward differences (:func:`_walk`).  Skipping only rows that
+    cannot beat the incumbent leaves ``evaluated`` and the first-minimum
+    pick as a walk of every row gives them.
     """
     evaluated = 0
     pick = None
     for j, pieces in enumerate(profiles):
-        for start, cl, cb, rows in pieces:
+        for start, count, cl, cb, ls, bs in pieces:
             x, y = cb * top_d, top_n * cl
+            if count > SAMPLES:
+                dl, db = _forward(ls, bs)
+                if _certified(x, y, dl, db, count):
+                    evaluated += count
+                    continue
+                rows = _walk(dl, db, count)
+            else:
+                rows = zip(ls, bs)
             for t, (l, b) in enumerate(rows, start):
                 if b == 0:
                     continue  # crease missed the body; u vanishes on the boundary
@@ -296,9 +352,13 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
     and recorded; evaluation is exact either way.  Each round hands every
     direction the same offsets ``(p0 + t) / q``, ``t < count``, and
     evaluates them as per-direction profiles (:func:`_profiles`): one
-    kernel batch of at most :data:`SAMPLES` offsets per piece, the rest
-    from difference registers.  :func:`_rank` takes the candidates w-major
-    and by offset, so its strict ``<`` keeps the first minimum of the grid.
+    kernel batch of at most :data:`SAMPLES` offsets per piece.
+    :func:`_rank` takes the candidates w-major and by offset, so its
+    strict ``<`` keeps the first minimum of the grid; it skips each piece
+    whose Bernstein certificate shows that no row of it beats the
+    incumbent, and walks the others on difference registers, so the
+    estimate, the winner and ``candidates_evaluated`` are those of a walk
+    of every row.
     The incumbent becomes a ``Fraction`` ratio once per round, and only
     the final winner an ``AffineFunction``.  That winner is recomputed
     through the general functional as an independent exactness check

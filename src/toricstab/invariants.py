@@ -161,8 +161,13 @@ def extremal_field(poly: Polytope) -> ExtremalData:
     second-moment matrix and ``b`` the boundary pairing vector, which is
     the unique affine potential making the stability functional vanish on
     every affine function.  The range over the polytope is attained at
-    vertices since the potential is affine.
+    vertices since the potential is affine.  The solve runs once per
+    polytope, which keeps it as it keeps ``rbar``, so a scan and the
+    report built after it share one.
     """
+    kept = vars(poly).get("_extremal")
+    if kept is not None:
+        return kept
     c = centering_constants(poly)
     mat = second_moment_matrix(poly, c)
     b = futaki_vector(poly, c)
@@ -174,10 +179,11 @@ def extremal_field(poly: Polytope) -> ExtremalData:
     theta = AffineFunction(a, const)
     values = [theta.evaluate(v) for v in poly.vertices]
     tmin, tmax = min(values), max(values)
-    return ExtremalData(
+    poly._extremal = ExtremalData(
         c=c, b=b, a=a, theta=theta, theta_min=tmin, theta_max=tmax,
         norm=max(abs(tmin), abs(tmax)),
     )
+    return poly._extremal
 
 
 # ---------------------------------------------------------------------------

@@ -175,3 +175,38 @@ def pack(crease):
     (g1, g2), g0 = crease.gradient, crease.constant
     den = math.lcm(g0.denominator, g1.denominator, g2.denominator)
     return (int(g0 * den), int(g1 * den), int(g2 * den), den)
+
+
+def newton_rows(count, ls, bs):
+    """The rows ``(l, b)`` at offsets ``0 .. count - 1`` of a scan profile
+    piece ``(start, count, cl, cb, ls, bs)``, from its samples by Newton's
+    forward formula: every difference the samples have, at any order, with
+    binomial weights, independent of the scan's fixed formulas."""
+    def at(values, t):
+        out = 0
+        for k in range(len(values)):
+            out += values[0] * math.comb(t, k)
+            values = [b - a for a, b in zip(values, values[1:])]
+        return out
+
+    return [(at(ls, t), at(bs, t)) for t in range(count)]
+
+
+def reference_rank(profiles, top_n, top_d):
+    """``destabilizer._rank`` without pruning: every row of every piece
+    (by :func:`newton_rows`) against the incumbent ``top_n / top_d``,
+    ``(1, 0)`` for none, in order.  Returns ``(evaluated, pick)`` as
+    ``_rank`` does: the rows with ``b > 0`` and ``(j, t, l, cl, b, cb)``
+    for the first row of the lowest ratio strictly below the incumbent,
+    or None."""
+    evaluated, pick = 0, None
+    for j, pieces in enumerate(profiles):
+        for start, count, cl, cb, ls, bs in pieces:
+            for t, (l, b) in enumerate(newton_rows(count, ls, bs), start):
+                if b == 0:
+                    continue
+                evaluated += 1
+                if l * cb * top_d < top_n * cl * b:
+                    top_n, top_d = l * cb, cl * b
+                    pick = (j, t, l, cl, b, cb)
+    return evaluated, pick

@@ -1,6 +1,7 @@
 """Crease scan: exactness, monotone refinement, and sanity on stable bodies."""
 
 import fractions
+import math
 import random
 import sys
 from fractions import Fraction
@@ -22,15 +23,18 @@ from toricstab.destabilizer import (
     ScanConfig,
     ScanResult,
     _affine,
+    _certified,
     _crease_family,
     _direction,
+    _forward,
     _kernel_data,
     _profiles,
     _rank,
+    _walk,
 )
 from toricstab.plfunc import AffineFunction, SimplePL, affine, zero_function
 
-from helpers import hull_polygon, pack, random_polygon
+from helpers import hull_polygon, newton_rows, pack, random_polygon, reference_rank
 
 
 SMALL = ScanConfig(direction_count=24, offset_count=8, refine_rounds=1)
@@ -312,8 +316,12 @@ def check_profiles(poly, ext, ws, p0, q, count):
         cands = [family(a, d).crease(p0 + t, q) for t in range(count)]
         want = [(F(ln, ld), F(bn, bd)) for ln, ld, bn, bd in kernels.simple_pl_values(*args, cands)]
         got, stops = [], []
-        for start, cl, cb, rows in pieces:
-            rows = list(rows)
+        for start, size, cl, cb, ls, bs in pieces:
+            assert len(ls) == len(bs) == min(size, SAMPLES)
+            if size > SAMPLES:
+                rows = list(_walk(*_forward(ls, bs), size))
+            else:
+                rows = list(zip(ls, bs))
             assert start == len(got) and cl > 0 and cb > 0 and rows
             got.extend((F(l, cl), F(b, cb)) for l, b in rows)
             stops.append(len(got))
@@ -359,20 +367,25 @@ class TestIntegerGrid:
         assert counts[0] > 0  # the per-round ratios are seen
 
 
+def profile_polygons():
+    """Seeded lattice and rational polygons and two catalog ones."""
+    rng = random.Random(99)
+    polys = [random_polygon(rng, radius=3) for _ in range(6)]
+    polys += [random_polygon(rng, den=rng.choice((2, 3, 7)), radius=5) for _ in range(4)]
+    polys += [catalog("cp2_2blowup"), catalog("hexagon(7/2,2)")]
+    # Both base points, and rational vertices over vden > 1.
+    assert {p.origin_interior for p in polys} == {True, False}
+    assert any(c.denominator > 1 for p in polys for pt in p.vertices for c in pt)
+    return polys
+
+
 class TestProfiles:
     """Per-direction profiles against the kernel on every grid offset."""
 
     WS = [(j, 24) for j in range(24)]
 
     def polygons(self):
-        rng = random.Random(99)
-        polys = [random_polygon(rng, radius=3) for _ in range(6)]
-        polys += [random_polygon(rng, den=rng.choice((2, 3, 7)), radius=5) for _ in range(4)]
-        polys += [catalog("cp2_2blowup"), catalog("hexagon(7/2,2)")]
-        # Both base points, and rational vertices over vden > 1.
-        assert {p.origin_interior for p in polys} == {True, False}
-        assert any(c.denominator > 1 for p in polys for pt in p.vertices for c in pt)
-        return polys
+        return profile_polygons()
 
     def test_seeded_polygons(self):
         lengths, on_break = [], 0
@@ -445,3 +458,134 @@ class TestProfiles:
             assert again == (count, None)
         # Some missed crease lies past the kernel's samples of its piece.
         assert continued_misses > 0
+
+
+def bernstein(coeffs, n):
+    """The polynomial in ``t`` with the Bernstein coefficients ``coeffs``
+    on ``[0, n]``, times ``n**degree``."""
+    deg = len(coeffs) - 1
+    return lambda t: sum(c * math.comb(deg, i) * t**i * (n - t) ** (deg - i)
+                         for i, c in enumerate(coeffs))
+
+
+def certificate_cases(rng):
+    """Seeded ``(P, B, n, exact)``: a quartic ``P`` and a quadratic ``B``
+    as functions on the integers, the range ``[0, n]``, and, when they
+    are given in Bernstein form on it, whether every coefficient of ``P``
+    is ``>= 0`` and every one of ``B`` is ``> 0`` (else None)."""
+    for _ in range(2500):
+        n = rng.choice((1, 2, 3, 4, 5, 6, 8, 11, rng.randint(12, 60), 2000))
+        r, r2 = rng.randint(0, n), rng.randint(0, n)
+        k, c = rng.choice((0, 0, 1, 5)), rng.randint(1, 3)
+        kind = rng.randrange(5)
+        if kind == 0:  # double roots at integers, a minimum of 0 at r
+            p = lambda t, r=r, r2=r2, k=k, c=c: c * (t - r) ** 2 * ((t - r2) ** 2 + k)
+        elif kind == 1:  # negative at the one integer r
+            p = lambda t, r=r, r2=r2, k=k, c=c: (4 * c * (t - r) ** 2 - 1) * ((t - r2) ** 2 + k + 1)
+        elif kind == 2:
+            coeffs = [rng.randint(-40, 40) for _ in range(5)]
+            p = lambda t, coeffs=coeffs: sum(a * t**i for i, a in enumerate(coeffs))
+        else:  # Bernstein form, often a single negative coefficient
+            beta = [rng.choice((0, 1, 2, 9)) for _ in range(5)]
+            if rng.random() < 0.5:
+                beta[rng.randrange(5)] = -rng.choice((1, 2))
+            p = bernstein(beta, n)
+        bkind = rng.randrange(4) if kind < 3 else 3
+        if bkind == 0:  # zero at the integer r when k = 0
+            b = lambda t, r=r, k=k: (t - r) ** 2 + k
+        elif bkind == 1:  # negative at the one integer r
+            b = lambda t, r=r: 4 * (t - r) ** 2 - 1
+        elif bkind == 2:
+            coeffs = [rng.randint(-9, 30), rng.randint(-9, 9), rng.randint(-3, 3)]
+            b = lambda t, coeffs=coeffs: sum(a * t**i for i, a in enumerate(coeffs))
+        else:
+            gamma = [rng.choice((1, 2, 5)) for _ in range(3)]
+            if rng.random() < 0.4:
+                gamma[rng.randrange(3)] = rng.choice((0, -1))
+            b = bernstein(gamma, n)
+        exact = None
+        if kind >= 3 and bkind == 3:
+            exact = min(beta) >= 0 and min(gamma) > 0
+        yield p, b, n, exact
+
+
+class TestCertificate:
+    """``_certified`` against brute force on seeded polynomials."""
+
+    def test_sound_and_exact_on_bernstein_forms(self):
+        rng = random.Random(2012)
+        accepted = zero_at_integer = exact_cases = 0
+        for p, b, n, exact in certificate_cases(rng):
+            # The ranking's form: B and L = (P + y B0) / x with P = x P0
+            # over B = x B0, so x L - y B = x P0.
+            x, y = rng.choice((1, 2, 7)), rng.randint(-5, 5)
+            ls = [p(t) + y * b(t) for t in range(SAMPLES)]
+            bs = [x * b(t) for t in range(SAMPLES)]
+            ok = _certified(x, y, *_forward(ls, bs), n + 1)
+            if exact is not None:
+                exact_cases += 1
+                assert ok == exact, (n, exact)
+            if ok:
+                accepted += 1
+                values = [p(t) for t in range(n + 1)]
+                assert min(values) >= 0 and min(b(t) for t in range(n + 1)) > 0, n
+                zero_at_integer += 0 in values
+        assert accepted > 300 and zero_at_integer > 100 and exact_cases > 800
+
+
+class TestPruning:
+    """The pruned ranking against a walk of every row."""
+
+    def test_same_count_and_pick_as_the_full_walk(self, monkeypatch):
+        seen = []
+
+        def recording(profiles, top_n, top_d):
+            seen.append((profiles, top_n, top_d))
+            return _rank(profiles, top_n, top_d)
+
+        monkeypatch.setattr(destabilizer, "_rank", recording)
+        rng = random.Random(17)
+        for poly in profile_polygons():
+            seen.clear()
+            scan(poly, invariants.extremal_field(poly), ScanConfig(24, 40, 2))
+            # The first round over the whole grid and the two refine rounds.
+            assert len(seen) == 3
+            for profiles, top_n, top_d in seen:
+                ratios = [
+                    (count > SAMPLES, Fraction(l * cb, cl * b))
+                    for pieces in profiles
+                    for start, count, cl, cb, ls, bs in pieces
+                    for l, b in newton_rows(count, ls, bs) if b
+                ]
+                # Incumbents equal to a row's ratio: the least row's, and
+                # rows of pieces long enough to be certified, where P
+                # then vanishes at an integer.
+                ties = {min(r for _, r in ratios),
+                        *rng.sample([r for long, r in ratios if long], 3)}
+                incumbents = {(1, 0), (top_n, top_d), (-1, 1), (-1, 10**9),
+                              *((r.numerator, r.denominator) for r in ties)}
+                for incumbent in incumbents:
+                    got = _rank(profiles, *incumbent)
+                    assert got == reference_rank(profiles, *incumbent), incumbent
+
+    @pytest.mark.parametrize("name", ["cp2_2blowup", "hexagon(2,3)"])
+    def test_default_scan_skips_most_rows(self, name, monkeypatch):
+        rows = skipped = 0
+
+        def profiles(*args):
+            nonlocal rows
+            got = _profiles(*args)
+            rows += sum(piece[1] for pieces in got for piece in pieces)
+            return got
+
+        def certified(x, y, dl, db, count):
+            nonlocal skipped
+            ok = _certified(x, y, dl, db, count)
+            skipped += count if ok else 0
+            return ok
+
+        monkeypatch.setattr(destabilizer, "_profiles", profiles)
+        monkeypatch.setattr(destabilizer, "_certified", certified)
+        poly = catalog(name)
+        scan(poly, invariants.extremal_field(poly))
+        assert 2 * skipped >= rows > 0

@@ -17,11 +17,14 @@ from toricstab import (
     linear_functional_L_cone,
     make_pl,
     relative_futaki,
+    scan,
     translate,
 )
 from hypothesis import given, settings, strategies as st
 
 from toricstab import build_polytope, geometry, halfspace, integration, invariants, report
+from toricstab.cli import main
+from toricstab.destabilizer import ScanConfig
 from toricstab.errors import OriginNotInterior, WrongFamily
 from toricstab.geometry import intersect
 from toricstab.plfunc import AffineFunction, affine, zero_function
@@ -135,6 +138,26 @@ class TestExtremalField:
 
         ext = invariants.extremal_field(blowup1)
         assert ext.a == (expected, expected)
+
+    def test_scan_and_its_report_share_one_solve(self, monkeypatch, capsys):
+        # The solve is kept on the polytope, so the report built after a
+        # scan reads the scan's: one second-moment solve per polytope, in
+        # the library and in the CLI's scan command.
+        solved = []
+        moments = invariants.second_moment_matrix
+
+        def counted(poly, c=None):
+            solved.append(poly)
+            return moments(poly, c)
+
+        monkeypatch.setattr(invariants, "second_moment_matrix", counted)
+        poly = catalog("cp2_2blowup")
+        result = scan(poly, invariants.extremal_field(poly), ScanConfig(24, 8, 1))
+        report.build_report(poly, scan_result=result)
+        assert solved == [poly]
+        assert main(["scan", "--catalog", "hexagon(2,3)"]) == 0
+        capsys.readouterr()
+        assert len(solved) == 2
 
     def test_moment_matrix_positive_definite(self):
         for name in ("cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup", "cp2_3blowup"):
