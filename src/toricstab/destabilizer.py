@@ -326,20 +326,13 @@ def _affine(cand) -> AffineFunction:
 
 
 def _kernel_data(poly: Polytope, extremal: ExtremalData):
+    """The arguments of :func:`simple_pl_values` before the candidates: the
+    vertices along :attr:`Polytope.ccw_cycle`, the lattice lengths of the
+    edges along :attr:`Polytope.ccw_facets` and the weight's integer form."""
     cycle = poly.ccw_cycle
     vden, verts = _linalg.over_common_denominator([poly.vertices[i] for i in cycle])
     vxs, vys = map(list, zip(*verts))
-
-    edge_by_pair = {}
-    for facet in poly.facets:
-        i, j = facet.vertex_indices
-        edge_by_pair[frozenset((i, j))] = facet.measure
-    edges = []
-    m = len(cycle)
-    for pos in range(m):
-        i, j = cycle[pos], cycle[(pos + 1) % m]
-        length = edge_by_pair[frozenset((i, j))]
-        edges.append((pos, (pos + 1) % m, length.numerator, length.denominator))
+    edges = [facet.measure.as_integer_ratio() for facet in poly.ccw_facets]
 
     wden, wgrad, w0 = invariants._weight(poly, extremal).affine_numerators()
     return vxs, vys, vden, edges, [w0, *wgrad], wden

@@ -10,7 +10,8 @@ Vertices come from one place, :func:`_clip`, which cuts a known body by
 half-spaces one at a time and carries along which half-spaces are tight
 at each vertex (its active set), each vertex as integer numerators over
 a denominator.  :func:`build_polytope` validates user input and then
-clips a bounding box by every input half-space; a cell
+clips a bounding box by every input half-space, and the clip decides
+whether the body is empty, then unbounded, then flat; a cell
 (:func:`intersect`) clips its parent's vertices by a few more.  Either
 way the vertices and their active sets go to :func:`_build`, which
 derives everything else from them; which half-spaces support facets,
@@ -24,7 +25,8 @@ cycle by :func:`_facet_simplices`, and :func:`_simplex_moments` sums the
 closed-form moments over those simplices.  A facet is fanned the same way
 in its own dimension.  The cone form has one pyramid per facet, with its
 apex at the origin (:attr:`Polytope._cone_halfspaces`), and fans it like
-any other clip.
+any other clip.  The boundary sums its facets' moments over one
+denominator (:attr:`Polytope._boundary_moments`).
 
 Boundary pieces carry the lattice measure: on the facet with normal ``l``
 it is the Euclidean surface measure divided by ``|l|_2``.  Because the
@@ -39,10 +41,9 @@ the simplicity check, :func:`delzant_check`, the start of the
 :func:`_best_origin` LP and every later clip read its tight sets, and
 nothing is rebuilt from ``Fraction`` vertices.
 Everything an integral reads beyond that is a cached property, computed
-on first use and kept: a facet's simplices over one denominator, their
-lattice measures (:attr:`Facet.simplex_measures`) and the facet's
-moments, the body's moments, the volume and barycenter, and the
-pyramids of the cone form.
+on first use and kept: a facet's simplices over one denominator and its
+moments, the boundary's moments, the body's moments, the volume and
+barycenter, and the pyramids of the cone form.
 
 The cells of the cone form are never polytopes.  It reads nothing of a
 cone cell but its moments, so :func:`_cell_moments` clips a pyramid's
@@ -115,12 +116,12 @@ class Facet:
     polytope's vertex list and ``vertices`` the points themselves, both in
     the order :func:`_facets` gives: the cycle from the first vertex in
     3-D, increasing otherwise.  ``normal`` is the primitive integer normal
-    ``l`` of its half-space.  The simplices tiling the facet and the
-    lattice measure of each, the exact rational Euclidean measure over
-    ``|l|_2``, are computed on the first read of :attr:`simplex_measures`
-    or :attr:`measure` and kept.  Boundary integrals and boundary measures
-    read them; the facets of a cell that is only integrated over its
-    volume never pay for them.
+    ``l`` of its half-space.  The simplices tiling the facet, each with
+    its lattice measure, the exact rational Euclidean measure over
+    ``|l|_2``, and the facet's moments with that measure are computed on
+    the first read of :attr:`_moments` or :attr:`measure` and kept.
+    Boundary integrals and boundary measures read them; the facets of a
+    cell that is only integrated over its volume never pay for them.
     """
 
     halfspace_index: int
@@ -155,15 +156,11 @@ class Facet:
         """:func:`_simplex_moments` of the facet with its lattice measure."""
         return _simplex_moments(len(self.normal) - 1, *self._integer_simplices)
 
-    @functools.cached_property
-    def simplex_measures(self) -> tuple:
-        _, scale, simplices = self._integer_simplices
-        return tuple(Fraction(c, scale) for c, _ in simplices)
-
     @property
     def measure(self) -> Fraction:
-        _, scale, simplices = self._integer_simplices
-        return Fraction(sum(c for c, _ in simplices), scale)
+        """The lattice measure: the ``()`` entry of :attr:`_moments`."""
+        denominator, moments = self._moments
+        return Fraction(moments[()], denominator)
 
 
 @dataclass(frozen=True)
@@ -239,7 +236,8 @@ class Polytope:
 
     @functools.cached_property
     def boundary_measure(self) -> Fraction:
-        return sum((f.measure for f in self.facets), Fraction(0))
+        denominator, moments = self._boundary_moments
+        return Fraction(moments[()], denominator)
 
     @functools.cached_property
     def rbar(self) -> Fraction:
@@ -267,6 +265,20 @@ class Polytope:
         by volume integrals of degree <= 2."""
         cycles = [f.vertex_indices for f in self.facets]
         return _simplex_moments(self.dim, *_fan(self.dim, self._clip_start, cycles))
+
+    @functools.cached_property
+    def _boundary_moments(self) -> tuple:
+        """The facets' :attr:`Facet._moments` summed over the ``lcm`` of
+        their denominators: the moments of the boundary with its lattice
+        measure, read by boundary integrals of degree <= 2."""
+        moments = [f._moments for f in self.facets]
+        denominator = lcm(*[d for d, _ in moments])
+        total = dict.fromkeys(moments[0][1], 0)
+        for d, values in moments:
+            s = denominator // d
+            for key, value in values.items():
+                total[key] += s * value
+        return denominator, total
 
     @functools.cached_property
     def _cone_halfspaces(self) -> tuple:
@@ -329,6 +341,13 @@ class Polytope:
             neighbours[b].append(a)
         return tuple(_ccw_walk([(q, *p) for _, p, q, _ in self._clip_start], neighbours))
 
+    @functools.cached_property
+    def ccw_facets(self) -> tuple:
+        """The facets along :attr:`ccw_cycle`, the k-th from its k-th vertex
+        to the next (surfaces only): the one facet in both tight sets."""
+        tight = [self._clip_start[i][3] for i in self.ccw_cycle]
+        return tuple(self.facets[min(a & b)] for a, b in zip(tight, tight[1:] + tight[:1]))
+
 
 # ---------------------------------------------------------------------------
 # construction
@@ -346,9 +365,9 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     entry|`` and ``ceil(|bound|)``, puts every vertex of the body strictly
     inside the box: by Cramer's rule a vertex coordinate is a determinant
     with entries of size at most ``H``, so at most ``n! H**n``, over a
-    nonzero integer determinant.  So an empty clip means an empty body,
-    which is reported before any recession direction is looked for; for a
-    bounded body no box half-space is tight at a vertex, and the active
+    nonzero integer determinant.  So the clip decides, in this order,
+    that the body is empty (no vertex), unbounded (a vertex on the box,
+    see :func:`_check_bounded`) or flat.  For a bounded body the active
     sets lose nothing when the box indices are shifted off.  Redundant
     half-spaces (touching the body in dimension below n-1 or not at all)
     are dropped with a warning record.
@@ -396,7 +415,7 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     clipped = _clip(start, box + deduped, n, len(box))
     if not clipped:
         raise Degenerate("half-space intersection is empty")
-    _check_recession(deduped, n)
+    _check_bounded(clipped, box + deduped, n)
     if not _full_body(clipped, n):
         raise Degenerate("vertex hull is not full-dimensional")
     body = [(v, p, q, frozenset(i - len(box) for i in at_v)) for v, p, q, at_v in clipped]
@@ -543,27 +562,29 @@ def _best_origin(poly: Polytope) -> BestOrigin:
     return BestOrigin(point=z[:n], max_support=z[n], depth=z[n + 1])
 
 
-def _check_recession(hs, n):
-    """Raise :class:`Unbounded` when the body of ``hs``, whose normals
-    span, recedes in some direction.
+def _check_bounded(clipped, hs, n):
+    """Raise :class:`Unbounded` when a vertex of the box clip ``clipped``
+    of :func:`build_polytope` is tight at the box, naming the direction
+    of an unbounded edge of the body.
 
-    The recession cone is pointed once the normals span; it is nonzero
-    exactly when some candidate extreme ray (null direction of an
-    (n-1)-subset of normals) satisfies every inequality ``<l, v> <= 0``.
+    ``hs`` is the box's ``2 n`` half-spaces, then the body's, whose
+    normals span.  The box holds every vertex of the body strictly
+    inside, so a bounded body is its own clip.  An unbounded one has an
+    extreme ray, and where that leaves the box the clip vertex is tight at
+    n - 1 independent body normals (:func:`_spans_edge`); their null
+    vector, turned out through the box face that the ray crosses from
+    inside, recedes from every half-space.
     """
-    normals = [h.normal for h in hs]
-    if n == 1:
-        candidates = [(1,), (-1,)]
-    else:
-        candidates = []
-        for subset in itertools.combinations(range(len(hs)), n - 1):
-            v = _linalg.cross_generalized([normals[i] for i in subset], n)
-            if any(c != 0 for c in v):
-                candidates.append(v)
-                candidates.append(tuple(-c for c in v))
-    for v in candidates:
-        if all(_linalg.dot(h.normal, v) <= 0 for h in hs):
-            raise Unbounded(f"direction {v} recedes")
+    for _, _, _, at_v in clipped:
+        faces = sorted(i for i in at_v if i < 2 * n)
+        normals = [hs[i].normal for i in sorted(at_v) if i >= 2 * n]
+        if faces and _spans_edge(normals, n):
+            d = next(d for rows in itertools.combinations(normals, n - 1)
+                     if any(d := _linalg.cross_generalized(rows, n)))
+            # Box half-space 2j is x_j <= m, so the ray leaves it with d_j > 0.
+            j, s = divmod(faces[0], 2)
+            g = gcd(*d) if (d[j] > 0) == (s == 0) else -gcd(*d)
+            raise Unbounded(f"direction {tuple(c // g for c in d)} recedes")
 
 
 def _facet_simplices(points, n) -> list:
@@ -601,27 +622,6 @@ def _edges(points):
     """Edge vectors from the first of the integer points."""
     base = points[0]
     return [[a - b for a, b in zip(p, base)] for p in points[1:]]
-
-
-def _angular_order(vectors):
-    """Indices sorted by exact angle of nonzero planar vectors."""
-
-    def half(v):
-        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
-
-    def compare(i, j):
-        vi, vj = vectors[i], vectors[j]
-        hi, hj = half(vi), half(vj)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        cross = vi[0] * vj[1] - vi[1] * vj[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(range(len(vectors)), key=functools.cmp_to_key(compare))
 
 
 # ---------------------------------------------------------------------------

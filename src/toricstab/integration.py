@@ -7,9 +7,11 @@ denominator, and every region, a polytope from the fan of its integer
 vertices and a facet from its simplices with their lattice measures,
 computes once and keeps its integer moments of degree <= 2 over one
 denominator (:func:`geometry._simplex_moments`, from the closed-form
-simplex moments of Baldoni, Berline, De Loera, Koeppe and Vergne).  An integral is then
-one integer dot product and one ``Fraction`` (:func:`_form_integral`): a
-volume integral builds one per call, a boundary integral one per facet.
+simplex moments of Baldoni, Berline, De Loera, Koeppe and Vergne); a
+polytope's boundary keeps its facets' moments summed over one
+denominator (``Polytope._boundary_moments``).  An integral of a
+polynomial is then one integer dot product and one ``Fraction``
+(:func:`_form_integral`), over the body or over its boundary.
 An affine piece of a PL function enters as its own integer form
 (``AffineFunction.form``, built once per piece): the integrals, the
 pairings and the lattice sum's piece table all read it, and none builds
@@ -228,14 +230,15 @@ def integrate_pl(u) -> Fraction:
 def boundary_integral(poly: Polytope, f) -> Fraction:
     """Exact integral over the boundary with the lattice measure.
 
-    ``f`` is a :class:`Polynomial`, integrated facet by facet, or a
+    ``f`` is a :class:`Polynomial`, integrated as one dot product with the
+    boundary's moments (``Polytope._boundary_moments``), or a
     ``PLFunction``, integrated through its cell subdivision: each cell is
     a polytope that shares its outer facets with ``poly``, so restricting
     the active piece to those facets covers the boundary exactly once.
     """
     if not isinstance(f, Polynomial):
         return _boundary_integral_pl(poly, f)
-    return sum((_form_integral(facet._moments, f) for facet in poly.facets), Fraction(0))
+    return _form_integral(poly._boundary_moments, f)
 
 
 def _boundary_integral_pl(poly: Polytope, u) -> Fraction:

@@ -22,7 +22,6 @@ which the crease scan reads too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,15 +94,9 @@ def average_scalar_curvature(poly: Polytope) -> Fraction:
 
 
 def centering_constants(poly: Polytope) -> tuple:
-    """Constants c with integral of (x_j + c_j) over P equal to zero."""
-    vol = poly.volume
-    out = []
-    for j in range(poly.dim):
-        moment = integration.integrate_polynomial(
-            poly, Polynomial.coordinate(poly.dim, j)
-        )
-        out.append(-moment / vol)
-    return tuple(out)
+    """Constants c with integral of (x_j + c_j) over P equal to zero: the
+    negated barycenter."""
+    return tuple(-x for x in poly.barycenter)
 
 
 def futaki_vector(poly: Polytope, c=None) -> tuple:
@@ -112,26 +105,12 @@ def futaki_vector(poly: Polytope, c=None) -> tuple:
     The volume part of the pairing vanishes by centering, so the vector is
     the boundary integral of ``x_j + c_j``; it is zero exactly when the
     obstruction to constant scalar curvature vanishes on the class.
-    ``c`` defaults to :func:`centering_constants`.
-
-    The integral of ``x_j + c_j`` is the facets' first moments in ``x_j``
-    plus ``c_j`` times their measures, so one pass reads each facet's
-    moments once, over the ``lcm`` of their denominators, and builds one
-    ``Fraction`` per coordinate.
+    ``c`` defaults to :func:`centering_constants`.  Each entry is one
+    :func:`integration.boundary_integral`.
     """
     if c is None:
         c = centering_constants(poly)
-    moments = [facet._moments for facet in poly.facets]
-    den = math.lcm(*[d for d, _ in moments])
-    measure = 0
-    first = [0] * poly.dim
-    for d, values in moments:
-        s = den // d
-        measure += s * values[()]
-        for j in range(poly.dim):
-            first[j] += s * values[(j,)]
-    return tuple(Fraction(f * cj.denominator + cj.numerator * measure, den * cj.denominator)
-                 for f, cj in zip(first, c))
+    return tuple(integration.boundary_integral(poly, x) for x in _centered(poly.dim, c))
 
 
 def _centered(n, c) -> list:
@@ -380,10 +359,13 @@ def hexagon_parameters(poly: Polytope):
     """
     if poly.dim != 2 or len(poly.facets) != 6:
         return None
-    hs = [poly.halfspaces[f.halfspace_index] for f in poly.facets]
-    order = geometry._angular_order([h.normal for h in hs])
-    normals = [hs[i].normal for i in order]
-    bounds = [hs[i].bound for i in order]
+    hs = [poly.halfspaces[f.halfspace_index] for f in poly.ccw_facets]
+    # The normals turn counterclockwise along the facets, so the one at the
+    # least angle is the first in the half-turn [0, pi) after one outside it.
+    upper = [h.normal[1] > 0 or (h.normal[1] == 0 and h.normal[0] > 0) for h in hs]
+    start = next(i for i in range(6) if upper[i] and not upper[i - 1])
+    normals = [h.normal for h in hs[start:] + hs[:start]]
+    bounds = [h.bound for h in hs[start:] + hs[:start]]
     if _linalg.det_int(normals[:2]) != 1:
         return None
     for i in range(6):

@@ -37,9 +37,9 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
     """Exact functional and boundary values for single-crease candidates.
 
     The polygon has vertices ``(vxs[i], vys[i]) / vden`` in counterclockwise
-    order.  ``edges`` rows are ``(i, i + 1 mod m, lnum, lden)`` in that
-    order, giving the boundary measure ``lnum / lden`` of each edge;
-    ``wlin = (w0, w1, w2)`` with ``wden`` encodes the weight
+    order.  ``edges`` rows are ``(lnum, lden)``, one per edge from vertex
+    ``i`` to ``i + 1 mod m`` in that order, giving its boundary measure
+    ``lnum / lden``; ``wlin = (w0, w1, w2)`` with ``wden`` encodes the weight
     ``(w0 + w1 x + w2 y) / wden``.  Each candidate ``(g0, g1, g2, gden)``
     with ``gden > 0`` is the crease function ``g = (g0 + g1 x + g2 y) /
     gden`` and the evaluated function is ``u = max(0, g)``.  A candidate
@@ -66,9 +66,9 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
     nv = len(vxs)
     # The weight at each vertex, scaled by wden * vden.
     what = [w1 * x + w2 * y + w0v for x, y in zip(vxs, vys)]
-    eden = lcm(*[row[3] for row in edges])
+    eden = lcm(*[lden for _, lden in edges])
     # The length of the edge into each vertex, over eden.
-    into = [lnum * (eden // lden) for _, _, lnum, lden in edges[-1:] + edges[:-1]]
+    into = [lnum * (eden // lden) for lnum, lden in edges[-1:] + edges[:-1]]
 
     def det(s, j, k):
         """Twice the signed area of the triangle ``(s, j, k)``, over ``vden**2``."""

@@ -2,7 +2,8 @@
 
 The helpers include the simplex and lattice-vector routines that only
 tests need: :func:`simplex_halfspaces` with its :class:`DegenerateSimplex`,
-:func:`affine_rank` and :func:`primitivize`.
+:func:`affine_rank` and :func:`primitivize`, and the oracles
+:func:`simplex_measures` and :func:`check_recession`.
 """
 
 import itertools
@@ -10,7 +11,7 @@ import math
 from fractions import Fraction
 
 from toricstab import _linalg, build_polytope, halfspace
-from toricstab.errors import ToricStabError
+from toricstab.errors import ToricStabError, Unbounded
 from toricstab.geometry import HalfSpace, _edges, intersect
 
 
@@ -113,6 +114,37 @@ def body_simplices(poly):
     v0 = poly.vertices[0]
     return [(v0, *face) for facet in poly.facets if 0 not in facet.vertex_indices
             for face in facet_faces(facet, poly.dim)]
+
+
+def simplex_measures(facet):
+    """The lattice measures of the simplices tiling a facet, in the order
+    of its ``_integer_simplices``: each simplex's integer ``c`` over the
+    facet's ``scale``."""
+    _, scale, simplices = facet._integer_simplices
+    return tuple(Fraction(c, scale) for c, _ in simplices)
+
+
+def check_recession(hs, n):
+    """Raise :class:`Unbounded` when the body of ``hs``, whose normals
+    span, recedes in some direction; the oracle for boundedness.
+
+    The recession cone is pointed once the normals span; it is nonzero
+    exactly when some candidate extreme ray (null direction of an
+    (n-1)-subset of normals) satisfies every inequality ``<l, v> <= 0``.
+    """
+    normals = [h.normal for h in hs]
+    if n == 1:
+        candidates = [(1,), (-1,)]
+    else:
+        candidates = []
+        for subset in itertools.combinations(range(len(hs)), n - 1):
+            v = _linalg.cross_generalized([normals[i] for i in subset], n)
+            if any(c != 0 for c in v):
+                candidates.append(v)
+                candidates.append(tuple(-c for c in v))
+    for v in candidates:
+        if all(_linalg.dot(h.normal, v) <= 0 for h in hs):
+            raise Unbounded(f"direction {v} recedes")
 
 
 def cells_across(poly, cuts):

@@ -1,7 +1,9 @@
 """Polytope construction, verification, and decomposition."""
 
+import ast
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ from helpers import (
     affine_rank,
     body_simplices,
     cells_across,
+    check_recession,
     facet_faces,
     hull_polygon,
     primitivize,
@@ -43,6 +46,7 @@ from helpers import (
     random_polygon,
     shoelace,
     simplex_halfspaces,
+    simplex_measures,
     simplex_volume,
 )
 
@@ -573,6 +577,63 @@ class TestBuildAgainstEnumeration:
             assert self.check(rows, require_simple=False) == (Degenerate, message)
 
 
+def _boundedness_oracle(rows):
+    """The error class ``build_polytope(rows, require_simple=False)`` must
+    raise, or None: the pre-checks, then emptiness by enumeration, then
+    recession by :func:`check_recession`, then flatness."""
+    n = len(rows[0].normal)
+    deduped = list(dict.fromkeys(rows))
+    if len(rows) < n + 1 or _linalg.rank([h.normal for h in deduped]) < n:
+        return Unbounded
+    vertices = _enumerate_vertices(deduped, n)
+    if not vertices:
+        return Degenerate
+    try:
+        check_recession(deduped, n)
+    except Unbounded:
+        return Unbounded
+    return Degenerate if affine_rank(vertices) < n else None
+
+
+class TestBoundedness:
+    """The box clip decides boundedness; :func:`check_recession` is the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_systems(self, n):
+        rng = random.Random(f"boundedness-{n}")
+        seen = {Unbounded: 0, Degenerate: 0, None: 0}
+        named = 0
+        for _ in range(1000):
+            rows = [halfspace(_primitive(rng, n), Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                    for _ in range(rng.randint(n + 1, n + 3))]
+            if rng.random() < 0.2:
+                rows.append(rng.choice(rows))
+            expected = _boundedness_oracle(rows)
+            try:
+                build_polytope(rows, require_simple=False)
+                got, message = None, ""
+            except (Unbounded, Degenerate) as exc:
+                got, message = type(exc), str(exc)
+            assert got is expected, rows
+            seen[got] += 1
+            if message.startswith("direction "):
+                direction = ast.literal_eval(message[len("direction "):-len(" recedes")])
+                assert len(direction) == n and any(direction)
+                assert math.gcd(*direction) == 1
+                # The clip names the edge it meets first, which need not be
+                # the oracle's first candidate ray; any receding one will do.
+                assert all(_linalg.dot(h.normal, direction) <= 0 for h in rows), rows
+                named += 1
+        assert min(seen.values()) >= 100 and named >= 300
+
+    def test_box_corner_edges(self):
+        # The cone over (1, 1, 0), (1, 0, 1) and (0, 1, 1) meets the box on
+        # its edges and at its corner (m, m, m), where no body half-space is tight.
+        rows = [halfspace(l, 0) for l in ((1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+        with pytest.raises(Unbounded, match=r"direction \((1, 1, 0|1, 0, 1|0, 1, 1)\) recedes"):
+            build_polytope(rows + [halfspace((-1, 0, 0), 1)])
+
+
 def _rebuilt_clip_start(poly):
     """The clip a polytope keeps, rebuilt from its ``Fraction`` vertices
     and its facets: each vertex over the least common denominator of its
@@ -936,20 +997,20 @@ class TestFacetMeasures:
                 assert _unmeasured(facet)
                 norm_sq = sum(c * c for c in h.normal)
                 faces = facet_faces(facet, poly.dim)
-                assert len(facet.simplex_measures) == len(faces)
-                for face, measure in zip(faces, facet.simplex_measures):
+                assert len(simplex_measures(facet)) == len(faces)
+                for face, measure in zip(faces, simplex_measures(facet)):
                     assert all(h.value(v) == h.bound for v in face)
                     assert measure > 0
                     assert measure * measure == _euclidean_sq(face) / norm_sq
                     checked += 1
-                assert facet.measure == sum(facet.simplex_measures)
+                assert facet.measure == sum(simplex_measures(facet))
                 corners = {v for face in faces for v in face}
                 assert corners == {poly.vertices[j] for j in facet.vertex_indices}
         assert checked > 1000
 
     def test_interval_facets_measure_one(self):
         poly = build_polytope([halfspace((1,), F(7) / 3), halfspace((-1,), F(1) / 2)])
-        assert [f.simplex_measures for f in poly.facets] == [(1,), (1,)]
+        assert [simplex_measures(f) for f in poly.facets] == [(1,), (1,)]
 
     def test_cone_form_leaves_cone_cells_unmeasured(self, monkeypatch):
         # The cone form reads only the moments of its cone cells, so it

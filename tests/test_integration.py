@@ -33,6 +33,7 @@ from helpers import (
     primitivize,
     random_polygon,
     simplex_halfspaces,
+    simplex_measures,
     simplex_volume,
 )
 
@@ -383,8 +384,8 @@ class TestOneDenominatorSums:
             pieces = []
             for facet in poly.facets:
                 faces = facet_faces(facet, n)
-                assert len(faces) == len(facet.simplex_measures)
-                pieces += zip(faces, facet.simplex_measures)
+                assert len(faces) == len(simplex_measures(facet))
+                pieces += zip(faces, simplex_measures(facet))
             for degree in range(3):
                 f = _random_polynomial(rng, n, degree)
                 value = boundary_integral(poly, f)

@@ -581,3 +581,96 @@ class TestOriginIndependence:
         poly = build_polytope([halfspace(m, b) for m, b in zip(normals, bounds)])
         assert len(poly.facets) == 6
         assert invariants.hexagon_parameters(poly) is None
+
+
+def _angular_order(vectors):
+    """Indices sorted by exact angle of nonzero planar vectors."""
+
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+
+    def compare(i, j):
+        vi, vj = vectors[i], vectors[j]
+        hi, hj = half(vi), half(vj)
+        if hi != hj:
+            return -1 if hi < hj else 1
+        cross = vi[0] * vj[1] - vi[1] * vj[0]
+        return -1 if cross > 0 else 1 if cross < 0 else 0
+
+    return sorted(range(len(vectors)), key=functools.cmp_to_key(compare))
+
+
+def _hexagon_oracle(poly):
+    """``hexagon_parameters`` with the normals sorted by angle."""
+    if poly.dim != 2 or len(poly.facets) != 6:
+        return None
+    hs = [poly.halfspaces[f.halfspace_index] for f in poly.facets]
+    order = _angular_order([h.normal for h in hs])
+    normals = [hs[i].normal for i in order]
+    bounds = [hs[i].bound for i in order]
+    if normals[0][0] * normals[1][1] - normals[0][1] * normals[1][0] != 1:
+        return None
+    if any(tuple(a + b for a, b in zip(normals[i - 1], normals[(i + 1) % 6])) != normals[i]
+           for i in range(6)):
+        return None
+    if not bounds[0] + bounds[3] == bounds[1] + bounds[4] == bounds[2] + bounds[5]:
+        return None
+    return sum(bounds[0::2]) / 3, sum(bounds[1::2]) / 3
+
+
+class TestHexagonOrder:
+    """``hexagon_parameters`` reads the normals along ``ccw_facets``; an
+    angular sort is the oracle."""
+
+    HEXAGON_NORMALS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+
+    def test_lattice_images(self):
+        rng = random.Random("hexagon-order")
+        for _ in range(60):
+            lam = F(rng.randint(3, 12), rng.randint(1, 3))
+            mu = lam * F(rng.randint(11, 39), 20)
+            word = [rng.randrange(len(_GL2_GENERATORS)) for _ in range(rng.randint(0, 5))]
+            shift = (F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(-9, 9), rng.randint(1, 4)))
+            moved = _lattice_image(hexagon(lam, mu), word, shift)
+            got = invariants.hexagon_parameters(moved)
+            assert got == _hexagon_oracle(moved)
+            assert got in ((lam, mu), (mu, lam))
+
+    def test_near_misses(self):
+        rng = random.Random("hexagon-misses")
+        for _ in range(30):
+            word = [rng.randrange(len(_GL2_GENERATORS)) for _ in range(rng.randint(0, 4))]
+            bounds = [F(rng.randint(4, 6))] * 6
+            bounds[rng.randrange(6)] += F(1, rng.randint(2, 9))
+            normals = list(self.HEXAGON_NORMALS)
+            if rng.random() < 0.5:
+                # (2, 1) in place of (1, 1) keeps six facets but breaks the relations.
+                normals[1] = (2, 1)
+                bounds = [F(3), F(5), F(3), F(3), F(3), F(3)]
+            poly = _lattice_image(
+                build_polytope([halfspace(m, b) for m, b in zip(normals, bounds)]), word, (0, 0))
+            assert len(poly.facets) == 6
+            assert invariants.hexagon_parameters(poly) is None
+            assert _hexagon_oracle(poly) is None
+
+    def test_lattice_symmetries(self):
+        # The rotation taking each normal to the next, and the swap of the
+        # axes; each image lists the same half-spaces in another order.
+        rotation, swap = ((1, -1), (1, 0)), ((0, 1), (1, 0))
+        poly = hexagon(2, 3)
+        images = set()
+        for turns in range(6):
+            for flip in (False, True):
+                a = ((1, 0), (0, 1))
+                for g in [swap] * flip + [rotation] * turns:
+                    a = tuple(tuple(sum(g[i][k] * a[k][j] for k in range(2)) for j in range(2))
+                              for i in range(2))
+                moved = build_polytope([
+                    halfspace(tuple(sum(a[i][j] * h.normal[j] for j in range(2)) for i in range(2)),
+                              h.bound)
+                    for h in poly.halfspaces])
+                images.add(moved.halfspaces)
+                got = invariants.hexagon_parameters(moved)
+                assert got == _hexagon_oracle(moved)
+                assert got in ((2, 3), (3, 2))
+        assert len(images) == 12
