@@ -1,11 +1,13 @@
-"""Exact stability analysis of rational convex polytopes for toric surfaces.
+"""Exact stability analysis of rational convex polytopes for toric manifolds.
 
 The library decides sufficient conditions for relative stability and
 energy properness directly from half-space data, in exact rational
-arithmetic throughout: polytope combinatorics, polynomial and boundary
-integrals with the lattice measure, lattice-point sums, convex
-piecewise-linear functions, the extremal potential, degeneration
-invariants, and a certified grid scan for destabilizers.
+arithmetic throughout, for polytopes of dimension 1 to 3: polytope
+combinatorics, polynomial and boundary integrals with the lattice
+measure, lattice-point sums, convex piecewise-linear functions, the
+extremal potential and degeneration invariants.  For polygons a grid scan
+over single-crease functions bounds the least ratio ``L(u) / B(u)`` from
+above, its winner re-verified through the general functional.
 """
 
 __version__ = "0.1.0"

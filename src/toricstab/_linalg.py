@@ -1,10 +1,16 @@
-"""Exact linear algebra on small rational matrices.
+"""Exact linear algebra on small integer and rational matrices.
 
 Everything here is sized for the ambient dimensions the rest of the
-library supports (1 to 3) plus the occasional (n)x(n) moment system.
-Determinants and solves clear denominators first and then work on
-integers (fraction-free elimination), so no intermediate rounding can
-occur; results come back as ``Fraction``.
+library supports (1 to 3) and the small systems built on them: the
+second-moment solve for the extremal potential and the best-origin LP.
+There is one elimination, :func:`_eliminate`, the forward pass of
+Bareiss's fraction-free Gaussian elimination: every entry it leaves is a
+minor of its input, so each division is exact and no rational forms.
+:func:`rank` counts its pivots and :func:`det_int` reads its last pivot
+(closed forms cover n <= 3).  :func:`solve` and :func:`adjugate` run it
+over the augmented rows ``[A | b]`` and ``[A | I]``, and only they
+back-substitute (:func:`_solve_integer`).  Rational input goes over one
+common denominator first; results become ``Fraction`` only at the end.
 """
 
 from fractions import Fraction
@@ -19,12 +25,6 @@ def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def clear_row_denominators(row):
-    """Scale a rational row to integers; returns the integer row."""
-    mult = lcm(*[entry.denominator for entry in row])
-    return [entry.numerator * (mult // entry.denominator) for entry in row]
-
-
 def over_common_denominator(points):
     """``(q, integer_points)`` with each rational point equal to its integer point / q.
 
@@ -32,15 +32,67 @@ def over_common_denominator(points):
     point, so exact work on the points can run on integers and build one
     ``Fraction`` at the end.
     """
-    # lcm gets a list, not a generator, here and below: CPython builds the
-    # argument tuple of a generator oversized and shrinks it, and the shrunk
-    # tuples pile up in its tuple free lists (about 1 MB over a long run).
+    # lcm gets a list, not a generator: CPython builds the argument tuple of
+    # a generator oversized and shrinks it, and the shrunk tuples pile up in
+    # its tuple free lists (about 1 MB over a long run).
     q = lcm(*[c.denominator for p in points for c in p])
     return q, [[c.numerator * (q // c.denominator) for c in p] for p in points]
 
 
+def _eliminate(rows, width):
+    """Forward fraction-free (Bareiss) elimination of integer rows.
+
+    Each of the first ``width`` columns takes as pivot its first nonzero
+    entry at or below the current row, swapped up, or is skipped.  A pivot
+    replaces each row below by ``(pivot * row - row[c] * pivot_row) /
+    previous pivot``, exact as every entry is then a minor of the swapped
+    input (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22 (1968)).  Returns ``(m, rank,
+    sign)``, ``sign`` that of the row swaps; with ``width`` pivots the last
+    is the determinant of the swapped leading ``width`` columns.
+    """
+    m = [list(row) for row in rows]
+    sign, prev, r = 1, 1, 0
+    for c in range(width):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top = m[r]
+        pivot = top[c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(pivot * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = pivot
+        r += 1
+    return m, r, sign
+
+
+def _solve_integer(rows, n):
+    """``(det * X, det)`` for the integer system ``[A | B]`` with ``A`` its
+    first n columns, or None when ``A`` is singular.
+
+    :func:`_eliminate` runs forward, then back-substitution on integers
+    with ``det = det(A)``: ``det * X = adj(A) B`` is an integer matrix, so
+    each division is exact.  ``X`` comes back one row per unknown.
+    """
+    m, r, sign = _eliminate(rows, n)
+    if r < n:
+        return None
+    det = sign * m[-1][n - 1]
+    y = [None] * n
+    for k in range(n - 1, -1, -1):
+        row = m[k]
+        y[k] = [(det * b - sum(row[j] * y[j][c] for j in range(k + 1, n))) // row[k]
+                for c, b in enumerate(row[n:])]
+    return y, det
+
+
 def det_int(rows):
-    """Determinant of a small integer matrix (Bareiss for n > 3)."""
+    """Determinant of a small integer matrix: closed forms for n <= 3,
+    else the last pivot of :func:`_eliminate`, signed by its row swaps."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -51,76 +103,25 @@ def det_int(rows):
         d, e, f = rows[1]
         g, h, i = rows[2]
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
-            m[r][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    m, r, sign = _eliminate(rows, n)
+    return sign * m[-1][-1] if r == n else 0
 
 
 def solve(rows, rhs):
     """Solve a square rational system exactly.
 
     Returns a tuple of ``Fraction`` or None when the matrix is singular.
-    Rows are scaled to integers and the solve runs on integer
-    determinants (Cramer), which keeps the elimination fraction-free.
+    The rows ``[A | b]`` go over one common denominator to
+    :func:`_solve_integer`.
     """
-    n = len(rows)
-    mat = []
-    vec = []
-    for row, b in zip(rows, rhs):
-        ints = clear_row_denominators(list(row) + [b])
-        mat.append(ints[:-1])
-        vec.append(ints[-1])
-    d = det_int(mat)
-    if d == 0:
-        return None
-    sol = []
-    for j in range(n):
-        cols = [
-            [mat[i][k] if k != j else vec[i] for k in range(n)]
-            for i in range(n)
-        ]
-        sol.append(Fraction(det_int(cols), d))
-    return tuple(sol)
+    _, system = over_common_denominator([[*row, b] for row, b in zip(rows, rhs)])
+    out = _solve_integer(system, len(rows))
+    return None if out is None else tuple(Fraction(y, out[1]) for (y,) in out[0])
 
 
 def rank(rows):
-    """Rank of an integer matrix by fraction-free Gaussian elimination.
-
-    A pivot row eliminates below it by integer cross-multiplication.
-    """
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        top = m[r]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            if f != 0:
-                m[i] = [top[c] * a - f * b for a, b in zip(m[i], top)]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank of an integer matrix: the pivot count of :func:`_eliminate`."""
+    return _eliminate(rows, len(rows[0]) if rows else 0)[1]
 
 
 def cross_generalized(rows, n):
@@ -144,18 +145,14 @@ def cross_generalized(rows, n):
 
 
 def adjugate(rows):
-    """Adjugate and determinant of a square integer matrix of size >= 2."""
+    """Adjugate and determinant of a nonsingular square integer matrix:
+    :func:`_solve_integer` of ``[A | I]``."""
     n = len(rows)
-    adj = [
-        [
-            (-1) ** (i + j) * det_int(
-                [[r[k] for k in range(n) if k != i] for idx, r in enumerate(rows) if idx != j]
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return adj, sum(a * adj[k][0] for k, a in enumerate(rows[0]))
+    out = _solve_integer([[*row, *(int(i == j) for j in range(n))]
+                          for i, row in enumerate(rows)], n)
+    if out is None:
+        raise ValueError("singular matrix")
+    return out
 
 
 def lp_minimize(rows, rhs, objectives, basis):

@@ -15,7 +15,7 @@ from . import __version__, integration, invariants, plexpr, report, reproduce, s
 from .catalog import CATALOG_NAMES, catalog
 from .errors import ToricStabError
 from .geometry import translate
-from .plfunc import make_pl
+from .plfunc import is_affine, make_pl
 from .destabilizer import ScanConfig, scan as run_scan
 
 
@@ -162,7 +162,7 @@ def _dispatch(args) -> int:
             "function": args.pl,
             "L": report.rational_entry(value),
             "pieces": len(u.pieces),
-            "affine": len(u.cells) == 1,
+            "affine": is_affine(u),
         }
         if poly.origin_interior:
             cone = invariants.linear_functional_L_cone(poly, u, extremal)

@@ -360,8 +360,8 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
     if poly.dim != 2:
         raise UnsupportedDimension(
             f"the crease scan is defined for dimension 2 only, not {poly.dim}")
-    weight = invariants._weight(poly, extremal)
-    hypothesis_ok = min(weight.evaluate(v) for v in poly.vertices) >= 0
+    # The weight rbar + theta is affine: its minimum on P is rbar + theta_min.
+    hypothesis_ok = poly.rbar + extremal.theta_min >= 0
     if poly.origin_interior:
         base = (Fraction(0), Fraction(0))
     else:

@@ -35,7 +35,7 @@ class OriginNotInterior(ToricStabError):
 # -- integration and lattice scans ------------------------------------------
 
 class ScaleOverflow(ToricStabError):
-    """A lattice scan would exceed the configured cell budget."""
+    """A lattice scan would exceed the cell budget."""
 
 
 class NonPositiveScale(ToricStabError, ValueError):

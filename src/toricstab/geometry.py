@@ -84,11 +84,6 @@ class HalfSpace:
     normal: tuple
     bound: Fraction
 
-    @property
-    def key(self):
-        """Exact identity of the supporting hyperplane with orientation."""
-        return (self.normal, self.bound)
-
     def value(self, x) -> Fraction:
         q, (p,) = _linalg.over_common_denominator((x,))
         return Fraction(_linalg.dot(self.normal, p), q)
@@ -115,19 +110,19 @@ class Facet:
     ``vertex_indices`` are the positions of the facet's vertices in the
     polytope's vertex list and ``vertices`` the points themselves, both in
     the order :func:`_facets` gives: the cycle from the first vertex in
-    3-D, increasing otherwise.  ``normal`` is the primitive integer normal
-    ``l`` of its half-space.  The simplices tiling the facet, each with
-    its lattice measure, the exact rational Euclidean measure over
-    ``|l|_2``, and the facet's moments with that measure are computed on
-    the first read of :attr:`_moments` or :attr:`measure` and kept.
+    3-D, increasing otherwise.  ``halfspace`` is the polytope's own
+    half-space the facet lies in, with the primitive normal ``l``.  The
+    simplices tiling the facet, each with its lattice measure, the exact
+    rational Euclidean measure over ``|l|_2``, and the facet's moments
+    with that measure are computed on the first read of :attr:`_moments`
+    or :attr:`measure` and kept.
     Boundary integrals and boundary measures read them; the facets of a
     cell that is only integrated over its volume never pay for them.
     """
 
-    halfspace_index: int
+    halfspace: HalfSpace
     vertex_indices: tuple
     vertices: tuple
-    normal: tuple
 
     @functools.cached_property
     def _integer_simplices(self) -> tuple:
@@ -143,18 +138,19 @@ class Facet:
         product is ``q**(n-1)`` times the rational one, so
         ``c = |<cross, l>|`` and ``scale = q**(n-1) |l|_2^2 (n-1)!``.
         """
-        n = len(self.normal)
+        normal = self.halfspace.normal
+        n = len(normal)
         q, points = _linalg.over_common_denominator(self.vertices)
-        scale = q ** (n - 1) * sum(c * c for c in self.normal) * factorial(n - 1)
+        scale = q ** (n - 1) * sum(c * c for c in normal) * factorial(n - 1)
         return q, scale, tuple(
-            (abs(_linalg.dot(_linalg.cross_generalized(_edges(p), n), self.normal)), p)
+            (abs(_linalg.dot(_linalg.cross_generalized(_edges(p), n), normal)), p)
             for p in _facet_simplices(points, n)
         )
 
     @functools.cached_property
     def _moments(self) -> tuple:
         """:func:`_simplex_moments` of the facet with its lattice measure."""
-        return _simplex_moments(len(self.normal) - 1, *self._integer_simplices)
+        return _simplex_moments(len(self.halfspace.normal) - 1, *self._integer_simplices)
 
     @property
     def measure(self) -> Fraction:
@@ -306,7 +302,7 @@ class Polytope:
         n = self.dim
         pyramids = []
         for facet in self.facets:
-            own = self.halfspaces[facet.halfspace_index]
+            own = facet.halfspace
             base = [self._clip_start[j] for j in facet.vertex_indices]
             m = len(base)
             ridges = [tuple((j + k) % m for k in range(n - 1)) for j in range(m)]
@@ -324,10 +320,6 @@ class Polytope:
             ]
             pyramids.append((own.bound, tuple(hs), tuple(start)))
         return tuple(pyramids)
-
-    @functools.cached_property
-    def facet_keys(self) -> frozenset:
-        return frozenset(self.halfspaces[f.halfspace_index].key for f in self.facets)
 
     @functools.cached_property
     def ccw_cycle(self) -> tuple:
@@ -396,10 +388,10 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     deduped = []
     seen = set()
     for h in hs:
-        if h.key in seen:
+        if h in seen:
             warnings.append(f"duplicate half-space {h.normal} <= {h.bound} dropped")
             continue
-        seen.add(h.key)
+        seen.add(h)
         deduped.append(h)
 
     if _linalg.rank([h.normal for h in deduped]) < n:
@@ -433,7 +425,7 @@ def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
     terms.  Nothing is re-evaluated here.  A vertex without its
     ``Fraction`` point gets it now.  Retained facets and their vertex
     order come from :func:`_facets`, and warnings from what it drops;
-    each facet keeps its vertices in that order and its normal, and its
+    each facet keeps its vertices in that order and its half-space, and its
     simplices and their lattice measures wait until a boundary integral
     reads them (see :class:`Facet`).  The polytope keeps the sorted body
     as its ``_clip_start``, the tight sets renumbered to the retained
@@ -451,7 +443,7 @@ def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
             warnings.append(f"redundant half-space {h.normal} <= {h.bound} dropped")
             continue
         renumber[i] = len(kept)
-        facets.append(Facet(len(kept), tuple(cycle), tuple(body[j][0] for j in cycle), h.normal))
+        facets.append(Facet(h, tuple(cycle), tuple(body[j][0] for j in cycle)))
         kept.append(h)
     clip = [(v, p, q, frozenset(renumber[i] for i in at_v if i in renumber))
             for v, p, q, at_v in body]

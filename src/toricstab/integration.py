@@ -242,14 +242,13 @@ def boundary_integral(poly: Polytope, f) -> Fraction:
 
 
 def _boundary_integral_pl(poly: Polytope, u) -> Fraction:
-    if u.domain.facet_keys != poly.facet_keys:
+    outer = frozenset(poly.halfspaces)
+    if frozenset(u.domain.halfspaces) != outer:
         raise ValueError("piecewise-linear function lives on a different polytope")
-    outer = poly.facet_keys
     total = Fraction(0)
     for cell in u.cells:
-        region = cell.region
-        for facet in region.facets:
-            if region.halfspaces[facet.halfspace_index].key in outer:
+        for facet in cell.region.facets:
+            if facet.halfspace in outer:
                 total += _form_integral(facet._moments, cell.piece.form)
     return total
 
@@ -259,7 +258,7 @@ def _boundary_integral_pl(poly: Polytope, u) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _integer_box(poly: Polytope, k, budget):
+def _integer_box(poly: Polytope, k):
     lows = []
     highs = []
     cells = 1
@@ -270,8 +269,8 @@ def _integer_box(poly: Polytope, k, budget):
         lows.append(lo)
         highs.append(hi)
         cells *= max(hi - lo + 1, 0)
-    if cells > budget:
-        raise ScaleOverflow(f"lattice box has {cells} cells, budget {budget}")
+    if cells > DEFAULT_CELL_BUDGET:
+        raise ScaleOverflow(f"lattice box has {cells} cells, budget {DEFAULT_CELL_BUDGET}")
     return lows, highs
 
 
@@ -302,11 +301,11 @@ def _piece_table(u):
     return table, denom
 
 
-def pl_lattice_sum(poly: Polytope, phi, k, budget=DEFAULT_CELL_BUDGET) -> LatticeSum:
+def pl_lattice_sum(poly: Polytope, phi, k) -> LatticeSum:
     """Count lattice points of ``k * P`` and sum ``phi(I / k)`` exactly."""
     if k <= 0:
         raise NonPositiveScale(f"scale k must be a positive integer, not {k}")
-    lows, highs = _integer_box(poly, k, budget)
+    lows, highs = _integer_box(poly, k)
     rows = _scaled_constraints(poly, k)
     table, denom = _piece_table(phi)
     count, numerator = lattice_weighted_sum(
@@ -315,7 +314,7 @@ def pl_lattice_sum(poly: Polytope, phi, k, budget=DEFAULT_CELL_BUDGET) -> Lattic
     return LatticeSum(k=k, count=count, weighted_sum=Fraction(numerator, denom * k))
 
 
-def ehrhart_residual(poly: Polytope, phi, k, budget=DEFAULT_CELL_BUDGET) -> Fraction:
+def ehrhart_residual(poly: Polytope, phi, k) -> Fraction:
     """Lattice sum minus its volume and boundary predictions.
 
     For a convex piecewise-linear weight ``phi`` (a ``PLFunction``) the
@@ -323,5 +322,5 @@ def ehrhart_residual(poly: Polytope, phi, k, budget=DEFAULT_CELL_BUDGET) -> Frac
     integral plus ``k^(n-1)/2`` times the boundary integral; the residual
     is what remains and stays bounded by lower-order terms.
     """
-    total = pl_lattice_sum(poly, phi, k, budget)
+    total = pl_lattice_sum(poly, phi, k)
     return total.residual(poly.dim, integrate_pl(phi), boundary_integral(poly, phi))

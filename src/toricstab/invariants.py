@@ -99,31 +99,28 @@ def centering_constants(poly: Polytope) -> tuple:
     return tuple(-x for x in poly.barycenter)
 
 
-def futaki_vector(poly: Polytope, c=None) -> tuple:
+def futaki_vector(poly: Polytope) -> tuple:
     """Boundary pairing with the centered coordinates.
 
     The volume part of the pairing vanishes by centering, so the vector is
     the boundary integral of ``x_j + c_j``; it is zero exactly when the
-    obstruction to constant scalar curvature vanishes on the class.
-    ``c`` defaults to :func:`centering_constants`.  Each entry is one
+    obstruction to constant scalar curvature vanishes on the class.  The
+    centering is :func:`centering_constants`, and each entry is one
     :func:`integration.boundary_integral`.
     """
-    if c is None:
-        c = centering_constants(poly)
-    return tuple(integration.boundary_integral(poly, x) for x in _centered(poly.dim, c))
+    return tuple(integration.boundary_integral(poly, x) for x in _centered(poly))
 
 
-def _centered(n, c) -> list:
+def _centered(poly: Polytope) -> list:
     """The centered coordinates ``x_j + c_j`` as polynomials."""
+    n, c = poly.dim, centering_constants(poly)
     return [Polynomial.affine(n, [int(i == j) for i in range(n)], c[j]) for j in range(n)]
 
 
-def second_moment_matrix(poly: Polytope, c=None):
+def second_moment_matrix(poly: Polytope):
     """Matrix of integrals of centered coordinate products; positive definite."""
-    if c is None:
-        c = centering_constants(poly)
     n = poly.dim
-    centered = _centered(n, c)
+    centered = _centered(poly)
     mat = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
         for l in range(j, n):
@@ -148,8 +145,8 @@ def extremal_field(poly: Polytope) -> ExtremalData:
     if kept is not None:
         return kept
     c = centering_constants(poly)
-    mat = second_moment_matrix(poly, c)
-    b = futaki_vector(poly, c)
+    mat = second_moment_matrix(poly)
+    b = futaki_vector(poly)
     sol = _linalg.solve(mat, b)
     if sol is None:
         raise SingularMoment("second-moment matrix is singular")
@@ -213,11 +210,12 @@ def linear_functional_L_cone(poly: Polytope, u: PLFunction, extremal: ExtremalDa
     # <x, grad u> + n u = (n + 1) u - c for the piece u = <grad u, x> + c;
     # only b_i depends on the pyramid, so each distinct b_i builds its
     # integrands once.
+    outer = frozenset(poly.halfspaces)
     parts, cuts = [], []
     for cell in u.cells:
         piece = cell.piece
         parts.append((piece.form * (n + 1) - piece.constant, weight * piece.form))
-        cuts.append([h for h in cell.region.halfspaces if h.key not in poly.facet_keys])
+        cuts.append([h for h in cell.region.halfspaces if h not in outer])
     integrands = {}
     total = Fraction(0)
     for support, pyramid_hs, start in poly._cone_halfspaces:
@@ -359,7 +357,7 @@ def hexagon_parameters(poly: Polytope):
     """
     if poly.dim != 2 or len(poly.facets) != 6:
         return None
-    hs = [poly.halfspaces[f.halfspace_index] for f in poly.ccw_facets]
+    hs = [f.halfspace for f in poly.ccw_facets]
     # The normals turn counterclockwise along the facets, so the one at the
     # least angle is the first in the half-turn [0, pi) after one outside it.
     upper = [h.normal[1] > 0 or (h.normal[1] == 0 and h.normal[0] > 0) for h in hs]

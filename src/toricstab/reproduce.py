@@ -34,8 +34,8 @@ CATALOG_FOR_SUITES = (
 BLOWUP1_REFERENCE_COEFF = Fraction(5, 29)
 
 
-def random_rational(rng, bound=4, den=3) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+def random_rational(rng) -> Fraction:
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
 def random_affine(rng, dim) -> AffineFunction:
@@ -44,8 +44,8 @@ def random_affine(rng, dim) -> AffineFunction:
     )
 
 
-def random_convex_pl(rng, poly, max_pieces=4):
-    count = rng.randint(2, max_pieces)
+def random_convex_pl(rng, poly):
+    count = rng.randint(2, 4)
     return make_pl([random_affine(rng, poly.dim) for _ in range(count)], poly)
 
 
@@ -254,7 +254,7 @@ def criterion_blowup1_audit():
         ),
     }
     n = poly.dim
-    bounds = [poly.halfspaces[f.halfspace_index].bound for f in poly.facets]
+    bounds = [f.halfspace.bound for f in poly.facets]
     for label, theta in candidates.items():
         values = [theta.evaluate(v) for v in poly.vertices]
         tmin, tmax = min(values), max(values)
@@ -310,12 +310,12 @@ CRITERIA = (
 )
 
 
-def run_all(emit=print) -> bool:
-    """Run every criterion, emit one pass/fail line each, return overall."""
+def run_all() -> bool:
+    """Run every criterion, print one pass/fail line each, return overall."""
     all_ok = True
     for index, (name, fn) in enumerate(CRITERIA, start=1):
         ok, detail = fn()
         all_ok = all_ok and ok
         state = "PASS" if ok else "FAIL"
-        emit(f"[{index:2d}/{len(CRITERIA)}] {state} {name}: {detail}")
+        print(f"[{index:2d}/{len(CRITERIA)}] {state} {name}: {detail}")
     return all_ok

@@ -276,7 +276,7 @@ class TestConeDecomposition:
                     poly.facets, cones, _cones(poly)):
                 denominator, moments = geometry._cell_moments(hs, start, ())
                 assert Fraction(moments[()], denominator) == volume
-                assert hs[0] is poly.halfspaces[facet.halfspace_index]
+                assert hs[0] is facet.halfspace
                 assert support == hs[0].bound
                 assert support * facet.measure == poly.dim * volume
                 total += volume
@@ -316,7 +316,7 @@ class TestConeDecomposition:
                 origin = (F(0),) * poly.dim
                 assert [(support, [v for v, *_ in start])
                         for support, _, start in poly._cone_halfspaces] == [
-                    (poly.halfspaces[facet.halfspace_index].bound, [origin, *facet.vertices])
+                    (facet.halfspace.bound, [origin, *facet.vertices])
                     for facet in poly.facets
                 ]
 
@@ -641,7 +641,7 @@ def _rebuilt_clip_start(poly):
     tight = [set() for _ in poly.vertices]
     for facet in poly.facets:
         for j in facet.vertex_indices:
-            tight[j].add(facet.halfspace_index)
+            tight[j].add(poly.halfspaces.index(facet.halfspace))
     start = []
     for v, at_v in zip(poly.vertices, tight):
         q, (p,) = _linalg.over_common_denominator((v,))
@@ -718,7 +718,7 @@ class TestFaceOrder:
             assert list(poly.ccw_cycle) == _angular_cycle(poly.vertices, poly.vertices)
             return
         for facet in poly.facets:
-            normal = poly.halfspaces[facet.halfspace_index].normal
+            normal = facet.halfspace.normal
             points = list(facet.vertices)
             assert points == [poly.vertices[j] for j in facet.vertex_indices]
             drop = next(j for j, c in enumerate(normal) if c != 0)
@@ -871,7 +871,7 @@ class TestCellMoments:
         empty = kept = 0
         for poly in bodies:
             for cell in random_convex_pl(rng, poly).cells:
-                cuts = [h for h in cell.region.halfspaces if h.key not in poly.facet_keys]
+                cuts = [h for h in cell.region.halfspaces if h not in poly.halfspaces]
                 for _, hs, start in poly._cone_halfspaces:
                     moments = geometry._cell_moments(hs, start, cuts)
                     region = geometry.intersect(cell.region, hs)
@@ -981,7 +981,7 @@ def _euclidean_sq(vertices):
 
 def _unmeasured(facet):
     """Whether the facet holds its fields alone, nothing computed on demand."""
-    return set(vars(facet)) == {"halfspace_index", "vertex_indices", "vertices", "normal"}
+    return set(vars(facet)) == {"halfspace", "vertex_indices", "vertices"}
 
 
 class TestFacetMeasures:
@@ -991,9 +991,8 @@ class TestFacetMeasures:
         rng = random.Random("facet-measures")
         checked = 0
         for poly in _bodies_and_cells(rng, 60):
-            for facet in poly.facets:
-                h = poly.halfspaces[facet.halfspace_index]
-                assert facet.normal == h.normal
+            for facet, h in zip(poly.facets, poly.halfspaces, strict=True):
+                assert facet.halfspace is h
                 assert _unmeasured(facet)
                 norm_sq = sum(c * c for c in h.normal)
                 faces = facet_faces(facet, poly.dim)

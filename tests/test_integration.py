@@ -478,8 +478,8 @@ class TestLatticePoints:
     """The count of :func:`pl_lattice_sum`, which the ``ehrhart`` command prints."""
 
     @staticmethod
-    def count(poly, k, **budget):
-        return pl_lattice_sum(poly, zero_function(poly.dim), k, **budget).count
+    def count(poly, k):
+        return pl_lattice_sum(poly, zero_function(poly.dim), k).count
 
     def test_square_counts(self, square):
         assert self.count(square, 1) == 9
@@ -500,7 +500,7 @@ class TestLatticePoints:
 
     def test_budget_guard(self, square):
         with pytest.raises(ScaleOverflow):
-            self.count(square, 10**6, budget=10**4)
+            self.count(square, 10**6)
 
     def test_count_at_least_vertices(self, cp2, square, pentagon):
         for poly in (cp2, square, pentagon):

@@ -146,9 +146,9 @@ class TestExtremalField:
         solved = []
         moments = invariants.second_moment_matrix
 
-        def counted(poly, c=None):
+        def counted(poly):
             solved.append(poly)
-            return moments(poly, c)
+            return moments(poly)
 
         monkeypatch.setattr(invariants, "second_moment_matrix", counted)
         poly = catalog("cp2_2blowup")
@@ -604,7 +604,7 @@ def _hexagon_oracle(poly):
     """``hexagon_parameters`` with the normals sorted by angle."""
     if poly.dim != 2 or len(poly.facets) != 6:
         return None
-    hs = [poly.halfspaces[f.halfspace_index] for f in poly.facets]
+    hs = [f.halfspace for f in poly.facets]
     order = _angular_order([h.normal for h in hs])
     normals = [hs[i].normal for i in order]
     bounds = [hs[i].bound for i in order]
