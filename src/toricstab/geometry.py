@@ -24,8 +24,11 @@ facets not through it, each facet fanned from the first vertex of its
 cycle by :func:`_facet_simplices`, and :func:`_simplex_moments` sums the
 closed-form moments over those simplices.  A facet is fanned the same way
 in its own dimension.  The cone form has one pyramid per facet, with its
-apex at the origin (:attr:`Polytope._cone_halfspaces`), and fans it like
-any other clip.  The boundary sums its facets' moments over one
+apex at the origin: with the origin interior, the cell of the gauge
+function ``max_j <l_j, x> / b_j`` where the facet's own term is largest,
+cut out by the facet's half-space and one integer half-space through the
+origin per other facet (:attr:`Polytope._cone_halfspaces`).  It is fanned
+like any other clip.  The boundary sums its facets' moments over one
 denominator (:attr:`Polytope._boundary_moments`).
 
 Boundary pieces carry the lattice measure: on the facet with normal ``l``
@@ -220,9 +223,6 @@ class Polytope:
         """Closure membership."""
         return all(h.value(x) <= h.bound for h in self.halfspaces)
 
-    def contains_interior(self, x) -> bool:
-        return all(h.value(x) < h.bound for h in self.halfspaces)
-
     # -- cached derived data ---------------------------------------------------
 
     @functools.cached_property
@@ -281,42 +281,43 @@ class Polytope:
         """The pyramids from the origin over the facets, as ``(support, half-spaces, start)``.
 
         One pyramid per facet, in facet order; ``support`` is the bound
-        ``b_i`` of its facet.  The first half-space is the facet's own,
-        and then comes one plane through the origin per ridge of the
-        facet, turned towards the rest of the facet: the facet's vertices
-        taken n - 1 at a time around its cycle, so in 3-D the edges of the
-        cycle, in 2-D the two vertices and in 1-D the empty ridge.  With
-        the vertices as integer points ``p / q`` the ridge plane's normal
-        is the primitive :func:`_linalg.cross_generalized` of the ridge's
-        ``p``, as scaling each point by its own ``q`` keeps a plane through
-        the origin.  ``start`` is the pyramid's :func:`_clip` start, the
+        ``b_i`` of its facet.  With the origin interior every ``b_j`` is
+        positive and P is ``{x : max_j <l_j, x> / b_j <= 1}``.  The pyramid
+        over facet i is the cell of that gauge function where term i is
+        largest: the facet's own half-space, then for every other facet j,
+        in order, the cut ``<l_j, x> / b_j <= <l_i, x> / b_i``.  With ``b =
+        p / q`` in lowest terms its normal is the primitive part of ``p_i
+        q_j l_j - p_j q_i l_i``, not 0 as no two facets share a normal, and
+        its bound is 0.  ``start`` is the pyramid's :func:`_clip` start, the
         apex first, then the facet's vertices as the polytope's clip holds
-        them.  Its tight sets are exact: the apex lies on every ridge plane
-        and not on the facet plane, and a vertex of the facet lies on the
-        facet plane and on the planes of its ridges only, since the origin
-        is off the facet plane and no three vertices of a facet are
-        collinear.  The pyramids tile P when the origin is interior, which
-        the caller checks before reading them.  Kept because the cone form
-        cuts every pyramid by the cuts of every PL cell.
+        them.  Its tight sets are exact: the apex lies on every cut and not
+        on the facet plane, and on facet i, where term i is 1, term j
+        reaches 1 exactly on facet j, so a facet vertex lies on its own
+        plane and on the cuts of the other facets in its clip tight set.
+        The cuts of facets that share no ridge with facet i are redundant;
+        the edge test of :func:`_clip` and the vertex count of
+        :func:`_facets` hold for them too.  The pyramids tile P when the
+        origin is interior, which the caller checks before reading them.
+        Kept because the cone form cuts every pyramid by the cuts of every
+        PL cell.
         """
         n = self.dim
+        apex = ((Fraction(0),) * n, [0] * n, 1, frozenset(range(1, len(self.halfspaces))))
         pyramids = []
-        for facet in self.facets:
+        for i, facet in enumerate(self.facets):
             own = facet.halfspace
-            base = [self._clip_start[j] for j in facet.vertex_indices]
-            m = len(base)
-            ridges = [tuple((j + k) % m for k in range(n - 1)) for j in range(m)]
+            pi, qi = own.bound.numerator, own.bound.denominator
             hs = [own]
-            for j, ridge in enumerate(ridges):
-                normal = _linalg.cross_generalized([base[k][1] for k in ridge], n)
-                # The vertex after the ridge is off its plane and must keep slack > 0.
-                side = _linalg.dot(normal, base[(j + n - 1) % m][1])
-                g = gcd(*normal) if side < 0 else -gcd(*normal)
-                hs.append(HalfSpace(tuple(c // g for c in normal), Fraction(0)))
-            apex = ((Fraction(0),) * n, [0] * n, 1, frozenset(range(1, m + 1)))
+            for j, h in enumerate(self.halfspaces):
+                if j != i:
+                    pj, qj = h.bound.numerator, h.bound.denominator
+                    normal = [pi * qj * a - pj * qi * b for a, b in zip(h.normal, own.normal)]
+                    g = gcd(*normal)
+                    hs.append(HalfSpace(tuple(c // g for c in normal), Fraction(0)))
+            # The cut of facet j is half-space j + 1 before facet i and j after it.
             start = [apex] + [
-                (v, p, q, frozenset([0] + [1 + j for j, ridge in enumerate(ridges) if k in ridge]))
-                for k, (v, p, q, _) in enumerate(base)
+                (v, p, q, frozenset([0] + [j + (j < i) for j in tight if j != i]))
+                for v, p, q, tight in (self._clip_start[k] for k in facet.vertex_indices)
             ]
             pyramids.append((own.bound, tuple(hs), tuple(start)))
         return tuple(pyramids)

@@ -4,13 +4,16 @@
 integral for batches of single-crease candidates on a polygon, entirely
 in integer arithmetic on pre-scaled data.  Each candidate's two sums run
 over denominators fixed by its crossing points, so a candidate costs two
-``gcd`` calls, the two that reduce its results.  With ``q1`` and ``q2``
-the weights ``|a - b|`` of the crease's at most two crossing points, the
-boundary sum is over ``2 eden gden vden q1 q2`` (``eden`` the ``lcm`` of
-the edge lengths' denominators) and the volume sum over ``24 wden gden
-vden**4 (q1 q2)**2``: the region ``{g >= 0}`` is fanned from its first
-polygon vertex, so the triangles of polygon vertices stay over the
-vertex integers and only the at most two triangles with a crossing point
+``gcd`` calls, the two that reduce its results.  Whenever the crease
+``g`` is negative at some polygon vertex and not at another, it crosses
+the boundary exactly twice, and either crossing may sit on a vertex
+where ``g = 0``.  With ``q1`` and ``q2`` the weights ``|a - b|`` of the
+two crossings (``g`` is ``a`` and ``b`` at the crossed edge's ends),
+the boundary sum is over ``2 eden gden vden q1 q2`` (``eden`` the
+``lcm`` of the edge lengths' denominators) and the volume sum over ``24
+wden gden vden**4 (q1 q2)**2``: the region ``{g >= 0}`` is fanned from
+its first polygon vertex, so the triangles of polygon vertices stay over
+the vertex integers and only the two triangles with a crossing point
 carry ``q``'s.  The crease's linear part at the vertices is computed once
 per run of candidates with the same ``(g1, g2, gden)``.  The crease scan
 calls it once per round, on the first few offsets of each piece of each
@@ -51,15 +54,19 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
     integral of ``u`` and ``L = B - integral(w * u)``.
 
     One pass over the edges finds the boundary sum and the region ``{g >=
-    0}``: the polygon vertices ``s, s + 1, .., e`` (cyclically) and at most
-    two crossing points, the exit one on the edge ``(e, e + 1)`` and the
-    entry one on ``(s - 1, s)``.  The boundary sum holds the edge lengths
-    over the ``lcm`` of their denominators, and each crossed edge adds its
-    weight ``|a - b|``.  The region is fanned from ``s``: the triangles of
-    polygon vertices give a linear form in the crease's vertex values,
-    kept per ``(s, e)``, and the at most two triangles with a crossing
-    point, where ``g = 0``, put the volume sum over ``q_exit**2 *
-    q_entry**2`` times the vertices' ``24 wden gden vden**4``.
+    0}``: the polygon vertices ``s, s + 1, .., e`` (cyclically) and the
+    crossing points.  Whenever some vertex has ``g < 0`` and another ``g
+    >= 0`` there are exactly two, the exit one on the edge ``(e, e + 1)``
+    and the entry one on ``(s - 1, s)``, and either may sit on the vertex
+    ``e`` or ``s`` where ``g = 0``; then it adds nothing to the sums but
+    its weight.  The boundary sum holds the edge lengths over the ``lcm``
+    of their denominators, and each crossed edge adds its weight ``|a -
+    b|``.  The region is fanned from ``s``: the triangles of polygon
+    vertices give a linear form in the crease's vertex values, kept per
+    ``(s, e)``, and the two triangles with a crossing point, where ``g =
+    0``, put the volume sum over ``q_exit**2 * q_entry**2`` times the
+    vertices' ``24 wden gden vden**4``.  ``g <= 0`` on every vertex is
+    the row of ``u = 0``.
     """
     w0, w1, w2 = wlin
     w0v = w0 * vden
@@ -116,10 +123,13 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
         ghat = [v + g0v for v in lin]
 
         # Boundary term: exact average of max(0, affine) along each edge,
-        # (a + b) / 2 on an edge where g >= 0 and a^2 / (2 (a - b)) on an
-        # edge that g crosses from a > 0 to b < 0.  The same pass finds the
-        # region's run of vertices s .. e and the crossings' weights
-        # q = a - b (0 for none).
+        # (a + b) / 2 on an edge where g >= 0, a^2 / (2 (a - b)) on the
+        # exit edge, from a >= 0 to b < 0, and b^2 / (2 (b - a)) on the
+        # entry edge, from a < 0 to b >= 0.  The same pass finds the
+        # region's run of vertices s .. e and the crossings' weights q = a -
+        # b, 0 for none.  A crossing on a vertex (a = 0 on the exit edge, b =
+        # 0 on the entry edge) adds nothing to the sum and keeps its weight,
+        # so qo and qi are both set or both 0.
         full = 0
         cn, cd = 0, 1
         s, e = 0, nv - 1
@@ -131,18 +141,16 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
                     full += into[k] * (a + b)
                 else:
                     e = (k or nv) - 1
-                    if a > 0:
-                        qo = a - b
-                        cn = cn * qo + into[k] * a * a * cd
-                        cd *= qo
+                    qo = a - b
+                    cn = cn * qo + into[k] * a * a * cd
+                    cd *= qo
             elif b >= 0:
                 s = k
-                if b > 0:
-                    qi = a - b
-                    cn = cn * -qi + into[k] * b * b * cd
-                    cd *= -qi
+                qi = a - b
+                cn = cn * -qi + into[k] * b * b * cd
+                cd *= -qi
             a = b
-        if not full and cd == 1:
+        if not full and not cn:
             out.append((0, 1, 0, 1))  # g <= 0 on the polygon: u = 0
             continue
         bn, bd = _reduced(full * cd + cn, bden * cd)
@@ -159,23 +167,16 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
         for u, c in form:
             total += c * ghat[u]
         ad = aden
-        gs, ws = ghat[s], what[s]
         if qo:
-            ge, gf, we = ghat[e], ghat[f], what[e]
+            gs, ge, gf = ghat[s], ghat[e], ghat[f]
+            ws, we = what[s], what[e]
             wo = ge * what[f] - gf * we
+            wi = ghat[p] * ws - gs * what[p]
             total = total * qo * qo + ge * d_ef * (
                 qo * (ws * gs + we * ge) + (qo * (ws + we) + wo) * (gs + ge))
-            ad *= qo * qo
-            if qi:
-                wi = ghat[p] * ws - gs * what[p]
-                total = total * qi * qi - gs * (ge * d_fp - gf * d_ep) * gs * (
-                    2 * qo * qi * ws + qi * wo + qo * wi)
-                ad *= qi * qi
-        elif qi:
-            # No exit crossing, so g_e = 0.
-            wi = ghat[p] * ws - gs * what[p]
-            total = total * qi * qi - gs * d_ep * gs * (qi * (2 * ws + what[e]) + wi)
-            ad *= qi * qi
+            total = total * qi * qi - gs * (ge * d_fp - gf * d_ep) * gs * (
+                2 * qo * qi * ws + qi * wo + qo * wi)
+            ad *= (qo * qi) ** 2
 
         # L = B - A over the product of the two denominators.
         ln_, ld_ = _reduced(bn * ad - total * bd, bd * ad)

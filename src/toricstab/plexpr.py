@@ -55,7 +55,10 @@ def _parse_affine(expr: str, dim: int) -> AffineFunction:
         if term.startswith("-"):
             sign = -1
             term = term[1:]
-        coeff, var = _split_term(term, expr)
+        try:
+            coeff, var = _split_term(term, expr)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in term {term!r}", where=expr) from None
         if var is None:
             constant += sign * coeff
         else:

@@ -79,13 +79,6 @@ class PLFunction:
             raise OutsideDomain(f"{x} is outside the domain closure")
         return max(p.evaluate(x) for p in self.pieces)
 
-    def active_pieces(self, x):
-        """Pieces attaining the maximum at a point of the closed domain."""
-        x = tuple(Fraction(c) for c in x)
-        values = [p.evaluate(x) for p in self.pieces]
-        top = max(values)
-        return [p for p, v in zip(self.pieces, values) if v == top]
-
     def __repr__(self):
         return f"PLFunction(pieces={len(self.pieces)}, cells={len(self.cells)})"
 

@@ -36,7 +36,8 @@ def parse_spec(text: str) -> Polytope:
         raise ParseError("top level must be an object")
 
     dim = data.get("dim")
-    if not isinstance(dim, int) or not 1 <= dim <= 3:
+    # JSON true and false are Python ints; a type check keeps them out.
+    if type(dim) is not int or not 1 <= dim <= 3:
         raise ParseError("expected an integer in {1, 2, 3}", where="dim")
     raw = data.get("halfspaces")
     if not isinstance(raw, list) or not raw:
@@ -51,14 +52,14 @@ def parse_spec(text: str) -> Polytope:
         if (
             not isinstance(normal, list)
             or len(normal) != dim
-            or not all(isinstance(c, int) for c in normal)
+            or not all(type(c) is int for c in normal)
         ):
             raise ParseError(
                 f"expected {dim} integer components, got {normal!r}",
                 where=f"{where}.normal",
             )
         bound = entry.get("bound")
-        if isinstance(bound, bool) or not isinstance(bound, (int, str)):
+        if type(bound) not in (int, str):
             raise ParseError(
                 f"expected an integer or rational string, got {bound!r}",
                 where=f"{where}.bound",

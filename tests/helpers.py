@@ -73,6 +73,19 @@ def simplex_halfspaces(vertices):
     return out
 
 
+def contains_interior(poly, x):
+    """Whether ``x`` lies strictly inside every half-space of ``poly``."""
+    return all(h.value(x) < h.bound for h in poly.halfspaces)
+
+
+def active_pieces(u, x):
+    """The pieces of the PL function ``u`` attaining its maximum at ``x``."""
+    x = tuple(Fraction(c) for c in x)
+    values = [p.evaluate(x) for p in u.pieces]
+    top = max(values)
+    return [p for p, v in zip(u.pieces, values) if v == top]
+
+
 def shoelace(points):
     """Independent polygon area oracle from a CCW vertex cycle."""
     total = Fraction(0)

@@ -283,13 +283,15 @@ class TestConeDecomposition:
             assert total == poly.volume
 
     def test_pyramid_layout(self):
-        # The facet's own half-space, then one plane through the origin per
-        # ridge.  The start's tight sets are exactly the half-spaces through
-        # each vertex, with every vertex inside every half-space, and the
-        # polytope the half-spaces bound has the same vertices and sets.
+        # The facet's own half-space, then one cut through the origin per
+        # other facet.  The start's tight sets are exactly the half-spaces
+        # through each vertex, with every vertex inside every half-space,
+        # and the polytope the half-spaces bound, once it drops the
+        # redundant cuts, has the same vertices and sets.
         for poly in _pyramid_bodies(random.Random("pyramids")):
             for facet, (_, hs, start) in zip(poly.facets, poly._cone_halfspaces):
-                assert len(hs) == 1 + len(facet.vertices)
+                assert len(hs) == len(poly.halfspaces)
+                assert hs[0] is facet.halfspace
                 assert all(h.bound == 0 for h in hs[1:])
                 for v, p, q, tight in start:
                     assert tuple(Fraction(c, q) for c in p) == v
@@ -298,9 +300,11 @@ class TestConeDecomposition:
                     assert tight == {i for i, s in enumerate(slacks) if s == 0}
                 assert len(start[0][3]) == len(hs) - 1
                 pyramid = build_polytope(hs, require_simple=False)
-                assert pyramid.halfspaces == hs
-                assert sorted((v, tight) for v, _, _, tight in pyramid._clip_start) == sorted(
-                    (v, tight) for v, _, _, tight in start)
+                kept = [hs.index(h) for h in pyramid.halfspaces]
+                assert kept[0] == 0
+                assert sorted((v, {kept[i] for i in tight})
+                              for v, _, _, tight in pyramid._clip_start) == sorted(
+                    (v, tight & set(kept)) for v, _, _, tight in start)
 
     def test_cone_and_fan_order(self, cp2, pentagon, hexagon23):
         # The fan cones from vertex 0 over the facet faces in facet order,

@@ -30,7 +30,7 @@ from toricstab.geometry import intersect
 from toricstab.plfunc import AffineFunction, affine, zero_function
 from toricstab.reproduce import random_affine, random_convex_pl
 
-from helpers import prism
+from helpers import DegenerateSimplex, active_pieces, contains_interior, prism, simplex_halfspaces
 
 
 def F(a, b=1):
@@ -262,7 +262,7 @@ class TestLinearFunctional:
         average gradient of the pieces active there, so the result is
         >= 0 and 0 at the origin."""
         origin = (F(0),) * u.domain.dim
-        active = u.active_pieces(origin)
+        active = active_pieces(u, origin)
         s = [sum((a.gradient[j] for a in active), F(0)) / len(active)
              for j in range(u.domain.dim)]
         return make_pl([AffineFunction(tuple(g - sj for g, sj in zip(p.gradient, s)),
@@ -478,7 +478,7 @@ class TestConditions:
         assert verdict.holds
         assert verdict.margin == F(8, 159)
         assert verdict.margin_at_given_origin == F(-113, 212)
-        assert poly.contains_interior(verdict.origin)
+        assert contains_interior(poly, verdict.origin)
         assert 3 / max(poly.support_values(verdict.origin)) - rbar >= 0
         assert check_condition(poly, ext, "c04").margin == F(3, 53)
 
@@ -492,7 +492,7 @@ class TestConditions:
         verdict = check_condition(rect, ext, "c02doubleprime")
         assert verdict.holds
         assert verdict.margin == 0
-        assert rect.contains_interior(verdict.origin)
+        assert contains_interior(rect, verdict.origin)
         assert verdict.margin_at_given_origin is None
 
     def test_exterior_origin_accepted_except_by_c04(self, pentagon):
@@ -581,6 +581,98 @@ class TestOriginIndependence:
         poly = build_polytope([halfspace(m, b) for m, b in zip(normals, bounds)])
         assert len(poly.facets) == 6
         assert invariants.hexagon_parameters(poly) is None
+
+
+def _unimodular(rng, n):
+    """A seeded n x n integer matrix of determinant +-1: the identity
+    after a few row additions, swaps and sign changes."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(1, 6)):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.randrange(3)
+        if kind == 0:
+            s = rng.choice((-2, -1, 1, 2))
+            a[i] = [x + s * y for x, y in zip(a[i], a[j])]
+        elif kind == 1:
+            a[i], a[j] = a[j], a[i]
+        else:
+            a[i] = [-x for x in a[i]]
+    return a
+
+
+def _push(poly, u, a, t):
+    """``poly`` and ``u`` pushed forward by the lattice map ``x -> A^{-T} x
+    + t``: a normal or gradient ``l`` becomes ``A l``, and ``<A l, t>`` is
+    added to its bound or taken from its constant."""
+    def image(v):
+        return tuple(sum(r * c for r, c in zip(row, v)) for row in a)
+
+    def shift(v):
+        return sum(c * x for c, x in zip(image(v), t))
+
+    moved = build_polytope([halfspace(image(h.normal), h.bound + shift(h.normal))
+                            for h in poly.halfspaces])
+    pieces = [AffineFunction(image(p.gradient), p.constant - shift(p.gradient))
+              for p in u.pieces]
+    return moved, make_pl(pieces, moved)
+
+
+def _lattice_map_bodies(rng):
+    """The catalog polygons, then seeded 3-D boxes and simplices about the origin."""
+    bodies = [catalog(name) for name in ("cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup",
+                                         "cp2_3blowup", "hexagon(2,3)")]
+    for _ in range(3):
+        rows = []
+        for j in range(3):
+            e = tuple(int(i == j) for i in range(3))
+            lo = F(rng.randint(1, 4), rng.randint(1, 3))
+            rows += [halfspace(e, F(rng.randint(1, 5), rng.randint(1, 2))),
+                     halfspace(tuple(-c for c in e), lo)]
+        bodies.append(build_polytope(rows))
+    while len(bodies) < 12:
+        verts = [tuple(F(rng.randint(-3, 3)) for _ in range(3)) for _ in range(4)]
+        try:
+            simplex = build_polytope(simplex_halfspaces(verts))
+        except DegenerateSimplex:
+            continue
+        bodies.append(translate(simplex, tuple(-c for c in simplex.barycenter)))
+    return bodies
+
+
+class TestLatticeMaps:
+    """``L`` and the boundary integral of a PL function do not change when
+    the polytope and the function are pushed forward together by a map of
+    GL(n, Z) and a rational translation, and the cone form agrees with them
+    wherever the origin is interior."""
+
+    @staticmethod
+    def values(poly, u):
+        ext = invariants.extremal_field(poly)
+        L = linear_functional_L(poly, u, ext)
+        if poly.origin_interior:
+            assert linear_functional_L_cone(poly, u, ext) == L
+        return L, boundary_integral(poly, u)
+
+    def test_pushed_forward_values(self):
+        rng = random.Random("lattice-maps")
+        cone_checks = []
+        for poly in _lattice_map_bodies(rng):
+            u = random_convex_pl(rng, poly)
+            expected = self.values(poly, u)
+            for _ in range(3):
+                a = _unimodular(rng, poly.dim)
+                t = tuple(F(rng.randint(-1, 1), rng.randint(2, 6)) for _ in range(poly.dim))
+                moved, pushed = _push(poly, u, a, t)
+                assert [len(f.vertices) for f in moved.facets] == [
+                    len(f.vertices) for f in poly.facets]
+                assert self.values(moved, pushed) == expected
+                cone_checks.append((moved.dim, moved.origin_interior,
+                                    max(len(f.vertices) for f in moved.facets)))
+        # The cone form ran on moved polygons and on moved 3-D bodies with
+        # triangular and with quadrilateral facets, and some moved origins
+        # left the interior.
+        assert {(2, True, 2), (3, True, 3), (3, True, 4)} <= set(cone_checks)
+        assert any(not interior for _, interior, _ in cone_checks)
 
 
 def _angular_order(vectors):

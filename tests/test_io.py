@@ -93,7 +93,7 @@ class TestPLExpressions:
             parse_pl_expression("x3", 2)
 
     def test_garbage_rejected(self):
-        for bad in ("max(", "max()", "2**x1", "x1 x2", "1.5 + x1", ""):
+        for bad in ("max(", "max()", "2**x1", "x1 x2", "1.5 + x1", "", "x2 - x1*3/0"):
             with pytest.raises(ParseError):
                 parse_pl_expression(bad, 2)
 
@@ -225,6 +225,32 @@ class TestCLI:
     def test_bad_scale_and_dimension_exit_two(self, capsys, monkeypatch, argv, message):
         # Exit 1 means a failing condition, so these input errors exit 2.
         monkeypatch.chdir(GOLDEN)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["lfun", "--catalog", "cp2", "--pl", "max(0, 1/0*x1)"],
+         "1/0*x1: zero denominator in term '1/0*x1'"),
+        (["lfun", "--catalog", "cp2", "--pl", "1/0"], "1/0: zero denominator in term '1/0'"),
+        (["analyze", "--spec", "dim_true.json"], "dim: expected an integer in {1, 2, 3}"),
+        (["analyze", "--spec", "normal_true.json"],
+         "halfspaces[0].normal: expected 2 integer components, got [True, 0]"),
+        (["analyze", "--spec", "normal_false.json"],
+         "halfspaces[0].normal: expected 2 integer components, got [0, False]"),
+    ])
+    def test_bad_expression_and_spec_exit_two(self, capsys, monkeypatch, tmp_path, argv, message):
+        # A literal over 0 is no rational and JSON true and false are no
+        # integers: input errors that name the term or the field.
+        rows = [{"normal": [True, 0], "bound": 1}, {"normal": [-1, 0], "bound": 1},
+                {"normal": [0, 1], "bound": 1}, {"normal": [0, -1], "bound": 1}]
+        (tmp_path / "dim_true.json").write_text(json.dumps(
+            {"dim": True, "halfspaces": [{"normal": [1], "bound": 1}, {"normal": [-1], "bound": 1}]}))
+        (tmp_path / "normal_true.json").write_text(json.dumps({"dim": 2, "halfspaces": rows}))
+        rows[0]["normal"] = [0, False]
+        (tmp_path / "normal_false.json").write_text(json.dumps({"dim": 2, "halfspaces": rows}))
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
