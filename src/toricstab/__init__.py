@@ -8,6 +8,12 @@ measure, lattice-point sums, convex piecewise-linear functions, the
 extremal potential and degeneration invariants.  For polygons a grid scan
 over single-crease functions bounds the least ratio ``L(u) / B(u)`` from
 above, its winner re-verified through the general functional.
+
+Value records such as :class:`HalfSpace`, :class:`ConditionVerdict` and
+:class:`ScanResult` are ``typing.NamedTuple``s; :class:`Facet` and
+:class:`AffineFunction`, which cache derived data, and the validating
+:class:`ScanConfig` are plain classes with their own ``__init__`` that
+take equality, hashing and ``repr`` from :class:`geometry.Record`.
 """
 
 __version__ = "0.1.0"

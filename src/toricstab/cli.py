@@ -13,7 +13,7 @@ import sys
 
 from . import __version__, integration, invariants, plexpr, report, reproduce, specfile
 from .catalog import CATALOG_NAMES, catalog
-from .errors import ToricStabError
+from .errors import ParseError, ToricStabError
 from .geometry import translate
 from .plfunc import is_affine, make_pl
 from .destabilizer import ScanConfig, scan as run_scan
@@ -88,8 +88,14 @@ def _load_polytope(args):
     if getattr(args, "catalog", None):
         poly, name = catalog(args.catalog), args.catalog
     elif getattr(args, "spec", None):
-        with open(args.spec, encoding="utf-8") as handle:
-            poly, name = specfile.parse_spec(handle.read()), args.spec
+        with open(args.spec, "rb") as handle:
+            data = handle.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason}",
+                             where=f"{args.spec}, byte {exc.start}") from None
+        poly, name = specfile.parse_spec(text), args.spec
     else:
         raise ToricStabError("a polytope is required: --catalog NAME or --spec FILE")
     if getattr(args, "center", False):

@@ -41,13 +41,12 @@ is reduced and becomes a ``Fraction`` ratio, and only the final winner an
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import _linalg, integration, invariants
 from .errors import NoInteriorCrease, UnsupportedDimension
-from .geometry import Polytope
+from .geometry import Polytope, Record
 from .invariants import ExtremalData
 from .kernels import simple_pl_values
 from .plfunc import AffineFunction, SimplePL
@@ -59,21 +58,21 @@ ZOOM = (REFINE_POINTS - 1) // 2
 SAMPLES = 5  # kernel offsets per profile piece: enough to fix the quartic L
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(Record):
     """Grid sizes; counts must all be at least one."""
 
-    direction_count: int = 360
-    offset_count: int = 100
-    refine_rounds: int = 2
+    _fields = ("direction_count", "offset_count", "refine_rounds")
 
-    def __post_init__(self):
-        if min(self.direction_count, self.offset_count) < 1 or self.refine_rounds < 0:
+    def __init__(self, direction_count: int = 360, offset_count: int = 100,
+                 refine_rounds: int = 2):
+        if min(direction_count, offset_count) < 1 or refine_rounds < 0:
             raise ValueError("direction/offset counts must be >= 1, rounds >= 0")
+        self.direction_count = direction_count
+        self.offset_count = offset_count
+        self.refine_rounds = refine_rounds
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Certified upper bound for the coercivity constant from the scan.
 
     ``lambda_star_estimate`` is the minimum of the exact ratios

@@ -60,9 +60,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, gcd, lcm
+from typing import NamedTuple
 
 from . import _linalg
 from .errors import (
@@ -80,8 +80,7 @@ def _frac_point(coords) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(NamedTuple):
     """One constraint ``<normal, x> <= bound`` with a primitive integer normal."""
 
     normal: tuple
@@ -106,8 +105,34 @@ def halfspace(normal, bound) -> HalfSpace:
     return HalfSpace(tuple(int(c) for c in normal), Fraction(bound))
 
 
-@dataclass(frozen=True)
-class Facet:
+class Record:
+    """Equality, hashing and ``repr`` over the attributes named in ``_fields``.
+
+    A ``NamedTuple`` has these from its tuple; a record that keeps a
+    ``__dict__`` for cached properties, or validates in its ``__init__``,
+    takes them from here.  Records are equal exactly when they are of one
+    class and their fields are equal, and hash like their field tuple.
+    """
+
+    _fields = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Facet(Record):
     """A facet of a polytope and its vertices.
 
     ``vertex_indices`` are the positions of the facet's vertices in the
@@ -121,11 +146,16 @@ class Facet:
     or :attr:`measure` and kept.
     Boundary integrals and boundary measures read them; the facets of a
     cell that is only integrated over its volume never pay for them.
+
+    Instances are immutable by convention, as polytopes are.
     """
 
-    halfspace: HalfSpace
-    vertex_indices: tuple
-    vertices: tuple
+    _fields = ("halfspace", "vertex_indices", "vertices")
+
+    def __init__(self, halfspace: HalfSpace, vertex_indices: tuple, vertices: tuple):
+        self.halfspace = halfspace
+        self.vertex_indices = vertex_indices
+        self.vertices = vertices
 
     @functools.cached_property
     def _integer_simplices(self) -> tuple:
@@ -162,8 +192,7 @@ class Facet:
         return Fraction(moments[()], denominator)
 
 
-@dataclass(frozen=True)
-class BestOrigin:
+class BestOrigin(NamedTuple):
     """The closed-polytope minimum of the largest support value.
 
     Moving the origin to ``t`` turns each facet bound ``b_i`` into

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import types
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _linalg
 from .errors import NonPositiveScale, ScaleOverflow
@@ -184,8 +184,7 @@ class Polynomial:
         return f"Polynomial({dict(self.terms)!r})"
 
 
-@dataclass(frozen=True)
-class LatticeSum:
+class LatticeSum(NamedTuple):
     """Exact lattice sum of a piecewise-linear weight at scale k."""
 
     k: int

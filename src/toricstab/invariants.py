@@ -22,8 +22,8 @@ which the crease scan reads too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _linalg, geometry, integration, plfunc
 from .errors import OriginNotInterior, SingularMoment, WrongFamily
@@ -34,8 +34,7 @@ from .plfunc import AffineFunction, PLFunction
 CONDITION_CODES = ("c02", "c02prime", "c02doubleprime", "c43", "c04", "c61")
 
 
-@dataclass(frozen=True)
-class ExtremalData:
+class ExtremalData(NamedTuple):
     """Centering constants, the futaki vector ``b`` solved against,
     extremal coefficients and the potential's range."""
 
@@ -48,8 +47,7 @@ class ExtremalData:
     norm: Fraction
 
 
-@dataclass(frozen=True)
-class DegenerationReport:
+class DegenerationReport(NamedTuple):
     """Exact invariants of the degeneration induced by a convex PL function."""
 
     L_value: Fraction
@@ -60,8 +58,7 @@ class DegenerationReport:
     trivial: bool
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     """Outcome of one sufficient condition with its exact slack.
 
     ``margin`` is the slack at the best interior origin (a supremum over

@@ -59,6 +59,8 @@ def _parse_affine(expr: str, dim: int) -> AffineFunction:
             coeff, var = _split_term(term, expr)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in term {term!r}", where=expr) from None
+        except ValueError:  # over the limit of sys.get_int_max_str_digits()
+            raise ParseError(f"too many digits in term {term!r}", where=expr) from None
         if var is None:
             constant += sign * coeff
         else:

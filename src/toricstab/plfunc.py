@@ -13,27 +13,30 @@ merged, so affineness is a plain cell-count test afterwards.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import geometry
 from .errors import EmptyPieceList, OutsideDomain
-from .geometry import HalfSpace, Polytope
+from .geometry import HalfSpace, Polytope, Record
 from .integration import Polynomial
 
 
-@dataclass(frozen=True)
-class AffineFunction:
+class AffineFunction(Record):
     """The affine map ``x -> <gradient, x> + constant``.
 
     The coefficients are ints or ``Fraction``s.  :attr:`form` is the map
     as an integer :class:`Polynomial`, built on first use and kept; the
     integrals, the cuts of :func:`make_pl` and :meth:`evaluate` all read it.
+    Instances are immutable by convention, as polytopes are.
     """
 
-    gradient: tuple
-    constant: Fraction
+    _fields = ("gradient", "constant")
+
+    def __init__(self, gradient: tuple, constant: Fraction):
+        self.gradient = gradient
+        self.constant = constant
 
     @functools.cached_property
     def form(self) -> Polynomial:
@@ -57,8 +60,7 @@ def zero_function(dim) -> AffineFunction:
     return AffineFunction(tuple(Fraction(0) for _ in range(dim)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """A maximal region where a single piece is the maximizer."""
 
     piece: AffineFunction
@@ -131,8 +133,7 @@ def make_pl(pieces, domain: Polytope) -> PLFunction:
     return PLFunction(kept, domain, cells)
 
 
-@dataclass(frozen=True)
-class SimplePL:
+class SimplePL(NamedTuple):
     """``max(0, crease)``: one affine piece against zero."""
 
     crease: AffineFunction

@@ -13,25 +13,70 @@ survive any toolchain:
       ]
     }
 
-Parsing reports the offending field on malformed input; geometric errors
-from construction propagate unchanged.
+Parsing reports the offending field on malformed input, or the offset
+when the text is not JSON; geometric errors from construction propagate
+unchanged.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import ParseError
 from .geometry import HalfSpace, Polytope, build_polytope
 
 
+# A spec nests an array in an object in an array in an object, no deeper.
+_SPEC_DEPTH = 4
+_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
+
+
+class _LongInteger:
+    """A JSON integer with more digits than the interpreter converts.
+
+    Every field that reads an integer refuses it, so the error names the
+    field.
+    """
+
+    def __init__(self, digits):
+        self.digits = digits
+
+    def __repr__(self):
+        return f"<integer of {self.digits} digits, too long to read>"
+
+
+def _parse_int(digits: str):
+    try:
+        return int(digits)
+    except ValueError:  # over the limit of sys.get_int_max_str_digits()
+        return _LongInteger(len(digits))
+
+
+def _too_deep(text: str):
+    """Offset of the first array or object nested deeper than a spec nests."""
+    depth = 0
+    for match in _BRACKET.finditer(text):
+        token = match.group()
+        if token in "[{":
+            depth += 1
+            if depth > _SPEC_DEPTH:
+                return match.start()
+        elif token in "]}":
+            depth -= 1
+    return None
+
+
 def parse_spec(text: str) -> Polytope:
     """Parse specification text into a validated polytope."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), where=f"offset {exc.pos}") from exc
+    except RecursionError:
+        raise ParseError("arrays and objects nested too deeply to decode",
+                         where=f"offset {_too_deep(text)}") from None
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
 

@@ -123,7 +123,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScanConfig(direction_count=0)
         with pytest.raises(ValueError):
+            ScanConfig(offset_count=0)
+        with pytest.raises(ValueError):
             ScanConfig(refine_rounds=-1)
+
+    def test_equal_exactly_when_counts_are(self):
+        assert ScanConfig() == ScanConfig(360, 100, 2)
+        assert hash(ScanConfig(7, 5)) == hash((7, 5, 2))
+        assert ScanConfig(7, 5) != ScanConfig(7, 5, 3)
+        assert repr(ScanConfig(offset_count=8)) == (
+            "ScanConfig(direction_count=360, offset_count=8, refine_rounds=2)")
 
 
 class TestDirections:
@@ -241,7 +250,7 @@ class TestScan:
 def assert_same_scan(poly, config):
     ext = invariants.extremal_field(poly)
     got, want = scan(poly, ext, config), reference_scan(poly, ext, config)
-    for field in ScanResult.__dataclass_fields__:
+    for field in ScanResult._fields:
         assert getattr(got, field) == getattr(want, field), field
     return got
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from toricstab import (
+    Facet,
     Polynomial,
     build_polytope,
     catalog,
@@ -1010,6 +1011,22 @@ class TestFacetMeasures:
                 corners = {v for face in faces for v in face}
                 assert corners == {poly.vertices[j] for j in facet.vertex_indices}
         assert checked > 1000
+
+    def test_equal_exactly_when_fields_are(self, cp2, square):
+        for poly in (cp2, square):
+            for facet in poly.facets:
+                fields = (facet.halfspace, facet.vertex_indices, facet.vertices)
+                twin = Facet(*fields)
+                facet.measure  # kept moments are no field
+                assert facet == twin and not facet != twin
+                assert hash(facet) == hash(twin) == hash(fields)
+                assert facet != fields
+                assert repr(facet) == (f"Facet(halfspace={fields[0]!r}, "
+                                       f"vertex_indices={fields[1]!r}, vertices={fields[2]!r})")
+        a, b = square.facets[:2]
+        assert a != Facet(b.halfspace, a.vertex_indices, a.vertices)
+        assert a != Facet(a.halfspace, b.vertex_indices, a.vertices)
+        assert a != Facet(a.halfspace, a.vertex_indices, b.vertices)
 
     def test_interval_facets_measure_one(self):
         poly = build_polytope([halfspace((1,), F(7) / 3), halfspace((-1,), F(1) / 2)])

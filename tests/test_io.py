@@ -1,6 +1,8 @@
 """Spec files, expression parsing, catalog entries, CLI behaviour."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -256,6 +258,37 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    LONG = "1" * 5000  # over CPython's default limit of 4300 digits per int
+
+    @pytest.mark.parametrize("name,data,message", [
+        ("latin1.json", b'{"dim": 2, "halfspaces": [{"normal": [1, 0], "bound": "\xff"}]}',
+         "latin1.json, byte 55: not UTF-8 text: invalid start byte"),
+        ("deep.json", b"[" * 100_000 + b"]" * 100_000,
+         "offset 4: arrays and objects nested too deeply to decode"),
+        ("long_normal.json",
+         b'{"dim": 2, "halfspaces": [{"normal": [' + LONG.encode() + b', 0], "bound": "1"}]}',
+         "halfspaces[0].normal: expected 2 integer components, "
+         "got [<integer of 5000 digits, too long to read>, 0]"),
+    ], ids=["not-utf8", "deep", "long-int"])
+    def test_undecodable_spec_exits_two(self, capsys, tmp_path, monkeypatch, name, data, message):
+        # Bytes that are not UTF-8, nesting deeper than the decoder's
+        # recursion and an integer over the digit limit are input errors
+        # that name the byte, the offset or the field, not tracebacks.
+        (tmp_path / name).write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--spec", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_overlong_coefficient_exits_two(self, capsys):
+        expr = f"max(0, {self.LONG}*x1)"
+        assert main(["lfun", "--catalog", "cp2", "--pl", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        term = f"{self.LONG}*x1"
+        assert captured.err == f"error: {term}: too many digits in term {term!r}\n"
+
     @pytest.mark.parametrize("rows,message", [
         ([((1, 0), 1), ((0, 1), 1), ((0, -1), 1)], "direction (-1, 0) recedes"),
         ([((1, 0), -2), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)],
@@ -403,3 +436,39 @@ class TestPublicSurface:
             "make_pl", "parse_spec", "pl_lattice_sum", "plfunc", "relative_futaki", "scan",
             "specfile", "translate",
         ]
+
+    def test_value_records_refuse_assignment(self):
+        poly = catalog("cp2")
+        extremal = toricstab.extremal_field(poly)
+        u = toricstab.make_pl(parse_pl_expression("max(0, x1)", 2), poly)
+        records = [
+            poly.halfspaces[0],
+            poly.best_origin,
+            toricstab.pl_lattice_sum(poly, u, 2),
+            extremal,
+            toricstab.relative_futaki(poly, u, extremal),
+            toricstab.check_condition(poly, extremal, "c02"),
+            u.cells[0],
+            toricstab.SimplePL(toricstab.affine((1, 0), 0)),
+            toricstab.scan(poly, extremal, toricstab.ScanConfig(8, 4, 1)),
+        ]
+        assert sorted(type(r).__name__ for r in records) == [
+            "BestOrigin", "Cell", "ConditionVerdict", "DegenerationReport", "ExtremalData",
+            "HalfSpace", "LatticeSum", "ScanResult", "SimplePL"]
+        for record in records:
+            first = type(record)._fields[0]
+            with pytest.raises(AttributeError):
+                setattr(record, first, getattr(record, first))
+
+    def test_cli_import_generates_no_code(self):
+        # Every command starts by importing the CLI: it must not load
+        # dataclasses, whose records exec generated methods, nor inspect.
+        src = Path(toricstab.__file__).resolve().parent.parent
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import toricstab.cli; "
+                "print(toricstab.cli.__file__); "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, timeout=60, check=True)
+        where, loaded = done.stdout.splitlines()
+        assert Path(where).resolve().parent.parent == src
+        assert loaded == "[]"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricstab import catalog, is_affine, make_pl
+from toricstab import Polynomial, catalog, is_affine, make_pl
 from toricstab.errors import EmptyPieceList, OutsideDomain
 from toricstab.geometry import HalfSpace, intersect
 from toricstab.plfunc import AffineFunction, SimplePL, affine, zero_function
@@ -202,7 +202,27 @@ class TestAffineForm:
             assert got == want
             assert type(got) is Fraction
 
-    def test_form_is_built_once(self):
+    def test_form_is_built_once(self, monkeypatch):
+        built = []
+        original = Polynomial.affine.__func__
+        monkeypatch.setattr(Polynomial, "affine", classmethod(
+            lambda cls, *args: built.append(args) or original(cls, *args)))
         f = affine((1, F(1, 2)), F(-1, 3))
+        g = affine((1, F(1, 2)), F(-1, 3))
         assert f.form is f.form
         assert f.form.terms == {(0, 0): F(-1, 3), (1, 0): 1, (0, 1): F(1, 2)}
+        for _ in range(3):
+            f.evaluate((1, 2)), g.form
+        assert len(built) == 2  # once per instance, equal or not
+
+    def test_equal_exactly_when_fields_are(self):
+        fields = ((1, F(1, 2)), F(-1, 3))
+        f, same = AffineFunction(*fields), AffineFunction(*fields)
+        assert f == same and not f != same
+        assert hash(f) == hash(same) == hash(fields)
+        f.form  # a kept form is no field
+        assert f == same and hash(f) == hash(fields)
+        assert f != AffineFunction((1, F(1, 2)), F(1, 3))
+        assert f != AffineFunction((1, F(1, 3)), F(-1, 3))
+        assert f != fields
+        assert repr(f) == "AffineFunction(gradient=(1, Fraction(1, 2)), constant=Fraction(-1, 3))"
