@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import InvalidHexagonParams, UnknownName
+from .errors import InvalidHexagonParams, UnknownName, shown
 from .geometry import Polytope, build_polytope, halfspace
 
 CATALOG_NAMES = (
@@ -69,8 +69,6 @@ def catalog(name: str) -> Polytope:
             lam = Fraction(match.group(1))
             mu = Fraction(match.group(2))
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidHexagonParams(f"bad hexagon parameters in {name!r}") from exc
+            raise InvalidHexagonParams(f"bad hexagon parameters in {shown(name)}") from exc
         return hexagon(lam, mu)
-    raise UnknownName(
-        f"no catalog entry {name!r}; known: {', '.join(CATALOG_NAMES)}"
-    )
+    raise UnknownName(f"no catalog entry {shown(name)}; known: {', '.join(CATALOG_NAMES)}")

@@ -83,6 +83,13 @@ class InvalidHexagonParams(ToricStabError):
     """Hexagon family parameters outside the admissible range."""
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message, cut after 60 characters and
+    then followed by its full length, so no input is echoed whole."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 class ParseError(ToricStabError):
     """Malformed specification text or expression.
 

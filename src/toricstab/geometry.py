@@ -201,11 +201,13 @@ class BestOrigin(NamedTuple):
     that minimum.  Among the minimisers, ``point`` has the largest smallest
     support value, which is ``depth``: ``depth > 0`` exactly when some
     minimiser lies strictly inside, and then ``point`` is one of them.
+    ``supports`` are the support values at ``point``.
     """
 
     point: Point
     max_support: Fraction
     depth: Fraction
+    supports: tuple
 
 
 class Polytope:
@@ -581,7 +583,7 @@ def _best_origin(poly: Polytope) -> BestOrigin:
 
     objectives = [(0,) * n + (1, 0), lowest_depth]
     z = _linalg.lp_minimize(rows, rhs, objectives, basis)
-    return BestOrigin(point=z[:n], max_support=z[n], depth=z[n + 1])
+    return BestOrigin(z[:n], z[n], z[n + 1], poly.support_values(z[:n]))
 
 
 def _check_bounded(clipped, hs, n):

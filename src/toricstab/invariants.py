@@ -31,7 +31,7 @@ from .geometry import Polytope
 from .integration import Polynomial
 from .plfunc import AffineFunction, PLFunction
 
-CONDITION_CODES = ("c02", "c02prime", "c02doubleprime", "c43", "c04", "c61")
+CONDITION_CODES = ("c02", "c02doubleprime", "c43", "c02prime", "c04", "c61")
 
 
 class ExtremalData(NamedTuple):
@@ -205,23 +205,20 @@ def linear_functional_L_cone(poly: Polytope, u: PLFunction, extremal: ExtremalDa
     weight = _weight(poly, extremal)
     # Per cell the integrand is lift / b_i - weighted, with the lift
     # <x, grad u> + n u = (n + 1) u - c for the piece u = <grad u, x> + c;
-    # only b_i depends on the pyramid, so each distinct b_i builds its
-    # integrands once.
+    # only b_i depends on the pyramid, and it is built only where the
+    # pyramid meets the cell.
     outer = frozenset(poly.halfspaces)
-    parts, cuts = [], []
+    parts = []
     for cell in u.cells:
         piece = cell.piece
-        parts.append((piece.form * (n + 1) - piece.constant, weight * piece.form))
-        cuts.append([h for h in cell.region.halfspaces if h not in outer])
-    integrands = {}
+        parts.append((piece.form * (n + 1) - piece.constant, weight * piece.form,
+                      [h for h in cell.region.halfspaces if h not in outer]))
     total = Fraction(0)
     for support, pyramid_hs, start in poly._cone_halfspaces:
-        if support not in integrands:
-            integrands[support] = [lift * (1 / support) - weighted for lift, weighted in parts]
-        for cell_cuts, integrand in zip(cuts, integrands[support]):
+        for lift, weighted, cell_cuts in parts:
             moments = geometry._cell_moments(pyramid_hs, start, cell_cuts)
             if moments is not None:
-                total += integration._form_integral(moments, integrand)
+                total += integration._form_integral(moments, lift * (1 / support) - weighted)
     return total
 
 
@@ -254,69 +251,70 @@ def relative_futaki(poly: Polytope, u: PLFunction, extremal: ExtremalData) -> De
 def check_condition(poly: Polytope, extremal: ExtremalData, which: str) -> ConditionVerdict:
     """Evaluate one sufficient condition with its exact rational margin.
 
-    Condition codes (``b_i`` the facet bounds measured from an origin):
+    Condition codes (``b_i`` the facet bounds measured from an origin),
+    each applying to every polytope unless it says what it raises:
 
     * ``c02``            curvature average plus potential sup norm is at
                          most ``(n+1)/b_i`` for every facet bound ``b_i``;
-    * ``c02prime``       the same against ``n+1`` (anticanonical bounds);
     * ``c02doubleprime`` curvature average alone against ``(n+1)/b_i``;
     * ``c43``            pointwise form: curvature average plus potential
                          value at most ``(n+1)/b_i`` everywhere on P;
+    * ``c02prime``       ``c02`` with every ``b_i = 1``; raises
+                         :class:`WrongFamily` unless some origin makes
+                         every bound 1 (the anticanonical class);
     * ``c04``            cone-volume form for vanishing obstruction;
+                         raises :class:`OriginNotInterior` unless the
+                         given origin is interior;
     * ``c61``            parameter window of the symmetric hexagon family,
-                         decided by exact squared comparisons.
+                         decided by exact squared comparisons; raises
+                         :class:`WrongFamily` off the family.
 
-    The cone form behind ``c02``, ``c02doubleprime``, ``c43`` and ``c04``
-    holds with its apex at any interior point, and ``L`` vanishes on
-    affine functions, so these hold when some interior origin ``t``
-    satisfies them.  They see ``t`` only through ``F(t) = max_i b_i(t)``,
-    and the reported margin is the one at ``min F`` over the closed
-    polytope (:attr:`Polytope.best_origin`), the supremum over interior
-    origins.  When that minimum is reached only on the boundary, a
-    positive margin still holds at an interior point near the minimiser,
-    but a zero margin does not: the cone form needs its apex strictly
-    inside, and whether a boundary apex is admissible is left open by the
-    documents this follows, so it is refused.  ``c04`` also reports its
-    margin at the given origin and raises :class:`OriginNotInterior` when
-    that origin is not interior; the other codes accept any coordinates.
+    The cone form behind the others holds with its apex at any interior
+    point, and ``L`` vanishes on affine functions, so they hold when some
+    interior origin ``t`` satisfies them.  They see ``t`` only through
+    ``F(t) = max_i b_i(t)``, and each margin is one slack
+    ``(n+1)/F - level``, the level being the curvature average plus the
+    code's potential term; so ``c02prime`` is ``c02``'s slack at
+    ``F = 1``, and ``c04`` is ``c02doubleprime``'s slack times ``F/n``.
+    The reported margin is the one at ``min F`` over the closed polytope
+    (:attr:`Polytope.best_origin`), the supremum over interior origins.
+    When that minimum is reached only on the boundary, a positive margin
+    still holds at an interior point near the minimiser, but a zero
+    margin does not: the cone form needs its apex strictly inside, and
+    whether a boundary apex is admissible is left open by the documents
+    this follows, so it is refused.  ``c04`` also reports its margin at
+    the given origin; the others accept any coordinates.
     """
     if which not in CONDITION_CODES:
         raise ValueError(f"unknown condition code {which!r}")
-    n = poly.dim
-    rbar = average_scalar_curvature(poly)
-
     if which == "c61":
         return _check_hexagon_window(poly)
-
-    if which == "c02prime":
-        margin = (n + 1) - rbar - extremal.norm
-        return ConditionVerdict("c02prime", margin >= 0, margin,
-                                margin_at_given_origin=margin)
-
+    n = poly.dim
+    best = poly.best_origin
+    # Anticanonical bounds are a property of P up to translation: when some
+    # origin makes every b_i equal to 1, the best origin does.
+    if which == "c02prime" and not all(b == 1 for b in best.supports):
+        raise WrongFamily("no origin makes every facet bound 1")
     if which == "c04" and not poly.origin_interior:
         raise OriginNotInterior("cone volumes need 0 strictly inside")
-    if which == "c43":
-        # The weight is affine, so its maximum sits at a vertex.
-        theta_values = [extremal.theta.evaluate(v) for v in poly.vertices]
-        vertex_index = theta_values.index(max(theta_values))
-        level = rbar + extremal.theta_max
-    elif which == "c02":
-        level = rbar + extremal.norm
-    else:
-        level = rbar
+    # The potential's term in the level; c02doubleprime and c04 have none.
+    term = {"c02": extremal.norm, "c02prime": extremal.norm, "c43": extremal.theta_max}.get(which)
+    level = poly.rbar + term if term else poly.rbar
 
     def slack(largest_bound):
-        if which == "c04":
-            # Summing b_i * sigma(F_i) = n * vol(cone_i) over the facets
-            # gives sum_i vol(cone_i) / b_i = boundary_measure / n, so the
-            # worst cone-volume ratio b_i * sum_j vol(cone_j) / (b_j vol)
-            # is rbar * max_i b_i / n.
-            return (Fraction(n + 1) - rbar * largest_bound) / n
-        return Fraction(n + 1) / largest_bound - level
+        value = Fraction(n + 1) / largest_bound - level
+        # For c04, summing b_i * sigma(F_i) = n * vol(cone_i) over the
+        # facets gives sum_i vol(cone_i) / b_i = boundary_measure / n, so
+        # the worst cone-volume ratio b_i * sum_j vol(cone_j) / (b_j vol)
+        # is rbar * max_i b_i / n, and its slack is scaled by F / n.
+        return value * largest_bound / n if which == "c04" else value
 
-    best = poly.best_origin
+    if which == "c02prime":
+        margin = slack(1)
+        return ConditionVerdict(which, margin >= 0, margin, margin_at_given_origin=margin)
+
     margin = slack(best.max_support)
-    origin = best.point
+    origin, bounds = best.point, best.supports
     holds = margin >= 0 and best.depth > 0
     if margin > 0 and best.depth == 0:
         # F is convex and the barycenter is interior, so moving from the
@@ -327,11 +325,13 @@ def check_condition(poly: Polytope, extremal: ExtremalData, which: str) -> Condi
         target = Fraction(n + 1) / level
         s = min(Fraction(1), (target - best.max_support) / (at_center - best.max_support))
         origin = tuple(t + s * (c - t) for t, c in zip(origin, center))
+        bounds = poly.support_values(origin)
         holds = True
-
-    bounds = poly.support_values(origin)
-    facet = bounds.index(max(bounds))
-    witness = (facet, vertex_index) if which == "c43" else facet
+    witness = bounds.index(max(bounds))
+    if which == "c43":
+        # The weight is affine, so its maximum sits at a vertex.
+        theta_values = [extremal.theta.evaluate(v) for v in poly.vertices]
+        witness = (witness, theta_values.index(max(theta_values)))
     at_given = None
     if poly.origin_interior:
         # Measured from 0, each support value is the bound itself.

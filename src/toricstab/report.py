@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import geometry, invariants, specfile
-from .errors import OriginNotInterior
+from .errors import OriginNotInterior, WrongFamily
 from .geometry import Polytope
 from .invariants import ConditionVerdict, DegenerationReport
 
@@ -50,6 +50,8 @@ def input_hash(poly: Polytope) -> str:
 def build_report(poly: Polytope, name=None, pl_functions=(), scan_result=None) -> dict:
     """Full stability report for one polytope.
 
+    It carries the verdict of every condition code in
+    :data:`invariants.CONDITION_CODES` that applies to ``poly``.
     ``pl_functions`` is a sequence of ``(label, PLFunction)`` pairs to
     analyse as degenerations; ``scan_result`` attaches a finished scan.
     """
@@ -57,21 +59,12 @@ def build_report(poly: Polytope, name=None, pl_functions=(), scan_result=None) -
     rbar = invariants.average_scalar_curvature(poly)
     delzant_ok, violator = geometry.delzant_check(poly)
 
-    conditions = [
-        invariants.check_condition(poly, extremal, "c02"),
-        invariants.check_condition(poly, extremal, "c02doubleprime"),
-        invariants.check_condition(poly, extremal, "c43"),
-    ]
-    # Anticanonical bounds are a property of P up to translation: when some
-    # origin makes every b_i equal to 1, the best origin does.
-    if all(b == 1 for b in poly.support_values(poly.best_origin.point)):
-        conditions.append(invariants.check_condition(poly, extremal, "c02prime"))
-    try:
-        conditions.append(invariants.check_condition(poly, extremal, "c04"))
-    except OriginNotInterior:
-        pass
-    if invariants.hexagon_parameters(poly) is not None:
-        conditions.append(invariants.check_condition(poly, extremal, "c61"))
+    conditions = []
+    for code in invariants.CONDITION_CODES:
+        try:
+            conditions.append(invariants.check_condition(poly, extremal, code))
+        except (OriginNotInterior, WrongFamily):
+            pass
 
     report = {
         "tool": {

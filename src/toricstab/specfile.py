@@ -24,7 +24,7 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, shown
 from .geometry import HalfSpace, Polytope, build_polytope
 
 
@@ -100,21 +100,19 @@ def parse_spec(text: str) -> Polytope:
             or not all(type(c) is int for c in normal)
         ):
             raise ParseError(
-                f"expected {dim} integer components, got {normal!r}",
+                f"expected {dim} integer components, got {shown(normal)}",
                 where=f"{where}.normal",
             )
         bound = entry.get("bound")
         if type(bound) not in (int, str):
             raise ParseError(
-                f"expected an integer or rational string, got {bound!r}",
+                f"expected an integer or rational string, got {shown(bound)}",
                 where=f"{where}.bound",
             )
         try:
             bound = Fraction(bound)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(
-                f"bad rational {bound!r}", where=f"{where}.bound"
-            ) from exc
+            raise ParseError(f"bad rational {shown(bound)}", where=f"{where}.bound") from exc
         halfspaces.append(HalfSpace(tuple(normal), bound))
     return build_polytope(halfspaces)
 

@@ -30,7 +30,8 @@ from toricstab.geometry import intersect
 from toricstab.plfunc import AffineFunction, affine, zero_function
 from toricstab.reproduce import random_affine, random_convex_pl
 
-from helpers import DegenerateSimplex, active_pieces, contains_interior, prism, simplex_halfspaces
+from helpers import (DegenerateSimplex, active_pieces, contains_interior, prism,
+                     random_polygon, simplex_halfspaces)
 
 
 def F(a, b=1):
@@ -515,6 +516,50 @@ class TestConditions:
                             lambda poly: calls.append(poly) or solve(poly))
         report.build_report(translate(catalog("cp2_2blowup"), (1, 2)))
         assert len(calls) == 1
+
+    def test_c02prime_only_for_anticanonical_bounds(self):
+        # hexagon(2,3) has no origin with every bound 1, nor has a random
+        # lattice polygon as a rule; the Fano polygons keep c02prime under
+        # translations and GL(2,Z) maps.
+        rng = random.Random(23)
+        while True:
+            poly = random_polygon(rng)
+            if any(b != 1 for b in poly.support_values(poly.best_origin.point)):
+                break
+        for other in (catalog("hexagon(2,3)"), poly):
+            with pytest.raises(WrongFamily):
+                check_condition(other, invariants.extremal_field(other), "c02prime")
+        for name in ("cp2", "cp1xcp1", "cp2_3blowup"):
+            for word, shift in (((), (0, 0)), ((), (3, -1)), ((0, 1, 2), (F(1, 3), F(-2, 5)))):
+                moved = _lattice_image(catalog(name), word, shift)
+                verdict = check_condition(moved, invariants.extremal_field(moved), "c02prime")
+                assert (verdict.holds, verdict.margin) == (True, 1), (name, word, shift)
+
+    def test_origin_margins_share_one_slack(self):
+        # c04 is c02doubleprime's slack times F/n wherever the origin is
+        # interior, and c02prime is c02 wherever it applies.
+        rng = random.Random(603237)
+        polys = [catalog(name) for name in ("cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup",
+                                            "cp2_3blowup", "hexagon(2,3)")]
+        polys += [random_polygon(rng, den=rng.choice((1, 2, 3))) for _ in range(40)]
+        anticanonical = interior = 0
+        for poly in polys:
+            ext = invariants.extremal_field(poly)
+            c02 = check_condition(poly, ext, "c02")
+            doubleprime = check_condition(poly, ext, "c02doubleprime")
+            if poly.origin_interior:
+                interior += 1
+                c04 = check_condition(poly, ext, "c04")
+                scale = poly.best_origin.max_support / poly.dim
+                assert c04.margin == doubleprime.margin * scale
+                assert c04.holds == doubleprime.holds
+            try:
+                prime = check_condition(poly, ext, "c02prime")
+            except WrongFamily:
+                continue
+            anticanonical += 1
+            assert (prime.margin, prime.holds) == (c02.margin, c02.holds)
+        assert interior > 20 and anticanonical >= 5
 
 
 # GL(2,Z) generators: a quarter turn, a shear and a reflection.

@@ -234,17 +234,19 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv,message", [
         (["lfun", "--catalog", "cp2", "--pl", "max(0, 1/0*x1)"],
-         "1/0*x1: zero denominator in term '1/0*x1'"),
-        (["lfun", "--catalog", "cp2", "--pl", "1/0"], "1/0: zero denominator in term '1/0'"),
+         "max argument 2: zero denominator in term '1/0*x1'"),
+        (["lfun", "--catalog", "cp2", "--pl", "1/0"], "zero denominator in term '1/0'"),
         (["analyze", "--spec", "dim_true.json"], "dim: expected an integer in {1, 2, 3}"),
         (["analyze", "--spec", "normal_true.json"],
          "halfspaces[0].normal: expected 2 integer components, got [True, 0]"),
         (["analyze", "--spec", "normal_false.json"],
          "halfspaces[0].normal: expected 2 integer components, got [0, False]"),
+        (["lfun", "--catalog", "cp2", "--pl", "max(0, x1, 2*y3)"], "max argument 3: bad term '2*y3'"),
     ])
     def test_bad_expression_and_spec_exit_two(self, capsys, monkeypatch, tmp_path, argv, message):
-        # A literal over 0 is no rational and JSON true and false are no
-        # integers: input errors that name the term or the field.
+        # A literal over 0 is no rational, y3 is no coordinate and JSON
+        # true and false are no integers: input errors that name the max
+        # argument and the term once, or the field.
         rows = [{"normal": [True, 0], "bound": 1}, {"normal": [-1, 0], "bound": 1},
                 {"normal": [0, 1], "bound": 1}, {"normal": [0, -1], "bound": 1}]
         (tmp_path / "dim_true.json").write_text(json.dumps(
@@ -286,8 +288,32 @@ class TestCLI:
         assert main(["lfun", "--catalog", "cp2", "--pl", expr]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        term = f"{self.LONG}*x1"
-        assert captured.err == f"error: {term}: too many digits in term {term!r}\n"
+        shown = repr(f"{self.LONG}*x1")[:60]
+        assert captured.err == (
+            f"error: max argument 2: too many digits in term {shown}... (5005 characters)\n")
+
+    @pytest.mark.parametrize("argv,field", [
+        (["lfun", "--catalog", "cp2", "--pl", f"max(0, {LONG}*x1)"],
+         "max argument 2: too many digits in term"),
+        (["analyze", "--spec", "long_bound.json"], "halfspaces[0].bound: bad rational"),
+        (["analyze", "--spec", "long_normal.json"],
+         "halfspaces[0].normal: expected 2 integer components"),
+        (["analyze", "--catalog", LONG], "no catalog entry"),
+    ], ids=["pl-coefficient", "spec-bound", "spec-normal", "catalog-name"])
+    def test_long_input_is_cut_in_errors(self, capsys, tmp_path, monkeypatch, argv, field):
+        # An error names the field and echoes at most a fixed length of
+        # the input, with its full length, however long the input is.
+        rows = {"long_bound.json": {"normal": [1, 0], "bound": self.LONG + "/0"},
+                "long_normal.json": {"normal": [0] * 10_000, "bound": 1}}
+        for name, row in rows.items():
+            (tmp_path / name).write_text(json.dumps({"dim": 2, "halfspaces": [row]}))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}")
+        assert " characters)" in captured.err
+        assert len(captured.err.encode()) < 300
 
     @pytest.mark.parametrize("rows,message", [
         ([((1, 0), 1), ((0, 1), 1), ((0, -1), 1)], "direction (-1, 0) recedes"),
@@ -326,18 +352,25 @@ class TestCLI:
 
     @pytest.mark.parametrize("name,golden", [("cp2_2blowup", "scan_cp2_2blowup.json"),
                                              ("hexagon(2,3)", "scan_hexagon23.json"),
-                                             ("blowup1_moved.json", "scan_blowup1_moved.json")])
+                                             ("blowup1_moved.json", "scan_blowup1_moved.json"),
+                                             ("cp2_2blowup", "scan_cp2_2blowup.txt"),
+                                             ("hexagon(2,3)", "scan_hexagon23.txt"),
+                                             ("blowup1_moved.json", "scan_blowup1_moved.txt")])
     def test_default_scan_golden_bytes(self, tmp_path, monkeypatch, name, golden):
         # The files hold the output of the scan that sent every grid
         # candidate through the kernel; the profile scan must match them
-        # byte for byte.  The two catalog polygons are lattice polygons
+        # byte for byte, as canonical JSON (``.json``) and as the default
+        # table (``.txt``).  The two catalog polygons are lattice polygons
         # around the origin; the spec is cp2_1blowup moved by (3/2, 1/3),
         # so its vertices are over 6 and the scan's base point is the
-        # barycenter.
+        # barycenter.  Their conditions cover every applicability rule:
+        # c02prime and c04 on cp2_2blowup, c61 on the hexagon, and on the
+        # moved spec c02prime without c04.
         monkeypatch.chdir(GOLDEN)
         source = ["--spec", name] if name.endswith(".json") else ["--catalog", name]
-        out = tmp_path / "scan.json"
-        code = main(["scan", *source, "--format", "structured", "--out", str(out)])
+        out = tmp_path / "scan.out"
+        fmt = "table" if golden.endswith(".txt") else "structured"
+        code = main(["scan", *source, "--format", fmt, "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
@@ -346,18 +379,20 @@ class TestCLI:
         ("hexagon23", ["--catalog", "hexagon(2,3)"], "max(0, x1 - x2 + 1/2, 2/3*x2 - 1)"),
         ("box3", ["--spec", "box3_rational.json"], "max(0, x1 + x2 - 1/3, x3 - 1/2)"),
     ])
-    @pytest.mark.parametrize("command,prefix", [("lfun", "lfun"), ("analyze", "analyze_pl")])
+    @pytest.mark.parametrize("command,prefix", [("lfun", "lfun"), ("analyze", "analyze_pl"),
+                                                ("analyze", "analyze_pl_table")])
     def test_pl_golden_bytes(self, tmp_path, monkeypatch, tag, source, expr, command, prefix):
         # The structured output of ``lfun --pl`` (both forms of L) and
-        # ``analyze --pl`` must match these files byte for byte.  The spec
-        # is read relative to the golden directory, so its name in the
-        # report does not depend on where the tests run.
+        # ``analyze --pl``, and the default table of ``analyze --pl``
+        # (``analyze_pl_table``), must match these files byte for byte.
+        # The spec is read relative to the golden directory, so its name
+        # in the report does not depend on where the tests run.
         monkeypatch.chdir(GOLDEN)
-        out = tmp_path / "out.json"
-        code = main([command, *source, "--pl", expr, "--format", "structured",
-                     "--out", str(out)])
+        out = tmp_path / "out"
+        fmt, suffix = ("table", "txt") if prefix.endswith("_table") else ("structured", "json")
+        code = main([command, *source, "--pl", expr, "--format", fmt, "--out", str(out)])
         assert code == 0
-        assert out.read_bytes() == (GOLDEN / f"{prefix}_{tag}.json").read_bytes()
+        assert out.read_bytes() == (GOLDEN / f"{prefix}_{tag}.{suffix}").read_bytes()
 
     @pytest.mark.parametrize("tag,source,expr", [
         ("cp2_2blowup", ["--catalog", "cp2_2blowup"], "max(0, x1 - 1/2, 1/3*x1 + x2)"),
