@@ -91,9 +91,12 @@ def _solve_integer(rows, n):
 
 
 def det_int(rows):
-    """Determinant of a small integer matrix: closed forms for n <= 3,
-    else the last pivot of :func:`_eliminate`, signed by its row swaps."""
+    """Determinant of a small integer matrix: 1 for the empty one, closed
+    forms for n <= 3, else the last pivot of :func:`_eliminate`, signed by
+    its row swaps."""
     n = len(rows)
+    if n == 0:
+        return 1
     if n == 1:
         return rows[0][0]
     if n == 2:
@@ -131,6 +134,8 @@ def cross_generalized(rows, n):
     is the cross product.  Returns the zero vector when the rows are
     dependent.  Callers with rational rows write them over a common
     denominator first, which scales the result by a positive integer.
+    In the library only ``geometry._check_bounded`` calls it, for the
+    direction of an unbounded edge; every measure is a :func:`det_int`.
     """
     if len(rows) != n - 1:
         raise ValueError("need exactly n-1 rows")

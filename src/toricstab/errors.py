@@ -5,6 +5,8 @@ class so callers (in particular the CLI) can map them to precise messages
 and exit codes.
 """
 
+from fractions import Fraction
+
 
 class ToricStabError(Exception):
     """Base class for all library errors."""
@@ -85,8 +87,12 @@ class InvalidHexagonParams(ToricStabError):
 
 def shown(value) -> str:
     """``repr(value)`` for an error message, cut after 60 characters and
-    then followed by its full length, so no input is echoed whole."""
-    text = repr(value)
+    then followed by its full length, so no input is echoed whole.  A
+    ``Fraction`` shows as ``3/2`` and a tuple of them as ``(-1, 3/2)``."""
+    if isinstance(value, tuple):
+        text = f"({', '.join(map(str, value))}{',' * (len(value) == 1)})"
+    else:
+        text = str(value) if isinstance(value, Fraction) else repr(value)
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 

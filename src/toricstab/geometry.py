@@ -3,56 +3,43 @@
 A polytope is the bounded intersection of half-spaces ``<l_i, x> <= b_i``
 with primitive integer normals ``l_i`` and rational bounds.  Everything
 derived from it (vertices, facets, boundary measures, moments, the cones
-over its facets) is computed in exact rational arithmetic; this module
-never touches floating point.
+over its facets) is exact; this module never touches floating point.
 
 Vertices come from one place, :func:`_clip`, which cuts a known body by
-half-spaces one at a time and carries along which half-spaces are tight
-at each vertex (its active set), each vertex as integer numerators over
-a denominator.  :func:`build_polytope` validates user input and then
-clips a bounding box by every input half-space, and the clip decides
-whether the body is empty, then unbounded, then flat; a cell
-(:func:`intersect`) clips its parent's vertices by a few more.  Either
-way the vertices and their active sets go to :func:`_build`, which
-derives everything else from them; which half-spaces support facets,
-and the cycle order of each 3-D facet's vertices, come from
-:func:`_facets`.
+half-spaces one at a time and holds each vertex as one integer row
+``(numerators, denominator, tight set)``: the point over a positive
+denominator in lowest terms, and the indices of the half-spaces through
+it.  :func:`build_polytope` validates user input and clips a bounding box
+by every input half-space, and the clip decides whether the body is
+empty, then unbounded, then flat; a cell (:func:`intersect`) clips its
+parent's rows by a few more.  Either way :func:`_build` derives the rest
+from the rows on integers, with the facets and the cycle order of each
+3-D facet's vertices from :func:`_facets`.  The polytope keeps its rows
+(``Polytope._clip_start``) for the simplicity check,
+:func:`delzant_check`, :func:`_best_origin` and every later clip; all
+else is a cached property computed on first read: the ``Fraction``
+vertices, the facets' simplices and moments, the body's moments, volume
+and barycenter, and the pyramids of the cone form.
 
-There is one simplex form: the integer points of a clip over one
-denominator.  :func:`_fan` cones a body from its first vertex over the
-facets not through it, each facet fanned from the first vertex of its
+There is one simplex form, the integer points of a clip over one
+denominator, and one measure, :func:`_measure`, the ``|det|`` of a
+simplex's integer edges.  :func:`_fan` cones a body from its first vertex
+over the facets not through it, each fanned from the first vertex of its
 cycle by :func:`_facet_simplices`, and :func:`_simplex_moments` sums the
-closed-form moments over those simplices.  A facet is fanned the same way
-in its own dimension.  The cone form has one pyramid per facet, with its
-apex at the origin: with the origin interior, the cell of the gauge
-function ``max_j <l_j, x> / b_j`` where the facet's own term is largest,
-cut out by the facet's half-space and one integer half-space through the
-origin per other facet (:attr:`Polytope._cone_halfspaces`).  It is fanned
-like any other clip.  The boundary sums its facets' moments over one
-denominator (:attr:`Polytope._boundary_moments`).
+closed-form moments over those simplices.  A facet is fanned the same
+way in its own dimension and carries the lattice measure ``dsigma``, the
+Lebesgue measure of its lattice ``{x in Z^n : <l, x> = 0}``: as ``l`` is
+primitive, leaving out the first coordinate ``j`` with ``l_j != 0`` maps
+that lattice onto a sublattice of ``Z^(n-1)`` of index ``|l_j|``, so a
+facet simplex measures its shadow's ``|det|`` over ``|l_j|``.
 
-Boundary pieces carry the lattice measure: on the facet with normal ``l``
-it is the Euclidean surface measure divided by ``|l|_2``.  Because the
-Euclidean measure of a rational facet piece is a rational multiple of
-``sqrt(|l|_2^2)``, the lattice measure of every facet piece is an exact
-rational and no square root is ever materialized.
-
-What a polytope computes when it is built, and what only when read:
-:func:`_build` derives the retained facets, each with its vertices in
-cycle order, and the polytope keeps its clip (see :class:`Polytope`):
-the simplicity check, :func:`delzant_check`, the start of the
-:func:`_best_origin` LP and every later clip read its tight sets, and
-nothing is rebuilt from ``Fraction`` vertices.
-Everything an integral reads beyond that is a cached property, computed
-on first use and kept: a facet's simplices over one denominator and its
-moments, the boundary's moments, the body's moments, the volume and
-barycenter, and the pyramids of the cone form.
-
-The cells of the cone form are never polytopes.  It reads nothing of a
-cone cell but its moments, so :func:`_cell_moments` clips a pyramid's
-start by the cuts of one PL cell with the same :func:`_clip` and
-:func:`_facets` that :func:`intersect` uses and takes the moments
-straight from the clip's integer vertices, building no
+The cone form has one pyramid per facet, with its apex at the origin:
+with the origin interior, the cell of the gauge function
+``max_j <l_j, x> / b_j`` where the facet's own term is largest
+(:attr:`Polytope._cone_halfspaces`).  The cone form reads nothing of a
+cone cell but its moments, so :func:`_cell_moments` clips a pyramid by
+the cuts of one PL cell with the same :func:`_clip` and :func:`_facets`
+that :func:`intersect` uses and fans the rows, building no
 :class:`Polytope`, :class:`Facet` or ``Fraction`` vertex.
 """
 
@@ -71,13 +58,10 @@ from .errors import (
     NotSimple,
     Unbounded,
     UnsupportedDimension,
+    shown,
 )
 
 Point = tuple
-
-
-def _frac_point(coords) -> Point:
-    return tuple(Fraction(c) for c in coords)
 
 
 class HalfSpace(NamedTuple):
@@ -136,49 +120,49 @@ class Facet(Record):
     """A facet of a polytope and its vertices.
 
     ``vertex_indices`` are the positions of the facet's vertices in the
-    polytope's vertex list and ``vertices`` the points themselves, both in
-    the order :func:`_facets` gives: the cycle from the first vertex in
-    3-D, increasing otherwise.  ``halfspace`` is the polytope's own
-    half-space the facet lies in, with the primitive normal ``l``.  The
-    simplices tiling the facet, each with its lattice measure, the exact
-    rational Euclidean measure over ``|l|_2``, and the facet's moments
-    with that measure are computed on the first read of :attr:`_moments`
-    or :attr:`measure` and kept.
-    Boundary integrals and boundary measures read them; the facets of a
-    cell that is only integrated over its volume never pay for them.
+    polytope's vertex list and ``rows`` their clip rows ``(numerators,
+    denominator, tight set)`` as the polytope keeps them, both in the
+    order :func:`_facets` gives: the cycle from the first vertex in 3-D,
+    increasing otherwise.  ``halfspace`` is the polytope's own half-space
+    the facet lies in, with the primitive normal ``l``.  The ``Fraction``
+    points (:attr:`vertices`), the simplices tiling the facet with their
+    lattice measures, and its moments are computed on first read and
+    kept, so a cell only integrated over its volume never pays for them.
+    Equality, hashing and ``repr`` are over ``_fields``.
 
     Instances are immutable by convention, as polytopes are.
     """
 
     _fields = ("halfspace", "vertex_indices", "vertices")
 
-    def __init__(self, halfspace: HalfSpace, vertex_indices: tuple, vertices: tuple):
+    def __init__(self, halfspace: HalfSpace, vertex_indices: tuple, rows: tuple):
         self.halfspace = halfspace
         self.vertex_indices = vertex_indices
-        self.vertices = vertices
+        self.rows = rows
+
+    @functools.cached_property
+    def vertices(self) -> tuple:
+        return _points(self.rows)
 
     @functools.cached_property
     def _integer_simplices(self) -> tuple:
         """``(q, scale, simplices)``: the facet's simplices over one denominator.
 
-        The vertices become integer points over their common denominator
-        ``q`` and are fanned by :func:`_facet_simplices`.  Each simplex is
-        ``(c, points)``: its vertices are ``points / q`` and its lattice
-        measure is ``c / scale``.  The generalized cross product of a
-        simplex's edges is parallel to ``l``, and its component along
-        ``l`` over ``(n-1)! |l|_2^2`` is exactly the Euclidean measure over
-        ``|l|_2``.  With the edges as integer vectors over ``q`` the cross
-        product is ``q**(n-1)`` times the rational one, so
-        ``c = |<cross, l>|`` and ``scale = q**(n-1) |l|_2^2 (n-1)!``.
+        The rows become integer points over one denominator ``q`` and are
+        fanned by :func:`_facet_simplices`.  Each simplex is ``(c,
+        points)``, with vertices ``points / q`` and lattice measure ``c /
+        scale``: ``c`` is the :func:`_measure` of its shadow with the first
+        coordinate ``j`` with ``l_j != 0`` left out, and ``scale = (n-1)!
+        q**(n-1) |l_j|`` (see the module docstring).
         """
         normal = self.halfspace.normal
         n = len(normal)
-        q, points = _linalg.over_common_denominator(self.vertices)
-        scale = q ** (n - 1) * sum(c * c for c in normal) * factorial(n - 1)
-        return q, scale, tuple(
-            (abs(_linalg.dot(_linalg.cross_generalized(_edges(p), n), normal)), p)
-            for p in _facet_simplices(points, n)
-        )
+        j = next(k for k, c in enumerate(normal) if c)
+        q, points = _integer_points(self.rows)
+        return q, factorial(n - 1) * q ** (n - 1) * abs(normal[j]), [
+            (_measure([p[:j] + p[j + 1:] for p in simplex]), simplex)
+            for simplex in _facet_simplices(points, n)
+        ]
 
     @functools.cached_property
     def _moments(self) -> tuple:
@@ -216,19 +200,17 @@ class Polytope:
     Instances are immutable after construction; use :func:`build_polytope`.
     Vertices are stored in lexicographic order, facets in the order of the
     retained half-spaces.  ``_clip_start`` is the clip the polytope was
-    built from, each vertex as ``(point, numerators, denominator, tight
-    set)`` in vertex order: ``point`` equals ``numerators / denominator``
-    in lowest terms, and the tight set holds the indices into
+    built from: one row ``(numerators, denominator, tight set)`` per
+    vertex, in vertex order, the tight set holding the indices into
     ``halfspaces`` of the facets through the vertex.  :func:`intersect`
-    starts :func:`_clip` from it, the pyramids of :attr:`_cone_halfspaces`
-    take their facet vertices from it, and :attr:`_moments` fans it.
+    starts :func:`_clip` from it, :attr:`_moments` fans it, and
+    :attr:`vertices` makes the ``Fraction`` points from it on first read.
     """
 
     def __init__(self, dim, halfspaces, clip_start, facets, origin_interior, warnings=()):
         self.dim = dim
         self.halfspaces = tuple(halfspaces)
         self._clip_start = tuple(clip_start)
-        self.vertices = tuple(v for v, *_ in self._clip_start)
         self.facets = tuple(facets)
         self.origin_interior = origin_interior
         self.warnings = tuple(warnings)
@@ -255,6 +237,10 @@ class Polytope:
         return all(h.value(x) <= h.bound for h in self.halfspaces)
 
     # -- cached derived data ---------------------------------------------------
+
+    @functools.cached_property
+    def vertices(self) -> tuple:
+        return _points(self._clip_start)
 
     @functools.cached_property
     def volume(self) -> Fraction:
@@ -333,7 +319,7 @@ class Polytope:
         PL cell.
         """
         n = self.dim
-        apex = ((Fraction(0),) * n, [0] * n, 1, frozenset(range(1, len(self.halfspaces))))
+        apex = ([0] * n, 1, frozenset(range(1, len(self.halfspaces))))
         pyramids = []
         for i, facet in enumerate(self.facets):
             own = facet.halfspace
@@ -346,10 +332,8 @@ class Polytope:
                     g = gcd(*normal)
                     hs.append(HalfSpace(tuple(c // g for c in normal), Fraction(0)))
             # The cut of facet j is half-space j + 1 before facet i and j after it.
-            start = [apex] + [
-                (v, p, q, frozenset([0] + [j + (j < i) for j in tight if j != i]))
-                for v, p, q, tight in (self._clip_start[k] for k in facet.vertex_indices)
-            ]
+            start = [apex] + [(p, q, frozenset([0] + [j + (j < i) for j in tight if j != i]))
+                              for p, q, tight in facet.rows]
             pyramids.append((own.bound, tuple(hs), tuple(start)))
         return tuple(pyramids)
 
@@ -358,18 +342,18 @@ class Polytope:
         """Vertex indices in counterclockwise order from the smallest (surfaces only)."""
         if self.dim != 2:
             raise ValueError("ccw_cycle is defined for dim 2 only")
-        neighbours = [[] for _ in self.vertices]
+        neighbours = [[] for _ in self._clip_start]
         for facet in self.facets:
             a, b = facet.vertex_indices
             neighbours[a].append(b)
             neighbours[b].append(a)
-        return tuple(_ccw_walk([(q, *p) for _, p, q, _ in self._clip_start], neighbours))
+        return tuple(_ccw_walk([(q, *p) for p, q, _ in self._clip_start], neighbours))
 
     @functools.cached_property
     def ccw_facets(self) -> tuple:
         """The facets along :attr:`ccw_cycle`, the k-th from its k-th vertex
         to the next (surfaces only): the one facet in both tight sets."""
-        tight = [self._clip_start[i][3] for i in self.ccw_cycle]
+        tight = [self._clip_start[i][2] for i in self.ccw_cycle]
         return tuple(self.facets[min(a & b)] for a, b in zip(tight, tight[1:] + tight[:1]))
 
 
@@ -406,13 +390,11 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     for h in hs:
         if len(h.normal) != n:
             raise Degenerate("mixed normal dimensions")
-        if all(c == 0 for c in h.normal):
-            raise NonPrimitiveNormal(f"zero normal with bound {h.bound}")
-        g = 0
-        for c in h.normal:
-            g = gcd(g, abs(c))
+        g = gcd(*h.normal)
+        if g == 0:
+            raise NonPrimitiveNormal(f"zero normal with bound {shown(h.bound)}")
         if g != 1:
-            raise NonPrimitiveNormal(f"normal {h.normal} has content {g}")
+            raise NonPrimitiveNormal(f"normal {shown(h.normal)} has content {shown(g)}")
     if len(hs) < n + 1:
         raise Unbounded(f"{len(hs)} half-spaces cannot bound dimension {n}")
 
@@ -433,7 +415,7 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     # Box half-space 2j is x_j <= m and 2j + 1 is -x_j <= m.
     box = [HalfSpace(tuple(s * (k == j) for k in range(n)), Fraction(m))
            for j in range(n) for s in (1, -1)]
-    start = [(None, [-m if s else m for s in signs], 1,
+    start = [([-m if s else m for s in signs], 1,
               frozenset(2 * j + s for j, s in enumerate(signs)))
              for signs in itertools.product((0, 1), repeat=n)]
     clipped = _clip(start, box + deduped, n, len(box))
@@ -442,48 +424,42 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     _check_bounded(clipped, box + deduped, n)
     if not _full_body(clipped, n):
         raise Degenerate("vertex hull is not full-dimensional")
-    body = [(v, p, q, frozenset(i - len(box) for i in at_v)) for v, p, q, at_v in clipped]
+    body = [(p, q, frozenset(i - len(box) for i in at_v)) for p, q, at_v in clipped]
     return _build(deduped, n, body, require_simple=require_simple, warnings=warnings)
 
 
 def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
     """Shared constructor from the half-spaces and the vertices of their body.
 
-    ``body`` lists the vertices in the form :func:`_clip` returns them,
-    ``(point, numerators, denominator, tight set)``, and must be exactly
-    the vertices of the body the half-spaces bound, which must be
-    full-dimensional, with each tight set exactly the indices into ``hs``
-    of the half-spaces through the vertex, and each vertex in lowest
-    terms.  Nothing is re-evaluated here.  A vertex without its
-    ``Fraction`` point gets it now.  Retained facets and their vertex
-    order come from :func:`_facets`, and warnings from what it drops;
-    each facet keeps its vertices in that order and its half-space, and its
-    simplices and their lattice measures wait until a boundary integral
-    reads them (see :class:`Facet`).  The polytope keeps the sorted body
-    as its ``_clip_start``, the tight sets renumbered to the retained
-    half-spaces, so a vertex lies on as many facets as its tight set holds.
+    ``body`` holds the rows :func:`_clip` returns, exactly the vertices of
+    the full-dimensional body ``hs`` bounds, each in lowest terms with its
+    exact tight set.  Nothing is re-evaluated and no ``Fraction`` is made:
+    the rows are sorted in the lexicographic order of their points by
+    their integer points over one denominator.  Retained facets and their
+    vertex order come from :func:`_facets`, and warnings from what it
+    drops.  The polytope keeps the sorted rows as its ``_clip_start``, the
+    tight sets renumbered to the retained half-spaces, and each facet
+    keeps its vertices' rows in its order (see :class:`Facet`).
     """
     warnings = list(warnings)
-    body = sorted(
-        ((tuple(Fraction(c, q) for c in p) if v is None else v, p, q, at_v)
-         for v, p, q, at_v in body),
-        key=lambda vertex: vertex[0],
-    )
-    kept, facets, renumber = [], [], {}
-    for i, (h, cycle) in enumerate(zip(hs, _facets(hs, n, body))):
+    _, points = _integer_points(body)
+    body = [body[k] for k in sorted(range(len(body)), key=points.__getitem__)]
+    cycles = _facets(hs, n, body)
+    kept, renumber = [], {}
+    for i, (h, cycle) in enumerate(zip(hs, cycles)):
         if cycle is None:
             warnings.append(f"redundant half-space {h.normal} <= {h.bound} dropped")
-            continue
-        renumber[i] = len(kept)
-        facets.append(Facet(h, tuple(cycle), tuple(body[j][0] for j in cycle)))
-        kept.append(h)
-    clip = [(v, p, q, frozenset(renumber[i] for i in at_v if i in renumber))
-            for v, p, q, at_v in body]
+        else:
+            renumber[i] = len(kept)
+            kept.append(h)
+    clip = [(p, q, frozenset(renumber[i] for i in at_v if i in renumber)) for p, q, at_v in body]
+    facets = [Facet(hs[i], tuple(cycles[i]), tuple(clip[j] for j in cycles[i])) for i in renumber]
 
     if require_simple:
-        for v, _, _, at_v in clip:
+        for p, q, at_v in clip:
             if len(at_v) != n:
-                raise NotSimple(f"vertex {v} lies on {len(at_v)} facets")
+                point = tuple(Fraction(c, q) for c in p)
+                raise NotSimple(f"vertex {shown(point)} lies on {len(at_v)} facets")
 
     # At the origin every <l, x> is 0, so it is interior when every bound is positive.
     origin_interior = all(h.bound > 0 for h in kept)
@@ -494,8 +470,7 @@ def _facets(hs, n, body) -> list:
     """For each half-space, the positions in ``body`` of its facet's
     vertices, or None when it supports no facet.
 
-    ``body`` lists the vertices as :func:`_clip` does, and only the
-    integer numerators, denominators and tight sets are read.  A
+    ``body`` lists the vertices as the rows of :func:`_clip`.  A
     half-space supports a facet exactly when its vertices span affine
     dimension n-1.  For n <= 3 a count decides: no vertex of a convex body
     lies between two others, so n distinct vertices on one supporting
@@ -510,18 +485,18 @@ def _facets(hs, n, body) -> list:
     """
     on = [[] for _ in hs]
     for j, vertex in enumerate(body):
-        for i in vertex[3]:
+        for i in vertex[2]:
             on[i].append(j)
     out = []
     for h, vidx in zip(hs, on):
         if len(vidx) < n:
             out.append(None)
         elif n == 3:
-            tight = [body[j][3] for j in vidx]
+            tight = [body[j][2] for j in vidx]
             neighbours = [[b for b, at_b in enumerate(tight) if b != a and len(at_a & at_b) > 1]
                           for a, at_a in enumerate(tight)]
             drop = next(j for j, c in enumerate(h.normal) if c != 0)
-            flat = [(body[j][2], *body[j][1][:drop], *body[j][1][drop + 1:]) for j in vidx]
+            flat = [(body[j][1], *body[j][0][:drop], *body[j][0][drop + 1:]) for j in vidx]
             out.append([vidx[b] for b in _ccw_walk(flat, neighbours)])
         else:
             out.append(vidx)
@@ -571,14 +546,14 @@ def _best_origin(poly: Polytope) -> BestOrigin:
     rows.append(lowest_depth)
     rhs.append(Fraction(0))
 
-    v, _, _, tight = poly._clip_start[0]
+    p, q, tight = poly._clip_start[0]
     basis = []
     for i in sorted(tight):
         if len(basis) < n and _linalg.rank(
             [poly.halfspaces[j].normal for j in basis] + [poly.halfspaces[i].normal]
         ) == len(basis) + 1:
             basis.append(i)
-    at_v = poly.support_values(v)
+    at_v = [h._slack(q, p) for h in poly.halfspaces]
     basis += [m + at_v.index(max(at_v)), 2 * m]
 
     objectives = [(0,) * n + (1, 0), lowest_depth]
@@ -599,7 +574,7 @@ def _check_bounded(clipped, hs, n):
     vector, turned out through the box face that the ray crosses from
     inside, recedes from every half-space.
     """
-    for _, _, _, at_v in clipped:
+    for _, _, at_v in clipped:
         faces = sorted(i for i in at_v if i < 2 * n)
         normals = [hs[i].normal for i in sorted(at_v) if i >= 2 * n]
         if faces and _spans_edge(normals, n):
@@ -622,30 +597,42 @@ def _facet_simplices(points, n) -> list:
 def _fan(n, body, cycles) -> tuple:
     """``(q, scale, simplices)``: n-simplices tiling a body, over one denominator.
 
-    ``body`` lists the vertices as :func:`_clip` does, and ``cycles``
-    holds, for each half-space, the positions in ``body`` of its facet's
-    vertices as :func:`_facets` gives them, or None.  The body is coned
-    from its first vertex over the :func:`_facet_simplices` of every facet
-    not through it.  The form is that of :attr:`Facet._integer_simplices`:
-    each simplex is ``(det, points)`` with vertices ``points / q``,
-    ``det`` the integer ``|det|`` of its edges and ``scale = n! q**n``, so
-    its volume is ``det / scale``.
+    ``body`` lists the vertices as the rows of :func:`_clip`, and
+    ``cycles`` holds, for each half-space, the positions in ``body`` of
+    its facet's vertices as :func:`_facets` gives them, or None.  The body
+    is coned from its first vertex over the :func:`_facet_simplices` of
+    every facet not through it.  The form is that of
+    :attr:`Facet._integer_simplices`: each simplex is ``(det, points)``
+    with vertices ``points / q``, ``det`` its :func:`_measure` and
+    ``scale = n! q**n``, so its volume is ``det / scale``.
     """
-    q = lcm(*[qv for _, _, qv, _ in body])
-    points = [[c * (q // qv) for c in p] for _, p, qv, _ in body]
+    q, points = _integer_points(body)
     fan = []
     for cycle in cycles:
         if cycle is not None and 0 not in cycle:
             for face in _facet_simplices([points[j] for j in cycle], n):
                 simplex = (points[0], *face)
-                fan.append((abs(_linalg.det_int(_edges(simplex))), simplex))
+                fan.append((_measure(simplex), simplex))
     return q, factorial(n) * q**n, fan
 
 
-def _edges(points):
-    """Edge vectors from the first of the integer points."""
+def _measure(points) -> int:
+    """The one simplex measure: ``|det|`` of the integer edges from the
+    first point, ``k! q**k`` times the k-volume of the simplex ``points / q``."""
     base = points[0]
-    return [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    return abs(_linalg.det_int([[a - b for a, b in zip(p, base)] for p in points[1:]]))
+
+
+def _integer_points(rows) -> tuple:
+    """``(q, points)``: the vertices of clip rows as integer points over
+    the least common denominator ``q`` of the rows."""
+    q = lcm(*[qv for _, qv, _ in rows])
+    return q, [[c * (q // qv) for c in p] for p, qv, _ in rows]
+
+
+def _points(rows) -> tuple:
+    """The vertices of clip rows as ``Fraction`` points."""
+    return tuple(tuple(Fraction(c, q) for c in p) for p, q, _ in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -660,25 +647,23 @@ def delzant_check(poly: Polytope):
     stored lexicographic order; the normals at a vertex are those of its
     tight set.
     """
-    for v, _, _, tight in poly._clip_start:
-        if len(tight) != poly.dim:
-            return False, v
-        if abs(_linalg.det_int([poly.halfspaces[i].normal for i in sorted(tight)])) != 1:
-            return False, v
+    for k, (_, _, tight) in enumerate(poly._clip_start):
+        if (len(tight) != poly.dim
+                or abs(_linalg.det_int([poly.halfspaces[i].normal for i in sorted(tight)])) != 1):
+            return False, poly.vertices[k]
     return True, None
 
 
 def intersect(poly: Polytope, halfspaces) -> Polytope | None:
     """Intersection with extra half-spaces; None if empty or lower-dimensional.
 
-    The cell's vertices and their active sets come from clipping
-    ``poly.vertices`` (see :func:`_clip`), not from a fresh evaluation of
-    every half-space at every vertex, and whether they span dimension n is
-    decided on the integer numerators the clip holds (see
-    :func:`_full_body`).  The cell is built like any polytope: its facets
-    keep their vertices, and facet simplices, measures and moments come
-    on demand.  The cone form needs only the moments and calls
-    :func:`_cell_moments` instead.
+    The cell's rows come from clipping ``poly._clip_start`` (see
+    :func:`_clip`), not from a fresh evaluation of every half-space at
+    every vertex, and whether they span dimension n is decided on their
+    integers (see :func:`_full_body`).  The cell is built like any
+    polytope, on integers, and its vertices, facet simplices, measures and
+    moments come on demand.  The cone form needs only the moments and
+    calls :func:`_cell_moments` instead.
     ``tests/test_geometry.py`` keeps an exhaustive n-subset enumeration of
     the combined list as the oracle the result must equal field for field.
     """
@@ -762,11 +747,10 @@ def _simplex_moments(k, q, scale, simplices) -> tuple:
 def _clip(start, hs, n, first):
     """The vertices of a body cut by ``hs[first:]``, in the form of ``start``.
 
-    ``start`` lists the body's vertices as ``(point, numerators,
-    denominator, tight set)``: ``point`` is ``numerators / denominator``
-    or None, and the tight set holds the indices into ``hs[:first]`` of
-    the half-spaces through the vertex.  Each further half-space is
-    applied in turn: a vertex with slack >= 0 stays, and a pair of
+    ``start`` lists the body's vertices as rows ``(numerators,
+    denominator, tight set)``, the tight set holding the indices into
+    ``hs[:first]`` of the half-spaces through the vertex.  Each further
+    half-space is applied in turn: a vertex with slack >= 0 stays, and a pair of
     vertices with one strictly inside and one strictly outside adds its
     crossing point when the pair spans an edge, that is when the
     half-spaces tight at both have rank n - 1.  A kept vertex gains the
@@ -777,13 +761,11 @@ def _clip(start, hs, n, first):
     result is exact even when it is empty or lower-dimensional, which
     the caller checks (see :func:`_full_body`).
 
-    The clipping runs on integers: a vertex is ``p / q`` with an integer
-    vector ``p`` and a positive integer ``q``, and the slack against
-    ``<l, x> <= b`` is replaced by ``S = num(b) q - den(b) <l, p>``, which
-    is ``den(b) q`` times the slack and so has its sign.  The crossing
-    point of ``u`` (``S_u > 0``) and ``w`` (``S_w < 0``) is
-    ``(S_u p_w - S_w p_u) / (S_u q_w - S_w q_u)``; it gets its
-    ``Fraction`` point only if the body is kept (see :func:`_full_body`).
+    The clipping runs on integers and makes no ``Fraction``: the slack of
+    ``p / q`` (``q > 0``) against ``<l, x> <= b`` is replaced by ``S =
+    num(b) q - den(b) <l, p>``, which is ``den(b) q`` times the slack and
+    so has its sign.  The crossing point of ``u`` (``S_u > 0``) and ``w``
+    (``S_w < 0``) is ``(S_u p_w - S_w p_u) / (S_u q_w - S_w q_u)``.
     """
     current = start
     for i in range(first, len(hs)):
@@ -791,23 +773,23 @@ def _clip(start, hs, n, first):
         num, den = h.bound.numerator, h.bound.denominator
         kept, inside, outside = [], [], []
         for vertex in current:
-            v, p, q, at_v = vertex
+            p, q, at_v = vertex
             s = num * q - den * _linalg.dot(h.normal, p)
             if s > 0:
                 kept.append(vertex)
                 inside.append((vertex, s))
             elif s == 0:
-                kept.append((v, p, q, at_v | {i}))
+                kept.append((p, q, at_v | {i}))
             else:
                 outside.append((vertex, s))
-        for (_, pu, qu, at_u), su in inside:
-            for (_, pw, qw, at_w), sw in outside:
+        for (pu, qu, at_u), su in inside:
+            for (pw, qw, at_w), sw in outside:
                 common = at_u & at_w
                 if _spans_edge([hs[k].normal for k in common], n):
                     p = [su * b - sw * a for a, b in zip(pu, pw)]
                     q = su * qw - sw * qu
                     g = gcd(q, *p)
-                    kept.append((None, [c // g for c in p], q // g, common | {i}))
+                    kept.append(([c // g for c in p], q // g, common | {i}))
         if not kept:
             return []
         current = kept
@@ -818,10 +800,10 @@ def _full_body(clipped, n) -> bool:
     """Whether a :func:`_clip` result spans dimension n.
 
     The vertices ``p / q`` span dimension n exactly when the homogeneous
-    rows ``(q, p)`` have rank n + 1, so the test runs on the integers
-    ``_clip`` holds, before any vertex is turned into a ``Fraction``.
+    rows ``(q, p)`` have rank n + 1, read off the clip rows ``(p, q,
+    tight set)``.
     """
-    return len(clipped) > n and _linalg.rank([[q, *p] for _, p, q, _ in clipped]) > n
+    return len(clipped) > n and _linalg.rank([[q, *p] for p, q, _ in clipped]) > n
 
 
 def _spans_edge(normals, n) -> bool:
@@ -844,7 +826,7 @@ def _spans_edge(normals, n) -> bool:
 
 def translate(poly: Polytope, t) -> Polytope:
     """Shift by a rational vector: normals unchanged, bounds adjusted."""
-    t = _frac_point(t)
+    t = tuple(Fraction(c) for c in t)
     shifted = [
         HalfSpace(h.normal, h.bound + h.value(t)) for h in poly.halfspaces
     ]

@@ -18,7 +18,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import geometry
-from .errors import EmptyPieceList, OutsideDomain
+from .errors import EmptyPieceList, OutsideDomain, shown
 from .geometry import HalfSpace, Polytope, Record
 from .integration import Polynomial
 
@@ -78,7 +78,7 @@ class PLFunction:
     def evaluate(self, x) -> Fraction:
         x = tuple(Fraction(c) for c in x)
         if not self.domain.contains(x):
-            raise OutsideDomain(f"{x} is outside the domain closure")
+            raise OutsideDomain(f"{shown(x)} is outside the domain closure")
         return max(p.evaluate(x) for p in self.pieces)
 
     def __repr__(self):

@@ -18,8 +18,12 @@ from .invariants import ConditionVerdict, DegenerationReport
 
 
 def rational_entry(value) -> dict:
+    """``value`` exact and as a float; ``approx`` is None past the float range."""
     value = Fraction(value)
-    return {"exact": str(value), "approx": float(value)}
+    try:
+        return {"exact": str(value), "approx": float(value)}
+    except OverflowError:
+        return {"exact": str(value), "approx": None}
 
 
 def _point_entry(point):
@@ -149,9 +153,11 @@ def report_exit_code(report: dict) -> int:
 
 
 def _fmt(value) -> str:
-    """A rational entry as ``exact (~approx)``; any other value as ``str``."""
+    """A rational entry as ``exact (~approx)``, or ``exact`` alone past the
+    float range; any other value as ``str``."""
     if isinstance(value, dict) and "exact" in value:
-        return f"{value['exact']} (~{value['approx']:.6g})"
+        approx = value["approx"]
+        return value["exact"] if approx is None else f"{value['exact']} (~{approx:.6g})"
     return str(value)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from toricstab import _linalg, build_polytope, halfspace
 from toricstab.errors import ToricStabError, Unbounded
-from toricstab.geometry import HalfSpace, _edges, intersect
+from toricstab.geometry import HalfSpace, intersect
 
 
 class DegenerateSimplex(ToricStabError):
@@ -63,7 +63,8 @@ def simplex_halfspaces(vertices):
     out = []
     for omit in range(n + 1):
         face = [p for i, p in enumerate(points) if i != omit]
-        normal = _linalg.cross_generalized(_edges(face), n)
+        edges = [[a - b for a, b in zip(p, face[0])] for p in face[1:]]
+        normal = _linalg.cross_generalized(edges, n)
         level = _linalg.dot(normal, face[0])
         side = _linalg.dot(normal, points[omit]) - level
         if side == 0:

@@ -1,10 +1,12 @@
 """Polytope construction, verification, and decomposition."""
 
 import ast
+import fractions
 import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -294,18 +296,19 @@ class TestConeDecomposition:
                 assert len(hs) == len(poly.halfspaces)
                 assert hs[0] is facet.halfspace
                 assert all(h.bound == 0 for h in hs[1:])
-                for v, p, q, tight in start:
-                    assert tuple(Fraction(c, q) for c in p) == v
+                for p, q, tight in start:
+                    assert q > 0 and math.gcd(q, *p) == 1
+                    v = tuple(Fraction(c, q) for c in p)
                     slacks = [h.slack(v) for h in hs]
                     assert min(slacks) >= 0
                     assert tight == {i for i, s in enumerate(slacks) if s == 0}
-                assert len(start[0][3]) == len(hs) - 1
+                assert len(start[0][2]) == len(hs) - 1
                 pyramid = build_polytope(hs, require_simple=False)
                 kept = [hs.index(h) for h in pyramid.halfspaces]
                 assert kept[0] == 0
-                assert sorted((v, {kept[i] for i in tight})
-                              for v, _, _, tight in pyramid._clip_start) == sorted(
-                    (v, tight & set(kept)) for v, _, _, tight in start)
+                assert sorted((v, {kept[i] for i in tight}) for v, (_, _, tight)
+                              in zip(pyramid.vertices, pyramid._clip_start)) == sorted(
+                    (tuple(Fraction(c, q) for c in p), tight & set(kept)) for p, q, tight in start)
 
     def test_cone_and_fan_order(self, cp2, pentagon, hexagon23):
         # The fan cones from vertex 0 over the facet faces in facet order,
@@ -319,7 +322,7 @@ class TestConeDecomposition:
             assert _fan(poly) == [(simplex_volume(points), points) for points in simplices]
             if poly.origin_interior:
                 origin = (F(0),) * poly.dim
-                assert [(support, [v for v, *_ in start])
+                assert [(support, [tuple(Fraction(c, q) for c in p) for p, q, _ in start])
                         for support, _, start in poly._cone_halfspaces] == [
                     (facet.halfspace.bound, [origin, *facet.vertices])
                     for facet in poly.facets
@@ -378,7 +381,7 @@ def _from_enumeration(hs, n, warnings=(), require_simple=False):
     body = []
     for v in vertices:
         q, (p,) = _linalg.over_common_denominator((v,))
-        body.append((v, p, q, frozenset(i for i, h in enumerate(hs) if h.value(v) == h.bound)))
+        body.append((p, q, frozenset(i for i, h in enumerate(hs) if h.value(v) == h.bound)))
     return geometry._build(hs, n, body, require_simple=require_simple, warnings=warnings)
 
 
@@ -650,8 +653,47 @@ def _rebuilt_clip_start(poly):
     start = []
     for v, at_v in zip(poly.vertices, tight):
         q, (p,) = _linalg.over_common_denominator((v,))
-        start.append((v, p, q, frozenset(at_v)))
+        start.append((p, q, frozenset(at_v)))
     return tuple(start)
+
+
+def fractions_built(module, run):
+    """The ``Fraction``s built by code of ``module`` while ``run()`` runs,
+    directly or through ``Fraction`` arithmetic it starts."""
+    here, there = module.__file__, fractions.__file__
+    new = fractions.Fraction.__new__.__code__
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is new:
+            caller = frame.f_back
+            while caller.f_code.co_filename == there:
+                caller = caller.f_back
+            count += caller.f_code.co_filename == here
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestIntegerRows:
+    def test_intersect_builds_no_fraction(self):
+        # The clip, the build and the cell's facets run on integer rows;
+        # the Fraction vertices are made only when they are read.
+        rng = random.Random("integer-rows")
+        bodies = [random_polygon(rng, den=rng.choice((1, 3))) for _ in range(6)]
+        bodies += [_random_body(rng, kind) for kind in ("box", "simplex", "box", "simplex")]
+        cuts = [[_random_cut(rng, body) for _ in range(2)] for body in bodies]
+        cells = []
+        assert fractions_built(geometry, lambda: cells.extend(
+            geometry.intersect(body, c) for body, c in zip(bodies, cuts))) == 0
+        cells = [cell for cell in cells if cell is not None]
+        assert len(cells) >= 5
+        assert fractions_built(geometry, lambda: [cell.vertices for cell in cells]) > 0
 
 
 class TestKeptClip:
@@ -986,7 +1028,7 @@ def _euclidean_sq(vertices):
 
 def _unmeasured(facet):
     """Whether the facet holds its fields alone, nothing computed on demand."""
-    return set(vars(facet)) == {"halfspace", "vertex_indices", "vertices"}
+    return set(vars(facet)) == {"halfspace", "vertex_indices", "rows"}
 
 
 class TestFacetMeasures:
@@ -1016,7 +1058,7 @@ class TestFacetMeasures:
         for poly in (cp2, square):
             for facet in poly.facets:
                 fields = (facet.halfspace, facet.vertex_indices, facet.vertices)
-                twin = Facet(*fields)
+                twin = Facet(facet.halfspace, facet.vertex_indices, facet.rows)
                 facet.measure  # kept moments are no field
                 assert facet == twin and not facet != twin
                 assert hash(facet) == hash(twin) == hash(fields)
@@ -1024,9 +1066,9 @@ class TestFacetMeasures:
                 assert repr(facet) == (f"Facet(halfspace={fields[0]!r}, "
                                        f"vertex_indices={fields[1]!r}, vertices={fields[2]!r})")
         a, b = square.facets[:2]
-        assert a != Facet(b.halfspace, a.vertex_indices, a.vertices)
-        assert a != Facet(a.halfspace, b.vertex_indices, a.vertices)
-        assert a != Facet(a.halfspace, a.vertex_indices, b.vertices)
+        assert a != Facet(b.halfspace, a.vertex_indices, a.rows)
+        assert a != Facet(a.halfspace, b.vertex_indices, a.rows)
+        assert a != Facet(a.halfspace, a.vertex_indices, b.rows)
 
     def test_interval_facets_measure_one(self):
         poly = build_polytope([halfspace((1,), F(7) / 3), halfspace((-1,), F(1) / 2)])

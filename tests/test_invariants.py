@@ -241,7 +241,7 @@ class TestLinearFunctional:
             bodies.append(prism(translate(catalog(name), shift), F(-1, 2), F(2, 3)))
         cells = 0
         for poly in bodies:
-            assert poly.origin_interior and any(q > 1 for _, _, q, _ in poly._clip_start)
+            assert poly.origin_interior and any(q > 1 for _, q, _ in poly._clip_start)
             ext = invariants.extremal_field(poly)
             for _ in range(4):
                 u = random_convex_pl(rng, poly)

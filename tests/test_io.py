@@ -1,5 +1,6 @@
 """Spec files, expression parsing, catalog entries, CLI behaviour."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -9,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import toricstab
-from toricstab import catalog, emit_spec, integration, parse_spec, translate
+from toricstab import catalog, emit_spec, integration, make_pl, parse_spec, report, translate
 from toricstab.catalog import CATALOG_NAMES, hexagon
 from toricstab.cli import main
-from toricstab.errors import InvalidHexagonParams, ParseError, UnknownName
+from toricstab.errors import InvalidHexagonParams, OutsideDomain, ParseError, UnknownName
 from toricstab.plexpr import parse_pl_expression
+from toricstab.plfunc import zero_function
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -299,14 +301,21 @@ class TestCLI:
         (["analyze", "--spec", "long_normal.json"],
          "halfspaces[0].normal: expected 2 integer components"),
         (["analyze", "--catalog", LONG], "no catalog entry"),
-    ], ids=["pl-coefficient", "spec-bound", "spec-normal", "catalog-name"])
+        (["analyze", "--spec", "long_content.json"], "normal (2000"),
+        (["analyze", "--spec", "long_vertex.json"], "vertex (-1000"),
+    ], ids=["pl-coefficient", "spec-bound", "spec-normal", "catalog-name", "content",
+            "not-simple"])
     def test_long_input_is_cut_in_errors(self, capsys, tmp_path, monkeypatch, argv, field):
         # An error names the field and echoes at most a fixed length of
         # the input, with its full length, however long the input is.
-        rows = {"long_bound.json": {"normal": [1, 0], "bound": self.LONG + "/0"},
-                "long_normal.json": {"normal": [0] * 10_000, "bound": 1}}
-        for name, row in rows.items():
-            (tmp_path / name).write_text(json.dumps({"dim": 2, "halfspaces": [row]}))
+        rows = {"long_bound.json": [{"normal": [1, 0], "bound": self.LONG + "/0"}],
+                "long_normal.json": [{"normal": [0] * 10_000, "bound": 1}],
+                "long_content.json": [{"normal": [2 * 10**3000, 2 * 10**3000], "bound": 1}],
+                "long_vertex.json": [{"normal": list(signs), "bound": f"{10**3000}/3"}
+                                     for signs in itertools.product((1, -1), repeat=3)]}
+        for name, halfspaces in rows.items():
+            dim = len(halfspaces[0]["normal"]) if name == "long_vertex.json" else 2
+            (tmp_path / name).write_text(json.dumps({"dim": dim, "halfspaces": halfspaces}))
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -314,6 +323,19 @@ class TestCLI:
         assert captured.err.startswith(f"error: {field}")
         assert " characters)" in captured.err
         assert len(captured.err.encode()) < 300
+
+    def test_points_in_errors_read_as_rationals(self, capsys, tmp_path):
+        # A point in an error is written like a spec, not as Fraction reprs.
+        spec = tmp_path / "octahedron.json"
+        spec.write_text(json.dumps({"dim": 3, "halfspaces": [
+            {"normal": list(signs), "bound": 1} for signs in itertools.product((1, -1), repeat=3)]}))
+        assert main(["analyze", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == "error: vertex (-1, 0, 0) lies on 4 facets\n"
+        u = make_pl([zero_function(2)], catalog("cp2"))
+        with pytest.raises(OutsideDomain, match=r"^\(3, 1/2\) is outside the domain closure$"):
+            u.evaluate((3, F(1, 2)))
+        with pytest.raises(OutsideDomain, match=r"^\(1000.*\.\.\. \(\d+ characters\) is outside"):
+            u.evaluate((10**100, 0))
 
     @pytest.mark.parametrize("rows,message", [
         ([((1, 0), 1), ((0, 1), 1), ((0, -1), 1)], "direction (-1, 0) recedes"),
@@ -410,6 +432,54 @@ class TestCLI:
                      "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == (GOLDEN / f"ehrhart_{tag}_k{k}.json").read_bytes()
+
+    @pytest.mark.parametrize("argv,code,golden", [
+        (["analyze", "--spec", "segment_rational.json", "--pl", "max(0, x1 - 1/3, -2*x1 - 1/5)"],
+         0, "analyze_pl_segment.json"),
+        (["analyze", "--spec", "nondelzant_triangle.json"], 1, "analyze_nondelzant_triangle.json"),
+        (["lfun", "--spec", "slanted_simplex3.json", "--pl", "max(0, x1 + x2 - 1/3, x3 - 1/2)"],
+         0, "lfun_slanted_simplex3.json"),
+    ], ids=["segment", "nondelzant", "slanted-simplex"])
+    def test_vertex_order_and_slanted_facet_golden_bytes(self, tmp_path, monkeypatch,
+                                                         argv, code, golden):
+        # Bytes that depend on the vertex order and on facets whose normal
+        # has a first nonzero entry of size 2: a segment with rational ends,
+        # the triangle x, y >= -1, 2x + y <= 2, whose Delzant violator is
+        # the first failing vertex in lexicographic order, and the simplex
+        # x, y, z >= -1, 2x + y + z <= 2.
+        monkeypatch.chdir(GOLDEN)
+        out = tmp_path / "out.json"
+        assert main([*argv, "--format", "structured", "--out", str(out)]) == code
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_values_past_the_float_range_keep_their_exact_form(self, capsys, tmp_path):
+        # A value too large for a float has "approx": null and is printed
+        # alone in tables; values in range keep their approximation.
+        assert report.rational_entry(F(-(10**400), 3)) == {
+            "exact": f"-{10**400}/3", "approx": None}
+        assert report.rational_entry(F(1, 4)) == {"exact": "1/4", "approx": 0.25}
+        big = 10**400
+        structured = []
+        for coefficient in (1, big):
+            argv = ["lfun", "--catalog", "cp2", "--pl", f"max(0, {coefficient}*x1)"]
+            assert main([*argv, "--format", "structured"]) == 0
+            structured.append(json.loads(capsys.readouterr().out))
+            assert main(argv) == 0
+            table = capsys.readouterr().out
+        small, large = structured
+        assert large["L"] == {"exact": str(big * Fraction(small["L"]["exact"])), "approx": None}
+        assert f"L            {large['L']['exact']}\n" in table
+        spec = tmp_path / "wide.json"
+        spec.write_text(json.dumps({"dim": 2, "halfspaces": [
+            {"normal": [1, 0], "bound": str(2 * 10**308)},
+            {"normal": [0, 1], "bound": 1}, {"normal": [-1, -1], "bound": 1}]}))
+        assert main(["analyze", "--spec", str(spec), "--format", "structured"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["polytope"]["volume"]["approx"] is None
+        assert payload["conditions"][0]["margin"]["approx"] == 1.5e-308
+        assert main(["analyze", "--spec", str(spec)]) == 0
+        assert f"  volume            {payload['polytope']['volume']['exact']}\n" in (
+            capsys.readouterr().out)
 
     def test_center_flag(self, capsys):
         code = main([

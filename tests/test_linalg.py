@@ -87,6 +87,11 @@ def test_rank_of_no_rows():
     assert _linalg.rank([]) == 0
 
 
+def test_det_of_no_rows():
+    # The empty product: the measure of a 0-dimensional simplex.
+    assert _linalg.det_int([]) == 1
+
+
 def test_det_against_reference():
     singular = 0
     for rows in matrices("det"):
