@@ -33,14 +33,15 @@ and Munoz, Reliable Computing 17, 2012), so when they show ``P >= 0`` and
 ``B > 0`` throughout (:func:`_certified`) no row of the piece can be
 picked and it is skipped without a walk.  Any other piece is walked on
 difference registers from the same differences (:func:`_walk`), each row
-from four plus two integer additions.  Only the incumbent of each round
-is reduced and becomes a ``Fraction`` ratio, and only the final winner an
+from four plus two integer additions.  No row is reduced: the kernel
+gives the rows of a piece over one pair of denominators, which the
+ranking reads as they are.  Only the incumbent of each round is reduced
+and becomes a ``Fraction`` ratio, and only the final winner an
 ``AffineFunction``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -127,7 +128,7 @@ def _crease_family(poly: Polytope, base):
         values = [n1 * x + n2 * y for x, y in pts]
         gbase = n1 * bx + n2 * by
         top = max(values)
-        breaks = sorted({s - gbase for s in values if gbase < s < top})
+        breaks = sorted({s - gbase for s in values if gbase <= s < top})
         return _Sweep(n1 * pden, n2 * pden, d * d * pden, gbase, top - gbase, breaks)
 
     return sweep
@@ -139,7 +140,11 @@ class _Sweep(NamedTuple):
     With ``v = vn / vd`` the crease is ``g = (n1 x + n2 y) / den - (gbase
     + v * rise) / den``; ``rise > 0`` because the base point is interior.
     ``breaks`` are the numerators over ``rise`` of the breakpoints: the
-    offsets in (0, 1) at which the crease passes a vertex.
+    offsets in [0, 1) at which the crease passes a vertex.  A vertex has
+    ``g >= 0`` up to its breakpoint and ``g < 0`` after it, so the same
+    vertices have ``g >= 0`` on a run of offsets that no breakpoint
+    separates; 0 is one where the crease through the base point passes
+    a vertex.
     """
 
     n1: int
@@ -245,8 +250,12 @@ def _profiles(family, kernel_args, ws, p0, q, count):
     first of them, with ``cl, cb > 0``.  A piece has all its rows as
     samples, or :data:`SAMPLES` of them, as many as fix ``L``.  One
     :func:`simple_pl_values` call evaluates the samples of every piece, a
-    direction's candidates together; ``cl`` and ``cb`` are the ``lcm`` of
-    their denominators.
+    direction's candidates together.  ``cl`` and ``cb`` are the
+    denominators of the piece's first row: the same vertices have ``g >=
+    0`` at every offset of a piece, so the kernel puts every row of it
+    over them, and a row that disagrees raises ``AssertionError``.  A
+    crease that misses the body, ``(0, 1, 0, 1)``, is 0 over any
+    denominator.
     """
     sweeps = [family(a, d) for a, d in ws]
     plans = [sw.pieces(p0, q, count) for sw in sweeps]
@@ -262,10 +271,13 @@ def _profiles(family, kernel_args, ws, p0, q, count):
         direction = []
         for start, stop in pieces:
             got = [next(rows) for _ in range(min(stop - start, SAMPLES))]
-            cl = math.lcm(*[ld for _, ld, _, _ in got])
-            cb = math.lcm(*[bd for _, _, _, bd in got])
-            ls = [ln * (cl // ld) for ln, ld, _, _ in got]
-            bs = [bn * (cb // bd) for _, _, bn, bd in got]
+            _, cl, _, cb = got[0]
+            if any(bn and (ld, bd) != (cl, cb) for _, ld, bn, bd in got):
+                raise AssertionError(
+                    f"kernel rows of the crease piece from offset {p0 + start}/{q} "
+                    "have different denominators")
+            ls = [ln for ln, _, _, _ in got]
+            bs = [bn for _, _, bn, _ in got]
             direction.append((start, stop - start, cl, cb, ls, bs))
         out.append(direction)
     return out

@@ -418,11 +418,11 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     start = [([-m if s else m for s in signs], 1,
               frozenset(2 * j + s for j, s in enumerate(signs)))
              for signs in itertools.product((0, 1), repeat=n)]
-    clipped = _clip(start, box + deduped, n, len(box))
+    clipped, full = _clip(start, box + deduped, n, len(box))
     if not clipped:
         raise Degenerate("half-space intersection is empty")
     _check_bounded(clipped, box + deduped, n)
-    if not _full_body(clipped, n):
+    if not full:
         raise Degenerate("vertex hull is not full-dimensional")
     body = [(p, q, frozenset(i - len(box) for i in at_v)) for p, q, at_v in clipped]
     return _build(deduped, n, body, require_simple=require_simple, warnings=warnings)
@@ -659,11 +659,11 @@ def intersect(poly: Polytope, halfspaces) -> Polytope | None:
 
     The cell's rows come from clipping ``poly._clip_start`` (see
     :func:`_clip`), not from a fresh evaluation of every half-space at
-    every vertex, and whether they span dimension n is decided on their
-    integers (see :func:`_full_body`).  The cell is built like any
-    polytope, on integers, and its vertices, facet simplices, measures and
-    moments come on demand.  The cone form needs only the moments and
-    calls :func:`_cell_moments` instead.
+    every vertex, and the clip also decides whether they span dimension
+    n.  The cell is built like any polytope, on integers, and its
+    vertices, facet simplices, measures and moments come on demand.  The
+    cone form needs only the moments and calls :func:`_cell_moments`
+    instead.
     ``tests/test_geometry.py`` keeps an exhaustive n-subset enumeration of
     the combined list as the oracle the result must equal field for field.
     """
@@ -674,18 +674,18 @@ def intersect(poly: Polytope, halfspaces) -> Polytope | None:
 
 
 def _clip_by(hs, start, cuts):
-    """``(combined, body)``: the half-spaces ``hs`` of a body followed by
-    those of ``cuts`` new to them, and the :func:`_clip` of the body's
-    clip ``start`` by them, or None for the body when that is not
-    full-dimensional."""
+    """``(combined, body)``: the half-spaces ``hs`` of a full-dimensional
+    body followed by those of ``cuts`` new to them, and the :func:`_clip`
+    of the body's clip ``start`` by them, or None for the body when that
+    is not full-dimensional."""
     # The body's half-spaces are unique already; only the cuts can repeat.
     n = len(hs[0].normal)
     combined = list(hs)
     for h in cuts:
         if h not in combined:
             combined.append(h)
-    body = _clip(start, combined, n, len(hs))
-    return combined, body if _full_body(body, n) else None
+    body, full = _clip(start, combined, n, len(hs))
+    return combined, body if full else None
 
 
 def _cell_moments(hs, start, cuts):
@@ -745,7 +745,9 @@ def _simplex_moments(k, q, scale, simplices) -> tuple:
 
 
 def _clip(start, hs, n, first):
-    """The vertices of a body cut by ``hs[first:]``, in the form of ``start``.
+    """``(rows, full)``: the vertices of a full-dimensional body cut by
+    ``hs[first:]``, in the form of ``start``, and whether the cut body is
+    full-dimensional.
 
     ``start`` lists the body's vertices as rows ``(numerators,
     denominator, tight set)``, the tight set holding the indices into
@@ -758,8 +760,15 @@ def _clip(start, hs, n, first):
     common set plus the new index.  A point inside an edge is tight
     exactly where the whole edge is, so these sets are exact and
     :func:`_build` takes them as given.  This holds for any body, so the
-    result is exact even when it is empty or lower-dimensional, which
-    the caller checks (see :func:`_full_body`).
+    rows are exact even when the result is empty or lower-dimensional.
+
+    A full-dimensional body ``K`` cut by a half-space ``H`` stays
+    full-dimensional exactly when some vertex has slack > 0: the segment
+    from such a vertex to an interior point of ``K`` starts with interior
+    points of ``K`` inside ``H``; and when every vertex has slack <= 0,
+    ``K`` and ``H`` meet in the plane of ``H``.  So ``full`` says that
+    every cut left a vertex strictly inside, and an empty result is not
+    full.
 
     The clipping runs on integers and makes no ``Fraction``: the slack of
     ``p / q`` (``q > 0``) against ``<l, x> <= b`` is replaced by ``S =
@@ -768,6 +777,7 @@ def _clip(start, hs, n, first):
     (``S_w < 0``) is ``(S_u p_w - S_w p_u) / (S_u q_w - S_w q_u)``.
     """
     current = start
+    full = True
     for i in range(first, len(hs)):
         h = hs[i]
         num, den = h.bound.numerator, h.bound.denominator
@@ -791,19 +801,10 @@ def _clip(start, hs, n, first):
                     g = gcd(q, *p)
                     kept.append(([c // g for c in p], q // g, common | {i}))
         if not kept:
-            return []
+            return [], False
+        full = full and bool(inside)
         current = kept
-    return current
-
-
-def _full_body(clipped, n) -> bool:
-    """Whether a :func:`_clip` result spans dimension n.
-
-    The vertices ``p / q`` span dimension n exactly when the homogeneous
-    rows ``(q, p)`` have rank n + 1, read off the clip rows ``(p, q,
-    tight set)``.
-    """
-    return len(clipped) > n and _linalg.rank([[q, *p] for p, q, _ in clipped]) > n
+    return current, full
 
 
 def _spans_edge(normals, n) -> bool:

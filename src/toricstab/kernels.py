@@ -3,13 +3,13 @@
 ``simple_pl_values`` evaluates the stability functional and the boundary
 integral for batches of single-crease candidates on a polygon, entirely
 in integer arithmetic on pre-scaled data.  Each candidate's two sums run
-over denominators fixed by its crossing points, so a candidate costs two
-``gcd`` calls, the two that reduce its results.  Whenever the crease
-``g`` is negative at some polygon vertex and not at another, it crosses
-the boundary exactly twice, and either crossing may sit on a vertex
-where ``g = 0``.  With ``q1`` and ``q2`` the weights ``|a - b|`` of the
-two crossings (``g`` is ``a`` and ``b`` at the crossed edge's ends),
-the boundary sum is over ``2 eden gden vden q1 q2`` (``eden`` the
+over denominators fixed by its crossing points, and its results stay
+over them unreduced, so a candidate makes no ``gcd`` call.  Whenever
+the crease ``g`` is negative at some polygon vertex and not at another,
+it crosses the boundary exactly twice, and either crossing may sit on a
+vertex where ``g = 0``.  With ``q1`` and ``q2`` the weights ``|a - b|``
+of the two crossings (``g`` is ``a`` and ``b`` at the crossed edge's
+ends), the boundary sum is over ``2 eden gden vden q1 q2`` (``eden`` the
 ``lcm`` of the edge lengths' denominators) and the volume sum over ``24
 wden gden vden**4 (q1 q2)**2``: the region ``{g >= 0}`` is fanned from
 its first polygon vertex, so the triangles of polygon vertices stay over
@@ -22,18 +22,14 @@ come unreduced from the scan's integer grid, direction ``a / d`` and
 offset ``p / q`` as integers over ``d**2 q`` times the vertex
 denominator.  The scan continues every piece from these exact samples by
 finite differences, so the kernel's rows must be exact at every offset
-it is given.  ``lattice_weighted_sum`` is the bounding-box lattice scan.
-Results are exact integers.
+it is given, and it reads one piece's rows over one pair of
+denominators: along a piece the same vertices have ``g >= 0``, so the
+same edges are crossed.  ``lattice_weighted_sum`` is the bounding-box
+lattice scan.  Results are exact integers.
 """
 
 import itertools
-from math import gcd, lcm
-
-
-def _reduced(n, d):
-    """Lowest terms of ``n / d`` for ``d > 0``; zero is ``(0, 1)``."""
-    g = gcd(n, d)
-    return n // g, d // g
+from math import lcm
 
 
 def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
@@ -46,12 +42,18 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
     ``(w0 + w1 x + w2 y) / wden``.  Each candidate ``(g0, g1, g2, gden)``
     with ``gden > 0`` is the crease function ``g = (g0 + g1 x + g2 y) /
     gden`` and the evaluated function is ``u = max(0, g)``.  A candidate
-    need not be in lowest terms: every positive multiple of it gives the
-    same row.
+    need not be in lowest terms: every positive multiple of it gives a
+    row of the same values.
 
-    Returns ``(L_num, L_den, B_num, B_den)`` per candidate, each pair in
-    lowest terms with a positive denominator, where ``B`` is the boundary
-    integral of ``u`` and ``L = B - integral(w * u)``.
+    Returns ``(L_num, L_den, B_num, B_den)`` per candidate, each pair
+    exact but not reduced, with a positive denominator, where ``B`` is
+    the boundary integral of ``u`` and ``L = B - integral(w * u)``.  With
+    ``q = q_exit q_entry`` (1 without crossings) ``B`` is over ``2 eden
+    gden vden q`` and ``L`` over ``both gden vden q**2``, ``both`` the
+    ``lcm`` of ``2 eden`` and ``24 wden vden**3``, so the denominators of
+    a candidate depend only on ``(g1, g2, gden)`` and on which vertices
+    have ``g >= 0``.  A crease that misses the polygon gives ``(0, 1, 0,
+    1)``.
 
     One pass over the edges finds the boundary sum and the region ``{g >=
     0}``: the polygon vertices ``s, s + 1, .., e`` (cyclically) and the
@@ -74,6 +76,10 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
     # The weight at each vertex, scaled by wden * vden.
     what = [w1 * x + w2 * y + w0v for x, y in zip(vxs, vys)]
     eden = lcm(*[lden for _, lden in edges])
+    # L = B - A puts the boundary sum, over 2 eden gden vden q, and the
+    # volume sum, over 24 wden gden vden**4 q**2, over both gden vden q**2.
+    both = lcm(2 * eden, 24 * wden * vden**3)
+    mb, ma = both // (2 * eden), both // (24 * wden * vden**3)
     # The length of the edge into each vertex, over eden.
     into = [lnum * (eden // lden) for lnum, lden in edges[-1:] + edges[:-1]]
 
@@ -117,7 +123,7 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
             run = (g1, g2, gden)
             lin = [g1 * x + g2 * y for x, y in zip(vxs, vys)]
             bden = 2 * eden * gden * vden
-            aden = 24 * wden * gden * vden**4
+            lden = both * gden * vden
         g0v = g0 * vden
         # The crease at each vertex, scaled by gden * vden.
         ghat = [v + g0v for v in lin]
@@ -153,7 +159,7 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
         if not full and not cn:
             out.append((0, 1, 0, 1))  # g <= 0 on the polygon: u = 0
             continue
-        bn, bd = _reduced(full * cd + cn, bden * cd)
+        bn, bd = full * cd + cn, bden * cd
 
         # Volume term: integral of w * g over the region, fanned from s.  A
         # crossing X on the edge (i, k) is (a V_k - b V_i) / q; from V_s it
@@ -166,7 +172,6 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
         total = 0
         for u, c in form:
             total += c * ghat[u]
-        ad = aden
         if qo:
             gs, ge, gf = ghat[s], ghat[e], ghat[f]
             ws, we = what[s], what[e]
@@ -176,11 +181,7 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
                 qo * (ws * gs + we * ge) + (qo * (ws + we) + wo) * (gs + ge))
             total = total * qi * qi - gs * (ge * d_fp - gf * d_ep) * gs * (
                 2 * qo * qi * ws + qi * wo + qo * wi)
-            ad *= (qo * qi) ** 2
-
-        # L = B - A over the product of the two denominators.
-        ln_, ld_ = _reduced(bn * ad - total * bd, bd * ad)
-        out.append((ln_, ld_, bn, bd))
+        out.append((bn * mb * cd - total * ma, lden * cd * cd, bn, bd))
     return out
 
 

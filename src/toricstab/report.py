@@ -17,25 +17,53 @@ from .geometry import Polytope
 from .invariants import ConditionVerdict, DegenerationReport
 
 
+def _digits(n: int) -> str:
+    """``str(n)`` for an integer of any length.
+
+    CPython refuses to write an integer of more digits than
+    ``sys.get_int_max_str_digits()``, a limit the input parsers rely on, so
+    past it ``n`` is split at about half its digits by a power of ten and
+    the halves are written in turn."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _digits(-n)
+    k = n.bit_length() * 3 // 20  # log10(2) / 2 is about 0.15
+    high, low = divmod(n, 10**k)
+    return _digits(high) + _digits(low).zfill(k)
+
+
+def exact(value) -> str:
+    """The exact decimal string of a rational, ``p/q`` or ``p`` as
+    ``str(Fraction)`` writes it, whatever the length of ``p`` and ``q``."""
+    value = Fraction(value)
+    if value.denominator == 1:
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
 def rational_entry(value) -> dict:
     """``value`` exact and as a float; ``approx`` is None past the float range."""
     value = Fraction(value)
     try:
-        return {"exact": str(value), "approx": float(value)}
+        approx = float(value)
     except OverflowError:
-        return {"exact": str(value), "approx": None}
+        approx = None
+    return {"exact": exact(value), "approx": approx}
 
 
 def _point_entry(point):
-    return [str(c) for c in point]
+    return [exact(c) for c in point]
 
 
 def _verdict_entry(verdict: ConditionVerdict) -> dict:
     witness = verdict.witness
     if isinstance(witness, tuple):
-        witness = [str(w) for w in witness]
+        witness = [exact(w) for w in witness]
     elif witness is not None:
-        witness = str(witness)
+        witness = exact(witness)
     at_given = verdict.margin_at_given_origin
     return {
         "name": verdict.name,
@@ -113,12 +141,12 @@ def build_report(poly: Polytope, name=None, pl_functions=(), scan_result=None) -
         report["scan"] = {
             "lambda_star_estimate": rational_entry(scan_result.lambda_star_estimate),
             "estimate_kind": "upper bound from sampled simple PL family",
-            "worst_crease_gradient": [str(g) for g in crease.gradient],
-            "worst_crease_constant": str(crease.constant),
+            "worst_crease_gradient": [exact(g) for g in crease.gradient],
+            "worst_crease_constant": exact(crease.constant),
             "destabilizer_found": scan_result.destabilizer_found,
             "curvature_hypothesis_ok": scan_result.curvature_hypothesis_ok,
             "candidates_evaluated": scan_result.candidates_evaluated,
-            "round_minima": [str(r) for r in scan_result.round_minima],
+            "round_minima": [exact(r) for r in scan_result.round_minima],
         }
     return report
 

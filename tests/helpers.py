@@ -3,7 +3,8 @@
 The helpers include the simplex and lattice-vector routines that only
 tests need: :func:`simplex_halfspaces` with its :class:`DegenerateSimplex`,
 :func:`affine_rank` and :func:`primitivize`, and the oracles
-:func:`simplex_measures` and :func:`check_recession`.
+:func:`simplex_measures`, :func:`check_recession` and
+:func:`spans_dimension`.
 """
 
 import itertools
@@ -40,6 +41,13 @@ def affine_rank(points):
     _, ints = _linalg.over_common_denominator(points)
     base = ints[0]
     return _linalg.rank([[a - b for a, b in zip(p, base)] for p in ints[1:]])
+
+
+def spans_dimension(rows, n):
+    """Whether clip rows ``(numerators, denominator, tight set)`` span
+    dimension n: the vertices ``p / q`` do exactly when the homogeneous
+    rows ``(q, p)`` have rank n + 1."""
+    return len(rows) > n and _linalg.rank([[q, *p] for p, q, _ in rows]) > n
 
 
 def simplex_halfspaces(vertices):

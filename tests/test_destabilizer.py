@@ -299,19 +299,20 @@ class TestScanAgainstReference:
 
 
 def breakpoints(poly, w):
-    """Offsets in (0, 1) at which the crease of direction w passes a
+    """Offsets in [0, 1) at which the crease of direction w passes a
     vertex, in Fractions from the vertices."""
     base = scan_base(poly)
     a1, a2 = direction(w)
     values = [a1 * x + a2 * y for x, y in poly.vertices]
     gbase = a1 * base[0] + a2 * base[1]
     top = max(values)
-    return sorted({(g - gbase) / (top - gbase) for g in values if gbase < g < top})
+    return sorted({(g - gbase) / (top - gbase) for g in values if gbase <= g < top})
 
 
 def check_profiles(poly, ext, ws, p0, q, count):
     """Every profile row equals ``simple_pl_values`` on the same crease,
-    directions ``(a, d)`` in ``ws`` and offsets ``(p0 + t) / q``, and
+    directions ``(a, d)`` in ``ws`` and offsets ``(p0 + t) / q``, the
+    kernel puts every row of a piece over that piece's ``(cl, cb)``, and
     the pieces are the runs between breakpoints, an offset on a breakpoint
     ending its run.  Returns the piece lengths and the number of offsets
     that lie on a breakpoint."""
@@ -323,7 +324,8 @@ def check_profiles(poly, ext, ws, p0, q, count):
     lengths, on_break = [], 0
     for (a, d), pieces in zip(ws, profiles):
         cands = [family(a, d).crease(p0 + t, q) for t in range(count)]
-        want = [(F(ln, ld), F(bn, bd)) for ln, ld, bn, bd in kernels.simple_pl_values(*args, cands)]
+        kernel = kernels.simple_pl_values(*args, cands)
+        want = [(F(ln, ld), F(bn, bd)) for ln, ld, bn, bd in kernel]
         got, stops = [], []
         for start, size, cl, cb, ls, bs in pieces:
             assert len(ls) == len(bs) == min(size, SAMPLES)
@@ -332,6 +334,7 @@ def check_profiles(poly, ext, ws, p0, q, count):
             else:
                 rows = list(zip(ls, bs))
             assert start == len(got) and cl > 0 and cb > 0 and rows
+            assert all((ld, bd) == (cl, cb) for _, ld, _, bd in kernel[start:start + size])
             got.extend((F(l, cl), F(b, cb)) for l, b in rows)
             stops.append(len(got))
             lengths.append(len(rows))
@@ -344,17 +347,14 @@ def check_profiles(poly, ext, ws, p0, q, count):
     return lengths, on_break
 
 
-def fraction_calls(run):
-    """The calls into ``fractions`` made straight from ``destabilizer``
-    code while ``run()`` runs: constructions, arithmetic, comparisons."""
-    here, there = destabilizer.__file__, fractions.__file__
+def profiled_calls(run, wanted):
+    """The number of profile events ``(frame, event, arg)`` that
+    ``wanted`` accepts while ``run()`` runs."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        if (event == "call" and frame.f_code.co_filename == there
-                and frame.f_back.f_code.co_filename == here):
-            count += 1
+        count += wanted(frame, event, arg)
 
     sys.setprofile(profile)
     try:
@@ -364,16 +364,46 @@ def fraction_calls(run):
     return count
 
 
+def fraction_calls(run):
+    """The calls into ``fractions`` made straight from ``destabilizer``
+    code while ``run()`` runs: constructions, arithmetic, comparisons."""
+    here, there = destabilizer.__file__, fractions.__file__
+    return profiled_calls(run, lambda frame, event, arg: (
+        event == "call" and frame.f_code.co_filename == there
+        and frame.f_back.f_code.co_filename == here))
+
+
+def gcd_calls(run):
+    """The ``math.gcd`` and ``math.lcm`` calls made straight from
+    ``kernels`` or ``destabilizer`` code while ``run()`` runs."""
+    here = {kernels.__file__, destabilizer.__file__}
+    return profiled_calls(run, lambda frame, event, arg: (
+        event == "c_call" and (arg is math.gcd or arg is math.lcm)
+        and frame.f_code.co_filename in here))
+
+
 class TestIntegerGrid:
+    GRIDS = ((12, 10), (48, 10), (12, 40), (96, 80))
+
     def test_fraction_work_does_not_grow_with_the_grid(self):
         # The grid, its refine rounds and the ranking run on integers; the
         # Fractions left are per polygon, per round and for the winner.
         poly = catalog("hexagon(2,3)")
         ext = invariants.extremal_field(poly)
         counts = [fraction_calls(lambda: scan(poly, ext, ScanConfig(m, offs, 2)))
-                  for m, offs in ((12, 10), (48, 10), (12, 40), (96, 80))]
+                  for m, offs in self.GRIDS]
         assert len(set(counts)) == 1
         assert counts[0] > 0  # the per-round ratios are seen
+
+    def test_rows_are_not_reduced(self):
+        # The kernel's rows stay over their crossing weights and a piece's
+        # rows over its first row's denominators: the gcd and lcm calls
+        # left are per kernel batch, not per row.
+        poly = catalog("hexagon(2,3)")
+        ext = invariants.extremal_field(poly)
+        counts = [gcd_calls(lambda: scan(poly, ext, ScanConfig(m, offs, 2)))
+                  for m, offs in self.GRIDS]
+        assert len(set(counts)) == 1
 
 
 def profile_polygons():
@@ -431,6 +461,26 @@ class TestProfiles:
             assert len(calls) == 4
             for ws, p0, q, count in calls:
                 check_profiles(poly, ext, ws, p0, q, count)
+
+    def test_sweep_cuts_at_a_vertex_on_the_base_crease(self):
+        # On cp2_1blowup the crease of direction (0, -1) through the origin
+        # passes the vertex (-1, 0).  At v = 0 the kernel counts that vertex
+        # in the region, after it not, so the crossed edges and the rows'
+        # denominators change there.  A sweep without the breakpoint 0
+        # joins the two runs, and _profiles refuses the piece.
+        poly = catalog("cp2_1blowup")
+        ext = invariants.extremal_field(poly)
+        family = _crease_family(poly, scan_base(poly))
+        sweep = family(0, 4)
+        assert sweep.n1 == 0 < -sweep.n2 and sweep.breaks[0] == 0
+        check_profiles(poly, ext, [(0, 4)], 0, 10, 10)
+
+        def without_zero(a, d):
+            sweep = family(a, d)
+            return sweep._replace(breaks=[b for b in sweep.breaks if b])
+
+        with pytest.raises(AssertionError, match="different denominators"):
+            _profiles(without_zero, _kernel_data(poly, ext), [(0, 4)], 0, 10, 10)
 
     def test_rank_skips_missed_creases(self):
         # Offsets t / 40 up to t = 40, where the crease touches the top

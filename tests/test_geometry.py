@@ -51,6 +51,7 @@ from helpers import (
     simplex_halfspaces,
     simplex_measures,
     simplex_volume,
+    spans_dimension,
 )
 
 
@@ -944,6 +945,82 @@ class TestCellMoments:
         for poly, cuts, volume in cases:
             cell = self.check(poly, cuts)
             assert (None if cell is None else cell.volume) == volume
+
+
+def _face_cuts(poly):
+    """Cuts meeting ``poly`` in one of its faces, and their opposites.
+
+    For every pair of vertices, ``c`` is the primitive sum of the normals
+    of the facets through both; it lies inside the normal cone of the
+    least face holding the pair, so ``<c, x> >= <c, v>`` meets the body in
+    that vertex, edge or facet, a flat result, and ``<c, x> <= <c, v>``
+    holds the whole body and touches that face.  Yields ``(face
+    dimension, cut)``, the opposite with dimension n."""
+    n = poly.dim
+    rows = poly._clip_start
+    for (pu, qu, at_u), (_, _, at_w) in itertools.combinations_with_replacement(rows, 2):
+        common = at_u & at_w
+        if not common:
+            continue
+        c, _ = primitivize([sum(poly.halfspaces[i].normal[j] for i in common) for j in range(n)])
+        top = sum(Fraction(a * x, qu) for a, x in zip(c, pu))
+        face = [v for v in poly.vertices if _linalg.dot(c, v) == top]
+        yield affine_rank(face), halfspace(tuple(-a for a in c), -top)
+        yield n, halfspace(c, top)
+
+
+class TestClipDimension:
+    """``_clip`` decides full dimension from the slacks it computes; the
+    homogeneous rank of its rows (:func:`spans_dimension`) is the oracle
+    that ``intersect``, ``_cell_moments`` and ``build_polytope`` must agree
+    with."""
+
+    def check(self, poly, cuts):
+        n = poly.dim
+        combined = list(poly.halfspaces) + [h for h in dict.fromkeys(cuts)
+                                            if h not in poly.halfspaces]
+        rows, full = geometry._clip(poly._clip_start, combined, n, len(poly.halfspaces))
+        assert full == spans_dimension(rows, n)
+        assert (geometry.intersect(poly, cuts) is None) == (not full)
+        moments = geometry._cell_moments(poly.halfspaces, poly._clip_start, cuts)
+        assert (moments is None) == (not full)
+        try:
+            build_polytope(combined, require_simple=False)
+            raised = None
+        except Degenerate as exc:
+            raised = str(exc)
+        if not rows:
+            assert raised == "half-space intersection is empty"
+        elif not full:
+            assert raised == "vertex hull is not full-dimensional"
+        else:
+            assert raised is None
+        return rows, full
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tangent_and_generic_cuts(self, n):
+        rng = random.Random(f"clip-dimension-{n}")
+        faces, results = set(), set()
+        for i in range(12 if n == 2 else 8):
+            if n == 2:
+                poly = random_polygon(rng, den=rng.choice((1, 2, 3)))
+            else:
+                poly = _random_body(rng, ("box", "simplex")[i % 2])
+            pool = list(_face_cuts(poly))
+            pool += [(None, _random_cut(rng, poly)) for _ in range(len(pool) // 2)]
+            for dim, cut in pool:
+                rows, full = self.check(poly, [cut])
+                if dim is not None:
+                    # A face cut gives that face, or the body for its opposite.
+                    assert full == (dim == n)
+                    assert full or affine_rank([tuple(Fraction(c, q) for c in p)
+                                                for p, q, _ in rows]) == dim
+                    faces.add(dim)
+                results.add((bool(rows), full))
+            for _ in range(6):
+                self.check(poly, [cut for _, cut in rng.sample(pool, 2)])
+        assert faces == set(range(n + 1))
+        assert results == {(True, True), (True, False), (False, False)}
 
 
 def _fraction_lp_minimize(rows, rhs, objectives, basis):

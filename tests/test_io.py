@@ -1,5 +1,6 @@
 """Spec files, expression parsing, catalog entries, CLI behaviour."""
 
+import contextlib
 import itertools
 import json
 import subprocess
@@ -10,12 +11,35 @@ from pathlib import Path
 import pytest
 
 import toricstab
-from toricstab import catalog, emit_spec, integration, make_pl, parse_spec, report, translate
+from toricstab import (
+    catalog,
+    emit_spec,
+    integration,
+    invariants,
+    make_pl,
+    parse_spec,
+    report,
+    translate,
+)
 from toricstab.catalog import CATALOG_NAMES, hexagon
 from toricstab.cli import main
 from toricstab.errors import InvalidHexagonParams, OutsideDomain, ParseError, UnknownName
 from toricstab.plexpr import parse_pl_expression
 from toricstab.plfunc import zero_function
+
+
+@contextlib.contextmanager
+def lifted_digit_limit():
+    """No limit on the digits of int-to-string conversions inside the block
+    (the limit exists from Python 3.11)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -480,6 +504,30 @@ class TestCLI:
         assert main(["analyze", "--spec", str(spec)]) == 0
         assert f"  volume            {payload['polytope']['volume']['exact']}\n" in (
             capsys.readouterr().out)
+
+    def test_exact_values_past_the_digit_limit(self, capsys, tmp_path):
+        # CPython writes no integer of more than 4,300 digits by default.
+        # Every input here is under that limit, and L is far past it.
+        spec = tmp_path / "triangle.json"
+        spec.write_text(json.dumps({"dim": 2, "halfspaces": [
+            {"normal": [1, 0], "bound": str(10**200)},
+            {"normal": [0, 1], "bound": str(10**200)},
+            {"normal": [-1, -1], "bound": 1}]}))
+        expr = f"max(0, {10**4000}*x1)"
+        poly = parse_spec(spec.read_text())
+        value = invariants.linear_functional_L(
+            poly, make_pl(parse_pl_expression(expr, 2), poly), invariants.extremal_field(poly))
+        samples = [value, -value, Fraction(10**5000 + 1, 10**4400 - 3), 10**4300, -(10**9000)]
+        with lifted_digit_limit():
+            want = [str(Fraction(v)) for v in samples]
+        assert len(want[0]) > 4300
+        assert [report.exact(v) for v in samples] == want
+        argv = ["lfun", "--spec", str(spec), "--pl", expr]
+        assert main([*argv, "--format", "structured"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["L"] == {"exact": want[0], "approx": None}
+        assert main(argv) == 0
+        assert f"L            {want[0]}\n" in capsys.readouterr().out
 
     def test_center_flag(self, capsys):
         code = main([
