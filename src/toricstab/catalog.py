@@ -46,7 +46,7 @@ def hexagon(first, second) -> Polytope:
         raise InvalidHexagonParams("parameters must be positive")
     if 2 * mu < lam or mu > 2 * lam:
         raise InvalidHexagonParams(
-            f"need first/2 <= second <= 2*first, got ({lam}, {mu})"
+            f"need first/2 <= second <= 2*first, got {shown((lam, mu))}"
         )
     rows = [
         ((1, 0), lam), ((0, -1), mu), ((-1, -1), lam),

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _linalg, integration, invariants
-from .errors import NoInteriorCrease, UnsupportedDimension
+from .errors import NoInteriorCrease, UnsupportedDimension, shown
 from .geometry import Polytope, Record
 from .invariants import ExtremalData
 from .kernels import simple_pl_values
@@ -428,7 +428,7 @@ def scan(poly: Polytope, extremal: ExtremalData, config: ScanConfig = ScanConfig
     if l_check != lval or b_check != bval:
         raise AssertionError(
             "kernel and reference functional disagree: "
-            f"{lval}/{bval} vs {l_check}/{b_check}"
+            f"{shown((lval, bval))} vs {shown((l_check, b_check))}"
         )
 
     return ScanResult(

@@ -1,8 +1,9 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library, and the one writer of exact numbers.
 
 Every failure mode of the geometric and analytic operations gets its own
 class so callers (in particular the CLI) can map them to precise messages
-and exit codes.
+and exit codes.  :func:`exact` writes every int and ``Fraction`` that the
+library turns into text, and :func:`shown` cuts it for error messages.
 """
 
 from fractions import Fraction
@@ -85,14 +86,34 @@ class InvalidHexagonParams(ToricStabError):
     """Hexagon family parameters outside the admissible range."""
 
 
-def shown(value) -> str:
-    """``repr(value)`` for an error message, cut after 60 characters and
-    then followed by its full length, so no input is echoed whole.  A
-    ``Fraction`` shows as ``3/2`` and a tuple of them as ``(-1, 3/2)``."""
+def exact(value) -> str:
+    """The text ``str`` gives an int or a ``Fraction`` (``-3/2``) and a
+    tuple of them (``(-1, 3/2)``), whatever their number of digits;
+    anything else as ``repr`` writes it.  CPython writes no integer of more
+    digits than ``sys.get_int_max_str_digits()``, a limit the input parsers
+    rely on, so past it an integer is split at about half its digits by a
+    power of ten and the halves are written in turn."""
     if isinstance(value, tuple):
-        text = f"({', '.join(map(str, value))}{',' * (len(value) == 1)})"
-    else:
-        text = str(value) if isinstance(value, Fraction) else repr(value)
+        return f"({', '.join(map(exact, value))}{',' * (len(value) == 1)})"
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            return f"{exact(value.numerator)}/{exact(value.denominator)}"
+        value = value.numerator
+    try:
+        return repr(value)
+    except ValueError:
+        pass
+    if value < 0:
+        return "-" + exact(-value)
+    k = value.bit_length() * 3 // 20  # log10(2) / 2 is about 0.15
+    high, low = divmod(value, 10**k)
+    return exact(high) + exact(low).zfill(k)
+
+
+def shown(value) -> str:
+    """:func:`exact` for an error message, cut after 60 characters and then
+    followed by its full length, so no input is echoed whole."""
+    text = exact(value)
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 

@@ -58,6 +58,7 @@ from .errors import (
     NotSimple,
     Unbounded,
     UnsupportedDimension,
+    exact,
     shown,
 )
 
@@ -403,7 +404,7 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     seen = set()
     for h in hs:
         if h in seen:
-            warnings.append(f"duplicate half-space {h.normal} <= {h.bound} dropped")
+            warnings.append(f"duplicate half-space {exact(h.normal)} <= {exact(h.bound)} dropped")
             continue
         seen.add(h)
         deduped.append(h)
@@ -448,7 +449,7 @@ def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
     kept, renumber = [], {}
     for i, (h, cycle) in enumerate(zip(hs, cycles)):
         if cycle is None:
-            warnings.append(f"redundant half-space {h.normal} <= {h.bound} dropped")
+            warnings.append(f"redundant half-space {exact(h.normal)} <= {exact(h.bound)} dropped")
         else:
             renumber[i] = len(kept)
             kept.append(h)
@@ -583,7 +584,7 @@ def _check_bounded(clipped, hs, n):
             # Box half-space 2j is x_j <= m, so the ray leaves it with d_j > 0.
             j, s = divmod(faces[0], 2)
             g = gcd(*d) if (d[j] > 0) == (s == 0) else -gcd(*d)
-            raise Unbounded(f"direction {tuple(c // g for c in d)} recedes")
+            raise Unbounded(f"direction {shown(tuple(c // g for c in d))} recedes")
 
 
 def _facet_simplices(points, n) -> list:

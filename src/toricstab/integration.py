@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _linalg
-from .errors import NonPositiveScale, ScaleOverflow
+from .errors import NonPositiveScale, ScaleOverflow, shown
 from .geometry import Polytope
 from .kernels import lattice_weighted_sum
 
@@ -55,9 +55,9 @@ class Polynomial:
         for alpha, coeff in (terms or {}).items():
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != dim or any(a < 0 for a in alpha):
-                raise ValueError(f"bad exponent {alpha} for dimension {dim}")
+                raise ValueError(f"bad exponent {shown(alpha)} for dimension {dim}")
             if sum(alpha) > MAX_DEGREE:
-                raise ValueError(f"degree {sum(alpha)} exceeds cap {MAX_DEGREE}")
+                raise ValueError(f"degree {shown(sum(alpha))} exceeds cap {MAX_DEGREE}")
             key = tuple(j for j, a in enumerate(alpha) for _ in range(a))
             coefficients.append((key, Fraction(coeff)))
         denominator = math.lcm(*[c.denominator for _, c in coefficients])
@@ -83,14 +83,14 @@ class Polynomial:
     @classmethod
     def coordinate(cls, dim, j):
         if not 0 <= j < dim:
-            raise ValueError(f"no coordinate {j} in dimension {dim}")
+            raise ValueError(f"no coordinate {shown(j)} in dimension {dim}")
         return cls._of(dim, 1, {(j,): 1})
 
     @classmethod
     def affine(cls, dim, gradient, constant):
         """``<gradient, x> + constant``; the coefficients are ints or ``Fraction``s."""
         if len(gradient) != dim:
-            raise ValueError(f"gradient {gradient} does not have dimension {dim}")
+            raise ValueError(f"gradient {shown(gradient)} does not have dimension {dim}")
         denominator = math.lcm(constant.denominator, *[c.denominator for c in gradient])
         numerators = {(): constant.numerator * (denominator // constant.denominator)}
         for j, c in enumerate(gradient):
@@ -269,7 +269,7 @@ def _integer_box(poly: Polytope, k):
         highs.append(hi)
         cells *= max(hi - lo + 1, 0)
     if cells > DEFAULT_CELL_BUDGET:
-        raise ScaleOverflow(f"lattice box has {cells} cells, budget {DEFAULT_CELL_BUDGET}")
+        raise ScaleOverflow(f"lattice box has {shown(cells)} cells, budget {DEFAULT_CELL_BUDGET}")
     return lows, highs
 
 
@@ -303,7 +303,7 @@ def _piece_table(u):
 def pl_lattice_sum(poly: Polytope, phi, k) -> LatticeSum:
     """Count lattice points of ``k * P`` and sum ``phi(I / k)`` exactly."""
     if k <= 0:
-        raise NonPositiveScale(f"scale k must be a positive integer, not {k}")
+        raise NonPositiveScale(f"scale k must be a positive integer, not {shown(k)}")
     lows, highs = _integer_box(poly, k)
     rows = _scaled_constraints(poly, k)
     table, denom = _piece_table(phi)

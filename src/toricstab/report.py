@@ -2,7 +2,8 @@
 
 Reports carry every rational twice, as an exact ``p/q`` string and as a
 decimal approximation; structured output is canonical JSON (sorted keys,
-fixed separators) so identical inputs produce identical bytes.
+fixed separators) so identical inputs produce identical bytes.  Every
+exact string comes from :func:`errors.exact`, whatever its length.
 """
 
 from __future__ import annotations
@@ -12,36 +13,9 @@ from fractions import Fraction
 
 from . import __version__
 from . import geometry, invariants, specfile
-from .errors import OriginNotInterior, WrongFamily
+from .errors import OriginNotInterior, WrongFamily, exact
 from .geometry import Polytope
 from .invariants import ConditionVerdict, DegenerationReport
-
-
-def _digits(n: int) -> str:
-    """``str(n)`` for an integer of any length.
-
-    CPython refuses to write an integer of more digits than
-    ``sys.get_int_max_str_digits()``, a limit the input parsers rely on, so
-    past it ``n`` is split at about half its digits by a power of ten and
-    the halves are written in turn."""
-    try:
-        return str(n)
-    except ValueError:
-        pass
-    if n < 0:
-        return "-" + _digits(-n)
-    k = n.bit_length() * 3 // 20  # log10(2) / 2 is about 0.15
-    high, low = divmod(n, 10**k)
-    return _digits(high) + _digits(low).zfill(k)
-
-
-def exact(value) -> str:
-    """The exact decimal string of a rational, ``p/q`` or ``p`` as
-    ``str(Fraction)`` writes it, whatever the length of ``p`` and ``q``."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return _digits(value.numerator)
-    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def rational_entry(value) -> dict:

@@ -15,7 +15,8 @@ survive any toolchain:
 
 Parsing reports the offending field on malformed input, or the offset
 when the text is not JSON; geometric errors from construction propagate
-unchanged.
+unchanged.  Bounds are written by :func:`errors.exact`, whatever their
+length, as centering can make them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import ParseError, shown
+from .errors import ParseError, exact, shown
 from .geometry import HalfSpace, Polytope, build_polytope
 
 
@@ -122,7 +123,7 @@ def emit_spec(poly: Polytope, name=None) -> str:
     data = {
         "dim": poly.dim,
         "halfspaces": [
-            {"normal": list(h.normal), "bound": str(h.bound)}
+            {"normal": list(h.normal), "bound": exact(h.bound)}
             for h in poly.halfspaces
         ],
     }

@@ -23,6 +23,7 @@ from toricstab import (
 from hypothesis import given, settings, strategies as st
 
 from toricstab import build_polytope, geometry, halfspace, integration, invariants, report
+from toricstab.catalog import CATALOG_NAMES
 from toricstab.cli import main
 from toricstab.destabilizer import ScanConfig
 from toricstab.errors import OriginNotInterior, WrongFamily
@@ -811,3 +812,136 @@ class TestHexagonOrder:
                 assert got == _hexagon_oracle(moved)
                 assert got in ((2, 3), (3, 2))
         assert len(images) == 12
+
+
+# -- the ray-averaged boundary weight -------------------------------------------
+#
+# Put the origin inside P and write the weight of L as
+# ``w = rbar + theta = w0 + w1(x)``, with w1 linear.  Over the cone from 0
+# on facet i, with bound b_i, put ``x = s y`` for y in F_i and 0 <= s <= 1;
+# then ``dx = b_i s^(n-1) ds dsigma(y)``, so
+#
+#     L(u) = sum_i int_{F_i} [u(y) - b_i int_0^1 w(s y) u(s y) s^(n-1) ds] dsigma(y).
+#
+# For u homogeneous of degree 1, ``u(s y) = s u(y)`` and the inner integral
+# is ``u(y) (w0 / (n+1) + w1(y) / (n+2))``, so ``L(u) = int_dP W u dsigma``
+# with ``W = 1 - b_i (w0 / (n+1) + w1(y) / (n+2))`` on facet i.  For convex
+# u with ``u(0) = 0`` and ``u >= 0``, ``u(s y) <= s u(y)``; so where
+# ``w >= 0`` on P, ``L(u) >= int_dP W u dsigma >= (min W) int_dP u dsigma``.
+# W is affine on each facet, so its minimum is at a (facet, vertex) pair.
+
+
+def ray_weights(poly, extremal):
+    """Per half-space of ``poly``, the affine weight ``W`` on its facet."""
+    n = poly.dim
+    w0 = poly.rbar + extremal.theta.constant
+    return {h: AffineFunction(tuple(-h.bound * a / (n + 2) for a in extremal.theta.gradient),
+                              1 - h.bound * w0 / (n + 1))
+            for h in poly.halfspaces}
+
+
+def weighted_boundary(poly, u, weights):
+    """``int_dP W u dsigma``: each cell's piece times W over the cell's
+    facets that lie on a half-space of ``poly``."""
+    total = F(0)
+    for cell in u.cells:
+        for facet in cell.region.facets:
+            if facet.halfspace in weights:
+                total += integration._form_integral(
+                    facet._moments, weights[facet.halfspace].form * cell.piece.form)
+    return total
+
+
+def min_weight(poly, weights):
+    return min(weights[f.halfspace].evaluate(v) for f in poly.facets for v in f.vertices)
+
+
+CP3 = [((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1), ((1, 1, 1), 1)]
+
+
+def _ray_bodies(rng):
+    """The catalog with ``hexagon(1,2)``, and seeded rational polygons, 3-D
+    boxes and 3-D simplices, each with the origin inside."""
+    bodies = [catalog(name) for name in CATALOG_NAMES[:-1]] + [hexagon(1, 2)]
+    polygons = [random_polygon(rng, den=rng.choice((1, 2, 3)), radius=3) for _ in range(12)]
+    bodies += [p for p in polygons if p.origin_interior]
+
+    def bound():
+        return F(rng.randint(1, 5), rng.randint(1, 3))
+
+    for _ in range(3):
+        base = build_polytope([halfspace(e, bound()) for e in ((1, 0), (-1, 0), (0, 1), (0, -1))])
+        bodies.append(prism(base, -bound(), bound()))
+    simplices = 0
+    while simplices < 3:
+        verts = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+                 for _ in range(4)]
+        try:
+            poly = build_polytope(simplex_halfspaces(verts))
+        except DegenerateSimplex:
+            continue
+        if poly.origin_interior:
+            bodies.append(poly)
+            simplices += 1
+    return bodies
+
+
+class TestRayWeight:
+    def test_identity_for_creases_through_the_origin(self):
+        rng = random.Random(14)
+        checked = 0
+        for poly in _ray_bodies(rng):
+            ext = invariants.extremal_field(poly)
+            weights = ray_weights(poly, ext)
+            for _ in range(3):
+                xi = (0,) * poly.dim
+                while not any(xi):
+                    xi = tuple(rng.randint(-3, 3) for _ in range(poly.dim))
+                u = make_pl([zero_function(poly.dim), affine(xi, 0)], poly)
+                assert linear_functional_L(poly, u, ext) == weighted_boundary(poly, u, weights)
+                checked += 1
+        assert checked == 63
+
+    def test_min_weight(self):
+        want = {"cp2": F(1, 3), "cp1xcp1": F(1, 3), "cp2_3blowup": F(1, 3),
+                "hexagon(1,2)": F(1, 3), "cp2_1blowup": F(5, 22), "cp2_2blowup": F(63, 409),
+                "hexagon(2,3)": F(1, 11)}
+        bodies = {name: catalog(name) for name in want}
+        bodies["cp3"] = build_polytope([halfspace(n, b) for n, b in CP3])
+        want["cp3"] = F(1, 4)
+        got = {name: min_weight(poly, ray_weights(poly, invariants.extremal_field(poly)))
+               for name, poly in bodies.items()}
+        assert got == want
+
+    def test_bound_for_convex_functions(self):
+        # u = max(0, l_1, ..., l_k) with l_j(0) <= 0 is convex, u(0) = 0, u >= 0.
+        rng = random.Random(3)
+        bodies = _ray_bodies(rng) + [hexagon(2, 3), build_polytope(
+            [halfspace(n, b) for n, b in CP3])]
+        checked = 0
+        for poly in bodies:
+            ext = invariants.extremal_field(poly)
+            if poly.rbar + ext.theta_min < 0:
+                continue
+            weights = ray_weights(poly, ext)
+            lowest = min_weight(poly, weights)
+            for _ in range(8):
+                pieces = [zero_function(poly.dim)]
+                for _ in range(rng.randint(1, 4)):
+                    pieces.append(affine([F(rng.randint(-3, 3), rng.randint(1, 2))
+                                          for _ in range(poly.dim)],
+                                         -F(rng.randint(0, 3), rng.randint(1, 3))))
+                u = make_pl(pieces, poly)
+                weighted = weighted_boundary(poly, u, weights)
+                assert linear_functional_L(poly, u, ext) >= weighted
+                assert weighted >= lowest * boundary_integral(poly, u)
+                checked += 1
+        assert checked == 112
+
+    def test_min_weight_bounds_the_scan_estimate(self):
+        config = ScanConfig(direction_count=12, offset_count=8, refine_rounds=1)
+        for poly in [catalog(name) for name in CATALOG_NAMES[:-1]] + [hexagon(1, 2),
+                                                                       hexagon(2, 3)]:
+            ext = invariants.extremal_field(poly)
+            assert min_weight(poly, ray_weights(poly, ext)) <= scan(
+                poly, ext, config).lambda_star_estimate

@@ -14,6 +14,7 @@ import toricstab
 from toricstab import (
     catalog,
     emit_spec,
+    errors,
     integration,
     invariants,
     make_pl,
@@ -35,6 +36,21 @@ def lifted_digit_limit():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@contextlib.contextmanager
+def lowered_digit_limit():
+    """The limit on the digits of int-to-string conversions at CPython's
+    minimum, 640, inside the block, so inputs of a few hundred digits reach
+    it (the limit exists from Python 3.11)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(640)
     try:
         yield
     finally:
@@ -522,12 +538,64 @@ class TestCLI:
             want = [str(Fraction(v)) for v in samples]
         assert len(want[0]) > 4300
         assert [report.exact(v) for v in samples] == want
+        big, small = 10**4300, -(10**9000) + 7
+        tuples = [(big,), (small,), (big, small), (3, small)]
+        fractions = [(value,), (-value, F(1, 3)), (F(2), value)]
+        with lifted_digit_limit():
+            texts = [repr(t) for t in tuples]
+            texts += [f"({', '.join(map(str, t))}{',' * (len(t) == 1)})" for t in fractions]
+        assert [errors.exact(t) for t in tuples + fractions] == texts
+        assert [errors.shown(t) for t in tuples + fractions] == [
+            f"{text[:60]}... ({len(text)} characters)" for text in texts]
         argv = ["lfun", "--spec", str(spec), "--pl", expr]
         assert main([*argv, "--format", "structured"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["L"] == {"exact": want[0], "approx": None}
         assert main(argv) == 0
         assert f"L            {want[0]}\n" in capsys.readouterr().out
+
+    # Every input is under 640 digits; some derived value is past it: a
+    # vertex of the pyramid, a centered bound of the pentagon, a cell's
+    # bound in the PL function's warnings, the lattice box of a long k.
+    Q = 10**350
+
+    @staticmethod
+    def _long_spec(tmp_path, name):
+        q1, q2 = TestCLI.Q + 1, TestCLI.Q + 3
+        if name == "pyramid":
+            b1, b2 = F(3 * q1 + 1, q1), F(2 * q2 + 1, q2)
+            rows = [((1, 0, 1), b1), ((-1, 0, 1), b2), ((0, 1, 1), b1 + 1),
+                    ((0, -1, 1), b2 - 1), ((0, 0, -1), 10)]
+        else:
+            rows = [((1, 0), 3 + F(1, q1)), ((0, 1), 2 + F(1, q2)), ((-1, 0), 1),
+                    ((0, -1), 1), ((1, 1), 4)]
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"dim": len(rows[0][0]), "halfspaces": [
+            {"normal": list(n), "bound": str(b)} for n, b in rows]}))
+        return str(spec)
+
+    LONG_PL = f"max(0, x1 - 1/2 - 1/{Q + 1}, 2*x1 - 1 - 1/{Q + 3})"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "--spec", "pyramid"], 2),
+        (["analyze", "--center", "--spec", "pentagon"], 0),
+        (["lfun", "--catalog", "cp2", "--pl", LONG_PL], 0),
+        (["relative-futaki", "--catalog", "cp2", "--pl", LONG_PL], 0),
+        (["ehrhart", "--catalog", "cp2", "--pl", LONG_PL, "--k", "3"], 0),
+        (["analyze", "--catalog", "cp2", "--pl", LONG_PL], 0),
+        (["analyze", "--catalog", "cp2", "--pl", LONG_PL, "--format", "structured"], 0),
+        (["ehrhart", "--catalog", "cp2", "--pl", "max(0, x1)", "--k", str(Q)], 2),
+    ], ids=["pyramid", "centered-pentagon", "lfun", "relative-futaki", "ehrhart",
+            "analyze-pl", "analyze-pl-structured", "ehrhart-long-k"])
+    def test_derived_values_past_a_lowered_digit_limit(self, capsys, tmp_path, argv, code):
+        argv = [self._long_spec(tmp_path, a) if a in ("pyramid", "pentagon") else a
+                for a in argv]
+        runs = []
+        for limit in (lowered_digit_limit, lifted_digit_limit):
+            with limit():
+                runs.append((main(argv), *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
 
     def test_center_flag(self, capsys):
         code = main([
