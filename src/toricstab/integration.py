@@ -15,9 +15,11 @@ polynomial is then one integer dot product and one ``Fraction``
 An affine piece of a PL function enters as its own integer form
 (``AffineFunction.form``, built once per piece): the integrals, the
 pairings and the lattice sum's piece table all read it, and none builds
-another.  Lattice-point work is a bounding-box scan with exact half-space
-filtering, guarded by a cell budget so a careless scale cannot wedge the
-process.
+another.  Lattice-point work scans ``k * P`` line by line along the last
+coordinate: the scaled half-spaces give each line's integer interval
+exactly (:func:`kernels.lattice_weighted_sum`), so only points of
+``k * P`` are visited.  A cell budget on the bounding box of ``k * P``
+still guards the scan, so a careless scale cannot wedge the process.
 """
 
 from __future__ import annotations
@@ -301,7 +303,12 @@ def _piece_table(u):
 
 
 def pl_lattice_sum(poly: Polytope, phi, k) -> LatticeSum:
-    """Count lattice points of ``k * P`` and sum ``phi(I / k)`` exactly."""
+    """Count lattice points of ``k * P`` and sum ``phi(I / k)`` exactly.
+
+    The kernel walks the lines of ``k * P`` along the last coordinate and
+    visits only its lattice points; the box of ``k * P`` still has to fit
+    the cell budget, or :class:`ScaleOverflow` is raised before any work.
+    """
     if k <= 0:
         raise NonPositiveScale(f"scale k must be a positive integer, not {shown(k)}")
     lows, highs = _integer_box(poly, k)

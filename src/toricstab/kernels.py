@@ -24,8 +24,14 @@ denominator.  The scan continues every piece from these exact samples by
 finite differences, so the kernel's rows must be exact at every offset
 it is given, and it reads one piece's rows over one pair of
 denominators: along a piece the same vertices have ``g >= 0``, so the
-same edges are crossed.  ``lattice_weighted_sum`` is the bounding-box
-lattice scan.  Results are exact integers.
+same edges are crossed.
+
+``lattice_weighted_sum`` counts the integer points of a body given by
+integer rows and sums a max-of-affine weight over them.  It walks lines
+along the last coordinate: at each integer point of the other
+coordinates' box, the rows give the line's integer interval of the last
+coordinate by one floor or ceiling each, so it visits no point outside
+the body and tests no row per point.  Results are exact integers.
 """
 
 import itertools
@@ -186,34 +192,55 @@ def simple_pl_values(vxs, vys, vden, edges, wlin, wden, cands):
 
 
 def lattice_weighted_sum(dim, lows, highs, rows, table, k):
-    """Scan the integer box, filter by the constraint rows, sum the weight.
+    """Count the integer points of the rows' body and sum their weight, line by line.
 
     ``rows`` are ``(normal, rhs)`` pairs encoding ``<normal, I> <= rhs``.
     ``table`` rows ``(A, C)`` are affine pieces with integer data; the
     weight at a point is ``max over pieces of (<A, I> + C * k)`` and the
     caller divides the returned numerator by the common denominator.
+    Returns ``(count, numerator)``.
+
+    The box ``lows .. highs`` is walked over its first ``dim - 1``
+    coordinates only.  At each such prefix every row bounds the last
+    coordinate ``x``: with ``c`` its last coefficient and ``rest`` its
+    rhs minus the prefix's part, ``c > 0`` gives ``x <= floor(rest / c)``,
+    ``c < 0`` gives ``x >= ceil(rest / c)``, and ``c = 0`` empties the
+    line when ``rest < 0`` and otherwise drops out.  The points of the
+    line's interval, clipped to the box, are exactly the line's points of
+    the body, so no other point is visited and no row is tested per point.
     """
     count = 0
     total = 0
-    ranges = [range(lo, hi + 1) for lo, hi in zip(lows, highs)]
-    for point in itertools.product(*ranges):
-        ok = True
-        for m, r in rows:
-            s = 0
-            for mj, pj in zip(m, point):
-                s += mj * pj
-            if s > r:
-                ok = False
+    last = dim - 1
+    split = [(m[:last], m[last], r) for m, r in rows]
+    box = [range(lo, hi + 1) for lo, hi in zip(lows[:last], highs[:last])]
+    for prefix in itertools.product(*box):
+        lo, hi = lows[last], highs[last]
+        for head, c, r in split:
+            rest = r
+            for mj, pj in zip(head, prefix):
+                rest -= mj * pj
+            if c > 0:
+                hi = min(hi, rest // c)
+            elif c < 0:
+                lo = max(lo, -(rest // -c))
+            elif rest < 0:
+                hi = lo - 1
+            if lo > hi:
                 break
-        if not ok:
+        if lo > hi:
             continue
-        count += 1
-        best = None
-        for a_row, c in table:
-            v = c * k
-            for aj, pj in zip(a_row, point):
-                v += aj * pj
-            if best is None or v > best:
-                best = v
-        total += best if best is not None else 0
+        count += hi - lo + 1
+        if not table:
+            continue
+        for x in range(lo, hi + 1):
+            point = prefix + (x,)
+            best = None
+            for a_row, c in table:
+                v = c * k
+                for aj, pj in zip(a_row, point):
+                    v += aj * pj
+                if best is None or v > best:
+                    best = v
+            total += best
     return count, total

@@ -119,7 +119,14 @@ def parse_spec(text: str) -> Polytope:
 
 
 def emit_spec(poly: Polytope, name=None) -> str:
-    """Canonical specification text; parse_spec inverts it exactly."""
+    """Canonical specification text.
+
+    Every bound is written exactly, however many digits it has.
+    :func:`parse_spec` inverts the text exactly while each bound's
+    numerator and denominator fit ``sys.get_int_max_str_digits()``; past
+    that limit it refuses the bound with a :class:`ParseError` that names
+    it, as it refuses any over-long integer it reads.
+    """
     data = {
         "dim": poly.dim,
         "halfspaces": [

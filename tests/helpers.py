@@ -11,9 +11,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from toricstab import _linalg, build_polytope, halfspace
+from toricstab import _linalg, build_polytope, halfspace, make_pl
 from toricstab.errors import ToricStabError, Unbounded
 from toricstab.geometry import HalfSpace, intersect
+from toricstab.plfunc import AffineFunction
 
 
 class DegenerateSimplex(ToricStabError):
@@ -221,6 +222,40 @@ def random_polygon(rng, den=1, radius=4, most=7):
                for _ in range(rng.randint(3, most))]
         if affine_rank(pts) == 2:
             return hull_polygon(pts, den)
+
+
+def unimodular(rng, n):
+    """A seeded n x n integer matrix of determinant +-1: the identity
+    after a few row additions, swaps and sign changes."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(1, 6)):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.randrange(3)
+        if kind == 0:
+            s = rng.choice((-2, -1, 1, 2))
+            a[i] = [x + s * y for x, y in zip(a[i], a[j])]
+        elif kind == 1:
+            a[i], a[j] = a[j], a[i]
+        else:
+            a[i] = [-x for x in a[i]]
+    return a
+
+
+def push_forward(poly, u, a, t):
+    """``poly`` and ``u`` pushed forward by the lattice map ``x -> A^{-T} x
+    + t``: a normal or gradient ``l`` becomes ``A l``, and ``<A l, t>`` is
+    added to its bound or taken from its constant."""
+    def image(v):
+        return tuple(sum(r * c for r, c in zip(row, v)) for row in a)
+
+    def shift(v):
+        return sum(c * x for c, x in zip(image(v), t))
+
+    moved = build_polytope([halfspace(image(h.normal), h.bound + shift(h.normal))
+                            for h in poly.halfspaces])
+    pieces = [AffineFunction(image(p.gradient), p.constant - shift(p.gradient))
+              for p in u.pieces]
+    return moved, make_pl(pieces, moved)
 
 
 def pack(crease):

@@ -17,12 +17,13 @@ from toricstab import (
     make_pl,
     pl_lattice_sum,
 )
-from toricstab import _linalg, build_polytope, halfspace
+from toricstab import _linalg, build_polytope, catalog, halfspace
 from toricstab.errors import ScaleOverflow
 from toricstab.geometry import _simplex_moments, intersect
 from toricstab.integration import _form_integral, integrate_pl
 from toricstab.invariants import average_scalar_curvature
 from toricstab.plfunc import affine, zero_function
+from toricstab.reproduce import random_convex_pl
 
 from helpers import (
     DegenerateSimplex,
@@ -31,10 +32,12 @@ from helpers import (
     cells_across,
     facet_faces,
     primitivize,
+    push_forward,
     random_polygon,
     simplex_halfspaces,
     simplex_measures,
     simplex_volume,
+    unimodular,
 )
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "toricstab"
@@ -545,6 +548,47 @@ class TestPLLatticeSum:
                 F(0),
             )
             assert pl_lattice_sum(pentagon, phi, k).weighted_sum == expected
+
+
+def corner_simplex(rng):
+    """A seeded simplex ``x_j >= -a_j``, ``x1 + x2 + x3 <= b`` with bounds in
+    quarters from 1 to 2, as the benchmark's 3-D lattice requests draw them."""
+    lo = [F(rng.randint(4, 8), 4) for _ in range(3)]
+    rows = [halfspace(tuple(-int(i == j) for i in range(3)), lo[j]) for j in range(3)]
+    return build_polytope(rows + [halfspace((1, 1, 1), F(rng.randint(4, 8), 4))])
+
+
+class TestLatticeSumInvariance:
+    """The count and the weighted sum of :func:`pl_lattice_sum` do not change
+    when the polytope and the weight are pushed forward together by a map of
+    GL(n, Z) and a translation ``t`` with ``k t`` integral: the map carries
+    the lattice points of ``k P`` one to one onto those of the image.  The
+    image's box and lines differ from the original's, so this oracle shares
+    neither with the kernel nor with a brute-force loop."""
+
+    def test_pushed_forward_sums(self):
+        rng = random.Random("lattice-sum-maps")
+        bodies = [(catalog(name), (1, 4, 9, 20)) for name in (
+            "cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup", "cp2_3blowup", "hexagon(2,3)")]
+        # Rational polygons at k not divisible by their denominators have
+        # lattice points on some facets of k P and not on others.
+        bodies += [(random_polygon(rng, den=den), (1, 2, 5)) for den in (1, 2, 3, 2, 3, 5)]
+        bodies += [(corner_simplex(rng), (1, 2, 3)) for _ in range(4)]
+        moved_points = set()
+        for poly, scales in bodies:
+            u = random_convex_pl(rng, poly)
+            for k in scales:
+                expected = pl_lattice_sum(poly, u, k)
+                for _ in range(2):
+                    a = unimodular(rng, poly.dim)
+                    t = tuple(F(rng.randint(-2 * k, 2 * k), k) for _ in range(poly.dim))
+                    moved, pushed = push_forward(poly, u, a, t)
+                    got = pl_lattice_sum(moved, pushed, k)
+                    assert (got.count, got.weighted_sum) == (expected.count, expected.weighted_sum)
+                    moved_points.add((poly.dim, got.count > 0))
+        # Polygons and simplices with points were moved; so were some
+        # rational polygons whose k P holds no lattice point.
+        assert moved_points == {(2, True), (2, False), (3, True)}
 
 
 class TestEhrhartResidual:

@@ -32,7 +32,7 @@ from toricstab.plfunc import AffineFunction, affine, zero_function
 from toricstab.reproduce import random_affine, random_convex_pl
 
 from helpers import (DegenerateSimplex, active_pieces, contains_interior, prism,
-                     random_polygon, simplex_halfspaces)
+                     push_forward, random_polygon, simplex_halfspaces, unimodular)
 
 
 def F(a, b=1):
@@ -629,40 +629,6 @@ class TestOriginIndependence:
         assert invariants.hexagon_parameters(poly) is None
 
 
-def _unimodular(rng, n):
-    """A seeded n x n integer matrix of determinant +-1: the identity
-    after a few row additions, swaps and sign changes."""
-    a = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(rng.randint(1, 6)):
-        i, j = rng.sample(range(n), 2)
-        kind = rng.randrange(3)
-        if kind == 0:
-            s = rng.choice((-2, -1, 1, 2))
-            a[i] = [x + s * y for x, y in zip(a[i], a[j])]
-        elif kind == 1:
-            a[i], a[j] = a[j], a[i]
-        else:
-            a[i] = [-x for x in a[i]]
-    return a
-
-
-def _push(poly, u, a, t):
-    """``poly`` and ``u`` pushed forward by the lattice map ``x -> A^{-T} x
-    + t``: a normal or gradient ``l`` becomes ``A l``, and ``<A l, t>`` is
-    added to its bound or taken from its constant."""
-    def image(v):
-        return tuple(sum(r * c for r, c in zip(row, v)) for row in a)
-
-    def shift(v):
-        return sum(c * x for c, x in zip(image(v), t))
-
-    moved = build_polytope([halfspace(image(h.normal), h.bound + shift(h.normal))
-                            for h in poly.halfspaces])
-    pieces = [AffineFunction(image(p.gradient), p.constant - shift(p.gradient))
-              for p in u.pieces]
-    return moved, make_pl(pieces, moved)
-
-
 def _lattice_map_bodies(rng):
     """The catalog polygons, then seeded 3-D boxes and simplices about the origin."""
     bodies = [catalog(name) for name in ("cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup",
@@ -706,9 +672,9 @@ class TestLatticeMaps:
             u = random_convex_pl(rng, poly)
             expected = self.values(poly, u)
             for _ in range(3):
-                a = _unimodular(rng, poly.dim)
+                a = unimodular(rng, poly.dim)
                 t = tuple(F(rng.randint(-1, 1), rng.randint(2, 6)) for _ in range(poly.dim))
-                moved, pushed = _push(poly, u, a, t)
+                moved, pushed = push_forward(poly, u, a, t)
                 assert [len(f.vertices) for f in moved.facets] == [
                     len(f.vertices) for f in poly.facets]
                 assert self.values(moved, pushed) == expected

@@ -12,9 +12,11 @@ import pytest
 
 import toricstab
 from toricstab import (
+    build_polytope,
     catalog,
     emit_spec,
     errors,
+    halfspace,
     integration,
     invariants,
     make_pl,
@@ -106,6 +108,28 @@ class TestSpecFile:
         with pytest.raises(ParseError) as err:
             parse_spec(text)
         assert "halfspaces[0].bound" in str(err.value)
+
+    def test_round_trip_stops_at_the_digit_limit(self, capsys, tmp_path):
+        # A bound of 600 digits each way round-trips under the 640-digit
+        # limit; one of 700 is written whole but refused when read back.
+        for digits, readable in ((600, True), (700, False)):
+            q = 10**digits + 1
+            poly = build_polytope([halfspace((1, 0), F(q + 1, q)), halfspace((-1, 0), 1),
+                                   halfspace((0, 1), 1), halfspace((0, -1), 1)])
+            i = next(i for i, h in enumerate(poly.halfspaces) if h.bound.denominator == q)
+            spec = tmp_path / f"long{digits}.json"
+            with lowered_digit_limit():
+                text = emit_spec(poly)
+                assert f'"{report.exact(poly.halfspaces[i].bound)}"' in text
+                spec.write_text(text)
+                if readable:
+                    assert parse_spec(text) == poly
+                    continue
+                with pytest.raises(ParseError) as err:
+                    parse_spec(text)
+                assert err.value.where == f"halfspaces[{i}].bound"
+                assert main(["analyze", "--spec", str(spec)]) == 2
+            assert f"halfspaces[{i}].bound" in capsys.readouterr().err
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(ParseError):

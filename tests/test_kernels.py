@@ -93,6 +93,39 @@ class TestLatticeWeightedSum:
         empty = rows + [((1, 0), -4)]
         assert kernels.lattice_weighted_sum(2, lows, highs, empty, tables[1], 3) == (0, 0)
 
+    def check_lines(self, lows, highs, rows, count):
+        """The kernel against brute force and a hand count, weighted by
+        ``x + 64 y`` (``x`` in dimension 1) so the points are told apart."""
+        table = [((1, 64)[:len(lows)], 0)]
+        got = kernels.lattice_weighted_sum(len(lows), lows, highs, rows, table, 1)
+        assert got == brute_weighted_sum(len(lows), lows, highs, rows, table, 1)
+        assert got[0] == count
+
+    def test_negative_last_coefficients_round_up(self):
+        # x - 3y <= 4 and -2y <= 3 give y >= ceil((x - 4)/3) and y >= -1;
+        # -4/3, -2/3 and -1/3 are not whole, so a floor would admit extra
+        # points on the lines x = 0, 2 and 3.
+        self.check_lines([0, -5], [4, 5], [((1, -3), 4), ((0, -2), 3), ((0, 1), 2)], 17)
+
+    def test_points_on_facets_count(self):
+        # x >= 0, x + 2y <= 6 and x - 3y <= 3: the 14 points include
+        # (0, -1), (0, 3), (2, 2), (3, 0) and (4, 1), each on a facet.
+        self.check_lines([-2, -4], [7, 5], [((1, 2), 6), ((1, -3), 3), ((-1, 0), 0)], 14)
+
+    def test_empty_lines_inside_the_box(self):
+        # 0 <= x + 3y <= 1 leaves no y on the lines x = -1, 2 and 5, and
+        # x <= 3, with no y in it, empties x = 4 and 5.
+        self.check_lines([-3, -3], [5, 3], [((1, 3), 1), ((-1, -3), 0), ((1, 0), 3)], 5)
+
+    def test_dimension_one(self):
+        # With no prefix the single line is the box: -1 <= x <= 2, from
+        # ceil(-4/3) and floor(5/2); a zero row either drops out or empties it.
+        rows = [((2,), 5), ((-3,), 4)]
+        self.check_lines([-5], [5], rows, 4)
+        self.check_lines([-5], [5], rows + [((0,), 0)], 4)
+        self.check_lines([-5], [5], rows + [((0,), -1)], 0)
+        self.check_lines([0], [1], rows, 2)
+
     def test_huge_coefficients_stay_exact(self):
         big = 10**30
         lows, highs = [-3, -3], [3, 3]
