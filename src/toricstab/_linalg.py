@@ -15,10 +15,11 @@ common denominator first; results become ``Fraction`` only at the end.
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):

@@ -33,6 +33,15 @@ primitive, leaving out the first coordinate ``j`` with ``l_j != 0`` maps
 that lattice onto a sublattice of ``Z^(n-1)`` of index ``|l_j|``, so a
 facet simplex measures its shadow's ``|det|`` over ``|l_j|``.
 
+Moments stop at the degree their reader needs.  A body's moments
+(volume integrals) and a cone cell's (the cone form) go to degree 2.  A
+facet keeps two tables: degree <= 2 (:attr:`Facet._moments`), summed
+into the boundary's for boundary integrals of polynomials, and degree
+<= 1 (:attr:`Facet._affine_moments`), read by its lattice measure and by
+the boundary integral of a PL function, whose pieces are affine.  The
+facets of PL cells are read only the second way, so they never compute
+second moments.
+
 The cone form has one pyramid per facet, with its apex at the origin:
 with the origin interior, the cell of the gauge function
 ``max_j <l_j, x> / b_j`` where the facet's own term is largest
@@ -49,6 +58,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import ceil, factorial, gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from . import _linalg
@@ -127,9 +137,12 @@ class Facet(Record):
     increasing otherwise.  ``halfspace`` is the polytope's own half-space
     the facet lies in, with the primitive normal ``l``.  The ``Fraction``
     points (:attr:`vertices`), the simplices tiling the facet with their
-    lattice measures, and its moments are computed on first read and
-    kept, so a cell only integrated over its volume never pays for them.
-    Equality, hashing and ``repr`` are over ``_fields``.
+    lattice measures, and its two moment tables are computed on first read
+    and kept, so a cell only integrated over its volume never pays for
+    them: :attr:`_affine_moments` (degree <= 1), read by :attr:`measure`
+    and by PL boundary integrals, and :attr:`_moments` (degree <= 2), read
+    through :attr:`Polytope._boundary_moments` by boundary integrals of
+    polynomials.  Equality, hashing and ``repr`` are over ``_fields``.
 
     Instances are immutable by convention, as polytopes are.
     """
@@ -167,13 +180,22 @@ class Facet(Record):
 
     @functools.cached_property
     def _moments(self) -> tuple:
-        """:func:`_simplex_moments` of the facet with its lattice measure."""
+        """:func:`_simplex_moments` of degree <= 2 of the facet with its
+        lattice measure, read by boundary integrals of polynomials through
+        :attr:`Polytope._boundary_moments`."""
         return _simplex_moments(len(self.halfspace.normal) - 1, *self._integer_simplices)
+
+    @functools.cached_property
+    def _affine_moments(self) -> tuple:
+        """:func:`_simplex_moments` of degree <= 1 of the facet with its
+        lattice measure, read by :attr:`measure` and by boundary integrals
+        of PL functions, whose pieces are affine."""
+        return _simplex_moments(len(self.halfspace.normal) - 1, *self._integer_simplices, 1)
 
     @property
     def measure(self) -> Fraction:
-        """The lattice measure: the ``()`` entry of :attr:`_moments`."""
-        denominator, moments = self._moments
+        """The lattice measure: the ``()`` entry of :attr:`_affine_moments`."""
+        denominator, moments = self._affine_moments
         return Fraction(moments[()], denominator)
 
 
@@ -321,6 +343,7 @@ class Polytope:
         """
         n = self.dim
         apex = ([0] * n, 1, frozenset(range(1, len(self.halfspaces))))
+        zero = Fraction(0)
         pyramids = []
         for i, facet in enumerate(self.facets):
             own = facet.halfspace
@@ -331,7 +354,7 @@ class Polytope:
                     pj, qj = h.bound.numerator, h.bound.denominator
                     normal = [pi * qj * a - pj * qi * b for a, b in zip(h.normal, own.normal)]
                     g = gcd(*normal)
-                    hs.append(HalfSpace(tuple(c // g for c in normal), Fraction(0)))
+                    hs.append(HalfSpace(tuple(c // g for c in normal), zero))
             # The cut of facet j is half-space j + 1 before facet i and j after it.
             start = [apex] + [(p, q, frozenset([0] + [j + (j < i) for j in tight if j != i]))
                               for p, q, tight in facet.rows]
@@ -709,8 +732,9 @@ def _cell_moments(hs, start, cuts):
     return _simplex_moments(n, *_fan(n, body, _facets(combined, n, body)))
 
 
-def _simplex_moments(k, q, scale, simplices) -> tuple:
-    """``(D, moments)``: the integer moments of degree <= 2 of k-simplices.
+def _simplex_moments(k, q, scale, simplices, degree=2) -> tuple:
+    """``(D, moments)``: the integer moments of degree <= ``degree``, 2 or
+    1, of k-simplices.
 
     Each simplex is ``(c, points)`` with vertices ``points / q`` and
     measure ``c / scale``, as :func:`_fan` and
@@ -723,7 +747,10 @@ def _simplex_moments(k, q, scale, simplices) -> tuple:
     times ``(sum_v P_vj P_vl + S_j S_l) / ((k+1)(k+2) q**2)`` (Baldoni,
     Berline, De Loera, Koeppe, Vergne, "How to integrate a polynomial
     over a simplex", Math. Comp. 80 (2011)), so every moment sits over
-    ``D = scale (k+1)(k+2) q**2``.
+    ``D = scale (k+1) q`` at degree 1 and ``D = scale (k+1)(k+2) q**2`` at
+    degree 2.  The volume integrals, the cone form and the boundary
+    integrals of polynomials read degree 2; a PL boundary integral reads
+    degree 1 (:attr:`Facet._affine_moments`).
     """
     n = len(simplices[0][1][0])
     volume = 0
@@ -731,12 +758,20 @@ def _simplex_moments(k, q, scale, simplices) -> tuple:
     second = [[0] * n for _ in range(n)]
     for c, points in simplices:
         volume += c
-        sums = [sum(column) for column in zip(*points)]
+        columns = list(zip(*points))
+        sums = [sum(column) for column in columns]
         for j, sj in enumerate(sums):
             first[j] += c * sj
-            row = second[j]
-            for l in range(j, n):
-                row[l] += c * (sum([p[j] * p[l] for p in points]) + sj * sums[l])
+        if degree > 1:
+            for j, (column, sj) in enumerate(zip(columns, sums)):
+                row = second[j]
+                for l in range(j, n):
+                    row[l] += c * (sum(map(mul, column, columns[l])) + sj * sums[l])
+    if degree == 1:
+        moments = {(): volume * (k + 1) * q}
+        for j in range(n):
+            moments[(j,)] = first[j]
+        return scale * (k + 1) * q, moments
     moments = {(): volume * (k + 1) * (k + 2) * q * q}
     for j in range(n):
         moments[(j,)] = first[j] * (k + 2) * q
@@ -775,17 +810,19 @@ def _clip(start, hs, n, first):
     ``p / q`` (``q > 0``) against ``<l, x> <= b`` is replaced by ``S =
     num(b) q - den(b) <l, p>``, which is ``den(b) q`` times the slack and
     so has its sign.  The crossing point of ``u`` (``S_u > 0``) and ``w``
-    (``S_w < 0``) is ``(S_u p_w - S_w p_u) / (S_u q_w - S_w q_u)``.
+    (``S_w < 0``) is ``(S_u p_w - S_w p_u) / (S_u q_w - S_w q_u)``.  In 1-D
+    and 2-D the edge test is the size of the common set (see
+    :func:`_spans_edge`), so no normal is looked up.
     """
     current = start
     full = True
     for i in range(first, len(hs)):
-        h = hs[i]
-        num, den = h.bound.numerator, h.bound.denominator
+        normal, bound = hs[i]
+        num, den = bound.numerator, bound.denominator
         kept, inside, outside = [], [], []
         for vertex in current:
             p, q, at_v = vertex
-            s = num * q - den * _linalg.dot(h.normal, p)
+            s = num * q - den * sum(map(mul, normal, p))
             if s > 0:
                 kept.append(vertex)
                 inside.append((vertex, s))
@@ -796,7 +833,8 @@ def _clip(start, hs, n, first):
         for (pu, qu, at_u), su in inside:
             for (pw, qw, at_w), sw in outside:
                 common = at_u & at_w
-                if _spans_edge([hs[k].normal for k in common], n):
+                if (len(common) >= n - 1 if n <= 2
+                        else _spans_edge([hs[k].normal for k in common], n)):
                     p = [su * b - sw * a for a, b in zip(pu, pw)]
                     q = su * qw - sw * qu
                     g = gcd(q, *p)

@@ -11,7 +11,9 @@ simplex moments of Baldoni, Berline, De Loera, Koeppe and Vergne); a
 polytope's boundary keeps its facets' moments summed over one
 denominator (``Polytope._boundary_moments``).  An integral of a
 polynomial is then one integer dot product and one ``Fraction``
-(:func:`_form_integral`), over the body or over its boundary.
+(:func:`_form_integral`), over the body or over its boundary.  A PL
+function's pieces are affine, so its boundary integral reads each cell
+facet's moments of degree <= 1 alone (``Facet._affine_moments``).
 An affine piece of a PL function enters as its own integer form
 (``AffineFunction.form``, built once per piece): the integrals, the
 pairings and the lattice sum's piece table all read it, and none builds
@@ -232,10 +234,14 @@ def boundary_integral(poly: Polytope, f) -> Fraction:
     """Exact integral over the boundary with the lattice measure.
 
     ``f`` is a :class:`Polynomial`, integrated as one dot product with the
-    boundary's moments (``Polytope._boundary_moments``), or a
-    ``PLFunction``, integrated through its cell subdivision: each cell is
-    a polytope that shares its outer facets with ``poly``, so restricting
-    the active piece to those facets covers the boundary exactly once.
+    boundary's moments of degree <= 2 (``Polytope._boundary_moments``), or
+    a ``PLFunction``, integrated through its cell subdivision: each cell
+    is a polytope that shares its outer facets with ``poly``, so
+    restricting the active piece to those facets covers the boundary
+    exactly once.  A piece is affine, so each outer facet of a cell
+    contributes a dot product with its moments of degree <= 1
+    (``Facet._affine_moments``), and no cell facet computes its second
+    moments.
     """
     if not isinstance(f, Polynomial):
         return _boundary_integral_pl(poly, f)
@@ -250,7 +256,7 @@ def _boundary_integral_pl(poly: Polytope, u) -> Fraction:
     for cell in u.cells:
         for facet in cell.region.facets:
             if facet.halfspace in outer:
-                total += _form_integral(facet._moments, cell.piece.form)
+                total += _form_integral(facet._affine_moments, cell.piece.form)
     return total
 
 

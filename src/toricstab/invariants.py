@@ -195,31 +195,37 @@ def linear_functional_L_cone(poly: Polytope, u: PLFunction, extremal: ExtremalDa
     half-spaces of ``cell.region`` that are not facets of P, and a pyramid
     lies in P, so each refinement cell is a pyramid
     (:attr:`Polytope._cone_halfspaces`) cut by one cell's cuts.  Nothing
-    of it but its moments is read, so each comes from
-    :func:`geometry._cell_moments` and is never built as a polytope, and
-    each costs one dot product with its moments and one ``Fraction``.
+    of it but its moments of degree <= 2 is read, so each comes from
+    :func:`geometry._cell_moments` and is never built as a polytope.
+
+    Per cell the integrand is ``lift / b_i - weighted``, with the lift
+    ``<x, grad u> + n u = (n + 1) u - c`` for the piece ``u = <grad u, x>
+    + c`` and ``weighted`` the weight times the piece; only ``b_i``
+    depends on the pyramid.  So each cell's lift and weighted forms are
+    built once, each refinement cell costs two integer dot products with
+    its moments (:func:`integration._form_integral`), and each pyramid's
+    lift integrals are summed before their one division by ``b_i``.
     """
     if not poly.origin_interior:
         raise OriginNotInterior("cone form needs 0 strictly inside")
     n = poly.dim
     weight = _weight(poly, extremal)
-    # Per cell the integrand is lift / b_i - weighted, with the lift
-    # <x, grad u> + n u = (n + 1) u - c for the piece u = <grad u, x> + c;
-    # only b_i depends on the pyramid, and it is built only where the
-    # pyramid meets the cell.
     outer = frozenset(poly.halfspaces)
     parts = []
     for cell in u.cells:
         piece = cell.piece
         parts.append((piece.form * (n + 1) - piece.constant, weight * piece.form,
                       [h for h in cell.region.halfspaces if h not in outer]))
-    total = Fraction(0)
+    lifted = weighted_total = Fraction(0)
     for support, pyramid_hs, start in poly._cone_halfspaces:
+        lift_sum = Fraction(0)
         for lift, weighted, cell_cuts in parts:
             moments = geometry._cell_moments(pyramid_hs, start, cell_cuts)
             if moments is not None:
-                total += integration._form_integral(moments, lift * (1 / support) - weighted)
-    return total
+                lift_sum += integration._form_integral(moments, lift)
+                weighted_total += integration._form_integral(moments, weighted)
+        lifted += lift_sum / support
+    return lifted - weighted_total
 
 
 def relative_futaki(poly: Polytope, u: PLFunction, extremal: ExtremalData) -> DegenerationReport:

@@ -586,6 +586,67 @@ class TestBuildAgainstEnumeration:
             assert self.check(rows, require_simple=False) == (Degenerate, message)
 
 
+def _special_cuts(rng, poly):
+    """Cuts of a body in 1-D or 2-D that meet it at vertices: through a
+    vertex, along a facet (its own half-space and the opposite one),
+    tangent at a vertex (keeping the body or only the vertex), and through
+    two vertices in 2-D or between them in 1-D."""
+    v = rng.choice(poly.vertices)
+    normal = _primitive(rng, poly.dim)
+    facet = rng.choice(poly.facets).halfspace
+    at_v = [h.normal for h in poly.halfspaces if h.value(v) == h.bound]
+    tangent, _ = primitivize(tuple(sum(c) for c in zip(*at_v)))
+    cuts = [halfspace(normal, _linalg.dot(normal, v)), facet,
+            halfspace(tuple(-c for c in facet.normal), -facet.bound),
+            halfspace(tangent, _linalg.dot(tangent, v)),
+            halfspace(tuple(-c for c in tangent), -_linalg.dot(tangent, v))]
+    w = rng.choice([u for u in poly.vertices if u != v])
+    if poly.dim == 2:
+        through, _ = primitivize((v[1] - w[1], w[0] - v[0]))
+        cuts.append(halfspace(through, _linalg.dot(through, v)))
+    else:
+        cuts.append(halfspace((1,), (v[0] + w[0]) / 2))
+    return cuts
+
+
+class TestClipEdgeTest:
+    """In 1-D and 2-D :func:`geometry._clip` takes an inside/outside pair
+    for an edge when the pair's common tight set has n - 1 indices; its
+    rows and ``full`` flag must be those of the enumeration oracle."""
+
+    def check(self, poly, cuts):
+        n = poly.dim
+        hs = list(poly.halfspaces) + list(cuts)
+        rows, full = geometry._clip(poly._clip_start, hs, n, len(poly.halfspaces))
+        vertices = _enumerate_vertices(hs, n)
+        got = [(tuple(F(c) / q for c in p), at_v) for p, q, at_v in rows]
+        assert all(q > 0 and math.gcd(q, *p) == 1 for p, q, _ in rows)
+        assert sorted(got) == sorted(
+            (v, frozenset(i for i, h in enumerate(hs) if h.value(v) == h.bound))
+            for v in vertices)
+        assert full == (affine_rank(vertices) == n)
+        return full
+
+    def test_cuts_through_vertices_along_edges_and_tangent(self):
+        rng = random.Random("clip-edge-test")
+        bodies = [catalog(name) for name in ("cp2", "cp2_2blowup", "hexagon(2,3)")]
+        for i in range(80):
+            if i % 4 == 0:
+                lo, hi = sorted(rng.sample(range(-12, 12), 2))
+                bodies.append(build_polytope([halfspace((1,), F(hi) / 3),
+                                              halfspace((-1,), F(-lo) / 3)]))
+            else:
+                bodies.append(random_polygon(rng, den=rng.choice((1, 2, 3))))
+        outcomes = set()
+        for poly in bodies:
+            special = _special_cuts(rng, poly)
+            for cut in special:
+                outcomes.add((poly.dim, self.check(poly, [cut])))
+            for _ in range(3):
+                outcomes.add((poly.dim, self.check(poly, rng.sample(special, rng.randint(2, 3)))))
+        assert outcomes == {(1, True), (1, False), (2, True), (2, False)}
+
+
 def _boundedness_oracle(rows):
     """The error class ``build_polytope(rows, require_simple=False)`` must
     raise, or None: the pre-checks, then emptiness by enumeration, then

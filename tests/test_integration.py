@@ -203,6 +203,20 @@ class TestQuadraticRule:
                 verts, f, k, measure
             )
 
+    @pytest.mark.parametrize("k,n", SIMPLEX_SHAPES)
+    def test_degree_one_table(self, k, n):
+        # Stopping at degree 1 keeps the same integrals of affine functions.
+        rng = random.Random(f"degree-one-{k}-{n}")
+        for _ in range(10):
+            verts = _random_simplex(rng, k, n)
+            q, points = _linalg.over_common_denominator(verts)
+            scale = rng.randint(1, 9)
+            low = _simplex_moments(k, q, scale, [(1, points)], 1)
+            assert set(low[1]) == {()} | {(j,) for j in range(n)}
+            f = _random_polynomial(rng, n, 1)
+            assert _form_integral(low, f) == _form_integral(
+                _simplex_moments(k, q, scale, [(1, points)]), f)
+
 
 def _naive_value(f, x):
     """Oracle: the term-by-term ``Fraction`` evaluation."""
@@ -475,6 +489,48 @@ class TestBoundaryIntegral:
                 integrate_polynomial(poly, Polynomial.constant(2, 1))
             )
             assert ratio == average_scalar_curvature(poly)
+
+
+def _pl_domains(rng):
+    """The catalog, then seeded rational polygons, intervals, 3-D boxes and
+    simplices, each followed by its cells under random cuts."""
+    for name in ("cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup", "cp2_3blowup",
+                 "hexagon(2,3)", "hexagon(7/2,2)"):
+        yield catalog(name)
+    for n, count in ((1, 6), (2, 12), (3, 6)):
+        yield from _rational_bodies(rng, n, count)
+
+
+class TestAffineFacetMoments:
+    """A PL boundary integral reads only the facets' moments of degree <= 1."""
+
+    def test_entries_match_the_full_moments(self):
+        rng = random.Random("affine-facet-moments")
+        checked = {1: 0, 2: 0, 3: 0}
+        for poly in _pl_domains(rng):
+            u = random_convex_pl(rng, poly)
+            for facet in [f for cell in u.cells for f in cell.region.facets] + list(poly.facets):
+                d1, low = facet._affine_moments
+                d2, full = facet._moments
+                assert list(low) == [key for key in full if len(key) <= 1]
+                for key, value in low.items():
+                    assert Fraction(value, d1) == Fraction(full[key], d2)
+                assert facet.measure == Fraction(full[()], d2)
+                checked[poly.dim] += 1
+        assert min(checked.values()) >= 20
+
+    def test_pl_boundary_integral_against_full_moments(self):
+        rng = random.Random("affine-boundary-integral")
+        split = 0
+        for poly in _pl_domains(rng):
+            u = random_convex_pl(rng, poly)
+            outer = set(poly.halfspaces)
+            expected = sum((_form_integral(facet._moments, cell.piece.form)
+                            for cell in u.cells for facet in cell.region.facets
+                            if facet.halfspace in outer), F(0))
+            assert boundary_integral(poly, u) == expected
+            split += len(u.cells) > 1
+        assert split >= 20
 
 
 class TestLatticePoints:
