@@ -34,22 +34,27 @@ that lattice onto a sublattice of ``Z^(n-1)`` of index ``|l_j|``, so a
 facet simplex measures its shadow's ``|det|`` over ``|l_j|``.
 
 Moments stop at the degree their reader needs.  A body's moments
-(volume integrals) and a cone cell's (the cone form) go to degree 2.  A
-facet keeps two tables: degree <= 2 (:attr:`Facet._moments`), summed
-into the boundary's for boundary integrals of polynomials, and degree
-<= 1 (:attr:`Facet._affine_moments`), read by its lattice measure and by
-the boundary integral of a PL function, whose pieces are affine.  The
-facets of PL cells are read only the second way, so they never compute
-second moments.
+(volume integrals and the extremal solve) and a cone cell's (the cone
+form) go to degree 2.  A facet keeps two tables.  Its degree <= 1 table
+(:attr:`Facet._affine_moments`) is read by its lattice measure and by
+the boundary integral of a PL function, whose pieces are affine, and is
+summed into the boundary's (:attr:`Polytope._affine_boundary_moments`),
+which the boundary measure, the extremal solve and boundary integrals
+of affine polynomials read.  Its degree <= 2 table
+(:attr:`Facet._moments`) is summed into
+:attr:`Polytope._boundary_moments` only for a boundary integral of a
+polynomial of degree 2, so no facet computes second moments unless such
+an integrand asks for them.
 
 The cone form has one pyramid per facet, with its apex at the origin:
 with the origin interior, the cell of the gauge function
-``max_j <l_j, x> / b_j`` where the facet's own term is largest
-(:attr:`Polytope._cone_halfspaces`).  The cone form reads nothing of a
-cone cell but its moments, so :func:`_cell_moments` clips a pyramid by
-the cuts of one PL cell with the same :func:`_clip` and :func:`_facets`
-that :func:`intersect` uses and fans the rows, building no
-:class:`Polytope`, :class:`Facet` or ``Fraction`` vertex.
+``max_j <l_j, x> / b_j`` where the facet's own term is largest, cut out
+by the facet's half-space and the gauge cuts of the facets that share a
+ridge with it (:attr:`Polytope._cone_halfspaces`).  The cone form reads
+nothing of a cone cell but its moments, so :func:`_cell_moments` clips
+a pyramid by the cuts of one PL cell with the same :func:`_clip` and
+:func:`_facets` that :func:`intersect` uses and fans the rows, building
+no :class:`Polytope`, :class:`Facet` or ``Fraction`` vertex.
 """
 
 from __future__ import annotations
@@ -139,10 +144,12 @@ class Facet(Record):
     points (:attr:`vertices`), the simplices tiling the facet with their
     lattice measures, and its two moment tables are computed on first read
     and kept, so a cell only integrated over its volume never pays for
-    them: :attr:`_affine_moments` (degree <= 1), read by :attr:`measure`
-    and by PL boundary integrals, and :attr:`_moments` (degree <= 2), read
-    through :attr:`Polytope._boundary_moments` by boundary integrals of
-    polynomials.  Equality, hashing and ``repr`` are over ``_fields``.
+    them: :attr:`_affine_moments` (degree <= 1), read by :attr:`measure`,
+    by PL boundary integrals and through
+    :attr:`Polytope._affine_boundary_moments`, and :attr:`_moments`
+    (degree <= 2), read only through :attr:`Polytope._boundary_moments`
+    by boundary integrals of polynomials of degree 2.  Equality, hashing
+    and ``repr`` are over ``_fields``.
 
     Instances are immutable by convention, as polytopes are.
     """
@@ -181,15 +188,16 @@ class Facet(Record):
     @functools.cached_property
     def _moments(self) -> tuple:
         """:func:`_simplex_moments` of degree <= 2 of the facet with its
-        lattice measure, read by boundary integrals of polynomials through
-        :attr:`Polytope._boundary_moments`."""
+        lattice measure, read only by boundary integrals of polynomials of
+        degree 2 through :attr:`Polytope._boundary_moments`."""
         return _simplex_moments(len(self.halfspace.normal) - 1, *self._integer_simplices)
 
     @functools.cached_property
     def _affine_moments(self) -> tuple:
         """:func:`_simplex_moments` of degree <= 1 of the facet with its
-        lattice measure, read by :attr:`measure` and by boundary integrals
-        of PL functions, whose pieces are affine."""
+        lattice measure, read by :attr:`measure`, by boundary integrals of
+        PL functions, whose pieces are affine, and through
+        :attr:`Polytope._affine_boundary_moments`."""
         return _simplex_moments(len(self.halfspace.normal) - 1, *self._integer_simplices, 1)
 
     @property
@@ -228,6 +236,17 @@ class Polytope:
     ``halfspaces`` of the facets through the vertex.  :func:`intersect`
     starts :func:`_clip` from it, :attr:`_moments` fans it, and
     :attr:`vertices` makes the ``Fraction`` points from it on first read.
+
+    Each table is computed on first read and kept, and each reader reads
+    the lowest degree it needs: :attr:`_moments` (the body, degree <= 2)
+    is read by :attr:`volume`, :attr:`barycenter`, volume integrals and
+    the extremal solve; :attr:`_affine_boundary_moments` (the boundary,
+    degree <= 1) by :attr:`boundary_measure`, so :attr:`rbar`, by the
+    extremal solve and by boundary integrals of affine polynomials;
+    :attr:`_boundary_moments` (degree <= 2) only by boundary integrals of
+    polynomials of degree 2; and :attr:`_cone_halfspaces` by the cone
+    form.  ``warnings`` holds what :func:`build_polytope` dropped; a cell
+    of :func:`intersect` has none.
     """
 
     def __init__(self, dim, halfspaces, clip_start, facets, origin_interior, warnings=()):
@@ -272,7 +291,7 @@ class Polytope:
 
     @functools.cached_property
     def boundary_measure(self) -> Fraction:
-        denominator, moments = self._boundary_moments
+        denominator, moments = self._affine_boundary_moments
         return Fraction(moments[()], denominator)
 
     @functools.cached_property
@@ -303,18 +322,19 @@ class Polytope:
         return _simplex_moments(self.dim, *_fan(self.dim, self._clip_start, cycles))
 
     @functools.cached_property
+    def _affine_boundary_moments(self) -> tuple:
+        """The facets' :attr:`Facet._affine_moments` summed by
+        :func:`_summed`: the moments of degree <= 1 of the boundary with its
+        lattice measure, read by :attr:`boundary_measure`, the extremal
+        solve and boundary integrals of affine polynomials."""
+        return _summed([f._affine_moments for f in self.facets])
+
+    @functools.cached_property
     def _boundary_moments(self) -> tuple:
-        """The facets' :attr:`Facet._moments` summed over the ``lcm`` of
-        their denominators: the moments of the boundary with its lattice
-        measure, read by boundary integrals of degree <= 2."""
-        moments = [f._moments for f in self.facets]
-        denominator = lcm(*[d for d, _ in moments])
-        total = dict.fromkeys(moments[0][1], 0)
-        for d, values in moments:
-            s = denominator // d
-            for key, value in values.items():
-                total[key] += s * value
-        return denominator, total
+        """The facets' :attr:`Facet._moments` summed by :func:`_summed`: the
+        moments of degree <= 2 of the boundary, read only by boundary
+        integrals of polynomials of degree 2."""
+        return _summed([f._moments for f in self.facets])
 
     @functools.cached_property
     def _cone_halfspaces(self) -> tuple:
@@ -324,39 +344,51 @@ class Polytope:
         ``b_i`` of its facet.  With the origin interior every ``b_j`` is
         positive and P is ``{x : max_j <l_j, x> / b_j <= 1}``.  The pyramid
         over facet i is the cell of that gauge function where term i is
-        largest: the facet's own half-space, then for every other facet j,
-        in order, the cut ``<l_j, x> / b_j <= <l_i, x> / b_i``.  With ``b =
-        p / q`` in lowest terms its normal is the primitive part of ``p_i
-        q_j l_j - p_j q_i l_i``, not 0 as no two facets share a normal, and
-        its bound is 0.  ``start`` is the pyramid's :func:`_clip` start, the
-        apex first, then the facet's vertices as the polytope's clip holds
-        them.  Its tight sets are exact: the apex lies on every cut and not
-        on the facet plane, and on facet i, where term i is 1, term j
-        reaches 1 exactly on facet j, so a facet vertex lies on its own
-        plane and on the cuts of the other facets in its clip tight set.
-        The cuts of facets that share no ridge with facet i are redundant;
-        the edge test of :func:`_clip` and the vertex count of
-        :func:`_facets` hold for them too.  The pyramids tile P when the
-        origin is interior, which the caller checks before reading them.
-        Kept because the cone form cuts every pyramid by the cuts of every
-        PL cell.
+        largest, the cone from the origin over the facet.  That cone is
+        pointed, so its facet half-spaces cut it out: the cones over the
+        ridges of facet i, its intersections with the facets j it meets in
+        dimension n - 2.  Each lies in the plane of the cut ``<l_j, x> /
+        b_j <= <l_i, x> / b_i``, as both terms are 1 on the ridge.  So the
+        half-spaces are the facet's own, then the cut of every such j, in
+        facet order; the cuts of the other facets are redundant and left
+        out.  Facet j meets facet i in a ridge exactly when at least n - 1
+        of facet i's vertices lie on it: in 3-D two shared vertices span
+        an edge, in 2-D one is a vertex, and in 1-D the two end points
+        share the empty ridge.  With ``b = p / q`` in lowest terms the
+        cut's normal is the primitive part of ``p_i q_j l_j - p_j q_i
+        l_i``, not 0 as no two facets share a normal, and its bound is 0.
+
+        ``start`` is the pyramid's :func:`_clip` start, the apex first,
+        then the facet's vertices as the polytope's clip holds them, with
+        tight sets renumbered to the kept half-spaces.  They are exact: the
+        apex lies on every cut and not on the facet plane, and on facet i,
+        where term i is 1, term j reaches 1 exactly on facet j, so a facet
+        vertex lies on its own plane and on the kept cuts of the facets in
+        its clip tight set.  The pyramids tile P when the origin is
+        interior, which the caller checks before reading them.  Kept
+        because the cone form cuts every pyramid by the cuts of every PL
+        cell.
         """
         n = self.dim
-        apex = ([0] * n, 1, frozenset(range(1, len(self.halfspaces))))
         zero = Fraction(0)
         pyramids = []
         for i, facet in enumerate(self.facets):
             own = facet.halfspace
             pi, qi = own.bound.numerator, own.bound.denominator
-            hs = [own]
+            hits = [0] * len(self.halfspaces)
+            for _, _, tight in facet.rows:
+                for j in tight:
+                    hits[j] += 1
+            hs, renumber = [own], {}
             for j, h in enumerate(self.halfspaces):
-                if j != i:
+                if j != i and hits[j] >= n - 1:
                     pj, qj = h.bound.numerator, h.bound.denominator
                     normal = [pi * qj * a - pj * qi * b for a, b in zip(h.normal, own.normal)]
                     g = gcd(*normal)
+                    renumber[j] = len(hs)
                     hs.append(HalfSpace(tuple(c // g for c in normal), zero))
-            # The cut of facet j is half-space j + 1 before facet i and j after it.
-            start = [apex] + [(p, q, frozenset([0] + [j + (j < i) for j in tight if j != i]))
+            apex = ([0] * n, 1, frozenset(range(1, len(hs))))
+            start = [apex] + [(p, q, frozenset([0] + [renumber[j] for j in tight if j in renumber]))
                               for p, q, tight in facet.rows]
             pyramids.append((own.bound, tuple(hs), tuple(start)))
         return tuple(pyramids)
@@ -452,7 +484,7 @@ def build_polytope(halfspaces, *, require_simple=True) -> Polytope:
     return _build(deduped, n, body, require_simple=require_simple, warnings=warnings)
 
 
-def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
+def _build(hs, n, body, *, require_simple, warnings=None) -> Polytope:
     """Shared constructor from the half-spaces and the vertices of their body.
 
     ``body`` holds the rows :func:`_clip` returns, exactly the vertices of
@@ -460,19 +492,24 @@ def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
     exact tight set.  Nothing is re-evaluated and no ``Fraction`` is made:
     the rows are sorted in the lexicographic order of their points by
     their integer points over one denominator.  Retained facets and their
-    vertex order come from :func:`_facets`, and warnings from what it
-    drops.  The polytope keeps the sorted rows as its ``_clip_start``, the
-    tight sets renumbered to the retained half-spaces, and each facet
-    keeps its vertices' rows in its order (see :class:`Facet`).
+    vertex order come from :func:`_facets`.  ``warnings`` is the list of
+    :func:`build_polytope`, which gains one record per half-space that
+    supports no facet; a cell of :func:`intersect` passes None and keeps
+    none, as only the domain's warnings are read, and the cuts of a PL
+    cell often miss the cell.  The polytope keeps the sorted rows as its
+    ``_clip_start``, the tight sets renumbered to the retained
+    half-spaces, and each facet keeps its vertices' rows in its order (see
+    :class:`Facet`).
     """
-    warnings = list(warnings)
     _, points = _integer_points(body)
     body = [body[k] for k in sorted(range(len(body)), key=points.__getitem__)]
     cycles = _facets(hs, n, body)
     kept, renumber = [], {}
     for i, (h, cycle) in enumerate(zip(hs, cycles)):
         if cycle is None:
-            warnings.append(f"redundant half-space {exact(h.normal)} <= {exact(h.bound)} dropped")
+            if warnings is not None:
+                warnings.append(
+                    f"redundant half-space {exact(h.normal)} <= {exact(h.bound)} dropped")
         else:
             renumber[i] = len(kept)
             kept.append(h)
@@ -487,7 +524,7 @@ def _build(hs, n, body, *, require_simple, warnings=()) -> Polytope:
 
     # At the origin every <l, x> is 0, so it is interior when every bound is positive.
     origin_interior = all(h.bound > 0 for h in kept)
-    return Polytope(n, kept, clip, facets, origin_interior, warnings)
+    return Polytope(n, kept, clip, facets, origin_interior, warnings or ())
 
 
 def _facets(hs, n, body) -> list:
@@ -684,10 +721,10 @@ def intersect(poly: Polytope, halfspaces) -> Polytope | None:
     The cell's rows come from clipping ``poly._clip_start`` (see
     :func:`_clip`), not from a fresh evaluation of every half-space at
     every vertex, and the clip also decides whether they span dimension
-    n.  The cell is built like any polytope, on integers, and its
-    vertices, facet simplices, measures and moments come on demand.  The
-    cone form needs only the moments and calls :func:`_cell_moments`
-    instead.
+    n.  The cell is built like any polytope, on integers, but formats no
+    warning for the cuts that miss it, and its vertices, facet simplices,
+    measures and moments come on demand.  The cone form needs only the
+    moments and calls :func:`_cell_moments` instead.
     ``tests/test_geometry.py`` keeps an exhaustive n-subset enumeration of
     the combined list as the oracle the result must equal field for field.
     """
@@ -778,6 +815,18 @@ def _simplex_moments(k, q, scale, simplices, degree=2) -> tuple:
         for l in range(j, n):
             moments[(j, l)] = second[j][l]
     return scale * (k + 1) * (k + 2) * q * q, moments
+
+
+def _summed(tables) -> tuple:
+    """Moment tables ``(D, values)`` of one degree summed over the ``lcm``
+    of their denominators, as one table of that form."""
+    denominator = lcm(*[d for d, _ in tables])
+    total = dict.fromkeys(tables[0][1], 0)
+    for d, values in tables:
+        s = denominator // d
+        for key, value in values.items():
+            total[key] += s * value
+    return denominator, total
 
 
 def _clip(start, hs, n, first):

@@ -9,11 +9,13 @@ computes once and keeps its integer moments of degree <= 2 over one
 denominator (:func:`geometry._simplex_moments`, from the closed-form
 simplex moments of Baldoni, Berline, De Loera, Koeppe and Vergne); a
 polytope's boundary keeps its facets' moments summed over one
-denominator (``Polytope._boundary_moments``).  An integral of a
-polynomial is then one integer dot product and one ``Fraction``
-(:func:`_form_integral`), over the body or over its boundary.  A PL
-function's pieces are affine, so its boundary integral reads each cell
-facet's moments of degree <= 1 alone (``Facet._affine_moments``).
+denominator, of degree <= 1 (``Polytope._affine_boundary_moments``) and,
+only once a quadratic integrand asks, of degree <= 2
+(``Polytope._boundary_moments``).  An integral of a polynomial is then
+one integer dot product and one ``Fraction`` (:func:`_form_integral`),
+over the body or over its boundary.  A PL function's pieces are affine,
+so its boundary integral reads each cell facet's moments of degree <= 1
+alone (``Facet._affine_moments``).
 An affine piece of a PL function enters as its own integer form
 (``AffineFunction.form``, built once per piece): the integrals, the
 pairings and the lattice sum's piece table all read it, and none builds
@@ -234,18 +236,23 @@ def boundary_integral(poly: Polytope, f) -> Fraction:
     """Exact integral over the boundary with the lattice measure.
 
     ``f`` is a :class:`Polynomial`, integrated as one dot product with the
-    boundary's moments of degree <= 2 (``Polytope._boundary_moments``), or
-    a ``PLFunction``, integrated through its cell subdivision: each cell
-    is a polytope that shares its outer facets with ``poly``, so
+    boundary's moments: those of degree <= 1
+    (``Polytope._affine_boundary_moments``) when its form holds no
+    monomial of degree 2, even one cancelled to 0, else those of degree
+    <= 2 (``Polytope._boundary_moments``), which are computed only then.
+    Or ``f`` is a ``PLFunction``, integrated through its cell subdivision:
+    each cell is a polytope that shares its outer facets with ``poly``, so
     restricting the active piece to those facets covers the boundary
     exactly once.  A piece is affine, so each outer facet of a cell
     contributes a dot product with its moments of degree <= 1
-    (``Facet._affine_moments``), and no cell facet computes its second
+    (``Facet._affine_moments``), and no facet computes its second
     moments.
     """
     if not isinstance(f, Polynomial):
         return _boundary_integral_pl(poly, f)
-    return _form_integral(poly._boundary_moments, f)
+    if any(len(key) > 1 for key in f._form[1]):
+        return _form_integral(poly._boundary_moments, f)
+    return _form_integral(poly._affine_boundary_moments, f)
 
 
 def _boundary_integral_pl(poly: Polytope, u) -> Fraction:

@@ -100,31 +100,45 @@ def futaki_vector(poly: Polytope) -> tuple:
     """Boundary pairing with the centered coordinates.
 
     The volume part of the pairing vanishes by centering, so the vector is
-    the boundary integral of ``x_j + c_j``; it is zero exactly when the
-    obstruction to constant scalar curvature vanishes on the class.  The
-    centering is :func:`centering_constants`, and each entry is one
-    :func:`integration.boundary_integral`.
+    the boundary integral of ``x_j + c_j``, with ``c`` the
+    :func:`centering_constants`; it is zero exactly when the obstruction to
+    constant scalar curvature vanishes on the class.  Each entry is read
+    from the boundary's moments of degree <= 1 (see :func:`_moment_system`).
     """
-    return tuple(integration.boundary_integral(poly, x) for x in _centered(poly))
-
-
-def _centered(poly: Polytope) -> list:
-    """The centered coordinates ``x_j + c_j`` as polynomials."""
-    n, c = poly.dim, centering_constants(poly)
-    return [Polynomial.affine(n, [int(i == j) for i in range(n)], c[j]) for j in range(n)]
+    rows, _, scale = _moment_system(poly)
+    return tuple(Fraction(row[-1], scale) for row in rows)
 
 
 def second_moment_matrix(poly: Polytope):
-    """Matrix of integrals of centered coordinate products; positive definite."""
-    n = poly.dim
-    centered = _centered(poly)
-    mat = [[Fraction(0)] * n for _ in range(n)]
+    """Matrix of integrals of centered coordinate products; positive
+    definite.  Read from the body's moments (see :func:`_moment_system`)."""
+    rows, scale, _ = _moment_system(poly)
+    return [[Fraction(value, scale) for value in row[:-1]] for row in rows]
+
+
+def _moment_system(poly: Polytope) -> tuple:
+    """``(rows, scale, boundary_scale)``: the extremal system on integers.
+
+    The body's moments (``Polytope._moments``) are integers ``V``,
+    ``m_j`` and ``m_jl`` over one ``D``: the integrals of 1, ``x_j`` and
+    ``x_j x_l``.  The boundary's of degree <= 1
+    (``Polytope._affine_boundary_moments``) are ``B`` and ``B_j`` over
+    ``D_B``.  Centering at the barycenter ``m_j / V`` gives the second
+    moments ``M_jl = (V m_jl - m_j m_l) / (V D)`` and the boundary
+    pairings ``b_j = (V B_j - m_j B) / (V D_B)``.  Row j holds the
+    numerators of ``M``'s row j, then that of ``b_j``; ``scale = V D``
+    and ``boundary_scale = V D_B``.
+    """
+    denominator, m = poly._moments
+    boundary_denominator, boundary = poly._affine_boundary_moments
+    n, volume = poly.dim, m[()]
+    rows = []
     for j in range(n):
-        for l in range(j, n):
-            value = integration.integrate_polynomial(poly, centered[j] * centered[l])
-            mat[j][l] = value
-            mat[l][j] = value
-    return mat
+        mj = m[(j,)]
+        row = [volume * m[(j, l) if j <= l else (l, j)] - mj * m[(l,)] for l in range(n)]
+        row.append(volume * boundary[(j,)] - mj * boundary[()])
+        rows.append(row)
+    return rows, volume * denominator, volume * boundary_denominator
 
 
 def extremal_field(poly: Polytope) -> ExtremalData:
@@ -133,30 +147,43 @@ def extremal_field(poly: Polytope) -> ExtremalData:
     The coefficients ``a`` satisfy ``M a = b`` with ``M`` the centered
     second-moment matrix and ``b`` the boundary pairing vector, which is
     the unique affine potential making the stability functional vanish on
-    every affine function.  The range over the polytope is attained at
-    vertices since the potential is affine.  The solve runs once per
-    polytope, which keeps it as it keeps ``rbar``, so a scan and the
-    report built after it share one.
+    every affine function.  Both come as integer numerators from the
+    body's moments and the boundary's of degree <= 1
+    (:func:`_moment_system`): with ``M = N / scale`` and ``b = beta /
+    boundary_scale``, ``a = x scale / boundary_scale`` for the integer
+    system ``N x = beta``, solved without a ``Fraction``.  The range over
+    the polytope is attained at vertices since the potential is affine,
+    and is read from the integer clip rows (:func:`_at_vertices`).  The
+    solve runs once per polytope, which keeps it as it keeps ``rbar``, so
+    a scan and the report built after it share one.
     """
     kept = vars(poly).get("_extremal")
     if kept is not None:
         return kept
-    c = centering_constants(poly)
-    mat = second_moment_matrix(poly)
-    b = futaki_vector(poly)
-    sol = _linalg.solve(mat, b)
-    if sol is None:
+    rows, scale, boundary_scale = _moment_system(poly)
+    solved = _linalg._solve_integer(rows, poly.dim)
+    if solved is None:
         raise SingularMoment("second-moment matrix is singular")
-    a = tuple(sol)
-    const = _linalg.dot(a, c)
-    theta = AffineFunction(a, const)
-    values = [theta.evaluate(v) for v in poly.vertices]
-    tmin, tmax = min(values), max(values)
+    y, det = solved
+    a = tuple(Fraction(yj * scale, det * boundary_scale) for (yj,) in y)
+    c = centering_constants(poly)
+    theta = AffineFunction(a, _linalg.dot(a, c))
+    values, over = _at_vertices(poly, theta)
+    tmin, tmax = Fraction(min(values), over), Fraction(max(values), over)
     poly._extremal = ExtremalData(
-        c=c, b=b, a=a, theta=theta, theta_min=tmin, theta_max=tmax,
-        norm=max(abs(tmin), abs(tmax)),
+        c=c, b=tuple(Fraction(row[-1], boundary_scale) for row in rows), a=a, theta=theta,
+        theta_min=tmin, theta_max=tmax, norm=max(abs(tmin), abs(tmax)),
     )
     return poly._extremal
+
+
+def _at_vertices(poly: Polytope, f: AffineFunction) -> tuple:
+    """``(values, scale)``: the affine ``f`` at the vertices, in vertex
+    order, as integers over one positive ``scale``, from the clip rows
+    over their common denominator and ``f``'s integer form."""
+    d, gradient, constant = f.form.affine_numerators()
+    q, points = geometry._integer_points(poly._clip_start)
+    return [_linalg.dot(gradient, p) + constant * q for p in points], d * q
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +363,7 @@ def check_condition(poly: Polytope, extremal: ExtremalData, which: str) -> Condi
     witness = bounds.index(max(bounds))
     if which == "c43":
         # The weight is affine, so its maximum sits at a vertex.
-        theta_values = [extremal.theta.evaluate(v) for v in poly.vertices]
+        theta_values, _ = _at_vertices(poly, extremal.theta)
         witness = (witness, theta_values.index(max(theta_values)))
     at_given = None
     if poly.origin_interior:

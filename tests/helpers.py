@@ -3,17 +3,19 @@
 The helpers include the simplex and lattice-vector routines that only
 tests need: :func:`simplex_halfspaces` with its :class:`DegenerateSimplex`,
 :func:`affine_rank` and :func:`primitivize`, and the oracles
-:func:`simplex_measures`, :func:`check_recession` and
-:func:`spans_dimension`.
+:func:`simplex_measures`, :func:`check_recession`,
+:func:`spans_dimension` and :func:`reference_extremal`.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from toricstab import _linalg, build_polytope, halfspace, make_pl
+from toricstab import Polynomial, _linalg, build_polytope, halfspace, integrate_polynomial, make_pl
 from toricstab.errors import ToricStabError, Unbounded
 from toricstab.geometry import HalfSpace, intersect
+from toricstab.integration import _form_integral
+from toricstab.invariants import ExtremalData
 from toricstab.plfunc import AffineFunction
 
 
@@ -299,3 +301,28 @@ def reference_rank(profiles, top_n, top_d):
                     top_n, top_d = l * cb, cl * b
                     pick = (j, t, l, cl, b, cb)
     return evaluated, pick
+
+
+def reference_extremal(poly):
+    """``(matrix, extremal)``: the second-moment matrix and the
+    :class:`ExtremalData` of ``poly`` from ``Polynomial`` arithmetic.
+
+    The centered coordinates ``x_j + c_j`` are affine polynomials; the
+    matrix integrates their products over the body, the Futaki vector
+    their boundary integrals from the facets' degree-2 tables
+    (``Polytope._boundary_moments``), the coefficients come from the
+    ``Fraction`` solve of :func:`_linalg.solve`, and the range from the
+    potential evaluated at every ``Fraction`` vertex.  The reference for
+    ``invariants.extremal_field``, which reads integer tables instead.
+    """
+    n = poly.dim
+    c = tuple(-x for x in poly.barycenter)
+    centered = [Polynomial.affine(n, [int(i == j) for i in range(n)], c[j]) for j in range(n)]
+    matrix = [[integrate_polynomial(poly, centered[j] * centered[l]) for l in range(n)]
+              for j in range(n)]
+    b = tuple(_form_integral(poly._boundary_moments, x) for x in centered)
+    a = _linalg.solve(matrix, b)
+    theta = AffineFunction(a, _linalg.dot(a, c))
+    values = [theta.evaluate(v) for v in poly.vertices]
+    low, high = min(values), max(values)
+    return matrix, ExtremalData(c, b, a, theta, low, high, max(abs(low), abs(high)))

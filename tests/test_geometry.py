@@ -229,8 +229,9 @@ def _cones(poly):
 def _pyramid_bodies(rng):
     """Bodies with the origin inside: the catalog polygons, 3-D boxes,
     rational simplices, a segment, prisms over ``cp2_2blowup`` and a moved
-    ``hexagon(2,3)`` (pentagonal and hexagonal facets) and a cube with a
-    corner cut off (pentagonal and triangular facets)."""
+    ``hexagon(2,3)`` (pentagonal and hexagonal facets), a cube with a
+    corner cut off (pentagonal and triangular facets), and a square
+    pyramid and an octahedron, which are not simple."""
     bodies = [catalog(name) for name in ("cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup",
                                          "cp2_3blowup", "hexagon(2,3)")]
     bodies += [_centered(_random_body(rng, "box")) for _ in range(3)]
@@ -242,7 +243,44 @@ def _pyramid_bodies(rng):
     bodies.append(build_polytope([halfspace(e, 1) for e in (
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))]
         + [halfspace((1, 1, 1), 2)]))
+    # Non-simple: facets that meet in a vertex alone share no ridge.
+    bodies.append(build_polytope([halfspace((0, 0, -1), F(1) / 2), *PYRAMID[1:]],
+                                 require_simple=False))
+    bodies.append(build_polytope(OCTAHEDRON, require_simple=False))
     return bodies
+
+
+def _gauge_cut(own, other):
+    """The cut ``<l_j, x> / b_j <= <l_i, x> / b_i`` of facet j in the
+    pyramid over facet i, from the rational normal ``l_j / b_j - l_i /
+    b_i`` made primitive."""
+    normal = [a / other.bound - b / own.bound for a, b in zip(other.normal, own.normal)]
+    return halfspace(primitivize(normal)[0], 0)
+
+
+def _share_ridge(facet, other, n):
+    """Whether two facets meet in dimension n - 2, by their common
+    ``Fraction`` vertices; in 1-D the two end points share the empty ridge."""
+    common = set(facet.vertices) & set(other.vertices)
+    return n == 1 or (len(common) >= n - 1 and affine_rank(list(common)) == n - 2)
+
+
+def _full_gauge_pyramids(poly):
+    """The pyramids with every gauge cut, m - 1 per facet: the facet's own
+    half-space, then the cut of every other facet in facet order, each
+    start the apex and the facet's vertices with tight sets found by
+    brute force."""
+    n = poly.dim
+    pyramids = []
+    for facet in poly.facets:
+        own = facet.halfspace
+        hs = (own, *(_gauge_cut(own, h) for h in poly.halfspaces if h is not own))
+        start = []
+        for v in [(F(0),) * n, *facet.vertices]:
+            q, (p,) = _linalg.over_common_denominator((v,))
+            start.append((p, q, frozenset(i for i, h in enumerate(hs) if h.value(v) == h.bound)))
+        pyramids.append((own.bound, hs, tuple(start)))
+    return pyramids
 
 
 class TestConeDecomposition:
@@ -288,14 +326,21 @@ class TestConeDecomposition:
 
     def test_pyramid_layout(self):
         # The facet's own half-space, then one cut through the origin per
-        # other facet.  The start's tight sets are exactly the half-spaces
-        # through each vertex, with every vertex inside every half-space,
-        # and the polytope the half-spaces bound, once it drops the
-        # redundant cuts, has the same vertices and sets.
+        # facet that shares a ridge with it, in facet order: a facet whose
+        # common vertices with it span dimension n - 2, and in 1-D the
+        # other end point.  The start's tight sets are exactly the
+        # half-spaces through each vertex, with every vertex inside every
+        # half-space, and the polytope the half-spaces bound drops none of
+        # them and has the same vertices and sets.
         for poly in _pyramid_bodies(random.Random("pyramids")):
+            n = poly.dim
             for facet, (_, hs, start) in zip(poly.facets, poly._cone_halfspaces):
-                assert len(hs) == len(poly.halfspaces)
-                assert hs[0] is facet.halfspace
+                own = facet.halfspace
+                ridges = [h for other, h in zip(poly.facets, poly.halfspaces)
+                          if other is not facet and _share_ridge(facet, other, n)]
+                assert hs[0] is own
+                assert list(hs[1:]) == [_gauge_cut(own, h) for h in ridges]
+                assert 1 < len(hs) <= len(poly.halfspaces)
                 assert all(h.bound == 0 for h in hs[1:])
                 for p, q, tight in start:
                     assert q > 0 and math.gcd(q, *p) == 1
@@ -305,11 +350,38 @@ class TestConeDecomposition:
                     assert tight == {i for i, s in enumerate(slacks) if s == 0}
                 assert len(start[0][2]) == len(hs) - 1
                 pyramid = build_polytope(hs, require_simple=False)
-                kept = [hs.index(h) for h in pyramid.halfspaces]
-                assert kept[0] == 0
-                assert sorted((v, {kept[i] for i in tight}) for v, (_, _, tight)
+                assert pyramid.halfspaces == hs and pyramid.warnings == ()
+                assert sorted((v, tight) for v, (_, _, tight)
                               in zip(pyramid.vertices, pyramid._clip_start)) == sorted(
-                    (tuple(Fraction(c, q) for c in p), tight & set(kept)) for p, q, tight in start)
+                    (tuple(Fraction(c, q) for c in p), tight) for p, q, tight in start)
+
+    def test_ridge_cuts_give_the_full_gauge_cell_moments(self):
+        # Every cell of a convex PL function, and the body itself, cut
+        # from the pyramid with ridge cuts only and from the one with all
+        # m - 1 gauge cuts: the same moments, or None on both sides.
+        rng = random.Random("ridge-pyramids")
+        empty = kept = 0
+        bodies = _pyramid_bodies(random.Random("pyramids"))
+        for poly in bodies:
+            full = _full_gauge_pyramids(poly)
+            assert [len(hs) for _, hs, _ in full] == [len(poly.halfspaces)] * len(full)
+            cuts_per_cell = [()]
+            for _ in range(2):
+                cuts_per_cell += [[h for h in cell.region.halfspaces
+                                   if h not in poly.halfspaces]
+                                  for cell in random_convex_pl(rng, poly).cells]
+            for cuts in cuts_per_cell:
+                for (support, hs, start), (full_support, full_hs, full_start) in zip(
+                        poly._cone_halfspaces, full, strict=True):
+                    assert support == full_support
+                    moments = geometry._cell_moments(hs, start, cuts)
+                    assert moments == geometry._cell_moments(full_hs, full_start, cuts)
+                    empty += moments is None
+                    kept += moments is not None
+        # Some pyramid dropped a cut, and both outcomes occurred.
+        assert any(len(hs) < len(poly.halfspaces)
+                   for poly in bodies for _, hs, _ in poly._cone_halfspaces)
+        assert empty > 0 and kept > 0
 
     def test_cone_and_fan_order(self, cp2, pentagon, hexagon23):
         # The fan cones from vertex 0 over the facet faces in facet order,
@@ -370,10 +442,15 @@ def _enumerate_vertices(hs, n):
     return found
 
 
-def _from_enumeration(hs, n, warnings=(), require_simple=False):
+def _from_enumeration(hs, n, warnings=None, require_simple=False):
     """Polytope of ``hs`` from exhaustive enumeration, with active sets
     found by brute force, every half-space at every vertex, so the oracle
-    shares none of the clipper's bookkeeping."""
+    shares none of the clipper's bookkeeping.
+
+    ``warnings`` is None for a cell of ``intersect``, which keeps none.
+    For ``build_polytope`` it holds the duplicate records, and the oracle
+    adds one record per redundant half-space, found by brute force too:
+    one whose tight vertices do not span affine dimension n - 1."""
     vertices = _enumerate_vertices(hs, n)
     if not vertices:
         raise Degenerate("half-space intersection is empty")
@@ -383,7 +460,15 @@ def _from_enumeration(hs, n, warnings=(), require_simple=False):
     for v in vertices:
         q, (p,) = _linalg.over_common_denominator((v,))
         body.append((p, q, frozenset(i for i, h in enumerate(hs) if h.value(v) == h.bound)))
-    return geometry._build(hs, n, body, require_simple=require_simple, warnings=warnings)
+    poly = geometry._build(hs, n, body, require_simple=require_simple)
+    assert poly.warnings == ()
+    if warnings is not None:
+        for h in hs:
+            tight = [v for v in vertices if h.value(v) == h.bound]
+            if len(tight) < n or affine_rank(tight) != n - 1:
+                warnings = [*warnings, f"redundant half-space {h.normal} <= {h.bound} dropped"]
+        poly.warnings = tuple(warnings)
+    return poly
 
 
 def _enumerated(poly, cuts):

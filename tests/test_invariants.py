@@ -32,7 +32,8 @@ from toricstab.plfunc import AffineFunction, affine, zero_function
 from toricstab.reproduce import random_affine, random_convex_pl
 
 from helpers import (DegenerateSimplex, active_pieces, contains_interior, prism,
-                     push_forward, random_polygon, simplex_halfspaces, unimodular)
+                     push_forward, random_polygon, reference_extremal, simplex_halfspaces,
+                     unimodular)
 
 
 def F(a, b=1):
@@ -146,13 +147,13 @@ class TestExtremalField:
         # scan reads the scan's: one second-moment solve per polytope, in
         # the library and in the CLI's scan command.
         solved = []
-        moments = invariants.second_moment_matrix
+        moments = invariants._moment_system
 
         def counted(poly):
             solved.append(poly)
             return moments(poly)
 
-        monkeypatch.setattr(invariants, "second_moment_matrix", counted)
+        monkeypatch.setattr(invariants, "_moment_system", counted)
         poly = catalog("cp2_2blowup")
         result = scan(poly, invariants.extremal_field(poly), ScanConfig(24, 8, 1))
         report.build_report(poly, scan_result=result)
@@ -174,6 +175,74 @@ class TestExtremalField:
             f = Polynomial.affine(2, ext.theta.gradient, ext.theta.constant)
             assert integrate_polynomial(poly, f) == 0
             assert ext.theta_min <= 0 <= ext.theta_max
+
+
+def _extremal_bodies(rng):
+    """The catalog with three hexagons, seeded rational polygons, 1-D
+    intervals, and seeded 3-D boxes and simplices."""
+    bodies = [catalog(name) for name in ("cp2", "cp1xcp1", "cp2_1blowup", "cp2_2blowup",
+                                         "cp2_3blowup", "hexagon(2,3)")]
+    bodies += [hexagon(1, 2), hexagon(3, 4), hexagon(F(7, 2), 2)]
+    bodies += [random_polygon(rng, den=rng.choice((1, 2, 3, 7))) for _ in range(12)]
+    for _ in range(4):
+        lo = F(rng.randint(-9, 3), rng.randint(1, 4))
+        bodies.append(build_polytope([halfspace((1,), lo + F(rng.randint(1, 9), rng.randint(1, 3))),
+                                      halfspace((-1,), -lo)]))
+    for _ in range(4):
+        rows = []
+        for j in range(3):
+            e = tuple(int(i == j) for i in range(3))
+            lo = F(rng.randint(-6, 2), rng.randint(1, 3))
+            rows += [halfspace(e, lo + F(rng.randint(1, 5), rng.randint(1, 2))),
+                     halfspace(tuple(-c for c in e), -lo)]
+        bodies.append(build_polytope(rows))
+    while len(bodies) < 33:
+        verts = [tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3))
+                 for _ in range(4)]
+        try:
+            bodies.append(build_polytope(simplex_halfspaces(verts)))
+        except DegenerateSimplex:
+            continue
+    return bodies
+
+
+class TestExtremalReference:
+    """The integer solve against the ``Polynomial`` reference of
+    ``helpers.reference_extremal``, and its invariants under lattice maps."""
+
+    def test_field_for_field(self):
+        rng = random.Random("extremal-reference")
+        dims = set()
+        for poly in _extremal_bodies(rng):
+            # The reference reads the degree-2 boundary table, so it gets
+            # its own copy of the body.
+            matrix, expected = reference_extremal(build_polytope(poly.halfspaces))
+            ext = invariants.extremal_field(poly)
+            assert ext == expected
+            assert repr(ext) == repr(expected)
+            assert invariants.second_moment_matrix(poly) == matrix
+            assert invariants.futaki_vector(poly) == ext.b
+            assert invariants.centering_constants(poly) == ext.c
+            assert all(type(x) is Fraction for x in (*ext.c, *ext.b, *ext.a, ext.theta.constant,
+                                                   ext.theta_min, ext.theta_max, ext.norm))
+            dims.add(poly.dim)
+        assert dims == {1, 2, 3}
+
+    def test_lattice_maps_keep_the_range(self):
+        # rbar and the potential's range and norm are properties of the
+        # body up to GL(n, Z) and translation, so they are bit-identical.
+        rng = random.Random("extremal-lattice-maps")
+        for poly in _extremal_bodies(rng):
+            ext = invariants.extremal_field(poly)
+            expected = (poly.rbar, ext.theta_min, ext.theta_max, ext.norm)
+            u = make_pl([zero_function(poly.dim)], poly)
+            for _ in range(3):
+                a = unimodular(rng, poly.dim) if poly.dim > 1 else [[rng.choice((1, -1))]]
+                t = tuple(F(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(poly.dim))
+                moved, _ = push_forward(poly, u, a, t)
+                moved_ext = invariants.extremal_field(moved)
+                assert (moved.rbar, moved_ext.theta_min, moved_ext.theta_max,
+                        moved_ext.norm) == expected
 
 
 class TestThetaNorm:
@@ -392,6 +461,43 @@ class TestAffineFormsBuiltOnce:
         monkeypatch.setattr(Polynomial, "affine", classmethod(counted))
         assert [read() for read in readers] == first
         assert builds == []
+
+
+class TestBoundaryTablesAtTheirDegree:
+    """The analysis reads the boundary at degree <= 1 only; the facets'
+    degree-2 tables wait for a quadratic integrand."""
+
+    def test_analyze_and_lfun_leave_the_degree_two_tables_unread(self):
+        # What `analyze --pl` and then `lfun` compute, on one polytope.
+        rng = random.Random("lazy-boundary")
+        bodies = [catalog(name) for name in CATALOG_NAMES if "(" not in name]
+        bodies += [hexagon(1, 2), hexagon(3, 4)]
+        bodies += [random_polygon(rng, den=rng.choice((1, 2, 3))) for _ in range(12)]
+        for poly in bodies:
+            u = random_convex_pl(rng, poly)
+            rep = report.build_report(poly, pl_functions=[("u", u)])
+            report.render_table(rep)
+            ext = invariants.extremal_field(poly)
+            L = linear_functional_L(poly, u, ext)
+            if poly.origin_interior:
+                assert linear_functional_L_cone(poly, u, ext) == L
+            assert "_affine_boundary_moments" in vars(poly)
+            assert "_boundary_moments" not in vars(poly)
+            assert not any("_moments" in vars(f) for f in poly.facets)
+            assert not any("_moments" in vars(f) for cell in u.cells
+                           for f in cell.region.facets)
+
+    def test_each_integrand_reads_its_table(self, pentagon):
+        poly = build_polytope(pentagon.halfspaces)
+        x, y = Polynomial.coordinate(2, 0), Polynomial.coordinate(2, 1)
+        affine_value = boundary_integral(poly, x * 3 - y + 1)
+        assert "_boundary_moments" not in vars(poly)
+        # A monomial of degree 2 cancelled to 0 still reads degree 2.
+        cancelled = x * y - y * x + x
+        assert cancelled.degree() == 1
+        assert boundary_integral(poly, cancelled) == boundary_integral(poly, x)
+        assert "_boundary_moments" in vars(poly)
+        assert affine_value == integration._form_integral(poly._boundary_moments, x * 3 - y + 1)
 
 
 class TestConditions:

@@ -579,8 +579,9 @@ class TestCLI:
         assert f"L            {want[0]}\n" in capsys.readouterr().out
 
     # Every input is under 640 digits; some derived value is past it: a
-    # vertex of the pyramid, a centered bound of the pentagon, a cell's
-    # bound in the PL function's warnings, the lattice box of a long k.
+    # vertex of the pyramid, a centered bound of the pentagon, L and the
+    # invariants of the long PL function (1,051 digits each way; its
+    # cells keep no warnings), the lattice box of a long k.
     Q = 10**350
 
     @staticmethod
